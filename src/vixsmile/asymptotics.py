@@ -140,6 +140,13 @@ def _window_kernel(params: ModelParams, delta: float, t_mat: float, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
+def _volvol_derivatives(params: ModelParams) -> tuple[float, float]:
+    """(f'(0), f''(0)) of the mixture map v = f(Y), as in the module docstring."""
+    fprime = params.v0 * params.volvol_mean * math.sqrt(2.0 * params.H)
+    fsecond = params.v0 * params.volvol_sq_mean * 2.0 * params.H
+    return fprime, fsecond
+
+
 def _require_nondegenerate(params: ModelParams) -> None:
     if params.volvol_mean <= 0.0:
         raise DegenerateModelError(
@@ -168,7 +175,7 @@ def vix_atmi_limit_general(fprime: float, v0: float, hurst: float, beta: float,
 
 def vix_atmi_limit(params: ModelParams, delta: float) -> float:
     """Short-maturity VIX ATM implied-vol; independent of v0."""
-    fprime = params.v0 * params.volvol_mean * math.sqrt(2.0 * params.H)
+    fprime, _ = _volvol_derivatives(params)
     return vix_atmi_limit_general(fprime, params.v0, params.H, params.beta, delta)
 
 
@@ -183,14 +190,21 @@ def _window_kernel_sq_integral(params: ModelParams, delta: float,
     return integrate_err(f, 0.0, maturity, spec)
 
 
+def _vix_atmi_approx_err(fprime: float, v0: float, hurst: float, beta: float,
+                        delta: float, maturity: float) -> tuple[float, float]:
+    """:func:`vix_atmi_approx_general` and its first-order quadrature bound."""
+    _check_maturity(maturity)
+    params = ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0)
+    w_int, w_err = _window_kernel_sq_integral(params, delta, maturity)
+    value = fprime * math.sqrt(w_int) / (v0 * 2.0 * delta * math.sqrt(maturity))
+    return value, abs(value) * w_err / (2.0 * w_int)
+
+
 def vix_atmi_approx_general(fprime: float, v0: float, hurst: float, beta: float,
                             delta: float, maturity: float) -> float:
     """Finite-maturity VIX ATM implied-vol approximation:
     f'(0)/(v0 2 delta sqrt(T)) * sqrt(int_0^T K-bar(s)^2 ds)."""
-    _check_maturity(maturity)
-    params = ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0)
-    w_int, _ = _window_kernel_sq_integral(params, delta, maturity)
-    return fprime * math.sqrt(w_int) / (v0 * 2.0 * delta * math.sqrt(maturity))
+    return _vix_atmi_approx_err(fprime, v0, hurst, beta, delta, maturity)[0]
 
 
 def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float:
@@ -200,7 +214,7 @@ def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float
     First order in the vol-of-vol: sharpest for single-factor configurations
     (gamma in {0, 1}); genuine mixtures pick up curvature terms it omits.
     """
-    fprime = params.v0 * params.volvol_mean * math.sqrt(2.0 * params.H)
+    fprime, _ = _volvol_derivatives(params)
     return vix_atmi_approx_general(
         fprime, params.v0, params.H, params.beta, delta, maturity
     )
@@ -226,9 +240,7 @@ def vix_skew_limit(params: ModelParams, delta: float) -> float:
     """Short-maturity VIX skew of the mixture model; positive for genuine
     mixtures (gamma in (0,1), nu != eta), zero in the plain lognormal case."""
     _require_nondegenerate(params)
-    sqrt_2h = math.sqrt(2.0 * params.H)
-    fprime = params.v0 * params.volvol_mean * sqrt_2h
-    fsecond = params.v0 * params.volvol_sq_mean * 2.0 * params.H
+    fprime, fsecond = _volvol_derivatives(params)
     return vix_skew_limit_general(
         fprime, fsecond, params.v0, params.H, params.beta, delta
     )
@@ -262,7 +274,12 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     )
     outer_spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9, max_subdivisions=4000)
 
+    # Largest relative error bound of any inner quadrature, rel: the outer
+    # integrand m^2 then carries a first-order error of at most 2 rel m^2.
+    worst_inner = 0.0
+
     def kernel_mass(r_scalar: float) -> float:
+        nonlocal worst_inner
         gap = r_scalar - maturity
 
         def f(tau):
@@ -270,7 +287,8 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
                 params, gap + tau
             )
 
-        value, _ = integrate_err(f, 0.0, maturity, inner_spec)
+        value, err = integrate_err(f, 0.0, maturity, inner_spec)
+        worst_inner = max(worst_inner, err / abs(value))
         return value
 
     def m_squared(r):
@@ -281,9 +299,26 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
         m_squared, maturity, maturity + delta, outer_spec
     )
     cross *= 0.5
-    cross_err *= 0.5
+    cross_err = 0.5 * cross_err + 2.0 * worst_inner * cross
     w_int, w_err = _window_kernel_sq_integral(params, delta, maturity)
     return cross, cross_err, w_int, w_err
+
+
+def _vix_skew_approx_err(fprime: float, fsecond: float, v0: float, hurst: float,
+                        beta: float, delta: float,
+                        maturity: float) -> tuple[float, float]:
+    """:func:`vix_skew_approx_general` and its first-order quadrature bound."""
+    _check_maturity(maturity)
+    params = ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0)
+    cross, cross_err, w_int, w_err = _skew_numerators(params, delta, maturity)
+    curvature = fsecond / fprime
+    level = (fprime / v0) * w_int ** 2 / (2.0 * delta)
+    denominator = w_int ** 1.5 * math.sqrt(maturity)
+    value = (curvature * cross - level) / denominator
+    # Partial derivatives of the value in Q_A and in W.
+    d_cross = curvature / denominator
+    d_w = -2.0 * level / (w_int * denominator) - 1.5 * value / w_int
+    return value, abs(d_cross) * cross_err + abs(d_w) * w_err
 
 
 def vix_skew_approx_general(fprime: float, fsecond: float, v0: float, hurst: float,
@@ -296,20 +331,16 @@ def vix_skew_approx_general(fprime: float, fsecond: float, v0: float, hurst: flo
     with W = int K-bar^2, Q_B = W^2/2, and Q_A the cross-kernel double
     integral of :func:`_skew_numerators`.
     """
-    _check_maturity(maturity)
-    params = ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0)
-    cross, _, w_int, _ = _skew_numerators(params, delta, maturity)
-    numerator = (fsecond / fprime) * cross - (fprime / v0) * w_int ** 2 / (2.0 * delta)
-    return numerator / (w_int ** 1.5 * math.sqrt(maturity))
+    return _vix_skew_approx_err(
+        fprime, fsecond, v0, hurst, beta, delta, maturity
+    )[0]
 
 
 def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float:
     """Finite-maturity VIX skew of the mixture model; flat in maturity for the
     mixed SABR configuration and converging to :func:`vix_skew_limit`."""
     _require_nondegenerate(params)
-    sqrt_2h = math.sqrt(2.0 * params.H)
-    fprime = params.v0 * params.volvol_mean * sqrt_2h
-    fsecond = params.v0 * params.volvol_sq_mean * 2.0 * params.H
+    fprime, fsecond = _volvol_derivatives(params)
     return vix_skew_approx_general(
         fprime, fsecond, params.v0, params.H, params.beta, delta, maturity
     )
@@ -327,8 +358,26 @@ def rv_atmi_limit_general(fprime: float, v0: float, hurst: float) -> float:
 
 def rv_atmi_limit(params: ModelParams) -> float:
     """Power-law coefficient of the short-maturity RV ATM implied vol."""
-    fprime = params.v0 * params.volvol_mean * math.sqrt(2.0 * params.H)
+    fprime, _ = _volvol_derivatives(params)
     return rv_atmi_limit_general(fprime, params.v0, params.H)
+
+
+def _rv_atmi_approx_err(fprime: float, v0: float, hurst: float, beta: float,
+                        maturity: float) -> tuple[float, float]:
+    """:func:`rv_atmi_approx_general` and its first-order quadrature bound."""
+    _check_maturity(maturity)
+    if beta == 0.0:
+        return rv_atmi_limit_general(fprime, v0, hurst) * maturity ** (hurst - 0.5), 0.0
+
+    spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-10)
+    scale = beta ** -(hurst + 0.5)
+
+    def f(sigma):
+        return (scale * _lig_vec(hurst + 0.5, beta * sigma)) ** 2
+
+    integral, err = integrate_err(f, 0.0, maturity, spec)
+    value = fprime * math.sqrt(integral) / (v0 * maturity ** 1.5)
+    return value, abs(value) * err / (2.0 * integral)
 
 
 def rv_atmi_approx_general(fprime: float, v0: float, hurst: float, beta: float,
@@ -339,23 +388,12 @@ def rv_atmi_approx_general(fprime: float, v0: float, hurst: float, beta: float,
     For beta = 0 the double integral collapses analytically and the value is
     exactly the limit coefficient times T^(H-1/2).
     """
-    _check_maturity(maturity)
-    if beta == 0.0:
-        return rv_atmi_limit_general(fprime, v0, hurst) * maturity ** (hurst - 0.5)
-
-    spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-10)
-    scale = beta ** -(hurst + 0.5)
-
-    def f(sigma):
-        return (scale * _lig_vec(hurst + 0.5, beta * sigma)) ** 2
-
-    value, _ = integrate_err(f, 0.0, maturity, spec)
-    return fprime * math.sqrt(value) / (v0 * maturity ** 1.5)
+    return _rv_atmi_approx_err(fprime, v0, hurst, beta, maturity)[0]
 
 
 def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
     """Finite-maturity RV ATM implied vol of the mixture model."""
-    fprime = params.v0 * params.volvol_mean * math.sqrt(2.0 * params.H)
+    fprime, _ = _volvol_derivatives(params)
     return rv_atmi_approx_general(
         fprime, params.v0, params.H, params.beta, maturity
     )
@@ -373,8 +411,11 @@ def _geometric_bilateral_edges(cut: float, n_per_side: int) -> np.ndarray:
     return np.concatenate([left, [0.5], right])
 
 
+_RV_SKEW_PROBE = 1e-4  # default t_probe of rv_skew_constant
+
+
 @lru_cache(maxsize=64)
-def rv_skew_constant(hurst: float, t_probe: float = 1e-4) -> float:
+def rv_skew_constant(hurst: float, t_probe: float = _RV_SKEW_PROBE) -> float:
     """Kernel-overlap constant of the RV skew, by nested quadrature:
 
         [int_0^T (T-s)^(H+1/2) int_s^T (T-u)^(2H+1) (u-s)^(H-1/2)/(H+1/2)
@@ -383,7 +424,17 @@ def rv_skew_constant(hurst: float, t_probe: float = 1e-4) -> float:
     evaluated at T = t_probe. The result is maturity-invariant up to
     quadrature error (the integrand is homogeneous of degree 4H+3 in T);
     equals 1/15 at H = 1/2.
+
+    Only the outer integral in s carries an achieved error bound. The inner
+    xi-profile is a fixed composite rule with no bound of its own; acceptance
+    criterion C7 checks the constant against a brute-force oracle instead.
     """
+    return _rv_skew_constant_err(hurst, t_probe)[0]
+
+
+@lru_cache(maxsize=64)
+def _rv_skew_constant_err(hurst: float, t_probe: float) -> tuple[float, float]:
+    """:func:`rv_skew_constant` and the error bound of its outer integral."""
     if not (0.0 < hurst <= 0.5):
         raise ValueError(f"hurst must lie in (0, 1/2], got {hurst!r}")
     if not (1e-5 <= t_probe <= 1e-2):
@@ -414,29 +465,35 @@ def rv_skew_constant(hurst: float, t_probe: float = 1e-4) -> float:
         )
 
     spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9)
-    numerator, _ = integrate_err(outer, 0.0, t_probe, spec)
-    return numerator / t_probe ** (4.0 * hurst + 3.0)
+    numerator, err = integrate_err(outer, 0.0, t_probe, spec)
+    scale = t_probe ** (4.0 * hurst + 3.0)
+    return numerator / scale, err / scale
+
+
+def _rv_skew_limit_err(fprime: float, fsecond: float, v0: float,
+                       hurst: float) -> tuple[float, float]:
+    """:func:`rv_skew_limit_general` and its first-order quadrature bound."""
+    overlap = rv_skew_constant(hurst)
+    curvature_term = (
+        fsecond / fprime * overlap * (2.0 * hurst + 2.0) ** 1.5 * (hurst + 0.5)
+    )
+    level_term = fprime / (v0 * (2.0 * hurst + 1.0) * math.sqrt(2.0 * hurst + 2.0))
+    _, overlap_err = _rv_skew_constant_err(hurst, _RV_SKEW_PROBE)
+    return curvature_term - level_term, abs(curvature_term) * overlap_err / overlap
 
 
 def rv_skew_limit_general(fprime: float, fsecond: float, v0: float,
                           hurst: float) -> float:
     """Limit of T^(1/2-H) times the RV ATM skew:
     f''/f' I(H) (2H+2)^(3/2) (H+1/2) - f'/(v0 (2H+1) sqrt(2H+2))."""
-    overlap = rv_skew_constant(hurst)
-    curvature_term = (
-        fsecond / fprime * overlap * (2.0 * hurst + 2.0) ** 1.5 * (hurst + 0.5)
-    )
-    level_term = fprime / (v0 * (2.0 * hurst + 1.0) * math.sqrt(2.0 * hurst + 2.0))
-    return curvature_term - level_term
+    return _rv_skew_limit_err(fprime, fsecond, v0, hurst)[0]
 
 
 def rv_skew_limit(params: ModelParams) -> float:
     """Power-law coefficient of the short-maturity RV ATM skew; scales
     linearly under joint scaling of (nu, eta)."""
     _require_nondegenerate(params)
-    sqrt_2h = math.sqrt(2.0 * params.H)
-    fprime = params.v0 * params.volvol_mean * sqrt_2h
-    fsecond = params.v0 * params.volvol_sq_mean * 2.0 * params.H
+    fprime, fsecond = _volvol_derivatives(params)
     return rv_skew_limit_general(fprime, fsecond, params.v0, params.H)
 
 
@@ -487,8 +544,8 @@ def evaluate(
 
     ``delta`` is required for the VIX and Heston formulas, ``maturity`` for
     the finite-maturity approximations. Closed forms report a zero
-    quadrature bound; quadrature-backed values report a conservative
-    relative bound.
+    quadrature bound; quadrature-backed values report the achieved error
+    bounds of their adaptive quadratures, propagated to first order.
     """
     fid = FormulaId(formula_id)
     needs_delta = fid in {
@@ -506,7 +563,6 @@ def evaluate(
         raise ValueError(f"{fid.value} requires maturity")
 
     echo = _echo(params, delta=delta, maturity=maturity)
-    bound = 0.0
     if fid is FormulaId.HESTON_VIX_SKEW_SIGN:
         if not isinstance(params, HestonParams):
             raise ValueError("HESTON_VIX_SKEW_SIGN requires HestonParams")
@@ -525,15 +581,24 @@ def evaluate(
         ),
         FormulaId.RV_ATMI_LIMIT: lambda: rv_atmi_limit(params),
     }
-    quadrature: dict[FormulaId, Callable[[], float]] = {
-        FormulaId.VIX_ATMI_APPROX: lambda: vix_atmi_approx(params, delta, maturity),
-        FormulaId.VIX_SKEW_APPROX: lambda: vix_skew_approx(params, delta, maturity),
-        FormulaId.RV_ATMI_APPROX: lambda: rv_atmi_approx(params, maturity),
-        FormulaId.RV_SKEW_LIMIT: lambda: rv_skew_limit(params),
-    }
     if fid in closed:
-        value = closed[fid]()
-    else:
-        value = quadrature[fid]()
-        bound = 1e-8 * max(1.0, abs(value))  # conservative: quad rel_tol <= 1e-9
+        return AsymptoteResult(fid, closed[fid](), echo, 0.0)
+
+    if fid in (FormulaId.VIX_SKEW_APPROX, FormulaId.RV_SKEW_LIMIT):
+        _require_nondegenerate(params)
+    fprime, fsecond = _volvol_derivatives(params)
+    v0, hurst, beta = params.v0, params.H, params.beta
+    quadrature: dict[FormulaId, Callable[[], tuple[float, float]]] = {
+        FormulaId.VIX_ATMI_APPROX: lambda: _vix_atmi_approx_err(
+            fprime, v0, hurst, beta, delta, maturity
+        ),
+        FormulaId.VIX_SKEW_APPROX: lambda: _vix_skew_approx_err(
+            fprime, fsecond, v0, hurst, beta, delta, maturity
+        ),
+        FormulaId.RV_ATMI_APPROX: lambda: _rv_atmi_approx_err(
+            fprime, v0, hurst, beta, maturity
+        ),
+        FormulaId.RV_SKEW_LIMIT: lambda: _rv_skew_limit_err(fprime, fsecond, v0, hurst),
+    }
+    value, bound = quadrature[fid]()
     return AsymptoteResult(fid, value, echo, bound)

@@ -133,10 +133,15 @@ def implied_vol(price: float, log_forward: float, log_strike: float,
         total_vol = sigma * sqrt_t
         f = _normalized_price(log_moneyness, total_vol) - target
         if abs(f) <= PRICE_TOL:
-            # Polish once with Newton, then stop.
+            # Polish once with Newton, then stop. Far out of the money the
+            # vega is tiny and the step can overshoot to the bracket edge, so
+            # keep it only when it does not worsen the price residual.
             vega = normal_pdf(-log_moneyness / total_vol + 0.5 * total_vol) * sqrt_t
             if vega > 0.0 and math.isfinite(vega):
-                sigma = min(max(sigma - f / vega, lo), hi)
+                polished = min(max(sigma - f / vega, lo), hi)
+                residual = _normalized_price(log_moneyness, polished * sqrt_t) - target
+                if abs(residual) <= abs(f):
+                    sigma = polished
             return sigma
         if f > 0.0:
             hi = sigma

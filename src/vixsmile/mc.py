@@ -18,7 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelParams, kernel_covariance
+# kernel_covariance, the scalar reference of kernel_covariance_matrix, is
+# imported but not called: perfbench/tracer.py binds it as mc.kernel_covariance.
+from .model import ModelParams, kernel_covariance, kernel_covariance_matrix  # noqa: F401
 
 __all__ = [
     "SimGrid",
@@ -102,20 +104,6 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def _covariance_matrix(params: ModelParams, times: np.ndarray,
-                       windows: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of kernel covariances over per-pair noise windows."""
-    n = times.size
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            cov[i, j] = kernel_covariance(
-                params, float(times[i]), float(times[j]), float(min(windows[i], windows[j]))
-            )
-            cov[j, i] = cov[i, j]
-    return cov
-
-
 def _trapezoid_weights(n_points: int, dx: float) -> np.ndarray:
     w = np.full(n_points, dx)
     w[0] = w[-1] = 0.5 * dx
@@ -178,7 +166,7 @@ class VixSampler:
         self.grid = grid
         self.nodes = np.linspace(grid.T, grid.T + grid.delta, grid.n_inner)
         windows = np.full(grid.n_inner, grid.T)
-        self.cov = _covariance_matrix(params, self.nodes, windows)
+        self.cov = kernel_covariance_matrix(params, self.nodes, windows)
         self.chol = _cholesky_with_jitter(self.cov)
         self.wick = np.diag(self.cov).copy()
         self._weights = _trapezoid_weights(
@@ -229,7 +217,7 @@ def _rv_variance_state(params: ModelParams, grid: SimGrid):
     """Nodes in (0, T], Cholesky factor of the Volterra factor covariance,
     and per-node variances for the Wick corrections."""
     nodes = grid.T * (np.arange(1, grid.n_inner + 1) / grid.n_inner)
-    cov = _covariance_matrix(params, nodes, nodes)
+    cov = kernel_covariance_matrix(params, nodes, nodes)
     chol = _cholesky_with_jitter(cov)
     return nodes, chol, np.diag(cov).copy()
 

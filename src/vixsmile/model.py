@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import QuadSpec, integrate, lower_incomplete_gamma
+from .specfun import QuadSpec, gauss_jacobi, integrate, lower_incomplete_gamma
 
 __all__ = [
     "ModelParams",
@@ -26,12 +26,23 @@ __all__ = [
     "kernel",
     "kernel_variance",
     "kernel_covariance",
+    "kernel_covariance_matrix",
     "forward_variance",
 ]
 
 # Relative tolerance under which two times are treated as the same node when
 # classifying endpoint singularities of covariance integrands.
 _TIME_EQ_TOL = 1e-12
+
+# Fixed rules of kernel_covariance_matrix: nodes per rule and panel, and the
+# geometric panels from the near-field rule out to the noise boundary.
+_COV_NODES = 16
+_COV_PANELS = 12
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_COV_NODES)
+_GL01_X, _GL01_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+# Pairs integrated per pass: bounds the node temporaries (a few MB) at any
+# grid size, where one pass over all pairs would grow them with n^2.
+_COV_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -181,6 +192,93 @@ def kernel_covariance(params: ModelParams, t1: float, t2: float, upto: float) ->
         singular_exponent=spec.singular_exponent,
     )
     return integrate(f, 0.0, upto, spec)
+
+
+def kernel_covariance_matrix(params: ModelParams, times, windows) -> np.ndarray:
+    """Symmetric matrix of kernel_covariance(t_i, t_j, min(w_i, w_j)).
+
+    All upper-triangle pairs are integrated at once by fixed rules in the
+    distance tau from the noise boundary U, with the gaps g = t - U snapped
+    as in :func:`kernel_covariance` and sorted so g_lo <= g_hi:
+
+    - both gaps zero: ``kernel_variance(U)``, in closed form;
+    - one gap zero: Gauss-Jacobi with weight tau^(H-1/2) on [0, min(g_hi, U)];
+    - no gap zero: Gauss-Legendre on [0, min(g_lo, U)];
+    - the rest of [0, U]: Gauss-Legendre on geometric panels, whose widths
+      grow with the distance from the kernel singularities at tau <= 0.
+
+    The rule is the same for every beta. :func:`kernel_covariance` is its
+    reference in the tests.
+    """
+    times = np.asarray(times, dtype=float)
+    windows = np.asarray(windows, dtype=float)
+    if times.ndim != 1 or windows.shape != times.shape:
+        raise ValueError("times and windows must be vectors of equal length")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(windows))):
+        raise ValueError("kernel_covariance_matrix arguments must be finite")
+    if np.any(times <= 0.0):
+        raise ValueError("times must be positive")
+    if np.any(windows < 0.0) or np.any(windows > times * (1.0 + _TIME_EQ_TOL)):
+        raise ValueError("every window must lie in [0, its time]")
+
+    rows, cols = np.triu_indices(times.size)
+    upto = np.minimum(windows[rows], windows[cols])
+
+    def gap(t):
+        snap = np.abs(t - upto) <= _TIME_EQ_TOL * np.maximum(1.0, np.abs(t))
+        return np.where(snap, 0.0, t - upto)
+
+    gap1, gap2 = gap(times[rows]), gap(times[cols])
+    g_lo, g_hi = np.minimum(gap1, gap2), np.maximum(gap1, gap2)
+
+    values = np.zeros(rows.size)
+    both = (g_hi == 0.0) & (upto > 0.0)
+    values[both] = [kernel_variance(params, float(u)) for u in upto[both]]
+    pending = np.flatnonzero((g_hi > 0.0) & (upto > 0.0))
+    for start in range(0, pending.size, _COV_BLOCK):
+        sel = pending[start:start + _COV_BLOCK]
+        values[sel] = _covariance_block(params, g_lo[sel], g_hi[sel], upto[sel])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("kernel covariance not finite; check the model parameters")
+
+    cov = np.empty((times.size, times.size))
+    cov[rows, cols] = values
+    cov[cols, rows] = values
+    return cov
+
+
+def _covariance_block(params: ModelParams, g_lo: np.ndarray, g_hi: np.ndarray,
+                      upto: np.ndarray) -> np.ndarray:
+    """Fixed-rule covariance integrals for pairs with g_hi > 0 and U > 0."""
+    h_exp = params.H - 0.5
+    beta = params.beta
+    lo, hi = g_lo[:, None], g_hi[:, None]
+
+    def smooth(tau):
+        return (hi + tau) ** h_exp * np.exp(-beta * (lo + hi + 2.0 * tau))
+
+    # Near field: [0, near], with tau^(H-1/2) carried by the Gauss-Jacobi
+    # weight when one gap is zero.
+    one_zero = g_lo == 0.0
+    near = np.minimum(np.where(one_zero, g_hi, g_lo), upto)
+    jac_x, jac_w = gauss_jacobi(h_exp, _COV_NODES)
+    jacobi = one_zero[:, None]
+    tau = near[:, None] * np.where(jacobi, jac_x, _GL01_X)
+    f = smooth(tau) * np.where(jacobi, 1.0, (lo + tau) ** h_exp)
+    head = (np.where(jacobi, jac_w, _GL01_W) * f).sum(axis=1)
+    head *= np.where(one_zero, near ** (h_exp + 1.0), near)
+
+    # Far field: [near, U] on panels in geometric progression (zero width
+    # when near = U).
+    ratio = (upto / near) ** (1.0 / _COV_PANELS)
+    edges = near[:, None] * ratio[:, None] ** np.arange(_COV_PANELS + 1)
+    edges[:, -1] = upto
+    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])[:, :, None]
+    tau = (mid + half * _GL_X).reshape(upto.size, -1)
+    w = (half * _GL_W).reshape(upto.size, -1)
+    tail = (w * smooth(tau) * (lo + tau) ** h_exp).sum(axis=1)
+    return head + tail
 
 
 def forward_variance(params: ModelParams, gaussian: float, s: float, t_obs: float) -> float:

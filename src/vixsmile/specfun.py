@@ -4,7 +4,9 @@ Everything downstream (kernel integrals, closed-form limits, implied-vol
 machinery) is built on four primitives: the lower incomplete gamma
 function, the Gaussian hypergeometric function on its z <= 0 branch, the
 standard normal CDF/PDF, and an adaptive Gauss-Kronrod integrator that
-tolerates integrable power-law endpoint singularities.
+tolerates integrable power-law endpoint singularities. Fixed Gauss-Jacobi
+rules serve integrals that are evaluated in bulk with a known endpoint
+power law.
 
 All functions are pure and safe to call concurrently.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -23,6 +26,7 @@ __all__ = [
     "QuadratureError",
     "integrate",
     "integrate_err",
+    "gauss_jacobi",
     "lower_incomplete_gamma",
     "gauss_2f1",
     "normal_cdf",
@@ -277,6 +281,37 @@ def integrate(
     return integrate_err(f, lo, hi, spec)[0]
 
 
+@lru_cache(maxsize=32)
+def gauss_jacobi(alpha: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for int_0^1 x^alpha f(x) dx, alpha > -1, by Golub-Welsch.
+
+    Exact for polynomials f of degree below 2 * n_nodes. The nodes are the
+    eigenvalues of the Jacobi matrix of the weight x^alpha on [0, 1], the
+    weights the squared first eigenvector components times the weight's
+    mass 1/(alpha+1). Returns read-only (nodes, weights), ascending; cached
+    because callers build one rule per Hurst exponent.
+    """
+    if not (math.isfinite(alpha) and alpha > -1.0):
+        raise ValueError(f"alpha must be finite and > -1, got {alpha!r}")
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes!r}")
+    # Recurrence of the Jacobi polynomials P^(0, alpha) on [-1, 1], mapped to
+    # [0, 1] by x = (1 + y)/2, which halves the whole Jacobi matrix plus I/2.
+    k = np.arange(n_nodes, dtype=float)
+    s = 2.0 * k + alpha
+    diag = np.empty(n_nodes)
+    diag[0] = alpha / (alpha + 2.0)
+    diag[1:] = alpha ** 2 / (s[1:] * (s[1:] + 2.0))
+    k1, s1 = k[1:], s[1:]
+    off = np.sqrt(4.0 * k1 ** 2 * (k1 + alpha) ** 2 / (s1 ** 2 * (s1 + 1.0) * (s1 - 1.0)))
+    jacobi = np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1) + np.diag(0.5 * off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2 / (alpha + 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 # ---------------------------------------------------------------------------
 # Lower incomplete gamma
 # ---------------------------------------------------------------------------
@@ -370,7 +405,7 @@ _EULER_MID = 0.5 * (_EULER_EDGES[:-1] + _EULER_EDGES[1:])
 _EULER_T = (_EULER_MID[:, None] + _EULER_HALF[:, None] * _GL_NODES[None, :]).ravel()
 _EULER_W = (_EULER_HALF[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-_Z_CHUNK = 4096
+_Z_CHUNK = 512
 
 
 def _euler_half_integral(expo_near: float, expo_far: float, a: float, z: np.ndarray):

@@ -377,6 +377,53 @@ def test_evaluate_closed_forms():
     assert res.inputs_echo["gamma"] == 0.5
 
 
+def _vix_atmi_approx_mpmath(hurst, maturity):
+    # beta = 0, gamma = 1, nu = 2: K-bar(s) in closed form, the square
+    # integrated at 30 digits.
+    import mpmath
+
+    with mpmath.workdps(30):
+        a = mpmath.mpf(hurst) + 0.5
+        t, d = mpmath.mpf(maturity), mpmath.mpf(DELTA)
+        w_int = mpmath.quad(lambda s: (((t + d - s) ** a - (t - s) ** a) / a) ** 2, [0, t])
+        fprime = 0.04 * 2.0 * mpmath.sqrt(2 * mpmath.mpf(hurst))
+        return float(fprime * mpmath.sqrt(w_int) / (0.04 * 2 * d * mpmath.sqrt(t)))
+
+
+@pytest.mark.parametrize("maturity", [1e-3, 0.1, 0.5])
+def test_evaluate_bound_covers_the_quadrature_error(maturity):
+    res = evaluate(FormulaId.VIX_ATMI_APPROX, mk(H=0.3), delta=DELTA, maturity=maturity)
+    reference = _vix_atmi_approx_mpmath(0.3, maturity)
+    assert 0.0 < res.quad_error_bound < 1e-9 * abs(res.value)
+    assert abs(res.value - reference) <= res.quad_error_bound
+
+
+@pytest.mark.parametrize(
+    "fid, params, maturity",
+    [
+        (FormulaId.VIX_ATMI_APPROX, mk(H=0.1, beta=1.0), 0.2),
+        (FormulaId.VIX_SKEW_APPROX, mk(H=0.3, gamma=0.5, nu=3.0, eta=1.0), 0.05),
+        (FormulaId.RV_ATMI_APPROX, mk(H=0.1, beta=1.0), 0.2),
+        (FormulaId.RV_SKEW_LIMIT, mk(H=0.2, gamma=0.5, nu=3.0, eta=1.0), None),
+    ],
+)
+def test_evaluate_reports_achieved_bounds(fid, params, maturity):
+    # Achieved bounds, not a fixed 1e-8: positive and far below it here.
+    res = evaluate(fid, params, delta=DELTA, maturity=maturity)
+    assert 0.0 < res.quad_error_bound < 5e-9 * max(1.0, abs(res.value))
+
+
+def test_evaluate_rv_atmi_approx_closed_form_has_zero_bound():
+    res = evaluate(FormulaId.RV_ATMI_APPROX, mk(H=0.3, beta=0.0), maturity=0.2)
+    assert res.quad_error_bound == 0.0
+    assert res.value == rv_atmi_approx(mk(H=0.3, beta=0.0), 0.2)
+
+
+def test_evaluate_skew_rejects_degenerate_mixture():
+    with pytest.raises(DegenerateModelError):
+        evaluate(FormulaId.RV_SKEW_LIMIT, mk(nu=0.0))
+
+
 def test_evaluate_requires_delta_and_maturity():
     with pytest.raises(ValueError):
         evaluate(FormulaId.VIX_ATMI_LIMIT, mk())

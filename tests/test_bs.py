@@ -154,3 +154,14 @@ def test_round_trip_property(sigma, maturity, moneyness):
         assert recovered == pytest.approx(
             sigma, abs=max(2e-9, 4e-12 / vega), rel=1e-9
         )
+
+
+def test_round_trip_tiny_extrinsic_value():
+    # Far out of the money the vega is tiny; a Newton polish step must not
+    # jump to the bracket edge and leave the price far from the target.
+    k, maturity = 0.01171875, 0.01171875
+    for sigma in (0.015625, 0.0078125, 0.0239):
+        price = bs_price(BsQuote(0.0, k, maturity, sigma))
+        recovered = implied_vol(price, 0.0, k, maturity)
+        back = bs_price(BsQuote(0.0, k, maturity, recovered))
+        assert back == pytest.approx(price, abs=2e-12)

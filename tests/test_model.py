@@ -12,6 +12,7 @@ from vixsmile.model import (
     forward_variance,
     kernel,
     kernel_covariance,
+    kernel_covariance_matrix,
     kernel_variance,
 )
 from vixsmile.specfun import QuadSpec, integrate
@@ -206,6 +207,123 @@ def test_covariance_rejects_bad_window():
         kernel_covariance(mk(), 1.0, 2.0, 1.5)
     with pytest.raises(ValueError):
         kernel_covariance(mk(), -1.0, 2.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# covariance matrices: the fixed-rule builder against the scalar oracle
+# ---------------------------------------------------------------------------
+
+DELTA = 30.0 / 365.0
+
+
+def _layout(kind, maturity, n_inner):
+    """(times, windows) of the VIX sampler and of the RV variance state."""
+    if kind == "vix":
+        return (np.linspace(maturity, maturity + DELTA, n_inner),
+                np.full(n_inner, maturity))
+    nodes = maturity * (np.arange(1, n_inner + 1) / n_inner)
+    return nodes, nodes
+
+
+def _oracle_pairs(n):
+    """Every pair of small grids; on larger ones the diagonal, the first
+    super-diagonal, the first row and last column, and 32 random pairs."""
+    rows, cols = np.triu_indices(n)
+    if n <= 16:
+        return rows, cols
+    keep = (cols - rows <= 1) | (rows == 0) | (cols == n - 1)
+    keep[np.random.default_rng(n).choice(rows.size, 32, replace=False)] = True
+    return rows[keep], cols[keep]
+
+
+def _assert_matches_oracle(params, times, windows):
+    fast = kernel_covariance_matrix(params, times, windows)
+    np.testing.assert_array_equal(fast, fast.T)
+    rows, cols = _oracle_pairs(times.size)
+    oracle = [
+        kernel_covariance(params, float(times[i]), float(times[j]),
+                          float(min(windows[i], windows[j])))
+        for i, j in zip(rows, cols)
+    ]
+    np.testing.assert_allclose(fast[rows, cols], oracle, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["vix", "rv"])
+@pytest.mark.parametrize("n_inner", [2, 16, 33])
+@pytest.mark.parametrize("maturity", [1e-8, 1e-4, 0.1, 0.5, 2.0])
+def test_covariance_matrix_matches_scalar_oracle(kind, n_inner, maturity):
+    times, windows = _layout(kind, maturity, n_inner)
+    for hurst in (0.05, 0.1, 0.3, 0.5):
+        for beta in (0.0, 1.0, 5.0):
+            _assert_matches_oracle(mk(H=hurst, beta=beta), times, windows)
+
+
+@pytest.mark.parametrize("kind", ["vix", "rv"])
+@pytest.mark.parametrize("n_inner", [96, 128])
+@pytest.mark.parametrize("hurst, beta", [(0.3, 0.0), (0.1, 1.0)])
+def test_covariance_matrix_matches_scalar_oracle_fine_grid(kind, n_inner, hurst, beta):
+    _assert_matches_oracle(mk(H=hurst, beta=beta), *_layout(kind, 0.25, n_inner))
+
+
+def test_covariance_matrix_brownian_case_is_constant():
+    # H = 1/2, beta = 0: every covariance over [0, T] equals T.
+    times, windows = _layout("vix", 0.3, 16)
+    cov = kernel_covariance_matrix(mk(H=0.5, beta=0.0), times, windows)
+    np.testing.assert_allclose(cov, 0.3, rtol=1e-14)
+
+
+def test_covariance_matrix_zero_window_and_snapped_times():
+    p = mk(H=0.2, beta=0.7)
+    times = np.array([0.4, 0.4 * (1.0 + 1e-13), 0.9])
+    windows = np.array([0.0, 0.4, 0.4])
+    cov = kernel_covariance_matrix(p, times, windows)
+    assert np.all(cov[0] == 0.0) and np.all(cov[:, 0] == 0.0)
+    assert cov[1, 1] == kernel_variance(p, 0.4)
+    assert cov[1, 2] == pytest.approx(kernel_covariance(p, times[1], 0.9, 0.4), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "times, windows",
+    [
+        ([0.5, np.nan], [0.5, 0.5]),
+        ([0.5, 1.0], [0.5, np.inf]),
+        ([0.0, 1.0], [0.0, 0.5]),
+        ([0.5, 1.0], [0.6, 0.5]),
+        ([0.5, 1.0], [-0.1, 0.5]),
+        ([0.5, 1.0], [0.5]),
+    ],
+)
+def test_covariance_matrix_rejects_bad_inputs(times, windows):
+    with pytest.raises(ValueError):
+        kernel_covariance_matrix(mk(), np.array(times), np.array(windows))
+
+
+def test_covariance_matrix_raises_on_non_finite_values():
+    # Near the float range the integrand overflows to NaN; like the scalar
+    # path, the builder must raise rather than return it.
+    times, windows = np.array([1e308, 1.7e308]), np.array([1e308, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            kernel_covariance(mk(), float(times[0]), float(times[1]), 1e308)
+        with pytest.raises(ValueError):
+            kernel_covariance_matrix(mk(), times, windows)
+
+
+def test_samplers_never_call_the_scalar_quadrature(monkeypatch):
+    from vixsmile import mc, model
+    from vixsmile.mc import SimGrid, _rv_variance_state, build_vix_sampler
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar kernel_covariance called")
+
+    monkeypatch.setattr(model, "kernel_covariance", forbidden)
+    monkeypatch.setattr(mc, "kernel_covariance", forbidden)
+    grid = SimGrid(T=0.25, n_inner=24, n_paths=10)
+    for params in (mk(H=0.3, beta=0.0), mk(H=0.1, beta=1.0)):
+        sampler = build_vix_sampler(params, grid)
+        assert np.all(np.isfinite(sampler.chol))
+        _, chol, node_vars = _rv_variance_state(params, grid)
+        assert np.all(np.isfinite(chol)) and np.all(node_vars > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from vixsmile.specfun import (
     QuadratureError,
     QuadSpec,
     gauss_2f1,
+    gauss_jacobi,
     integrate,
     integrate_err,
     lower_incomplete_gamma,
@@ -308,3 +309,38 @@ def test_integrate_err_returns_bound():
 def test_quadspec_validation(kwargs):
     with pytest.raises(ValueError):
         QuadSpec(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [-0.45, -0.2, 0.0])
+@pytest.mark.parametrize("n_nodes", [1, 4, 16])
+def test_gauss_jacobi_exact_on_monomials(alpha, n_nodes):
+    # int_0^1 x^k x^alpha dx = 1/(k + alpha + 1) for every k <= 2n - 1.
+    nodes, weights = gauss_jacobi(alpha, n_nodes)
+    assert np.all((nodes > 0.0) & (nodes < 1.0)) and np.all(weights > 0.0)
+    for k in range(2 * n_nodes):
+        exact = 1.0 / (k + alpha + 1.0)
+        assert float(weights @ nodes ** k) == pytest.approx(exact, rel=1e-14, abs=0.0), k
+
+
+def test_gauss_jacobi_without_weight_is_gauss_legendre():
+    nodes, weights = gauss_jacobi(0.0, 16)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+    np.testing.assert_allclose(nodes, 0.5 * (gl_nodes + 1.0), rtol=1e-14, atol=1e-16)
+    np.testing.assert_allclose(weights, 0.5 * gl_weights, rtol=1e-13)
+
+
+def test_gauss_jacobi_is_cached_and_read_only():
+    nodes, weights = gauss_jacobi(-0.2, 16)
+    assert gauss_jacobi(-0.2, 16)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.5
+
+
+@pytest.mark.parametrize("alpha, n_nodes", [(-1.0, 4), (math.nan, 4), (0.0, 0)])
+def test_gauss_jacobi_rejects_bad_inputs(alpha, n_nodes):
+    with pytest.raises(ValueError):
+        gauss_jacobi(alpha, n_nodes)
