@@ -23,7 +23,13 @@ from typing import Callable
 import numpy as np
 
 from .model import HestonParams, ModelParams, kernel
-from .specfun import QuadSpec, gauss_2f1, integrate_err, lower_incomplete_gamma
+from .specfun import (
+    QuadSpec,
+    gauss_2f1,
+    gauss_kronrod_15,
+    integrate_err,
+    lower_incomplete_gamma,
+)
 
 __all__ = [
     "FormulaId",
@@ -49,7 +55,9 @@ QUAD_BOUND_TOL = 1e-7
 
 _TINY_ABS = 1e-280  # quadrature abs_tol floor; values scale like powers of T
 
-_lig_vec = np.vectorize(lower_incomplete_gamma, otypes=[float])
+# Geometric Gauss-Kronrod panels of the finite-maturity skew's inner rule,
+# from T 2^-panels up to T.
+_SKEW_PANELS = 44
 
 
 class DegenerateModelError(ValueError):
@@ -124,19 +132,22 @@ def window_integrals(params: ModelParams, delta: float) -> WindowIntegrals:
     return WindowIntegrals(int_k, int_k2, hurst, delta, beta)
 
 
+def _kernel_integral(params: ModelParams, bot, top):
+    """int_bot^top u^(H-1/2) e^(-beta u) du, elementwise for 0 <= bot <= top."""
+    a = params.H + 0.5
+    if params.beta == 0.0:
+        return (top ** a - bot ** a) / a
+    gam = lower_incomplete_gamma(a, params.beta * np.stack([top, bot]))
+    return params.beta ** -a * (gam[0] - gam[1])
+
+
 def _window_kernel(params: ModelParams, delta: float, t_mat: float, s):
     """K-bar(s): the kernel mass seen from time s over the window [T, T+delta],
     int_(T-s)^(T+delta-s) u^(H-1/2) e^(-beta u) du, vectorised over s."""
     s_arr = np.asarray(s, dtype=float)
-    hurst, beta = params.H, params.beta
     top = np.maximum(t_mat + delta - s_arr, 0.0)
     bot = np.maximum(t_mat - s_arr, 0.0)
-    if beta == 0.0:
-        out = (top ** (hurst + 0.5) - bot ** (hurst + 0.5)) / (hurst + 0.5)
-    else:
-        out = beta ** -(hurst + 0.5) * (
-            _lig_vec(hurst + 0.5, beta * top) - _lig_vec(hurst + 0.5, beta * bot)
-        )
+    out = _kernel_integral(params, bot, top)
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -255,6 +266,61 @@ def sabr_mixed_vix_skew(gamma: float, nu: float, eta: float) -> float:
     return 0.5 * (params.volvol_sq_mean / mean - mean)
 
 
+def _kernel_mass_rule(params: ModelParams, delta: float, maturity: float):
+    """Fixed rule for m(g) = int_0^T K-bar(T - tau) k(g + tau) dtau, any g >= 0.
+
+    Returns ``kernel_mass(gaps) -> (m, err)``, vectorised over the gaps, with
+    ``err`` an estimate of the absolute error of each m. The lag tau splits
+    into the head [0, eps], eps = T 2^-44, and 44 panels [eps 2^j,
+    eps 2^(j+1)] whose widths grow with the distance from the kernel
+    singularity at tau = -g <= 0:
+
+    - head: K-bar(T - tau) e^(-beta tau) falls monotonically from tau = 0 to
+      eps, so the head integral lies between its two end values times the
+      exact int_0^eps (g + tau)^(H-1/2) dtau. It takes the midpoint and
+      reports half the bracket;
+    - panels: 15-point Kronrod, each with its embedded 7-point Gauss rule as
+      the error estimate. The nodes are the same for every g, so K-bar is
+      evaluated once and folded into the weights.
+    """
+    a = params.H + 0.5
+    beta = params.beta
+    eps = maturity * 2.0 ** -_SKEW_PANELS
+    # K-bar(T - tau) e^(-beta tau) at tau = 0 and tau = eps.
+    ends = np.array([0.0, eps])
+    hi, lo = _kernel_integral(params, ends, ends + delta) * np.exp(-beta * ends)
+
+    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
+    edges = eps * 2.0 ** np.arange(_SKEW_PANELS + 1.0)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    tau = (mid + half * gk_x).ravel()
+    kbar = _kernel_integral(params, tau, tau + delta)
+    weights = kbar * (half * gk_kronrod).ravel()
+    diff = weights - kbar * (half * gk_gauss).ravel()
+    starts = gk_x.size * np.arange(_SKEW_PANELS)
+
+    def kernel_mass(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # int_0^eps (g + tau)^(H-1/2) e^(-beta g) dtau, with
+        # (g + eps)^a - g^a through log1p where g > eps would cancel it away.
+        top = gaps + eps
+        ratio = np.minimum(eps / top, 0.5)
+        power = np.where(
+            gaps > eps,
+            -top ** a * np.expm1(a * np.log1p(-ratio)),
+            top ** a - gaps ** a,
+        ) * np.exp(-beta * gaps) / a
+
+        k_vals = kernel(params, gaps[:, None] + tau)
+        mass = 0.5 * (hi + lo) * power + k_vals @ weights
+        err = 0.5 * (hi - lo) * power + np.abs(
+            np.add.reduceat(k_vals * diff, starts, axis=1)
+        ).sum(axis=1)
+        return mass, err
+
+    return kernel_mass
+
+
 def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     """The two nested integrals of the finite-maturity skew, reduced exactly.
 
@@ -266,34 +332,22 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
       int_0^T K-bar(s)^2 int_s^T K-bar(u)^2 du ds
           = 1/2 (int_0^T K-bar(s)^2 ds)^2
 
-    where I(s,u) = int_T^(T+delta) k(r-s) k(r-u) dr.
+    where I(s,u) = int_T^(T+delta) k(r-s) k(r-u) dr. The outer integral in r
+    is adaptive; the inner kernel mass uses :func:`_kernel_mass_rule` for
+    all nodes of an outer panel at once.
     """
-    inner_spec = QuadSpec(
-        abs_tol=_TINY_ABS, rel_tol=1e-10,
-        singular_left=True, singular_exponent=params.H - 0.5,
-    )
+    kernel_mass = _kernel_mass_rule(params, delta, maturity)
     outer_spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9, max_subdivisions=4000)
 
-    # Largest relative error bound of any inner quadrature, rel: the outer
+    # Largest relative error estimate of the inner rule, rel: the outer
     # integrand m^2 then carries a first-order error of at most 2 rel m^2.
     worst_inner = 0.0
 
-    def kernel_mass(r_scalar: float) -> float:
-        nonlocal worst_inner
-        gap = r_scalar - maturity
-
-        def f(tau):
-            return _window_kernel(params, delta, maturity, maturity - tau) * kernel(
-                params, gap + tau
-            )
-
-        value, err = integrate_err(f, 0.0, maturity, inner_spec)
-        worst_inner = max(worst_inner, err / abs(value))
-        return value
-
     def m_squared(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.array([kernel_mass(float(v)) ** 2 for v in r_arr])
+        nonlocal worst_inner
+        mass, err = kernel_mass(np.atleast_1d(np.asarray(r, dtype=float)) - maturity)
+        worst_inner = max(worst_inner, float(np.max(err / mass)))
+        return mass * mass
 
     cross, cross_err = integrate_err(
         m_squared, maturity, maturity + delta, outer_spec
@@ -373,7 +427,7 @@ def _rv_atmi_approx_err(fprime: float, v0: float, hurst: float, beta: float,
     scale = beta ** -(hurst + 0.5)
 
     def f(sigma):
-        return (scale * _lig_vec(hurst + 0.5, beta * sigma)) ** 2
+        return (scale * lower_incomplete_gamma(hurst + 0.5, beta * sigma)) ** 2
 
     integral, err = integrate_err(f, 0.0, maturity, spec)
     value = fprime * math.sqrt(integral) / (v0 * maturity ** 1.5)
@@ -534,6 +588,42 @@ def _echo(params, **extra) -> dict:
     return out
 
 
+def _skew_derivatives(params: ModelParams) -> tuple[float, float]:
+    _require_nondegenerate(params)
+    return _volvol_derivatives(params)
+
+
+# formula -> (function of (params, delta, maturity) returning (value, quadrature
+# bound), needs delta, needs maturity). Closed forms report a zero bound.
+_FORMULAS: dict[FormulaId, tuple[Callable[..., tuple[float, float]], bool, bool]] = {
+    FormulaId.VIX_ATMI_LIMIT: (
+        lambda p, d, t: (vix_atmi_limit(p, d), 0.0), True, False),
+    FormulaId.VIX_ATMI_APPROX: (
+        lambda p, d, t: _vix_atmi_approx_err(
+            _volvol_derivatives(p)[0], p.v0, p.H, p.beta, d, t),
+        True, True),
+    FormulaId.VIX_SKEW_LIMIT: (
+        lambda p, d, t: (vix_skew_limit(p, d), 0.0), True, False),
+    FormulaId.VIX_SKEW_APPROX: (
+        lambda p, d, t: _vix_skew_approx_err(
+            *_skew_derivatives(p), p.v0, p.H, p.beta, d, t),
+        True, True),
+    FormulaId.SABR_VIX_SKEW: (
+        lambda p, d, t: (sabr_mixed_vix_skew(p.gamma, p.nu, p.eta), 0.0), True, False),
+    FormulaId.RV_ATMI_LIMIT: (
+        lambda p, d, t: (rv_atmi_limit(p), 0.0), False, False),
+    FormulaId.RV_ATMI_APPROX: (
+        lambda p, d, t: _rv_atmi_approx_err(
+            _volvol_derivatives(p)[0], p.v0, p.H, p.beta, t),
+        False, True),
+    FormulaId.RV_SKEW_LIMIT: (
+        lambda p, d, t: _rv_skew_limit_err(*_skew_derivatives(p), p.v0, p.H),
+        False, False),
+    FormulaId.HESTON_VIX_SKEW_SIGN: (
+        lambda p, d, t: (heston_vix_skew_sign(p, d)[0], 0.0), True, False),
+}
+
+
 def evaluate(
     formula_id: FormulaId,
     params: ModelParams | HestonParams,
@@ -545,60 +635,21 @@ def evaluate(
     ``delta`` is required for the VIX and Heston formulas, ``maturity`` for
     the finite-maturity approximations. Closed forms report a zero
     quadrature bound; quadrature-backed values report the achieved error
-    bounds of their adaptive quadratures, propagated to first order.
+    bounds of their quadratures, propagated to first order.
     """
     fid = FormulaId(formula_id)
-    needs_delta = fid in {
-        FormulaId.VIX_ATMI_LIMIT, FormulaId.VIX_ATMI_APPROX,
-        FormulaId.VIX_SKEW_LIMIT, FormulaId.VIX_SKEW_APPROX,
-        FormulaId.SABR_VIX_SKEW, FormulaId.HESTON_VIX_SKEW_SIGN,
-    }
-    needs_maturity = fid in {
-        FormulaId.VIX_ATMI_APPROX, FormulaId.VIX_SKEW_APPROX,
-        FormulaId.RV_ATMI_APPROX,
-    }
+    func, needs_delta, needs_maturity = _FORMULAS[fid]
     if needs_delta and delta is None:
         raise ValueError(f"{fid.value} requires delta")
     if needs_maturity and maturity is None:
         raise ValueError(f"{fid.value} requires maturity")
+    heston = fid is FormulaId.HESTON_VIX_SKEW_SIGN
+    required = HestonParams if heston else ModelParams
+    if not isinstance(params, required):
+        raise ValueError(f"{fid.value} requires {required.__name__}")
 
     echo = _echo(params, delta=delta, maturity=maturity)
-    if fid is FormulaId.HESTON_VIX_SKEW_SIGN:
-        if not isinstance(params, HestonParams):
-            raise ValueError("HESTON_VIX_SKEW_SIGN requires HestonParams")
-        value, sign = heston_vix_skew_sign(params, delta)
-        echo["sign"] = sign
-        return AsymptoteResult(fid, value, echo, 0.0)
-
-    if not isinstance(params, ModelParams):
-        raise ValueError(f"{fid.value} requires ModelParams")
-
-    closed: dict[FormulaId, Callable[[], float]] = {
-        FormulaId.VIX_ATMI_LIMIT: lambda: vix_atmi_limit(params, delta),
-        FormulaId.VIX_SKEW_LIMIT: lambda: vix_skew_limit(params, delta),
-        FormulaId.SABR_VIX_SKEW: lambda: sabr_mixed_vix_skew(
-            params.gamma, params.nu, params.eta
-        ),
-        FormulaId.RV_ATMI_LIMIT: lambda: rv_atmi_limit(params),
-    }
-    if fid in closed:
-        return AsymptoteResult(fid, closed[fid](), echo, 0.0)
-
-    if fid in (FormulaId.VIX_SKEW_APPROX, FormulaId.RV_SKEW_LIMIT):
-        _require_nondegenerate(params)
-    fprime, fsecond = _volvol_derivatives(params)
-    v0, hurst, beta = params.v0, params.H, params.beta
-    quadrature: dict[FormulaId, Callable[[], tuple[float, float]]] = {
-        FormulaId.VIX_ATMI_APPROX: lambda: _vix_atmi_approx_err(
-            fprime, v0, hurst, beta, delta, maturity
-        ),
-        FormulaId.VIX_SKEW_APPROX: lambda: _vix_skew_approx_err(
-            fprime, fsecond, v0, hurst, beta, delta, maturity
-        ),
-        FormulaId.RV_ATMI_APPROX: lambda: _rv_atmi_approx_err(
-            fprime, v0, hurst, beta, maturity
-        ),
-        FormulaId.RV_SKEW_LIMIT: lambda: _rv_skew_limit_err(fprime, fsecond, v0, hurst),
-    }
-    value, bound = quadrature[fid]()
+    value, bound = func(params, delta, maturity)
+    if heston:
+        echo["sign"] = int(np.sign(value))  # as heston_vix_skew_sign signs it
     return AsymptoteResult(fid, value, echo, bound)

@@ -2,11 +2,11 @@
 
 Everything downstream (kernel integrals, closed-form limits, implied-vol
 machinery) is built on four primitives: the lower incomplete gamma
-function, the Gaussian hypergeometric function on its z <= 0 branch, the
-standard normal CDF/PDF, and an adaptive Gauss-Kronrod integrator that
-tolerates integrable power-law endpoint singularities. Fixed Gauss-Jacobi
-rules serve integrals that are evaluated in bulk with a known endpoint
-power law.
+function, for a scalar or an array argument, the Gaussian hypergeometric
+function on its z <= 0 branch, the standard normal CDF/PDF, and an adaptive
+Gauss-Kronrod integrator that tolerates integrable power-law endpoint
+singularities. Fixed Gauss-Jacobi and Gauss-Kronrod rules serve integrals
+that are evaluated in bulk.
 
 All functions are pure and safe to call concurrently.
 """
@@ -27,6 +27,7 @@ __all__ = [
     "integrate",
     "integrate_err",
     "gauss_jacobi",
+    "gauss_kronrod_15",
     "lower_incomplete_gamma",
     "gauss_2f1",
     "normal_cdf",
@@ -115,6 +116,10 @@ _GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])           # 15 ascending
 _GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _G_IDX = np.arange(1, 15, 2)                                    # embedded Gauss
 _G_WEIGHTS = np.concatenate([_WG[:-1], _WG[::-1]])
+_GK_GAUSS_WEIGHTS = np.zeros(15)
+_GK_GAUSS_WEIGHTS[_G_IDX] = _G_WEIGHTS
+for _rule in (_GK_NODES, _GK_WEIGHTS, _GK_GAUSS_WEIGHTS):
+    _rule.flags.writeable = False
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
@@ -312,6 +317,17 @@ def gauss_jacobi(alpha: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def gauss_kronrod_15() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 15-point Kronrod rule on [-1, 1] that :func:`integrate` uses.
+
+    Returns read-only (nodes, kronrod_weights, gauss_weights), ascending;
+    ``gauss_weights`` is its embedded 7-point Gauss rule on the same nodes,
+    zero at the Kronrod-only ones, so the difference of the two sums
+    estimates the error of the lower-order rule.
+    """
+    return _GK_NODES, _GK_WEIGHTS, _GK_GAUSS_WEIGHTS
+
+
 # ---------------------------------------------------------------------------
 # Lower incomplete gamma
 # ---------------------------------------------------------------------------
@@ -320,16 +336,21 @@ _GAMMA_EPS = 1e-16
 _GAMMA_MAX_ITER = 600
 
 
-def _lig_series(a: float, x: float) -> float:
-    # gamma(a,x) = x^a e^-x sum_{n>=0} x^n / (a (a+1) ... (a+n))
+def _series_sum(a: float, x: float) -> tuple[float, int]:
+    # sum_{n>=0} x^n / (a (a+1) ... (a+n)) and the number of terms it took.
     term = 1.0 / a
     total = term
     for n in range(1, _GAMMA_MAX_ITER):
         term *= x / (a + n)
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
-            return total * math.exp(a * math.log(x) - x)
+            return total, n + 1
     raise QuadratureError("incomplete gamma series did not converge", total, abs(term))
+
+
+def _lig_series(a: float, x: float) -> float:
+    # gamma(a,x) = x^a e^-x sum_{n>=0} x^n / (a (a+1) ... (a+n))
+    return _series_sum(a, x)[0] * math.exp(a * math.log(x) - x)
 
 
 def _uig_continued_fraction(a: float, x: float) -> float:
@@ -356,24 +377,95 @@ def _uig_continued_fraction(a: float, x: float) -> float:
     raise QuadratureError("incomplete gamma continued fraction did not converge", h, 1.0)
 
 
-def lower_incomplete_gamma(a: float, x: float) -> float:
+def _lig_series_array(a: float, x: np.ndarray) -> np.ndarray:
+    """:func:`_lig_series` for an array of 0 < x < a + 1, the partial
+    products x^n / ((a+1)...(a+n)) of all terms as one cumulative product.
+
+    Relative to its partial sum, the n-th term shrinks as x does (every
+    term scales by (x/x_max)^k, k <= n), so the number of terms the series
+    takes at x_max serves every element.
+    """
+    n_terms = _series_sum(a, float(x.max()))[1]
+    ratios = x / (a + np.arange(1.0, n_terms))[:, None]
+    total = 1.0 + np.cumprod(ratios, axis=0).sum(axis=0)
+    return total / a * np.exp(a * np.log(x) - x)
+
+
+def _uig_continued_fraction_array(a: float, x: np.ndarray) -> np.ndarray:
+    """:func:`_uig_continued_fraction` for an array of x >= a + 1.
+
+    Each element leaves the iteration once converged: past that point its
+    factors wobble by an ulp around 1 and would never all pass together.
+    """
+    tiny = 1e-300
+    out = np.empty(x.shape)
+    left = np.arange(x.size)  # indices of the unconverged elements
+    b = x + 1.0 - a
+    c = np.full(x.shape, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, _GAMMA_MAX_ITER):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < _GAMMA_EPS
+        if np.any(done):
+            out[left[done]] = h[done]
+            keep = ~done
+            left, b, c, d, h = left[keep], b[keep], c[keep], d[keep], h[keep]
+            if left.size == 0:
+                return np.exp(a * np.log(x) - x) * out
+    raise QuadratureError(
+        "incomplete gamma continued fraction did not converge", float(h[0]), 1.0
+    )
+
+
+def lower_incomplete_gamma(a: float, x):
     """Lower incomplete gamma gamma(a, x) = int_0^x t^(a-1) e^-t dt.
 
     Standard (unnormalised) convention: nondecreasing in x with
     gamma(a, inf) = Gamma(a). Series expansion for x < a + 1, continued
-    fraction for the complement otherwise.
+    fraction for the complement otherwise. ``x`` may be a scalar, which
+    returns a float, or an array, evaluated elementwise with both branches
+    vectorised and returned in its shape. Raises :class:`QuadratureError`
+    if any element fails to converge.
     """
-    if not (math.isfinite(a) and math.isfinite(x)):
+    if not math.isfinite(a):
         raise ValueError("lower_incomplete_gamma requires finite arguments")
     if a <= 0.0:
         raise ValueError(f"shape parameter must be positive, got {a!r}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lig_series(a, x)
-    return math.gamma(a) - _uig_continued_fraction(a, x)
+    if np.ndim(x) == 0:
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("lower_incomplete_gamma requires finite arguments")
+        if x < 0.0:
+            raise ValueError(f"argument must be nonnegative, got {x!r}")
+        if x == 0.0:
+            return 0.0
+        if x < a + 1.0:
+            return _lig_series(a, x)
+        return math.gamma(a) - _uig_continued_fraction(a, x)
+
+    x = np.asarray(x, dtype=float)
+    lo, hi = x.min(), x.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("lower_incomplete_gamma requires finite arguments")
+    if lo < 0.0:
+        raise ValueError(f"argument must be nonnegative, got {lo!r}")
+    out = np.zeros(x.shape)
+    series = (x > 0.0) & (x < a + 1.0)
+    if series.any():
+        out[series] = _lig_series_array(a, x[series])
+    if hi >= a + 1.0:
+        fraction = x >= a + 1.0
+        out[fraction] = math.gamma(a) - _uig_continued_fraction_array(a, x[fraction])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Closed-form and semi-closed-form asymptotics tests.
 
 Oracles: hand-evaluated closed forms, quadrature of defining integrals,
-brute-force tensor quadrature with scipy's independent 2F1, and exact
-algebraic collapses (SABR flatness, beta = 0 reductions).
+brute-force tensor quadrature with scipy's independent 2F1, exact algebraic
+collapses (SABR flatness, beta = 0 reductions), and the nested adaptive
+evaluation of the finite-maturity skew that its fixed inner rule replaced.
 """
 
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
 
+from vixsmile import asymptotics as asy
 from vixsmile.asymptotics import (
     AsymptoteResult,
     DegenerateModelError,
@@ -28,8 +32,8 @@ from vixsmile.asymptotics import (
     vix_skew_limit,
     window_integrals,
 )
-from vixsmile.model import HestonParams, ModelParams
-from vixsmile.specfun import QuadSpec, integrate
+from vixsmile.model import HestonParams, ModelParams, kernel
+from vixsmile.specfun import QuadSpec, integrate, integrate_err
 
 DELTA = 30.0 / 365.0
 
@@ -205,6 +209,131 @@ def test_vix_skew_approx_brute_force_oracle_rough_case():
         ])
         total += kb_s * float(kb_u @ inner) * (maturity - s) / n * maturity / n
     assert cross == pytest.approx(total, rel=2e-3)
+
+
+def _skew_numerators_oracle(params, delta, maturity, rel_tol=1e-12):
+    """Nested adaptive evaluation of the skew numerators: one adaptive
+    quadrature of the kernel mass m(r) = int_0^T K-bar(T - tau) k(r - T + tau)
+    dtau per outer node, with the return tuple of ``_skew_numerators``."""
+    inner_spec = QuadSpec(
+        abs_tol=1e-280, rel_tol=rel_tol,
+        singular_left=True, singular_exponent=params.H - 0.5,
+    )
+    outer_spec = QuadSpec(abs_tol=1e-280, rel_tol=rel_tol, max_subdivisions=4000)
+    worst_inner = 0.0
+
+    def kernel_mass(r_scalar):
+        nonlocal worst_inner
+        gap = r_scalar - maturity
+
+        def f(tau):
+            return asy._window_kernel(params, delta, maturity, maturity - tau) * kernel(
+                params, gap + tau
+            )
+
+        value, err = integrate_err(f, 0.0, maturity, inner_spec)
+        worst_inner = max(worst_inner, err / abs(value))
+        return value
+
+    def m_squared(r):
+        return np.array([kernel_mass(float(v)) ** 2 for v in np.atleast_1d(r)])
+
+    cross, cross_err = integrate_err(m_squared, maturity, maturity + delta, outer_spec)
+    cross *= 0.5
+    cross_err = 0.5 * cross_err + 2.0 * worst_inner * cross
+    w_int, w_err = asy._window_kernel_sq_integral(params, delta, maturity)
+    return cross, cross_err, w_int, w_err
+
+
+@lru_cache(maxsize=None)
+def _skew_oracle(hurst, beta, maturity):
+    """(Q_A, vix_skew_approx) of the mixed model through the nested oracle."""
+    numerators = []
+
+    def recording(*args):
+        numerators.append(_skew_numerators_oracle(*args))
+        return numerators[-1]
+
+    params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
+    with mock.patch.object(asy, "_skew_numerators", recording):
+        value = vix_skew_approx(params, DELTA, maturity)
+    return numerators[0][0], value
+
+
+# Together they span H in {0.05, 0.3, 0.5}, beta in {0, 1, 5} and
+# T in {1e-6, 1e-3, 0.1, 2}; the oracle takes seconds at the rough points.
+SKEW_ORACLE_POINTS = [
+    (0.05, 0.0, 2.0),
+    (0.05, 1.0, 1e-6),
+    (0.3, 0.0, 1e-3),
+    (0.3, 5.0, 0.1),
+    (0.5, 5.0, 2.0),
+    (0.5, 1.0, 1e-6),
+    (0.5, 0.0, 0.1),
+]
+
+
+@pytest.mark.parametrize("hurst, beta, maturity", SKEW_ORACLE_POINTS)
+def test_vix_skew_approx_matches_nested_adaptive_oracle(hurst, beta, maturity):
+    params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
+    oracle_cross, oracle_value = _skew_oracle(hurst, beta, maturity)
+    cross = asy._skew_numerators(params, DELTA, maturity)[0]
+    assert cross == pytest.approx(oracle_cross, rel=1e-10, abs=0.0)
+    assert vix_skew_approx(params, DELTA, maturity) == pytest.approx(
+        oracle_value, rel=1e-10, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("hurst, beta, maturity", SKEW_ORACLE_POINTS[:3])
+def test_vix_skew_approx_bound_covers_oracle_gap(hurst, beta, maturity):
+    params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
+    res = evaluate(FormulaId.VIX_SKEW_APPROX, params, delta=DELTA, maturity=maturity)
+    _, oracle_value = _skew_oracle(hurst, beta, maturity)
+    assert abs(res.value - oracle_value) <= res.quad_error_bound
+
+
+def _kernel_mass_mpmath(hurst, maturity, gap):
+    # beta = 0: m(g) = int_0^T K-bar(T - tau) (g + tau)^(H-1/2) dtau at 30
+    # digits, split on a geometric grid towards tau = 0 and around tau = g.
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, g, d = mpmath.mpf(hurst) + 0.5, mpmath.mpf(gap), mpmath.mpf(DELTA)
+
+        def f(tau):
+            return ((tau + d) ** a - tau ** a) / a * (g + tau) ** (a - 1)
+
+        points = {mpmath.mpf(maturity) * mpmath.mpf(2) ** -k for k in range(0, 81, 2)}
+        points |= {g * 10 ** k for k in range(-3, 4) if 0 < g * 10 ** k < maturity}
+        return float(mpmath.quad(f, [0] + sorted(points)))
+
+
+@pytest.mark.parametrize("gap_over_eps", [0.0, 1e-3, 1.0, 2.0 ** 40])
+def test_kernel_mass_rule_error_estimate_covers_its_error(gap_over_eps):
+    # Gaps at and just off the kernel singularity, on the scale of the head
+    # [0, eps = T 2^-44]: there a 16-node Gauss-Jacobi head in tau^(H-1/2)
+    # is off by up to 1.3e-9, more than its 8-node partner estimates.
+    hurst, maturity = 0.05, 2.0
+    gap = maturity * 2.0 ** -44 * gap_over_eps
+    rule = asy._kernel_mass_rule(mk(H=hurst), DELTA, maturity)
+    mass, err = rule(np.array([gap]))
+    reference = _kernel_mass_mpmath(hurst, maturity, gap)
+    assert abs(mass[0] - reference) <= err[0] < 1e-10 * reference
+
+
+def test_vix_skew_approx_runs_two_adaptive_quadratures(monkeypatch):
+    # The outer integral of Q_A and W: the inner kernel mass is a fixed rule,
+    # not one adaptive quadrature per outer node.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate_err(*args, **kwargs)
+
+    monkeypatch.setattr(asy, "integrate_err", counting)
+    vix_skew_approx(mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0), DELTA, 0.25)
+    assert len(calls) == 2
+    assert not any(isinstance(value, np.vectorize) for value in vars(asy).values())
 
 
 # ---------------------------------------------------------------------------

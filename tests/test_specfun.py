@@ -1,8 +1,9 @@
 """Tests for the special-function and quadrature primitives.
 
 Oracles: closed forms where they exist, adaptive quadrature of defining
-integrals for the incomplete gamma, an independent Euler-integral quadrature
-for 2F1, and mpmath as a high-precision reference.
+integrals for the incomplete gamma, its scalar path and scipy for the array
+path, an independent Euler-integral quadrature for 2F1, and mpmath as a
+high-precision reference.
 """
 
 import math
@@ -10,9 +11,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vixsmile import specfun
 from vixsmile.specfun import (
     QuadratureError,
     QuadSpec,
@@ -92,6 +95,68 @@ def test_gamma_monotone_in_x(a, x1, x2):
 def test_gamma_domain_errors(a, x):
     with pytest.raises(ValueError):
         lower_incomplete_gamma(a, x)
+
+
+def _gamma_array_grid(a):
+    # Zero, a log-spread from 1e-300 to 700, and both sides of the branch
+    # point x = a + 1 between the series and the continued fraction.
+    return np.concatenate([
+        [0.0, np.nextafter(a + 1.0, 0.0), a + 1.0, 700.0],
+        np.geomspace(1e-300, 700.0, 400),
+        np.linspace(0.0, 3.0 * (a + 1.0), 200),
+    ])
+
+
+@pytest.mark.parametrize("a", np.linspace(0.05, 3.0, 12))
+def test_gamma_array_matches_scalar_path(a):
+    x = _gamma_array_grid(a)
+    assert np.any(x < a + 1.0) and np.any(x >= a + 1.0)
+    scalar = np.array([lower_incomplete_gamma(a, float(v)) for v in x])
+    array = lower_incomplete_gamma(a, x)
+    np.testing.assert_allclose(array, scalar, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.6, 0.8, 1.0, 1.7, 3.0])
+def test_gamma_array_matches_scipy(a):
+    x = _gamma_array_grid(a)
+    reference = scipy.special.gammainc(a, x) * math.gamma(a)
+    # Away from scipy's underflow of the regularised value to zero.
+    normal = reference > 1e-290
+    np.testing.assert_allclose(
+        lower_incomplete_gamma(a, x)[normal], reference[normal], rtol=1e-13
+    )
+
+
+def test_gamma_array_keeps_shape_and_scalar_gives_float():
+    x = np.linspace(0.0, 9.0, 12).reshape(3, 4)
+    out = lower_incomplete_gamma(0.6, x)
+    assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+    assert out[1, 2] == lower_incomplete_gamma(0.6, float(x[1, 2]))
+    for scalar in (1.5, np.float64(1.5), np.array(1.5)):
+        assert type(lower_incomplete_gamma(0.6, scalar)) is float
+
+
+@pytest.mark.parametrize(
+    "a,x",
+    [
+        (0.6, np.array([1.0, -1e-300, 2.0])),
+        (0.6, np.array([[1.0, math.nan]])),
+        (0.6, np.array([1.0, math.inf])),
+        (0.0, np.array([1.0, 2.0])),
+        (-0.5, np.array([1.0])),
+    ],
+)
+def test_gamma_array_domain_errors(a, x):
+    with pytest.raises(ValueError):
+        lower_incomplete_gamma(a, x)
+
+
+@pytest.mark.parametrize("x", [0.5, 5.0])
+def test_gamma_array_fails_loudly_without_convergence(monkeypatch, x):
+    # Too few iterations for the series (x = 0.5) or the continued fraction.
+    monkeypatch.setattr(specfun, "_GAMMA_MAX_ITER", 3)
+    with pytest.raises(QuadratureError):
+        lower_incomplete_gamma(0.6, np.array([1e-3, x]))
 
 
 # ---------------------------------------------------------------------------
