@@ -34,13 +34,6 @@ from .pricing import atmi, atmi_skew
 __all__ = ["RunConfig", "cmd_atmi", "cmd_skew", "cmd_asymptote", "cmd_validate", "main"]
 
 SCHEMA_VERSION = "v1"
-_DEFAULT_OFFSETS = [round(-0.1 + 0.02 * i, 10) for i in range(11)]
-
-_CONFIG_KEYS = {
-    "model", "underlying", "v0", "hurst", "beta", "gamma", "nu", "eta",
-    "delta", "T", "paths", "inner", "seed", "skew_step", "offsets", "out",
-    "workers", "heston_k", "heston_theta",
-}
 
 
 @dataclass
@@ -61,7 +54,6 @@ class RunConfig:
     n_inner: int = 64
     seed: int = 42
     skew_step: float = 0.01
-    offsets: list[float] = field(default_factory=lambda: list(_DEFAULT_OFFSETS))
     out_path: str = "-"
     workers: int = 0  # 0: all cores
     quick: bool = False
@@ -117,7 +109,6 @@ def _echo_header(config: RunConfig, schema: str) -> str:
         f"inner={config.n_inner}",
         f"seed={config.seed}",
         f"skew_step={_fmt(config.skew_step)}",
-        "offsets=" + ",".join(_fmt(k) for k in config.offsets),
     ]
     if config.model == "heston":
         fields.append(f"heston_k={_fmt(config.heston_k)}")
@@ -290,6 +281,9 @@ def _parse_float_list(text: str) -> list[float]:
 
 def load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` pairs; ``#`` starts a comment."""
+    # The keys are the flags' destinations, i.e. the long flags without
+    # dashes ("--skew-step" -> "skew_step"), less those that name no setting.
+    keys = set(vars(build_parser().parse_args(["asymptote"]))) - {"command", "config", "quick"}
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -299,7 +293,7 @@ def load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value
     return out
@@ -340,13 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", type=float, help="first vol-of-vol")
         p.add_argument("--eta", type=float, help="second vol-of-vol")
         p.add_argument("--delta", type=float, help="averaging window in years")
-        p.add_argument("--T", dest="maturities", help="comma list of maturities")
+        p.add_argument("--T", help="comma list of maturities")
         p.add_argument("--paths", type=int, help="Monte Carlo paths")
         p.add_argument("--inner", type=int, help="inner quadrature nodes")
         p.add_argument("--seed", type=int, help="RNG seed (VIXSMILE_SEED fallback)")
         p.add_argument("--skew-step", dest="skew_step", type=float,
                        help="central-difference log-strike step")
-        p.add_argument("--offsets", help="comma list of log-strike offsets")
         p.add_argument("--out", help="output path ('-' for stdout)")
         p.add_argument("--workers", type=int, help="parallel workers (0: all cores)")
         p.add_argument("--quick", action="store_true",
@@ -371,8 +364,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         return default
 
     seed_default = int(os.environ.get("VIXSMILE_SEED", "42"))
-    maturities = pick(args.maturities, "T", "0.25", str)
-    offsets = pick(args.offsets, "offsets", None, str)
+    maturities = pick(args.T, "T", "0.25", str)
     theta = pick(args.heston_theta, "heston_theta", None, float)
     return RunConfig(
         model=pick(args.model, "model", "mixed", str),
@@ -390,8 +382,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         n_inner=pick(args.inner, "inner", 64, int),
         seed=pick(args.seed, "seed", seed_default, int),
         skew_step=pick(args.skew_step, "skew_step", 0.01, float),
-        offsets=(_parse_float_list(offsets) if offsets is not None
-                 else list(_DEFAULT_OFFSETS)),
         out_path=pick(args.out, "out", "-", str),
         workers=pick(args.workers, "workers", 0, int),
         quick=bool(args.quick),

@@ -1,9 +1,12 @@
 """Exact Gaussian Monte Carlo simulation of the VIX and realized-variance
 underlyings.
 
-The conditioning factors are jointly Gaussian with covariances given by the
-kernel covariance integrals, so they are drawn exactly through a Cholesky
-factor; the only discretisation is the trapezoid rule on the inner time grid.
+Both underlyings are trapezoid-rule window integrals of the same
+Wick-exponential mixture of one Gaussian Volterra factor, so one sampler
+serves both. The factor values at the inner nodes are jointly Gaussian with
+covariances given by the kernel covariance integrals; they are drawn exactly
+through a factor of that matrix, truncated to its numerical rank, so the only
+discretisation is the trapezoid rule on the inner time grid.
 Sampling is deterministic: paths are generated in fixed-size chunks, each
 chunk owning a counter-based RNG stream keyed by seed XOR chunk index, so
 results are bit-identical for any worker count.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,18 +29,23 @@ __all__ = [
     "SimGrid",
     "PathBatch",
     "CovarianceNotPSDError",
-    "VixSampler",
+    "FactorSampler",
     "build_vix_sampler",
     "sample_vix",
     "sample_rv",
     "estimate_mean",
 ]
 
-_CHOLESKY_JITTERS = (1e-14, 1e-12, 1e-10)
+# Relative eigenvalue tolerance of _factor. Dropping the eigenvalues below
+# tol * max moves no covariance entry by more than ~1.3e-13 of the largest,
+# under the ~7e-13 accuracy of the matrices themselves; at 1e-12 the dropped
+# eigenvalues add up to 8e-12. The most negative eigenvalue of a sampler
+# covariance is about -1.2e-15 of the largest (n_inner up to 512).
+_FACTOR_TOL = 1e-14
 
 
 class CovarianceNotPSDError(RuntimeError):
-    """Covariance matrix failed Cholesky even after diagonal jitter."""
+    """Covariance matrix has an eigenvalue below -tol times its largest."""
 
 
 @dataclass(frozen=True)
@@ -86,33 +94,28 @@ class PathBatch:
         object.__setattr__(self, "samples", samples)
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    for eps in _CHOLESKY_JITTERS:
-        bumped = cov.copy()
-        bumped[np.diag_indices_from(bumped)] *= 1.0 + eps
-        try:
-            return np.linalg.cholesky(bumped)
-        except np.linalg.LinAlgError:
-            continue
-    raise CovarianceNotPSDError(
-        "covariance not positive semi-definite after jitter up to "
-        f"{_CHOLESKY_JITTERS[-1]}; inner quadrature may be inaccurate"
-    )
+def _factor(cov: np.ndarray) -> np.ndarray:
+    """F (n x r) with F @ F.T == cov up to the dropped eigenvalues.
+
+    Keeps the eigenpairs above _FACTOR_TOL times the largest eigenvalue, so
+    r is the numerical rank; a matrix with an eigenvalue below -_FACTOR_TOL
+    times the largest is not a covariance and raises.
+    """
+    lam, vecs = np.linalg.eigh(cov)
+    cutoff = _FACTOR_TOL * lam[-1]
+    if not lam[0] >= -cutoff:
+        raise CovarianceNotPSDError(
+            f"covariance has eigenvalue {lam[0]:.3e} against largest {lam[-1]:.3e}; "
+            "inner quadrature may be inaccurate"
+        )
+    keep = lam > cutoff
+    return vecs[:, keep] * np.sqrt(lam[keep])
 
 
 def _trapezoid_weights(n_points: int, dx: float) -> np.ndarray:
     w = np.full(n_points, dx)
     w[0] = w[-1] = 0.5 * dx
     return w
-
-
-def _mixture_factors(params: ModelParams):
-    sqrt_2h = math.sqrt(2.0 * params.H)
-    return params.nu * sqrt_2h, params.eta * sqrt_2h
 
 
 def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
@@ -153,54 +156,60 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed ^ chunk_index))
 
 
-class VixSampler:
-    """Precomputed state for drawing VIX samples at one maturity.
+class FactorSampler:
+    """Precomputed Gaussian layer for one underlying at one maturity.
 
-    Holds the inner node grid on [T, T+delta], the covariance matrix of the
-    conditioning Gaussian factors, its (jittered) Cholesky factor, and the
-    deterministic variance corrections of the conditional Wick exponentials.
+    At each inner node t_i, with its conditioning window U_i, the variance is
+    v_i = v0 * sum_k g_k exp(a_k X_i - a_k^2 Var X_i / 2), where X_i is the
+    Volterra factor integrated over [0, U_i], g = (gamma, 1 - gamma) and
+    a = (nu, eta) * sqrt(2H); a zero-weight term is skipped. A sample is
+    (offset + weights . v) / divisor, and its square root for the VIX.
+    The Wick variances are taken from the drawn factor itself, so
+    E[v_i] = v0 holds exactly for the simulated Gaussians.
     """
 
-    def __init__(self, params: ModelParams, grid: SimGrid):
+    def __init__(self, kind: str, params: ModelParams, grid: SimGrid,
+                 nodes: np.ndarray, windows: np.ndarray, weights: np.ndarray,
+                 offset: float, divisor: float):
+        self.kind = kind
         self.params = params
         self.grid = grid
-        self.nodes = np.linspace(grid.T, grid.T + grid.delta, grid.n_inner)
-        windows = np.full(grid.n_inner, grid.T)
-        self.cov = kernel_covariance_matrix(params, self.nodes, windows)
-        self.chol = _cholesky_with_jitter(self.cov)
-        self.wick = np.diag(self.cov).copy()
-        self._weights = _trapezoid_weights(
-            grid.n_inner, grid.delta / (grid.n_inner - 1)
-        )
+        self.nodes = nodes
+        self.cov = kernel_covariance_matrix(params, nodes, windows)
+        self.factor = _factor(self.cov)
+        self.wick = np.sum(self.factor ** 2, axis=1)[:, None]
+        self._weights = weights
+        self._offset = offset
+        self._divisor = divisor
 
     def draw_chunk(self, chunk_index: int, size: int, seed: int) -> np.ndarray:
         rng = _chunk_rng(seed, chunk_index)
-        normals = rng.standard_normal((self.grid.n_inner, size))
-        factors = self.chol @ normals
-        a1, a2 = _mixture_factors(self.params)
+        factors = self.factor @ rng.standard_normal((self.factor.shape[1], size))
         p = self.params
-        fwd_var = p.gamma * np.exp(
-            a1 * factors - 0.5 * a1 ** 2 * self.wick[:, None]
+        sqrt_2h = math.sqrt(2.0 * p.H)
+        mixed = sum(
+            weight * (self._weights @ np.exp(a * factors - 0.5 * a ** 2 * self.wick))
+            for weight, a in ((p.gamma, p.nu * sqrt_2h), (1.0 - p.gamma, p.eta * sqrt_2h))
+            if weight != 0.0
         )
-        fwd_var += (1.0 - p.gamma) * np.exp(
-            a2 * factors - 0.5 * a2 ** 2 * self.wick[:, None]
-        )
-        fwd_var *= p.v0
-        return np.sqrt((self._weights @ fwd_var) / self.grid.delta)
+        samples = (self._offset + p.v0 * mixed) / self._divisor
+        return np.sqrt(samples) if self.kind == "vix" else samples
 
 
-def build_vix_sampler(params: ModelParams, grid: SimGrid) -> VixSampler:
-    """Precompute the Gaussian layer for VIX sampling at grid.T."""
-    return VixSampler(params, grid)
+def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
+    """Precompute the Gaussian layer for VIX sampling at grid.T.
+
+    The nodes cover [T, T+delta], each conditioned on [0, T]:
+    VIX_T^2 = (1/delta) int_T^{T+delta} E_T[v_s] ds.
+    """
+    nodes = np.linspace(grid.T, grid.T + grid.delta, grid.n_inner)
+    weights = _trapezoid_weights(grid.n_inner, grid.delta / (grid.n_inner - 1))
+    return FactorSampler("vix", params, grid, nodes, np.full(grid.n_inner, grid.T),
+                         weights, 0.0, grid.delta)
 
 
-def sample_vix(
-    sampler: VixSampler,
-    n_paths: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-) -> PathBatch:
-    """Draw VIX_T samples: sqrt of the window-averaged conditional variance."""
+def _draw(sampler: FactorSampler, n_paths: int | None, seed: int | None,
+          workers: int) -> PathBatch:
     grid = sampler.grid
     n_paths = grid.n_paths if n_paths is None else n_paths
     seed = grid.seed if seed is None else seed
@@ -208,31 +217,18 @@ def sample_vix(
         lambda idx, size: sampler.draw_chunk(idx, size, seed),
         n_paths, grid.chunk_size, workers,
     )
-    out_grid = SimGrid(grid.T, grid.delta, grid.n_inner, n_paths, seed,
-                       grid.chunk_size)
-    return PathBatch("vix", samples, out_grid, sampler.params)
+    out_grid = replace(grid, n_paths=n_paths, seed=seed)
+    return PathBatch(sampler.kind, samples, out_grid, sampler.params)
 
 
-def _rv_variance_state(params: ModelParams, grid: SimGrid):
-    """Nodes in (0, T], Cholesky factor of the Volterra factor covariance,
-    and per-node variances for the Wick corrections."""
-    nodes = grid.T * (np.arange(1, grid.n_inner + 1) / grid.n_inner)
-    cov = kernel_covariance_matrix(params, nodes, nodes)
-    chol = _cholesky_with_jitter(cov)
-    return nodes, chol, np.diag(cov).copy()
-
-
-def _rv_variance_paths(params: ModelParams, chol: np.ndarray, node_vars: np.ndarray,
-                       rng: np.random.Generator, size: int) -> np.ndarray:
-    """Instantaneous variance at the inner nodes, shape (n_inner, size)."""
-    normals = rng.standard_normal((chol.shape[0], size))
-    factors = chol @ normals
-    a1, a2 = _mixture_factors(params)
-    v = params.gamma * np.exp(a1 * factors - 0.5 * a1 ** 2 * node_vars[:, None])
-    v += (1.0 - params.gamma) * np.exp(
-        a2 * factors - 0.5 * a2 ** 2 * node_vars[:, None]
-    )
-    return params.v0 * v
+def sample_vix(
+    sampler: FactorSampler,
+    n_paths: int | None = None,
+    seed: int | None = None,
+    workers: int = 1,
+) -> PathBatch:
+    """Draw VIX_T samples: sqrt of the window-averaged conditional variance."""
+    return _draw(sampler, n_paths, seed, workers)
 
 
 def sample_rv(
@@ -245,22 +241,14 @@ def sample_rv(
     """Draw RV_T = (1/T) int_0^T v_s ds samples by exact Gaussian simulation.
 
     The variance path starts at the analytic value v(0) = v0 and is
-    integrated by the trapezoid rule over n_inner uniform steps.
+    integrated by the trapezoid rule over n_inner uniform steps; each node in
+    (0, T] is its own conditioning window.
     """
-    n_paths = grid.n_paths if n_paths is None else n_paths
-    seed = grid.seed if seed is None else seed
-    _, chol, node_vars = _rv_variance_state(params, grid)
+    nodes = grid.T * (np.arange(1, grid.n_inner + 1) / grid.n_inner)
     weights = _trapezoid_weights(grid.n_inner + 1, grid.T / grid.n_inner)
-
-    def simulate_chunk(idx: int, size: int) -> np.ndarray:
-        v = _rv_variance_paths(params, chol, node_vars, _chunk_rng(seed, idx), size)
-        integral = weights[0] * params.v0 + weights[1:] @ v
-        return integral / grid.T
-
-    samples = _run_chunks(simulate_chunk, n_paths, grid.chunk_size, workers)
-    out_grid = SimGrid(grid.T, grid.delta, grid.n_inner, n_paths, seed,
-                       grid.chunk_size)
-    return PathBatch("rv", samples, out_grid, params)
+    sampler = FactorSampler("rv", params, grid, nodes, nodes, weights[1:],
+                            weights[0] * params.v0, grid.T)
+    return _draw(sampler, n_paths, seed, workers)
 
 
 def estimate_mean(batch: PathBatch) -> tuple[float, float]:

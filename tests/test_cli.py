@@ -50,6 +50,31 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_config_file_accepts_every_setting_flag(tmp_path):
+    keys = {
+        "model": "mixed", "underlying": "rv", "v0": "0.04", "hurst": "0.3",
+        "beta": "0", "gamma": "1", "nu": "2", "eta": "0", "delta": "0.08",
+        "T": "0.25", "paths": "4000", "inner": "8", "seed": "5",
+        "skew_step": "0.01", "out": "-", "workers": "1", "heston_k": "1",
+        "heston_theta": "0.04",
+    }
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert cli.load_config_file(str(cfg)) == keys
+
+
+def test_offsets_flag_and_key_are_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptote", "--offsets", "-0.1,0.1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "old.cfg"
+    for line in ("offsets = -0.1,0.1\n", "config = other.cfg\n", "quick = 1\n"):
+        cfg.write_text(line)
+        code, _, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown key" in err
+
+
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VIXSMILE_SEED", "777")
     code, out, _ = run_cli(["asymptote"], capsys)

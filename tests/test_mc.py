@@ -8,15 +8,16 @@ import pytest
 
 from vixsmile.mc import (
     CovarianceNotPSDError,
+    FactorSampler,
     PathBatch,
     SimGrid,
-    _cholesky_with_jitter,
+    _factor,
     build_vix_sampler,
     estimate_mean,
     sample_rv,
     sample_vix,
 )
-from vixsmile.model import ModelParams, kernel
+from vixsmile.model import ModelParams, kernel, kernel_covariance_matrix
 from vixsmile.specfun import QuadSpec, integrate
 
 
@@ -98,9 +99,54 @@ def test_vix_sampler_degenerates_at_tiny_maturity():
     assert float(np.mean(batch.samples)) == pytest.approx(0.2, abs=1e-3)
 
 
-def test_cholesky_jitter_rejects_indefinite_matrix():
+def test_factor_rejects_indefinite_matrix():
     with pytest.raises(CovarianceNotPSDError):
-        _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        _factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def _layout(kind, T, n, delta=30 / 365):
+    """Nodes and windows of the VIX and RV samplers."""
+    if kind == "vix":
+        return np.linspace(T, T + delta, n), np.full(n, T)
+    nodes = T * (np.arange(1, n + 1) / n)
+    return nodes, nodes
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.5])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 5.0])
+def test_factor_reproduces_covariance(H, beta):
+    # Includes n = 2, H = 1/2, beta = 1, T = 1e-8, whose most negative
+    # eigenvalue, -4.5e-16 of the largest, is below -n * eps yet is noise.
+    params = mk(H=H, beta=beta)
+    for T in (1e-8, 1e-4, 0.1, 0.5, 2.0):
+        for n in (2, 16, 33, 96):
+            for kind in ("vix", "rv"):
+                cov = kernel_covariance_matrix(params, *_layout(kind, T, n))
+                factor = _factor(cov)
+                err = np.max(np.abs(factor @ factor.T - cov))
+                assert err <= 1e-12 * np.max(np.abs(cov)), (kind, T, n)
+                if kind == "rv":
+                    assert factor.shape == (n, n), (T, n)
+
+
+def test_factor_rank_one_for_brownian_vix():
+    # H = 1/2, beta = 0: every VIX covariance entry equals T.
+    for n in (2, 16, 64):
+        sampler = build_vix_sampler(mk(H=0.5), SimGrid(T=0.3, n_inner=n, n_paths=10))
+        assert sampler.factor.shape == (n, 1)
+    rough = build_vix_sampler(mk(H=0.1), SimGrid(T=0.3, n_inner=64, n_paths=10))
+    assert 1 < rough.factor.shape[1] < 64
+
+
+def test_samplers_never_call_cholesky(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    grid = SimGrid(T=0.25, n_inner=16, n_paths=100, seed=3)
+    for params in (mk(H=0.3), mk(H=0.1, beta=1.0, gamma=0.5, eta=1.0)):
+        assert np.all(sample_vix(build_vix_sampler(params, grid)).samples > 0.0)
+        assert np.all(sample_rv(params, grid).samples > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +177,14 @@ def test_rv_martingale_mean():
 
 
 def test_instantaneous_variance_martingale_at_nodes():
-    # E[v_t] = v0 at every interior node of the realized-variance grid.
-    from vixsmile.mc import _chunk_rng, _rv_variance_paths, _rv_variance_state
-
+    # E[v_t] = v0 at every interior node of the realized-variance grid. The
+    # identity as reduction weights makes the core return v at each node.
     params = mk(H=0.3, beta=0.5, gamma=0.5, nu=2.0, eta=0.5)
     grid = SimGrid(T=0.5, n_inner=8, n_paths=60_000, seed=17)
-    _, chol, node_vars = _rv_variance_state(params, grid)
-    v = _rv_variance_paths(params, chol, node_vars, _chunk_rng(17, 0), grid.n_paths)
+    nodes, windows = _layout("rv", grid.T, grid.n_inner)
+    sampler = FactorSampler("rv", params, grid, nodes, windows, np.eye(grid.n_inner),
+                            0.0, 1.0)
+    v = sampler.draw_chunk(0, grid.n_paths, 17)
     means = v.mean(axis=1)
     stderrs = v.std(axis=1, ddof=1) / math.sqrt(grid.n_paths)
     assert np.all(np.abs(means - params.v0) <= 4.0 * stderrs)

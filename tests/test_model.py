@@ -311,7 +311,7 @@ def test_covariance_matrix_raises_on_non_finite_values():
 
 def test_samplers_never_call_the_scalar_quadrature(monkeypatch):
     from vixsmile import mc, model
-    from vixsmile.mc import SimGrid, _rv_variance_state, build_vix_sampler
+    from vixsmile.mc import SimGrid, build_vix_sampler, sample_rv
 
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar kernel_covariance called")
@@ -321,9 +321,9 @@ def test_samplers_never_call_the_scalar_quadrature(monkeypatch):
     grid = SimGrid(T=0.25, n_inner=24, n_paths=10)
     for params in (mk(H=0.3, beta=0.0), mk(H=0.1, beta=1.0)):
         sampler = build_vix_sampler(params, grid)
-        assert np.all(np.isfinite(sampler.chol))
-        _, chol, node_vars = _rv_variance_state(params, grid)
-        assert np.all(np.isfinite(chol)) and np.all(node_vars > 0.0)
+        assert np.all(np.isfinite(sampler.factor))
+        samples = sample_rv(params, grid).samples
+        assert np.all(np.isfinite(samples)) and np.all(samples > 0.0)
 
 
 # ---------------------------------------------------------------------------
