@@ -8,8 +8,9 @@ covariances given by the kernel covariance integrals; they are drawn exactly
 through a factor of that matrix, truncated to its numerical rank, so the only
 discretisation is the trapezoid rule on the inner time grid.
 Sampling is deterministic: paths are generated in fixed-size chunks, each
-chunk owning a counter-based RNG stream keyed by seed XOR chunk index, so
-results are bit-identical for any worker count.
+chunk owning a counter-based Philox stream keyed by the two words
+(seed, chunk index), so results are bit-identical for any worker count and
+no two (seed, chunk) pairs share a stream.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class PathBatch:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size != self.grid.n_paths:
             raise ValueError("samples must be a vector of length n_paths")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("all samples must be finite")
         if not np.all(samples > 0.0):
             raise ValueError("all samples must be strictly positive")
         object.__setattr__(self, "samples", samples)
@@ -153,7 +156,9 @@ def _run_chunks(
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed ^ chunk_index))
+    # Philox's 128-bit key holds the seed (below 2**64) in its low word and
+    # the chunk index in its high word.
+    return np.random.Generator(np.random.Philox(key=seed + (chunk_index << 64)))
 
 
 class FactorSampler:
@@ -166,6 +171,11 @@ class FactorSampler:
     (offset + weights . v) / divisor, and its square root for the VIX.
     The Wick variances are taken from the drawn factor itself, so
     E[v_i] = v0 holds exactly for the simulated Gaussians.
+
+    Each term's variance shift exp(-a^2 Var X_i / 2) and mixture weight g_k
+    are folded into the reduction weights once per sampler, and the terms'
+    scaled factors a_k F are stacked, so a chunk costs one matmul, one
+    in-place exp and one reduction.
     """
 
     def __init__(self, kind: str, params: ModelParams, grid: SimGrid,
@@ -177,22 +187,26 @@ class FactorSampler:
         self.nodes = nodes
         self.cov = kernel_covariance_matrix(params, nodes, windows)
         self.factor = _factor(self.cov)
-        self.wick = np.sum(self.factor ** 2, axis=1)[:, None]
-        self._weights = weights
+        wick = np.sum(self.factor ** 2, axis=1)
+        sqrt_2h = math.sqrt(2.0 * params.H)
+        terms = [
+            (g, a)
+            for g, a in ((params.gamma, params.nu * sqrt_2h),
+                         (1.0 - params.gamma, params.eta * sqrt_2h))
+            if g != 0.0
+        ]
+        self._scaled = np.vstack([a * self.factor for _, a in terms])
+        self._reduce = np.concatenate(
+            [g * weights * np.exp(-0.5 * a ** 2 * wick) for g, a in terms], axis=-1
+        )
         self._offset = offset
         self._divisor = divisor
 
     def draw_chunk(self, chunk_index: int, size: int, seed: int) -> np.ndarray:
         rng = _chunk_rng(seed, chunk_index)
-        factors = self.factor @ rng.standard_normal((self.factor.shape[1], size))
-        p = self.params
-        sqrt_2h = math.sqrt(2.0 * p.H)
-        mixed = sum(
-            weight * (self._weights @ np.exp(a * factors - 0.5 * a ** 2 * self.wick))
-            for weight, a in ((p.gamma, p.nu * sqrt_2h), (1.0 - p.gamma, p.eta * sqrt_2h))
-            if weight != 0.0
-        )
-        samples = (self._offset + p.v0 * mixed) / self._divisor
+        y = self._scaled @ rng.standard_normal((self.factor.shape[1], size))
+        np.exp(y, out=y)
+        samples = (self._offset + self.params.v0 * (self._reduce @ y)) / self._divisor
         return np.sqrt(samples) if self.kind == "vix" else samples
 
 

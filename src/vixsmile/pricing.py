@@ -5,7 +5,9 @@ The ATM strike is always the sample mean of the same batch being priced
 Monte Carlo noise in the tests). Skews are central differences in log-strike
 with both legs priced on common random numbers; their standard errors come
 from a delete-block jackknife, since the legs are strongly correlated and
-naive error bars would be uselessly wide.
+naive error bars would be uselessly wide. The jackknife never copies the
+batch: every leave-one-block-out forward and leg price is derived from
+full-sample sums in O(n) work.
 """
 
 from __future__ import annotations
@@ -137,15 +139,60 @@ def smile(batch: PathBatch, maturity: float,
     return [points[float(k)] for k in offsets]
 
 
-def _skew_from_samples(samples: np.ndarray, maturity: float, step: float) -> float:
-    forward = float(np.mean(samples))
+def _skew_from_prices(forward: float, prices: tuple[float, float],
+                      maturity: float, step: float) -> float:
+    """Central-difference skew from the call prices at forward * exp(+-step)."""
     log_f = math.log(forward)
-    vols = []
-    for sign in (+1.0, -1.0):
-        strike = forward * math.exp(sign * step)
-        price, _ = _payoff_stats(samples, strike)
-        vols.append(implied_vol(price, log_f, log_f + sign * step, maturity))
-    return (vols[0] - vols[1]) / (2.0 * step)
+    up = implied_vol(prices[0], log_f, log_f + step, maturity)
+    down = implied_vol(prices[1], log_f, log_f - step, maturity)
+    return (up - down) / (2.0 * step)
+
+
+def _leave_block_out_payoffs(samples: np.ndarray, boundaries: np.ndarray,
+                             strikes: np.ndarray) -> np.ndarray:
+    """Summed call payoff at strikes[b] over the samples outside block b.
+
+    With K0 = min(strikes), the full-sample payoff sum at any K >= K0 is
+    P(K) = P(K0) - sum over x > K0 of min(x - K0, K - K0). The min is
+    x - K0 up to K and K - K0 above it, so only the samples in
+    (K0, max(strikes)] are sorted, with prefix sums of x - K0. Block b's own
+    payoff at strikes[b] is then removed with one pass over the block.
+    """
+    k0 = float(np.min(strikes))
+    excess = samples - k0
+    np.maximum(excess, 0.0, out=excess)
+    gaps = strikes - k0
+    band = np.sort(excess[(excess > 0.0) & (excess <= np.max(gaps))])
+    below = np.searchsorted(band, gaps, side="right")
+    band_sums = np.concatenate(([0.0], np.cumsum(band)))
+    n_above = np.count_nonzero(excess)
+    totals = float(np.sum(excess)) - band_sums[below] - gaps * (n_above - below)
+    own = [
+        np.sum(np.maximum(samples[lo:hi] - strike, 0.0))
+        for lo, hi, strike in zip(boundaries[:-1], boundaries[1:], strikes)
+    ]
+    return totals - own
+
+
+def _block_estimates(samples: np.ndarray, maturity: float, step: float) -> np.ndarray:
+    """Skew of each delete-block subsample, re-centred on its own mean.
+
+    Forwards come from block sums and leg prices from
+    _leave_block_out_payoffs, so no subsample is ever copied.
+    """
+    n = samples.size
+    n_blocks = min(JACKKNIFE_BLOCKS, n)
+    boundaries = np.linspace(0, n, n_blocks + 1).astype(int)
+    kept = n - np.diff(boundaries)
+    forwards = (float(np.sum(samples)) - np.add.reduceat(samples, boundaries[:-1])) / kept
+    legs = [
+        _leave_block_out_payoffs(samples, boundaries, forwards * math.exp(sign * step)) / kept
+        for sign in (1.0, -1.0)
+    ]
+    return np.array([
+        _skew_from_prices(float(f), (float(up), float(down)), maturity, step)
+        for f, up, down in zip(forwards, *legs)
+    ])
 
 
 def atmi_skew(batch: PathBatch, maturity: float,
@@ -153,20 +200,25 @@ def atmi_skew(batch: PathBatch, maturity: float,
     """Central-difference ATM skew dI/dk and its jackknife standard error.
 
     Both legs are priced on the same paths; the error combines the leg
-    covariance through a delete-block jackknife over JACKKNIFE_BLOCKS blocks.
+    covariance through a delete-block jackknife over JACKKNIFE_BLOCKS
+    contiguous blocks, each estimate re-centring its strikes on its own
+    subsample mean. The jackknife does O(n) work in all: see
+    _block_estimates.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step!r}")
     samples = batch.samples
-    value = _skew_from_samples(samples, maturity, step)
+    if samples.size < 3:
+        raise ValueError("need at least three paths for a delete-block jackknife")
+    forward = float(np.mean(samples))
+    prices = tuple(
+        float(np.mean(np.maximum(samples - forward * math.exp(sign * step), 0.0)))
+        for sign in (1.0, -1.0)
+    )
+    value = _skew_from_prices(forward, prices, maturity, step)
 
-    n_blocks = min(JACKKNIFE_BLOCKS, samples.size)
-    boundaries = np.linspace(0, samples.size, n_blocks + 1).astype(int)
-    estimates = np.empty(n_blocks)
-    for b in range(n_blocks):
-        mask = np.ones(samples.size, dtype=bool)
-        mask[boundaries[b]:boundaries[b + 1]] = False
-        estimates[b] = _skew_from_samples(samples[mask], maturity, step)
+    estimates = _block_estimates(samples, maturity, step)
+    n_blocks = estimates.size
     center = float(np.mean(estimates))
     stderr = math.sqrt(
         (n_blocks - 1) / n_blocks * float(np.sum((estimates - center) ** 2))

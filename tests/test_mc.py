@@ -11,7 +11,9 @@ from vixsmile.mc import (
     FactorSampler,
     PathBatch,
     SimGrid,
+    _chunk_rng,
     _factor,
+    _trapezoid_weights,
     build_vix_sampler,
     estimate_mean,
     sample_rv,
@@ -54,6 +56,13 @@ def test_pathbatch_rejects_nonpositive_samples():
         PathBatch("vix", np.array([1.0, 0.0, 2.0]), grid, mk())
     with pytest.raises(ValueError):
         PathBatch("spot", np.array([1.0, 1.0, 1.0]), grid, mk())
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_pathbatch_rejects_nonfinite_samples(bad):
+    grid = SimGrid(T=0.1, n_paths=3)
+    with pytest.raises(ValueError):
+        PathBatch("rv", np.array([1.0, bad, 2.0]), grid, mk())
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +216,57 @@ def test_determinism_across_worker_counts_and_runs():
     assert np.array_equal(sample_vix(sampler, workers=1).samples, reference)
     rv_ref = sample_rv(mk(H=0.3, nu=2.0), grid, workers=1).samples
     assert np.array_equal(sample_rv(mk(H=0.3, nu=2.0), grid, workers=3).samples, rv_ref)
+
+
+def _term_by_term_draw_chunk(sampler, weights, offset, divisor, chunk_index, size, seed):
+    """The Wick reduction written term by term: exp(a X - a^2 Var X / 2)."""
+    factors = sampler.factor @ _chunk_rng(seed, chunk_index).standard_normal(
+        (sampler.factor.shape[1], size))
+    wick = np.sum(sampler.factor ** 2, axis=1)[:, None]
+    p = sampler.params
+    sqrt_2h = math.sqrt(2.0 * p.H)
+    mixed = sum(
+        g * (weights @ np.exp(a * factors - 0.5 * a ** 2 * wick))
+        for g, a in ((p.gamma, p.nu * sqrt_2h), (1.0 - p.gamma, p.eta * sqrt_2h))
+        if g != 0.0
+    )
+    samples = (offset + p.v0 * mixed) / divisor
+    return np.sqrt(samples) if sampler.kind == "vix" else samples
+
+
+@pytest.mark.parametrize("kind", ["vix", "rv"])
+@pytest.mark.parametrize(
+    "params",
+    [mk(H=0.1, gamma=1.0, nu=2.0), mk(H=0.3, beta=1.0, gamma=0.0, nu=0.0, eta=1.5),
+     mk(H=0.1, beta=2.0, gamma=0.5, nu=3.0, eta=1.0)],
+    ids=["gamma1", "gamma0-beta1", "mixed-beta2"],
+)
+@pytest.mark.parametrize("T", [1e-4, 0.5])
+def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
+    grid = SimGrid(T=T, n_inner=16, n_paths=1000, seed=3)
+    nodes, windows = _layout(kind, T, grid.n_inner)
+    span = grid.delta if kind == "vix" else T
+    weights = _trapezoid_weights(grid.n_inner, span / (grid.n_inner - 1))
+    offset, divisor = (0.0, grid.delta) if kind == "vix" else (0.001, T)
+    sampler = FactorSampler(kind, params, grid, nodes, windows, weights, offset, divisor)
+    for chunk_index in (0, 3):
+        drawn = sampler.draw_chunk(chunk_index, 1000, 77)
+        reference = _term_by_term_draw_chunk(sampler, weights, offset, divisor,
+                                       chunk_index, 1000, 77)
+        np.testing.assert_allclose(drawn, reference, rtol=1e-13, atol=0.0)
+
+
+def test_consecutive_seeds_share_no_chunk():
+    # Multi-chunk batches at seeds s and s + 1 come from disjoint streams.
+    grid = SimGrid(T=0.1, n_inner=8, n_paths=16_000, seed=1, chunk_size=4096)
+    params = mk(H=0.3, nu=2.0)
+    sampler = build_vix_sampler(params, grid)
+    for seed in (200, 202, 1000):
+        a = sample_vix(sampler, seed=seed).samples
+        b = sample_vix(sampler, seed=seed + 1).samples
+        assert np.intersect1d(a, b).size == 0, seed
+    rv = [sample_rv(params, grid, n_paths=8192, seed=s).samples for s in (1000, 1001)]
+    assert np.intersect1d(*rv).size == 0
 
 
 def test_seed_changes_samples():

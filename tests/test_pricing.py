@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from vixsmile.bs import implied_vol
 from vixsmile.mc import PathBatch, SimGrid, build_vix_sampler, sample_rv, sample_vix
 from vixsmile.model import ModelParams
-from vixsmile.pricing import PriceEstimate, atmi, atmi_skew, price_call, smile
+from vixsmile.pricing import (
+    JACKKNIFE_BLOCKS,
+    PriceEstimate,
+    _block_estimates,
+    atmi,
+    atmi_skew,
+    price_call,
+    smile,
+)
 
 
 def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
@@ -222,3 +231,107 @@ def test_skew_rejects_bad_step():
     batch = sample_vix(build_vix_sampler(mk(H=0.4, nu=1.0), grid))
     with pytest.raises(ValueError):
         atmi_skew(batch, 0.25, step=0.0)
+
+
+# ---------------------------------------------------------------------------
+# atmi_skew jackknife against the masked-copy oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_skew(samples, maturity, step):
+    forward = float(np.mean(samples))
+    log_f = math.log(forward)
+    vols = []
+    for sign in (+1.0, -1.0):
+        price = float(np.mean(np.maximum(samples - forward * math.exp(sign * step), 0.0)))
+        vols.append(implied_vol(price, log_f, log_f + sign * step, maturity))
+    return (vols[0] - vols[1]) / (2.0 * step)
+
+
+def _oracle_atmi_skew(samples, maturity, step=1e-2):
+    """Delete-block jackknife that recomputes each estimate on a masked copy."""
+    value = _oracle_skew(samples, maturity, step)
+    n_blocks = min(JACKKNIFE_BLOCKS, samples.size)
+    boundaries = np.linspace(0, samples.size, n_blocks + 1).astype(int)
+    estimates = np.empty(n_blocks)
+    for b in range(n_blocks):
+        mask = np.ones(samples.size, dtype=bool)
+        mask[boundaries[b]:boundaries[b + 1]] = False
+        estimates[b] = _oracle_skew(samples[mask], maturity, step)
+    center = float(np.mean(estimates))
+    stderr = math.sqrt(
+        (n_blocks - 1) / n_blocks * float(np.sum((estimates - center) ** 2))
+    )
+    return value, stderr, estimates
+
+
+def _assert_matches_oracle(samples, maturity):
+    value, stderr = atmi_skew(manual_batch(samples), maturity)
+    o_value, o_stderr, o_estimates = _oracle_atmi_skew(samples, maturity)
+    assert value == o_value
+    np.testing.assert_allclose(_block_estimates(samples, maturity, 1e-2), o_estimates,
+                               rtol=0.0, atol=1e-11)
+    assert stderr == pytest.approx(o_stderr, rel=1e-8)
+
+
+SINGLE = dict(gamma=1.0, nu=2.0, eta=0.0)
+MIXED = dict(gamma=0.5, nu=3.0, eta=1.0)
+
+
+@pytest.mark.parametrize("kind", ["vix", "rv"])
+@pytest.mark.parametrize("H", [0.1, 0.5])
+@pytest.mark.parametrize("mix", [SINGLE, MIXED], ids=["single", "mixed"])
+@pytest.mark.parametrize("T", [1e-4, 0.1, 0.5])
+def test_skew_jackknife_matches_masked_copy_oracle(kind, H, mix, T):
+    params = mk(H=H, **mix)
+    grid = SimGrid(T=T, n_inner=8, n_paths=20_000, seed=41)
+    if kind == "vix":
+        batch = sample_vix(build_vix_sampler(params, grid))
+    else:
+        batch = sample_rv(params, grid)
+    _assert_matches_oracle(batch.samples, T)
+
+
+@pytest.mark.parametrize("n_paths", [1001, 19])
+def test_skew_jackknife_uneven_and_single_path_blocks(n_paths):
+    grid = SimGrid(T=0.1, n_inner=8, n_paths=n_paths, seed=43)
+    batch = sample_vix(build_vix_sampler(mk(H=0.1, **MIXED), grid))
+    _assert_matches_oracle(batch.samples, 0.1)
+
+
+def test_skew_jackknife_samples_tied_at_strikes():
+    # Block b's forward ignores block b's own samples, so a sample placed in
+    # block b can sit exactly on that block's strike. The down-leg tie goes
+    # in the block with the lowest forward (the lowest strike of its leg),
+    # the up-leg tie in the block with the highest (the top of the band).
+    step, maturity = 1e-2, 0.1
+    grid = SimGrid(T=maturity, n_inner=8, n_paths=1001, seed=44)
+    samples = sample_vix(build_vix_sampler(mk(H=0.3, **MIXED), grid)).samples.copy()
+    boundaries = np.linspace(0, samples.size, JACKKNIFE_BLOCKS + 1).astype(int)
+    kept = samples.size - np.diff(boundaries)
+
+    def forwards():
+        sums = np.add.reduceat(samples, boundaries[:-1])
+        return (float(np.sum(samples)) - sums) / kept
+
+    lowest, highest = int(np.argmin(forwards())), int(np.argmax(forwards()))
+    ties = [(lowest, -1.0), (highest, +1.0)]
+    for _ in range(10):
+        for block, sign in ties:
+            samples[boundaries[block]] = forwards()[block] * math.exp(sign * step)
+    for block, sign in ties:
+        assert samples[boundaries[block]] == forwards()[block] * math.exp(sign * step)
+    _assert_matches_oracle(samples, maturity)
+
+
+def test_skew_constant_batch_raises_like_oracle():
+    samples = np.full(100, 0.2)
+    with pytest.raises(Exception) as oracle_error:
+        _oracle_atmi_skew(samples, 0.1)
+    with pytest.raises(oracle_error.type):
+        atmi_skew(manual_batch(samples), 0.1)
+
+
+def test_skew_rejects_too_few_paths():
+    for n_paths in (1, 2):
+        with pytest.raises(ValueError):
+            atmi_skew(manual_batch(np.linspace(1.0, 2.0, n_paths)), 0.1)
