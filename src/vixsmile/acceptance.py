@@ -152,7 +152,7 @@ def _c6_rv_atmi_approx(quick: bool):
 
 def _rv_skew_constant_bruteforce(hurst: float, t_probe: float, n: int = 500) -> float:
     """Tensor-product midpoint oracle on the raw (s, u) grid with the inner
-    substitution w = (u - s)^(H+1/2); independent of the nested-quadrature
+    substitution w = (u - s)^(H+1/2); independent of the one-dimensional
     path used by rv_skew_constant."""
     q = 1.0 / (hurst + 0.5)
     s = (np.arange(n) + 0.5) * t_probe / n
@@ -221,8 +221,12 @@ def _c9_special_function_oracles(quick: bool):
             gamma_err = max(
                 gamma_err, abs(lower_incomplete_gamma(float(a), float(x)) - oracle)
             )
+    # One identity per gauss_2f1 branch: the series (z = 0, -1), the Euler
+    # integral at an integer b - a (z = -7.5) and the connection formula.
     hyp_err = abs(gauss_2f1(0.2, 0.8, 1.8, 0.0) - 1.0)
     hyp_err = max(hyp_err, abs(gauss_2f1(1.0, 1.0, 2.0, -1.0) - math.log(2.0)))
+    hyp_err = max(hyp_err, abs(gauss_2f1(1.0, 1.0, 2.0, -7.5) - math.log(8.5) / 7.5))
+    hyp_err = max(hyp_err, abs(gauss_2f1(0.5, 1.0, 1.5, -1e6) - math.atan(1e3) / 1e3))
     roundtrip_err = 0.0
     for sigma in (1e-4, 1e-2, 0.2, 1.0, 5.0):
         for maturity in (1e-4, 0.05, 0.5, 2.0):

@@ -2,8 +2,9 @@
 
 Oracles: hand-evaluated closed forms, quadrature of defining integrals,
 brute-force tensor quadrature with scipy's independent 2F1, exact algebraic
-collapses (SABR flatness, beta = 0 reductions), and the nested adaptive
-evaluation of the finite-maturity skew that its fixed inner rule replaced.
+collapses (SABR flatness, beta = 0 reductions), the nested adaptive
+evaluation of the finite-maturity skew that its fixed inner rule replaced,
+and mpmath for the kernel-overlap constant.
 """
 
 import math
@@ -440,6 +441,45 @@ def test_rv_skew_constant_brute_force_tensor_oracle():
     outer = float(np.sum((t_probe - s) ** (hurst + 0.5) * inner)) * t_probe / n
     oracle = outer / t_probe ** (4.0 * hurst + 3.0)
     assert rv_skew_constant(hurst, t_probe) == pytest.approx(oracle, rel=5e-3)
+
+
+def _overlap_mpmath(hurst):
+    """I(H) = 1/2 int_0^1 J^2 with the closed form
+    J(rho) = rho^(H+1/2) 2F1(-H-1/2, 1; H+3/2; rho)/(H+1/2), 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        h = mpmath.mpf(hurst)
+        a = h + mpmath.mpf(1) / 2
+
+        def j(rho):
+            return rho ** a * mpmath.hyp2f1(-a, 1, h + mpmath.mpf(3) / 2, rho) / a
+
+        return float(mpmath.quad(lambda rho: j(rho) ** 2, [0, 0.5, 1]) / 2)
+
+
+@pytest.mark.parametrize("hurst", [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49, 0.5])
+def test_rv_skew_constant_matches_mpmath_within_its_bound(hurst):
+    value, bound = asy._rv_skew_constant_err(hurst)
+    reference = _overlap_mpmath(hurst)
+    assert value == rv_skew_constant(hurst)
+    assert abs(value - reference) <= 1e-14 * reference
+    assert abs(value - reference) <= bound
+
+
+def test_rv_skew_constant_classical_case_to_two_ulps():
+    assert abs(rv_skew_constant(0.5) - 1.0 / 15.0) <= 2.0 * math.ulp(1.0 / 15.0)
+
+
+def test_rv_skew_constant_is_exactly_probe_invariant():
+    for hurst in (0.05, 0.1, 0.3, 0.5):
+        assert rv_skew_constant(hurst, 1e-3) == rv_skew_constant(hurst, 1e-4)
+
+
+def test_rv_skew_constant_keeps_its_cache():
+    # perfbench's tracer reads the hit count of this cache.
+    rv_skew_constant(0.3)
+    assert rv_skew_constant.cache_info().currsize >= 1
 
 
 def test_rv_skew_limit_equal_volvol_collapse():

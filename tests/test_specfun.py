@@ -2,8 +2,8 @@
 
 Oracles: closed forms where they exist, adaptive quadrature of defining
 integrals for the incomplete gamma, its scalar path and scipy for the array
-path, an independent Euler-integral quadrature for 2F1, and mpmath as a
-high-precision reference.
+path, an independent adaptive Euler-integral quadrature and the composite
+Euler rule for 2F1, and mpmath as a high-precision reference.
 """
 
 import math
@@ -218,6 +218,46 @@ def test_2f1_array_argument_matches_scalar():
     arr = gauss_2f1(0.25, 0.75, 1.75, z)
     scalars = [gauss_2f1(0.25, 0.75, 1.75, float(v)) for v in z]
     np.testing.assert_allclose(arr, scalars, rtol=0, atol=1e-14)
+
+
+# z over 24 decades plus the branch points: z = -1 is w = 1/2, the edge of
+# the series; z = -1e12 puts 1 - w = 1/(1 - z) at 1e-12, where forming
+# 1 - w by subtraction would cancel.
+_Z_GRID = np.concatenate([-np.logspace(-12.0, 12.0, 49), [0.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "a,b,c",
+    [(0.5 - h, h + 0.5, h + 1.5) for h in (0.05, 0.1, 0.3, 0.49, 0.5)]
+    + [(1.0, 1.0, 2.0), (0.2, 0.8, 1.8)],
+)
+def test_2f1_matches_composite_euler_oracle(a, b, c):
+    # The composite Euler rule is the oracle for the series and connection
+    # branches (it is also the branch taken at an integer b - a).
+    value = gauss_2f1(a, b, c, _Z_GRID)
+    oracle = specfun._euler_2f1(a, b, c, _Z_GRID)
+    np.testing.assert_allclose(value, oracle, rtol=1e-13, atol=0.0)
+    scalars = np.array([gauss_2f1(a, b, c, float(z)) for z in _Z_GRID])
+    assert np.array_equal(value, scalars)
+
+
+@pytest.mark.parametrize("gap", [1e-6, -1e-6, 0.06, -0.06])
+def test_2f1_near_integer_b_minus_a(gap):
+    # b - a = 1 + gap: within the degenerate band (Euler integral) and just
+    # outside it (connection formula, whose two terms grow like 1/gap).
+    a, b, c = 0.3, 1.3 + gap, 2.1
+    value = gauss_2f1(a, b, c, _Z_GRID)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyp2f1(a, b, c, z)) for z in _Z_GRID])
+    np.testing.assert_allclose(value, ref, rtol=1e-13, atol=0.0)
+
+
+def test_2f1_arctan_identity_on_the_connection_branch():
+    # 2F1(1/2, 1; 3/2; -x^2) = arctan(x)/x; w = x^2/(1 + x^2) > 1/2 here.
+    for x in (2.0, 1e3, 1e6):
+        assert gauss_2f1(0.5, 1.0, 1.5, -x * x) == pytest.approx(
+            math.atan(x) / x, rel=1e-14, abs=0.0
+        )
 
 
 @pytest.mark.parametrize(
