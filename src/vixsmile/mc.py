@@ -7,10 +7,12 @@ serves both. The factor values at the inner nodes are jointly Gaussian with
 covariances given by the kernel covariance integrals; they are drawn exactly
 through a factor of that matrix, truncated to its numerical rank, so the only
 discretisation is the trapezoid rule on the inner time grid.
-Sampling is deterministic: paths are generated in fixed-size chunks, each
-chunk owning a counter-based Philox stream keyed by the two words
-(seed, chunk index), so results are bit-identical for any worker count and
-no two (seed, chunk) pairs share a stream.
+Sampling is deterministic: paths are generated in fixed-size chunks, and
+chunk c of seed s draws from an SFC64 generator seeded by the c-th child of
+``SeedSequence(s)`` (spawn key (c,)), numpy's scheme for independent
+parallel streams. Results are bit-identical for any worker count, and
+different (seed, chunk) pairs seed their generators differently, so batches
+drawn at nearby seeds share no chunk.
 """
 
 from __future__ import annotations
@@ -156,9 +158,13 @@ def _run_chunks(
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # Philox's 128-bit key holds the seed (below 2**64) in its low word and
-    # the chunk index in its high word.
-    return np.random.Generator(np.random.Philox(key=seed + (chunk_index << 64)))
+    # The same stream as SeedSequence(seed).spawn(chunk_index + 1)[chunk_index],
+    # built without spawning the earlier children. SeedSequence hashes the
+    # seed and the spawn key together into SFC64's state, so (s, c + 1) and
+    # (s + 1, c) are seeded differently; numpy documents such spawned
+    # streams as independent with very high probability.
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 class FactorSampler:

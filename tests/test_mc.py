@@ -269,6 +269,29 @@ def test_consecutive_seeds_share_no_chunk():
     assert np.intersect1d(*rv).size == 0
 
 
+@pytest.mark.parametrize("seed, chunk_index", [(0, 0), (7, 1), (42, 5), (2 ** 63 + 9, 12)])
+def test_chunk_rng_is_the_spawned_child_stream(seed, chunk_index):
+    # Chunk c of seed s is the c-th child of SeedSequence(s), drawn with SFC64.
+    child = np.random.SeedSequence(seed).spawn(chunk_index + 1)[chunk_index]
+    expected = np.random.Generator(np.random.SFC64(child)).standard_normal(64)
+    assert np.array_equal(_chunk_rng(seed, chunk_index).standard_normal(64), expected)
+
+
+def test_chunk_rng_accepts_extreme_seed_and_chunk_index():
+    draws = _chunk_rng(2 ** 64 - 1, 2 ** 40).standard_normal(1000)
+    assert np.all(np.isfinite(draws))
+    assert not np.array_equal(draws, _chunk_rng(2 ** 64 - 1, 2 ** 40 - 1).standard_normal(1000))
+
+
+@pytest.mark.parametrize("seed, chunk_index", [(0, 0), (41, 3), (1000, 1)])
+def test_chunk_rng_streams_differ_across_diagonal_neighbours(seed, chunk_index):
+    # (s, c + 1) and (s + 1, c) are different streams; an additive key
+    # such as seed + chunk would make them the same.
+    a = _chunk_rng(seed, chunk_index + 1).standard_normal(4096)
+    b = _chunk_rng(seed + 1, chunk_index).standard_normal(4096)
+    assert np.intersect1d(a, b).size == 0
+
+
 def test_seed_changes_samples():
     grid = SimGrid(T=0.1, n_inner=8, n_paths=1000, seed=1)
     sampler = build_vix_sampler(mk(H=0.3, nu=2.0), grid)

@@ -7,6 +7,7 @@ Euler rule for 2F1, and mpmath as a high-precision reference.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -429,6 +430,36 @@ def test_gauss_jacobi_exact_on_monomials(alpha, n_nodes):
     for k in range(2 * n_nodes):
         exact = 1.0 / (k + alpha + 1.0)
         assert float(weights @ nodes ** k) == pytest.approx(exact, rel=1e-14, abs=0.0), k
+
+
+@pytest.mark.parametrize("hurst", [0.02, 0.3, 0.5])
+@pytest.mark.parametrize("n_nodes", [12, 16, 20])
+def test_gauss_jacobi_low_moments_to_a_few_ulps(hurst, n_nodes):
+    # The rule the kernel covariances and the overlap constant use, weight
+    # x^(H - 1/2). The moment sums are formed exactly from the returned
+    # doubles, so only the rule's own error is measured.
+    alpha = hurst - 0.5
+    nodes, weights = gauss_jacobi(alpha, n_nodes)
+    for k in range(6):
+        moment = sum(Fraction(w) * Fraction(x) ** k for x, w in zip(nodes, weights))
+        error = float(moment * (Fraction(alpha) + k + 1) - 1)
+        assert abs(error) <= 2.0 * np.finfo(float).eps, (k, error)
+
+
+@pytest.mark.parametrize("hurst, n_nodes", [(0.02, 20), (0.3, 16), (0.7, 5)])
+def test_gauss_jacobi_is_correctly_rounded(hurst, n_nodes):
+    # Each node and weight is the double nearest the exact one: the zeros of
+    # P_n^(0, alpha)(2x - 1) found at 40 digits by mpmath, and the weights
+    # 1 / ((1 - y^2) P_n'(y)^2) with P_n' = (n + alpha + 1)/2 P_(n-1)^(1, alpha+1).
+    alpha = hurst - 0.5
+    nodes, weights = gauss_jacobi(alpha, n_nodes)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for x, w in zip(nodes, weights):
+            y = mpmath.findroot(lambda t: mpmath.jacobi(n_nodes, 0, a, t), 2 * mpmath.mpf(x) - 1)
+            slope = (n_nodes + a + 1) / 2 * mpmath.jacobi(n_nodes - 1, 1, a + 1, y)
+            assert float((1 + y) / 2) == x
+            assert float(1 / ((1 - y * y) * slope ** 2)) == w
 
 
 def test_gauss_jacobi_without_weight_is_gauss_legendre():
