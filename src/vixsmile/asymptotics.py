@@ -55,9 +55,9 @@ QUAD_BOUND_TOL = 1e-7
 
 _TINY_ABS = 1e-280  # quadrature abs_tol floor; values scale like powers of T
 
-# Geometric Gauss-Kronrod panels of the finite-maturity skew's inner rule,
-# from T 2^-panels up to T.
-_SKEW_PANELS = 44
+# Geometric Gauss-Kronrod panels of the fixed rule over [0, T] behind the
+# level integrals and the skew's inner kernel mass, from T 2^-panels up to T.
+_PANELS = 44
 
 
 class DegenerateModelError(ValueError):
@@ -141,14 +141,31 @@ def _kernel_integral(params: ModelParams, bot, top):
     return params.beta ** -a * (gam[0] - gam[1])
 
 
-def _window_kernel(params: ModelParams, delta: float, t_mat: float, s):
-    """K-bar(s): the kernel mass seen from time s over the window [T, T+delta],
-    int_(T-s)^(T+delta-s) u^(H-1/2) e^(-beta u) du, vectorised over s."""
-    s_arr = np.asarray(s, dtype=float)
-    top = np.maximum(t_mat + delta - s_arr, 0.0)
-    bot = np.maximum(t_mat - s_arr, 0.0)
-    out = _kernel_integral(params, bot, top)
-    return float(out) if np.ndim(s) == 0 else out
+def _panel_rule(maturity: float):
+    """Nodes and weights of the fixed rule on [0, T]: the head ends 0 and
+    eps = T 2^-44, then 15-point Gauss-Kronrod panels [eps 2^j, eps 2^(j+1)]
+    up to T, weighted by Kronrod and by Kronrod minus its embedded Gauss rule."""
+    eps = maturity * 2.0 ** -_PANELS
+    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
+    edges = eps * 2.0 ** np.arange(_PANELS + 1.0)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    nodes = np.concatenate([[0.0, eps], (mid + half * gk_x).ravel()])
+    weights = np.stack([half * gk_kronrod, half * (gk_kronrod - gk_gauss)])
+    return nodes, weights.reshape(2, -1)
+
+
+def _integral_of_square(nodes, values, weights) -> tuple[float, float]:
+    """int_0^T G^2 and its bound from G at the nodes of :func:`_panel_rule`. G^2
+    must be monotone on the head, which takes the mean of its end values and
+    half their gap as its bound; each panel adds its Kronrod-Gauss gap,
+    floored at 50 ulps of its value as in QUADPACK's qk15."""
+    square = values * values
+    half_eps = 0.5 * nodes[1]
+    panels, gaps = (square[2:] * weights).reshape(2, _PANELS, -1).sum(axis=2)
+    floored = np.maximum(np.abs(gaps), 50.0 * 2.0 ** -52 * panels)
+    return (float(half_eps * (square[0] + square[1]) + panels.sum()),
+            float(half_eps * abs(square[1] - square[0]) + floored.sum()))
 
 
 def _volvol_derivatives(params: ModelParams) -> tuple[float, float]:
@@ -192,13 +209,11 @@ def vix_atmi_limit(params: ModelParams, delta: float) -> float:
 
 def _window_kernel_sq_integral(params: ModelParams, delta: float,
                                maturity: float) -> tuple[float, float]:
-    """int_0^T K-bar(s)^2 ds with error bound."""
-    spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-10)
-
-    def f(s):
-        return _window_kernel(params, delta, maturity, s) ** 2
-
-    return integrate_err(f, 0.0, maturity, spec)
+    """W = int_0^T K-bar(s)^2 ds with error bound, by the fixed rule in
+    tau = T - s, where K-bar(T - tau) = int_tau^(tau+delta) k falls."""
+    nodes, weights = _panel_rule(maturity)
+    kbar = _kernel_integral(params, nodes, nodes + delta)
+    return _integral_of_square(nodes, kbar, weights)
 
 
 def _vix_atmi_approx_err(fprime: float, v0: float, hurst: float, beta: float,
@@ -269,36 +284,22 @@ def sabr_mixed_vix_skew(gamma: float, nu: float, eta: float) -> float:
 def _kernel_mass_rule(params: ModelParams, delta: float, maturity: float):
     """Fixed rule for m(g) = int_0^T K-bar(T - tau) k(g + tau) dtau, any g >= 0.
 
-    Returns ``kernel_mass(gaps) -> (m, err)``, vectorised over the gaps, with
-    ``err`` an estimate of the absolute error of each m. The lag tau splits
-    into the head [0, eps], eps = T 2^-44, and 44 panels [eps 2^j,
-    eps 2^(j+1)] whose widths grow with the distance from the kernel
-    singularity at tau = -g <= 0:
-
-    - head: K-bar(T - tau) e^(-beta tau) falls monotonically from tau = 0 to
-      eps, so the head integral lies between its two end values times the
-      exact int_0^eps (g + tau)^(H-1/2) dtau. It takes the midpoint and
-      reports half the bracket;
-    - panels: 15-point Kronrod, each with its embedded 7-point Gauss rule as
-      the error estimate. The nodes are the same for every g, so K-bar is
-      evaluated once and folded into the weights.
+    Returns ``kernel_mass(gaps) -> (m, err)``, vectorised over the gaps with
+    ``err`` an estimate of each m's absolute error, then W and its bound from
+    the same K-bar values. The lag tau runs over :func:`_panel_rule`, whose
+    panels widen away from the kernel singularity at tau = -g <= 0. On the
+    head, K-bar(T - tau) e^(-beta tau) falls, so the head integral lies between
+    its two end values times the exact int_0^eps (g + tau)^(H-1/2) dtau: it
+    takes the midpoint and reports half the bracket. Each panel's error is its
+    gap to the embedded Gauss rule; K-bar is folded into the weights.
     """
-    a = params.H + 0.5
-    beta = params.beta
-    eps = maturity * 2.0 ** -_SKEW_PANELS
+    a, beta = params.H + 0.5, params.beta
+    nodes, weights = _panel_rule(maturity)
+    kbar = _kernel_integral(params, nodes, nodes + delta)
+    eps, tau = nodes[1], nodes[2:]
     # K-bar(T - tau) e^(-beta tau) at tau = 0 and tau = eps.
-    ends = np.array([0.0, eps])
-    hi, lo = _kernel_integral(params, ends, ends + delta) * np.exp(-beta * ends)
-
-    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
-    edges = eps * 2.0 ** np.arange(_SKEW_PANELS + 1.0)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    tau = (mid + half * gk_x).ravel()
-    kbar = _kernel_integral(params, tau, tau + delta)
-    weights = kbar * (half * gk_kronrod).ravel()
-    diff = weights - kbar * (half * gk_gauss).ravel()
-    starts = gk_x.size * np.arange(_SKEW_PANELS)
+    hi, lo = kbar[:2] * np.exp(-beta * nodes[:2])
+    kronrod, diff = kbar[2:] * weights
 
     def kernel_mass(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # int_0^eps (g + tau)^(H-1/2) e^(-beta g) dtau, with
@@ -312,13 +313,13 @@ def _kernel_mass_rule(params: ModelParams, delta: float, maturity: float):
         ) * np.exp(-beta * gaps) / a
 
         k_vals = kernel(params, gaps[:, None] + tau)
-        mass = 0.5 * (hi + lo) * power + k_vals @ weights
+        mass = 0.5 * (hi + lo) * power + k_vals @ kronrod
         err = 0.5 * (hi - lo) * power + np.abs(
-            np.add.reduceat(k_vals * diff, starts, axis=1)
+            (k_vals * diff).reshape(gaps.size, _PANELS, -1).sum(axis=2)
         ).sum(axis=1)
         return mass, err
 
-    return kernel_mass
+    return kernel_mass, *_integral_of_square(nodes, kbar, weights)
 
 
 def _skew_numerators(params: ModelParams, delta: float, maturity: float):
@@ -334,9 +335,9 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
 
     where I(s,u) = int_T^(T+delta) k(r-s) k(r-u) dr. The outer integral in r
     is adaptive; the inner kernel mass uses :func:`_kernel_mass_rule` for
-    all nodes of an outer panel at once.
+    all nodes of an outer panel at once, and W comes from the same rule.
     """
-    kernel_mass = _kernel_mass_rule(params, delta, maturity)
+    kernel_mass, w_int, w_err = _kernel_mass_rule(params, delta, maturity)
     outer_spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9, max_subdivisions=4000)
 
     # Largest relative error estimate of the inner rule, rel: the outer
@@ -354,7 +355,6 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     )
     cross *= 0.5
     cross_err = 0.5 * cross_err + 2.0 * worst_inner * cross
-    w_int, w_err = _window_kernel_sq_integral(params, delta, maturity)
     return cross, cross_err, w_int, w_err
 
 
@@ -423,13 +423,10 @@ def _rv_atmi_approx_err(fprime: float, v0: float, hurst: float, beta: float,
     if beta == 0.0:
         return rv_atmi_limit_general(fprime, v0, hurst) * maturity ** (hurst - 0.5), 0.0
 
-    spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-10)
-    scale = beta ** -(hurst + 0.5)
-
-    def f(sigma):
-        return (scale * lower_incomplete_gamma(hurst + 0.5, beta * sigma)) ** 2
-
-    integral, err = integrate_err(f, 0.0, maturity, spec)
+    # int_0^T G(sigma)^2 dsigma by the fixed rule, G(sigma) = int_0^sigma k.
+    nodes, weights = _panel_rule(maturity)
+    inner = beta ** -(hurst + 0.5) * lower_incomplete_gamma(hurst + 0.5, beta * nodes)
+    integral, err = _integral_of_square(nodes, inner, weights)
     value = fprime * math.sqrt(integral) / (v0 * maturity ** 1.5)
     return value, abs(value) * err / (2.0 * integral)
 

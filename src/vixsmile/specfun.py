@@ -408,6 +408,9 @@ def gauss_kronrod_15() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _GAMMA_EPS = 1e-16
 _GAMMA_MAX_ITER = 600
+# Series below x = a + _SERIES_REACH, where it is cheaper than the continued
+# fraction (measured, scalar and array) and, all terms positive, accurate.
+_SERIES_REACH = 4.0
 
 
 def _series_sum(a: float, x: float) -> tuple[float, int]:
@@ -452,7 +455,7 @@ def _uig_continued_fraction(a: float, x: float) -> float:
 
 
 def _lig_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    """:func:`_lig_series` for an array of 0 < x < a + 1, the partial
+    """:func:`_lig_series` for an array of 0 < x < a + 4, the partial
     products x^n / ((a+1)...(a+n)) of all terms as one cumulative product.
 
     Relative to its partial sum, the n-th term shrinks as x does (every
@@ -504,7 +507,7 @@ def lower_incomplete_gamma(a: float, x):
     """Lower incomplete gamma gamma(a, x) = int_0^x t^(a-1) e^-t dt.
 
     Standard (unnormalised) convention: nondecreasing in x with
-    gamma(a, inf) = Gamma(a). Series expansion for x < a + 1, continued
+    gamma(a, inf) = Gamma(a). Series expansion for x < a + 4, continued
     fraction for the complement otherwise. ``x`` may be a scalar, which
     returns a float, or an array, evaluated elementwise with both branches
     vectorised and returned in its shape. Raises :class:`QuadratureError`
@@ -522,7 +525,7 @@ def lower_incomplete_gamma(a: float, x):
             raise ValueError(f"argument must be nonnegative, got {x!r}")
         if x == 0.0:
             return 0.0
-        if x < a + 1.0:
+        if x < a + _SERIES_REACH:
             return _lig_series(a, x)
         return math.gamma(a) - _uig_continued_fraction(a, x)
 
@@ -533,11 +536,11 @@ def lower_incomplete_gamma(a: float, x):
     if lo < 0.0:
         raise ValueError(f"argument must be nonnegative, got {lo!r}")
     out = np.zeros(x.shape)
-    series = (x > 0.0) & (x < a + 1.0)
+    series = (x > 0.0) & (x < a + _SERIES_REACH)
     if series.any():
         out[series] = _lig_series_array(a, x[series])
-    if hi >= a + 1.0:
-        fraction = x >= a + 1.0
+    if hi >= a + _SERIES_REACH:
+        fraction = x >= a + _SERIES_REACH
         out[fraction] = math.gamma(a) - _uig_continued_fraction_array(a, x[fraction])
     return out
 

@@ -2,9 +2,10 @@
 
 Oracles: hand-evaluated closed forms, quadrature of defining integrals,
 brute-force tensor quadrature with scipy's independent 2F1, exact algebraic
-collapses (SABR flatness, beta = 0 reductions), the nested adaptive
-evaluation of the finite-maturity skew that its fixed inner rule replaced,
-and mpmath for the kernel-overlap constant.
+collapses (SABR flatness, beta = 0 reductions), the adaptive quadratures
+that the fixed rules of the level integrals and of the finite-maturity
+skew's inner kernel mass replaced, and mpmath for the level integrals, the
+kernel mass and the kernel-overlap constant.
 """
 
 import math
@@ -34,13 +35,120 @@ from vixsmile.asymptotics import (
     window_integrals,
 )
 from vixsmile.model import HestonParams, ModelParams, kernel
-from vixsmile.specfun import QuadSpec, integrate, integrate_err
+from vixsmile.specfun import QuadSpec, integrate, integrate_err, lower_incomplete_gamma
 
 DELTA = 30.0 / 365.0
 
 
 def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
     return ModelParams(v0=v0, H=H, beta=beta, gamma=gamma, nu=nu, eta=eta)
+
+
+# ---------------------------------------------------------------------------
+# adaptive oracles of the level integrals
+# ---------------------------------------------------------------------------
+
+def _window_kernel(params, delta, t_mat, s):
+    """K-bar(s): the kernel mass seen from time s over the window [T, T+delta],
+    int_(T-s)^(T+delta-s) u^(H-1/2) e^(-beta u) du, vectorised over s."""
+    s_arr = np.asarray(s, dtype=float)
+    top = np.maximum(t_mat + delta - s_arr, 0.0)
+    bot = np.maximum(t_mat - s_arr, 0.0)
+    out = asy._kernel_integral(params, bot, top)
+    return float(out) if np.ndim(s) == 0 else out
+
+
+def _window_kernel_sq_integral_oracle(params, delta, maturity):
+    """W = int_0^T K-bar(s)^2 ds by adaptive quadrature, with its bound."""
+    spec = QuadSpec(abs_tol=1e-280, rel_tol=1e-10)
+    return integrate_err(
+        lambda s: _window_kernel(params, delta, maturity, s) ** 2, 0.0, maturity, spec
+    )
+
+
+def _rv_level_integral_oracle(hurst, beta, maturity):
+    """int_0^T (int_0^sigma k)^2 dsigma by adaptive quadrature, with its bound."""
+    spec = QuadSpec(abs_tol=1e-280, rel_tol=1e-10)
+    a = hurst + 0.5
+
+    def f(sigma):
+        if beta == 0.0:
+            return (sigma ** a / a) ** 2
+        return (beta ** -a * lower_incomplete_gamma(a, beta * sigma)) ** 2
+
+    return integrate_err(f, 0.0, maturity, spec)
+
+
+def _rv_level_integral(hurst, beta, maturity):
+    """The same integral and its bound as rv_atmi_approx evaluates it: at
+    f'(0) = v0 = 1 the value is sqrt(integral) / T^(3/2)."""
+    value, bound = asy._rv_atmi_approx_err(1.0, 1.0, hurst, beta, maturity)
+    integral = (value * maturity ** 1.5) ** 2
+    return integral, 2.0 * integral * bound / value
+
+
+def _level_integral_mpmath(hurst, beta, maturity, window):
+    """W (window) or the RV integral (not window) at 30 digits, with the
+    kernel masses from mpmath's incomplete gamma between two limits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        a = mpmath.mpf(hurst) + 0.5
+        b, d, t = mpmath.mpf(beta), mpmath.mpf(DELTA), mpmath.mpf(maturity)
+
+        def mass(lo, hi):
+            if beta == 0.0:
+                return (hi ** a - lo ** a) / a
+            return mpmath.gammainc(a, b * lo, b * hi) / b ** a
+
+        def f(tau):
+            return (mass(tau, tau + d) if window else mass(0, tau)) ** 2
+
+        points = [t * mpmath.mpf(2) ** -k for k in range(40, -1, -8)]
+        return float(mpmath.quad(f, [0] + points))
+
+
+LEVEL_GRID = [
+    (hurst, beta, maturity)
+    for hurst in (0.02, 0.05, 0.1, 0.3, 0.5)
+    for beta in (0.0, 1.0, 5.0)
+    for maturity in (1e-6, 1e-3, 0.1, 1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("hurst, beta, maturity", LEVEL_GRID)
+def test_level_integrals_match_adaptive_oracles(hurst, beta, maturity):
+    params = mk(H=hurst, beta=beta)
+    w_int, _ = asy._window_kernel_sq_integral(params, DELTA, maturity)
+    w_oracle, _ = _window_kernel_sq_integral_oracle(params, DELTA, maturity)
+    assert w_int == pytest.approx(w_oracle, rel=1e-12, abs=0.0)
+    rv_int, _ = _rv_level_integral(hurst, beta, maturity)
+    rv_oracle, _ = _rv_level_integral_oracle(hurst, beta, maturity)
+    assert rv_int == pytest.approx(rv_oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "hurst, beta, maturity, window",
+    [
+        (0.5, 0.0, 0.25, True),
+        (0.05, 0.0, 2.0, True),
+        (0.1, 1.0, 1.0, True),
+        (0.3, 5.0, 2.0, True),
+        (0.02, 1.0, 1e-3, True),
+        (0.1, 1.0, 1.0, False),
+        (0.3, 5.0, 2.0, False),
+        (0.05, 1.0, 1e-6, False),
+        (0.5, 5.0, 2.0, False),
+    ],
+)
+def test_level_integrals_within_their_bounds_of_mpmath(hurst, beta, maturity, window):
+    if window:
+        params = mk(H=hurst, beta=beta)
+        value, bound = asy._window_kernel_sq_integral(params, DELTA, maturity)
+    else:
+        value, bound = _rv_level_integral(hurst, beta, maturity)
+    reference = _level_integral_mpmath(hurst, beta, maturity, window)
+    assert abs(value - reference) <= bound < 1e-10 * reference
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +295,7 @@ def test_vix_skew_approx_brute_force_oracle_rough_case():
     #   int_0^T Kbar(s) int_s^T Kbar(u) I(s,u) du ds, with
     #   I(s,u) = int_T^(T+delta) k(r-s) k(r-u) dr,
     # against the factorised evaluation inside vix_skew_approx.
-    from vixsmile.asymptotics import _skew_numerators, _window_kernel
-    from vixsmile.model import kernel
+    from vixsmile.asymptotics import _skew_numerators
 
     params = mk(H=0.35, beta=0.7)
     maturity = 0.05
@@ -228,7 +335,7 @@ def _skew_numerators_oracle(params, delta, maturity, rel_tol=1e-12):
         gap = r_scalar - maturity
 
         def f(tau):
-            return asy._window_kernel(params, delta, maturity, maturity - tau) * kernel(
+            return _window_kernel(params, delta, maturity, maturity - tau) * kernel(
                 params, gap + tau
             )
 
@@ -242,7 +349,7 @@ def _skew_numerators_oracle(params, delta, maturity, rel_tol=1e-12):
     cross, cross_err = integrate_err(m_squared, maturity, maturity + delta, outer_spec)
     cross *= 0.5
     cross_err = 0.5 * cross_err + 2.0 * worst_inner * cross
-    w_int, w_err = asy._window_kernel_sq_integral(params, delta, maturity)
+    w_int, w_err = _window_kernel_sq_integral_oracle(params, delta, maturity)
     return cross, cross_err, w_int, w_err
 
 
@@ -316,15 +423,15 @@ def test_kernel_mass_rule_error_estimate_covers_its_error(gap_over_eps):
     # is off by up to 1.3e-9, more than its 8-node partner estimates.
     hurst, maturity = 0.05, 2.0
     gap = maturity * 2.0 ** -44 * gap_over_eps
-    rule = asy._kernel_mass_rule(mk(H=hurst), DELTA, maturity)
+    rule = asy._kernel_mass_rule(mk(H=hurst), DELTA, maturity)[0]
     mass, err = rule(np.array([gap]))
     reference = _kernel_mass_mpmath(hurst, maturity, gap)
     assert abs(mass[0] - reference) <= err[0] < 1e-10 * reference
 
 
-def test_vix_skew_approx_runs_two_adaptive_quadratures(monkeypatch):
-    # The outer integral of Q_A and W: the inner kernel mass is a fixed rule,
-    # not one adaptive quadrature per outer node.
+def test_vix_skew_approx_runs_one_adaptive_quadrature(monkeypatch):
+    # Only the outer integral of Q_A is adaptive: the inner kernel mass and W
+    # come from one fixed rule, and the level formulas run none at all.
     calls = []
 
     def counting(*args, **kwargs):
@@ -332,8 +439,12 @@ def test_vix_skew_approx_runs_two_adaptive_quadratures(monkeypatch):
         return integrate_err(*args, **kwargs)
 
     monkeypatch.setattr(asy, "integrate_err", counting)
-    vix_skew_approx(mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0), DELTA, 0.25)
-    assert len(calls) == 2
+    params = mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
+    vix_skew_approx(params, DELTA, 0.25)
+    assert calls == [(0.25, 0.25 + DELTA)]
+    vix_atmi_approx(params, DELTA, 0.25)
+    rv_atmi_approx(params, 0.25)
+    assert len(calls) == 1
     assert not any(isinstance(value, np.vectorize) for value in vars(asy).values())
 
 

@@ -100,18 +100,21 @@ def test_gamma_domain_errors(a, x):
 
 def _gamma_array_grid(a):
     # Zero, a log-spread from 1e-300 to 700, and both sides of the branch
-    # point x = a + 1 between the series and the continued fraction.
+    # point x = a + _SERIES_REACH between the series and the continued fraction.
+    cut = a + specfun._SERIES_REACH
     return np.concatenate([
-        [0.0, np.nextafter(a + 1.0, 0.0), a + 1.0, 700.0],
+        [0.0, np.nextafter(a + 1.0, 0.0), a + 1.0, np.nextafter(cut, 0.0), cut, 700.0],
         np.geomspace(1e-300, 700.0, 400),
         np.linspace(0.0, 3.0 * (a + 1.0), 200),
+        np.linspace(0.0, 2.0 * cut, 200),
     ])
 
 
 @pytest.mark.parametrize("a", np.linspace(0.05, 3.0, 12))
 def test_gamma_array_matches_scalar_path(a):
     x = _gamma_array_grid(a)
-    assert np.any(x < a + 1.0) and np.any(x >= a + 1.0)
+    cut = a + specfun._SERIES_REACH
+    assert np.any(x < cut) and np.any(x >= cut)
     scalar = np.array([lower_incomplete_gamma(a, float(v)) for v in x])
     array = lower_incomplete_gamma(a, x)
     np.testing.assert_allclose(array, scalar, rtol=1e-14, atol=0.0)
@@ -150,6 +153,23 @@ def test_gamma_array_keeps_shape_and_scalar_gives_float():
 def test_gamma_array_domain_errors(a, x):
     with pytest.raises(ValueError):
         lower_incomplete_gamma(a, x)
+
+
+@pytest.mark.parametrize("a", [0.02, 0.1, 0.3, 0.6, 0.8, 1.0, 1.5, 3.0])
+def test_gamma_both_sides_of_the_branch_point_match_mpmath(a):
+    # The series reaches past x = a + 1, where the continued fraction takes
+    # up to about 60 steps: both paths hold 2e-15 on both sides of the cut.
+    cut = a + specfun._SERIES_REACH
+    x = np.concatenate([
+        a + np.linspace(0.5, specfun._SERIES_REACH, 12)[:-1],
+        [np.nextafter(cut, 0.0), cut],
+        cut + np.linspace(0.0, 6.0, 7)[1:],
+    ])
+    with mpmath.workdps(30):
+        reference = np.array([float(mpmath.gammainc(a, 0, mpmath.mpf(v))) for v in x])
+    scalar = np.array([lower_incomplete_gamma(a, float(v)) for v in x])
+    for values in (scalar, lower_incomplete_gamma(a, x)):
+        np.testing.assert_allclose(values, reference, rtol=2e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("x", [0.5, 5.0])
