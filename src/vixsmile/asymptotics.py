@@ -5,11 +5,13 @@ options under the mixed rough lognormal model, their finite-maturity
 approximations, the kernel-overlap constant entering the realized-variance
 skew, and the Heston/SABR skew-sign examples.
 
-Each mixture-model operation also has a ``*_general`` sibling taking the
-scalars (f', f'', v0) of an arbitrary smooth variance map v = f(Y) at Y = 0;
-the mixture versions are the tested specialisations, with
+The paper states these results for a general smooth variance map v = f(Y)
+through f'(0) and f''(0); the mixture model enters only through
 f'(0) = v0 (gamma nu + (1-gamma) eta) sqrt(2H) and
 f''(0) = v0 (gamma nu^2 + (1-gamma) eta^2) (2H).
+Each quadrature-backed formula has one ``_<name>_err(params, ...)`` function
+returning (value, error bound), called by both its public function and
+:func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -116,8 +118,7 @@ class WindowIntegrals:
 
 def window_integrals(params: ModelParams, delta: float) -> WindowIntegrals:
     """Kernel window moments in closed form via the incomplete gamma."""
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _check_positive("delta", delta)
     hurst, beta = params.H, params.beta
     if beta == 0.0:
         int_k = delta ** (hurst + 0.5) / (hurst + 0.5)
@@ -137,6 +138,8 @@ def _kernel_integral(params: ModelParams, bot, top):
     a = params.H + 0.5
     if params.beta == 0.0:
         return (top ** a - bot ** a) / a
+    if np.ndim(bot) == 0 and bot == 0.0:  # gamma(a, 0) = 0: skip its evaluations
+        return params.beta ** -a * lower_incomplete_gamma(a, params.beta * top)
     gam = lower_incomplete_gamma(a, params.beta * np.stack([top, bot]))
     return params.beta ** -a * (gam[0] - gam[1])
 
@@ -182,29 +185,27 @@ def _require_nondegenerate(params: ModelParams) -> None:
         )
 
 
-def _check_maturity(maturity: float) -> None:
-    if not (maturity > 0.0 and math.isfinite(maturity)):
-        raise ValueError(f"maturity must be positive and finite, got {maturity!r}")
+def _skew_derivatives(params: ModelParams) -> tuple[float, float]:
+    """(f'(0), f''(0)) for the skew formulas, which divide by f'(0)."""
+    _require_nondegenerate(params)
+    return _volvol_derivatives(params)
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
 # VIX ATM implied-vol level
 # ---------------------------------------------------------------------------
 
-def vix_atmi_limit_general(fprime: float, v0: float, hurst: float, beta: float,
-                           delta: float) -> float:
-    """Short-maturity VIX ATM implied-vol limit for v = f(Y):
-    f'(0)/(2 delta v0) * int_0^delta u^(H-1/2) e^(-beta u) du."""
-    wi = window_integrals(
-        ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0), delta
-    )
-    return fprime * wi.int_kernel / (2.0 * delta * v0)
-
-
 def vix_atmi_limit(params: ModelParams, delta: float) -> float:
-    """Short-maturity VIX ATM implied-vol; independent of v0."""
+    """Short-maturity VIX ATM implied vol,
+    f'(0)/(2 delta v0) * int_0^delta u^(H-1/2) e^(-beta u) du; independent of v0."""
     fprime, _ = _volvol_derivatives(params)
-    return vix_atmi_limit_general(fprime, params.v0, params.H, params.beta, delta)
+    wi = window_integrals(params, delta)
+    return fprime * wi.int_kernel / (2.0 * delta * params.v0)
 
 
 def _window_kernel_sq_integral(params: ModelParams, delta: float,
@@ -216,60 +217,49 @@ def _window_kernel_sq_integral(params: ModelParams, delta: float,
     return _integral_of_square(nodes, kbar, weights)
 
 
-def _vix_atmi_approx_err(fprime: float, v0: float, hurst: float, beta: float,
-                        delta: float, maturity: float) -> tuple[float, float]:
-    """:func:`vix_atmi_approx_general` and its first-order quadrature bound."""
-    _check_maturity(maturity)
-    params = ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0)
+def _rv_level_integral(params: ModelParams, maturity: float) -> tuple[float, float]:
+    """int_0^T G(sigma)^2 dsigma with error bound, G(sigma) = int_0^sigma k,
+    by the same fixed rule."""
+    nodes, weights = _panel_rule(maturity)
+    inner = _kernel_integral(params, 0.0, nodes)
+    return _integral_of_square(nodes, inner, weights)
+
+
+def _vix_atmi_approx_err(params: ModelParams, delta: float,
+                         maturity: float) -> tuple[float, float]:
+    """:func:`vix_atmi_approx` and its first-order quadrature bound."""
+    _check_positive("delta", delta)
+    _check_positive("maturity", maturity)
+    fprime, _ = _volvol_derivatives(params)
     w_int, w_err = _window_kernel_sq_integral(params, delta, maturity)
-    value = fprime * math.sqrt(w_int) / (v0 * 2.0 * delta * math.sqrt(maturity))
+    value = fprime * math.sqrt(w_int) / (params.v0 * 2.0 * delta * math.sqrt(maturity))
     return value, abs(value) * w_err / (2.0 * w_int)
 
 
-def vix_atmi_approx_general(fprime: float, v0: float, hurst: float, beta: float,
-                            delta: float, maturity: float) -> float:
-    """Finite-maturity VIX ATM implied-vol approximation:
-    f'(0)/(v0 2 delta sqrt(T)) * sqrt(int_0^T K-bar(s)^2 ds)."""
-    return _vix_atmi_approx_err(fprime, v0, hurst, beta, delta, maturity)[0]
-
-
 def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float:
-    """Finite-maturity VIX ATM implied-vol approximation; tends to
+    """Finite-maturity VIX ATM implied-vol approximation,
+    f'(0)/(v0 2 delta sqrt(T)) * sqrt(int_0^T K-bar(s)^2 ds); tends to
     :func:`vix_atmi_limit` as maturity goes to zero.
 
     First order in the vol-of-vol: sharpest for single-factor configurations
     (gamma in {0, 1}); genuine mixtures pick up curvature terms it omits.
     """
-    fprime, _ = _volvol_derivatives(params)
-    return vix_atmi_approx_general(
-        fprime, params.v0, params.H, params.beta, delta, maturity
-    )
+    return _vix_atmi_approx_err(params, delta, maturity)[0]
 
 
 # ---------------------------------------------------------------------------
 # VIX ATM skew
 # ---------------------------------------------------------------------------
 
-def vix_skew_limit_general(fprime: float, fsecond: float, v0: float, hurst: float,
-                           beta: float, delta: float) -> float:
-    """Short-maturity VIX skew for v = f(Y):
-    (1/2) (G/J f''/f' - J/delta f'/v0) with G, J the window moments."""
-    wi = window_integrals(
-        ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0), delta
-    )
-    ratio_term = wi.int_kernel_sq / wi.int_kernel * fsecond / fprime
-    level_term = wi.int_kernel / delta * fprime / v0
-    return 0.5 * (ratio_term - level_term)
-
-
 def vix_skew_limit(params: ModelParams, delta: float) -> float:
-    """Short-maturity VIX skew of the mixture model; positive for genuine
-    mixtures (gamma in (0,1), nu != eta), zero in the plain lognormal case."""
-    _require_nondegenerate(params)
-    fprime, fsecond = _volvol_derivatives(params)
-    return vix_skew_limit_general(
-        fprime, fsecond, params.v0, params.H, params.beta, delta
-    )
+    """Short-maturity VIX skew (1/2) (G/J f''/f' - J/delta f'/v0), with G, J
+    the window moments; positive for genuine mixtures (gamma in (0,1),
+    nu != eta), zero in the plain lognormal case."""
+    fprime, fsecond = _skew_derivatives(params)
+    wi = window_integrals(params, delta)
+    ratio_term = wi.int_kernel_sq / wi.int_kernel * fsecond / fprime
+    level_term = wi.int_kernel / delta * fprime / params.v0
+    return 0.5 * (ratio_term - level_term)
 
 
 def sabr_mixed_vix_skew(gamma: float, nu: float, eta: float) -> float:
@@ -358,15 +348,15 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     return cross, cross_err, w_int, w_err
 
 
-def _vix_skew_approx_err(fprime: float, fsecond: float, v0: float, hurst: float,
-                        beta: float, delta: float,
-                        maturity: float) -> tuple[float, float]:
-    """:func:`vix_skew_approx_general` and its first-order quadrature bound."""
-    _check_maturity(maturity)
-    params = ModelParams(v0=v0, H=hurst, beta=beta, gamma=1.0, nu=0.0, eta=0.0)
+def _vix_skew_approx_err(params: ModelParams, delta: float,
+                         maturity: float) -> tuple[float, float]:
+    """:func:`vix_skew_approx` and its first-order quadrature bound."""
+    fprime, fsecond = _skew_derivatives(params)
+    _check_positive("delta", delta)
+    _check_positive("maturity", maturity)
     cross, cross_err, w_int, w_err = _skew_numerators(params, delta, maturity)
     curvature = fsecond / fprime
-    level = (fprime / v0) * w_int ** 2 / (2.0 * delta)
+    level = (fprime / params.v0) * w_int ** 2 / (2.0 * delta)
     denominator = w_int ** 1.5 * math.sqrt(maturity)
     value = (curvature * cross - level) / denominator
     # Partial derivatives of the value in Q_A and in W.
@@ -375,79 +365,51 @@ def _vix_skew_approx_err(fprime: float, fsecond: float, v0: float, hurst: float,
     return value, abs(d_cross) * cross_err + abs(d_w) * w_err
 
 
-def vix_skew_approx_general(fprime: float, fsecond: float, v0: float, hurst: float,
-                            beta: float, delta: float, maturity: float) -> float:
+def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float:
     """Finite-maturity VIX skew approximation, normalised so the zero-maturity
-    limit reproduces :func:`vix_skew_limit_general` exactly:
+    limit reproduces :func:`vix_skew_limit` exactly:
 
         [f''/f' Q_A - f'/v0 Q_B/delta] / (W^(3/2) sqrt(T))
 
     with W = int K-bar^2, Q_B = W^2/2, and Q_A the cross-kernel double
-    integral of :func:`_skew_numerators`.
+    integral of :func:`_skew_numerators`. Flat in maturity for the mixed
+    SABR configuration.
     """
-    return _vix_skew_approx_err(
-        fprime, fsecond, v0, hurst, beta, delta, maturity
-    )[0]
-
-
-def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float:
-    """Finite-maturity VIX skew of the mixture model; flat in maturity for the
-    mixed SABR configuration and converging to :func:`vix_skew_limit`."""
-    _require_nondegenerate(params)
-    fprime, fsecond = _volvol_derivatives(params)
-    return vix_skew_approx_general(
-        fprime, fsecond, params.v0, params.H, params.beta, delta, maturity
-    )
+    return _vix_skew_approx_err(params, delta, maturity)[0]
 
 
 # ---------------------------------------------------------------------------
 # Realized-variance ATM implied-vol level
 # ---------------------------------------------------------------------------
 
-def rv_atmi_limit_general(fprime: float, v0: float, hurst: float) -> float:
-    """Limit of T^(1/2-H) times the RV ATM implied vol:
-    f'(0)/((H + 1/2) sqrt(2H + 2) v0); independent of beta."""
-    return fprime / ((hurst + 0.5) * math.sqrt(2.0 * hurst + 2.0) * v0)
-
-
 def rv_atmi_limit(params: ModelParams) -> float:
-    """Power-law coefficient of the short-maturity RV ATM implied vol."""
+    """Power-law coefficient of the short-maturity RV ATM implied vol, the
+    limit of T^(1/2-H) times it: f'(0)/((H + 1/2) sqrt(2H + 2) v0);
+    independent of beta."""
     fprime, _ = _volvol_derivatives(params)
-    return rv_atmi_limit_general(fprime, params.v0, params.H)
+    hurst = params.H
+    return fprime / ((hurst + 0.5) * math.sqrt(2.0 * hurst + 2.0) * params.v0)
 
 
-def _rv_atmi_approx_err(fprime: float, v0: float, hurst: float, beta: float,
-                        maturity: float) -> tuple[float, float]:
-    """:func:`rv_atmi_approx_general` and its first-order quadrature bound."""
-    _check_maturity(maturity)
-    if beta == 0.0:
-        return rv_atmi_limit_general(fprime, v0, hurst) * maturity ** (hurst - 0.5), 0.0
-
-    # int_0^T G(sigma)^2 dsigma by the fixed rule, G(sigma) = int_0^sigma k.
-    nodes, weights = _panel_rule(maturity)
-    inner = beta ** -(hurst + 0.5) * lower_incomplete_gamma(hurst + 0.5, beta * nodes)
-    integral, err = _integral_of_square(nodes, inner, weights)
-    value = fprime * math.sqrt(integral) / (v0 * maturity ** 1.5)
+def _rv_atmi_approx_err(params: ModelParams, maturity: float) -> tuple[float, float]:
+    """:func:`rv_atmi_approx` and its first-order quadrature bound."""
+    _check_positive("maturity", maturity)
+    if params.beta == 0.0:
+        return rv_atmi_limit(params) * maturity ** (params.H - 0.5), 0.0
+    fprime, _ = _volvol_derivatives(params)
+    integral, err = _rv_level_integral(params, maturity)
+    value = fprime * math.sqrt(integral) / (params.v0 * maturity ** 1.5)
     return value, abs(value) * err / (2.0 * integral)
 
 
-def rv_atmi_approx_general(fprime: float, v0: float, hurst: float, beta: float,
-                           maturity: float) -> float:
+def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
     """Finite-maturity RV ATM implied vol:
     f'(0)/(v0 T^(3/2)) sqrt(int_0^T (int_s^T k(u-s) du)^2 ds).
 
     For beta = 0 the double integral collapses analytically and the value is
     exactly the limit coefficient times T^(H-1/2).
     """
-    return _rv_atmi_approx_err(fprime, v0, hurst, beta, maturity)[0]
-
-
-def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
-    """Finite-maturity RV ATM implied vol of the mixture model."""
-    fprime, _ = _volvol_derivatives(params)
-    return rv_atmi_approx_general(
-        fprime, params.v0, params.H, params.beta, maturity
-    )
+    return _rv_atmi_approx_err(params, maturity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -546,31 +508,26 @@ def _rv_skew_constant_err(hurst: float) -> tuple[float, float]:
     return 0.5 * float(kronrod.sum()), 0.5 * float(bound.sum())
 
 
-def _rv_skew_limit_err(fprime: float, fsecond: float, v0: float,
-                       hurst: float) -> tuple[float, float]:
-    """:func:`rv_skew_limit_general` and its first-order quadrature bound."""
+def _rv_skew_limit_err(params: ModelParams) -> tuple[float, float]:
+    """:func:`rv_skew_limit` and its first-order quadrature bound."""
+    fprime, fsecond = _skew_derivatives(params)
+    hurst = params.H
+    # Through the public lru-cached name, so its cache statistics see every lookup.
     overlap = rv_skew_constant(hurst)
     curvature_term = (
         fsecond / fprime * overlap * (2.0 * hurst + 2.0) ** 1.5 * (hurst + 0.5)
     )
-    level_term = fprime / (v0 * (2.0 * hurst + 1.0) * math.sqrt(2.0 * hurst + 2.0))
+    level_term = fprime / (params.v0 * (2.0 * hurst + 1.0) * math.sqrt(2.0 * hurst + 2.0))
     _, overlap_err = _rv_skew_constant_err(hurst)
     return curvature_term - level_term, abs(curvature_term) * overlap_err / overlap
 
 
-def rv_skew_limit_general(fprime: float, fsecond: float, v0: float,
-                          hurst: float) -> float:
-    """Limit of T^(1/2-H) times the RV ATM skew:
-    f''/f' I(H) (2H+2)^(3/2) (H+1/2) - f'/(v0 (2H+1) sqrt(2H+2))."""
-    return _rv_skew_limit_err(fprime, fsecond, v0, hurst)[0]
-
-
 def rv_skew_limit(params: ModelParams) -> float:
-    """Power-law coefficient of the short-maturity RV ATM skew; scales
-    linearly under joint scaling of (nu, eta)."""
-    _require_nondegenerate(params)
-    fprime, fsecond = _volvol_derivatives(params)
-    return rv_skew_limit_general(fprime, fsecond, params.v0, params.H)
+    """Power-law coefficient of the short-maturity RV ATM skew, the limit of
+    T^(1/2-H) times it:
+    f''/f' I(H) (2H+2)^(3/2) (H+1/2) - f'/(v0 (2H+1) sqrt(2H+2)).
+    Scales linearly under joint scaling of (nu, eta)."""
+    return _rv_skew_limit_err(params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +542,7 @@ def heston_vix_skew_sign(params: HestonParams, delta: float) -> tuple[float, int
     Negative under typical reversion speeds, implying a negative VIX skew;
     the sign flips for very large k*delta. Returns (value, sign).
     """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _check_positive("delta", delta)
     k_delta = params.k * delta
     decay = -math.expm1(-k_delta)  # 1 - e^(-k delta)
     value = (params.nu ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)
@@ -610,37 +566,23 @@ def _echo(params, **extra) -> dict:
     return out
 
 
-def _skew_derivatives(params: ModelParams) -> tuple[float, float]:
-    _require_nondegenerate(params)
-    return _volvol_derivatives(params)
-
-
 # formula -> (function of (params, delta, maturity) returning (value, quadrature
 # bound), needs delta, needs maturity). Closed forms report a zero bound.
 _FORMULAS: dict[FormulaId, tuple[Callable[..., tuple[float, float]], bool, bool]] = {
     FormulaId.VIX_ATMI_LIMIT: (
         lambda p, d, t: (vix_atmi_limit(p, d), 0.0), True, False),
-    FormulaId.VIX_ATMI_APPROX: (
-        lambda p, d, t: _vix_atmi_approx_err(
-            _volvol_derivatives(p)[0], p.v0, p.H, p.beta, d, t),
-        True, True),
+    FormulaId.VIX_ATMI_APPROX: (_vix_atmi_approx_err, True, True),
     FormulaId.VIX_SKEW_LIMIT: (
         lambda p, d, t: (vix_skew_limit(p, d), 0.0), True, False),
-    FormulaId.VIX_SKEW_APPROX: (
-        lambda p, d, t: _vix_skew_approx_err(
-            *_skew_derivatives(p), p.v0, p.H, p.beta, d, t),
-        True, True),
+    FormulaId.VIX_SKEW_APPROX: (_vix_skew_approx_err, True, True),
     FormulaId.SABR_VIX_SKEW: (
         lambda p, d, t: (sabr_mixed_vix_skew(p.gamma, p.nu, p.eta), 0.0), True, False),
     FormulaId.RV_ATMI_LIMIT: (
         lambda p, d, t: (rv_atmi_limit(p), 0.0), False, False),
     FormulaId.RV_ATMI_APPROX: (
-        lambda p, d, t: _rv_atmi_approx_err(
-            _volvol_derivatives(p)[0], p.v0, p.H, p.beta, t),
-        False, True),
+        lambda p, d, t: _rv_atmi_approx_err(p, t), False, True),
     FormulaId.RV_SKEW_LIMIT: (
-        lambda p, d, t: _rv_skew_limit_err(*_skew_derivatives(p), p.v0, p.H),
-        False, False),
+        lambda p, d, t: _rv_skew_limit_err(p), False, False),
     FormulaId.HESTON_VIX_SKEW_SIGN: (
         lambda p, d, t: (heston_vix_skew_sign(p, d)[0], 0.0), True, False),
 }

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from . import asymptotics as asy
 from .acceptance import CRITERIA, run_criterion
@@ -38,7 +39,9 @@ SCHEMA_VERSION = "v1"
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (defaults < config file < flags < env seed)."""
+    """Resolved run configuration. Each setting comes from its flag, else the
+    config file, else the field default below; the seed alone falls back to
+    ``VIXSMILE_SEED`` before its default (see :func:`resolve_config`)."""
 
     model: str = "mixed"
     underlying: str = "vix"
@@ -112,8 +115,7 @@ def _echo_header(config: RunConfig, schema: str) -> str:
     ]
     if config.model == "heston":
         fields.append(f"heston_k={_fmt(config.heston_k)}")
-        theta = config.v0 if config.heston_theta is None else config.heston_theta
-        fields.append(f"heston_theta={_fmt(theta)}")
+        fields.append(f"heston_theta={_fmt(config.heston_params().theta)}")
     return f"# vixsmile-csv schema={schema}.{SCHEMA_VERSION} " + " ".join(fields)
 
 
@@ -279,11 +281,33 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
+# Flag destination, which is also the config-file key ("--skew-step" ->
+# "skew_step") -> (RunConfig field, caster of the flag or file value). The
+# defaults live only in RunConfig.
+_SETTINGS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "model": ("model", str),
+    "underlying": ("underlying", str),
+    "v0": ("v0", float),
+    "hurst": ("hurst", float),
+    "beta": ("beta", float),
+    "gamma": ("gamma", float),
+    "nu": ("nu", float),
+    "eta": ("eta", float),
+    "delta": ("delta", float),
+    "T": ("maturities", _parse_float_list),
+    "paths": ("n_paths", int),
+    "inner": ("n_inner", int),
+    "seed": ("seed", int),
+    "skew_step": ("skew_step", float),
+    "out": ("out_path", str),
+    "workers": ("workers", int),
+    "heston_k": ("heston_k", float),
+    "heston_theta": ("heston_theta", float),
+}
+
+
 def load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` pairs; ``#`` starts a comment."""
-    # The keys are the flags' destinations, i.e. the long flags without
-    # dashes ("--skew-step" -> "skew_step"), less those that name no setting.
-    keys = set(vars(build_parser().parse_args(["asymptote"]))) - {"command", "config", "quick"}
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -293,7 +317,7 @@ def load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in keys:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value
     return out
@@ -352,53 +376,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    settings: dict[str, str] = {}
-    if args.config:
-        settings.update(load_config_file(args.config))
-
-    def pick(flag_value, key: str, default, caster):
-        if flag_value is not None:
-            return flag_value
-        if key in settings:
-            return caster(settings[key])
-        return default
-
-    seed_default = int(os.environ.get("VIXSMILE_SEED", "42"))
-    maturities = pick(args.T, "T", "0.25", str)
-    theta = pick(args.heston_theta, "heston_theta", None, float)
-    return RunConfig(
-        model=pick(args.model, "model", "mixed", str),
-        underlying=pick(args.underlying, "underlying", "vix", str),
-        v0=pick(args.v0, "v0", 0.04, float),
-        hurst=pick(args.hurst, "hurst", 0.3, float),
-        beta=pick(args.beta, "beta", 0.0, float),
-        gamma=pick(args.gamma, "gamma", 1.0, float),
-        nu=pick(args.nu, "nu", 2.0, float),
-        eta=pick(args.eta, "eta", 0.0, float),
-        delta=pick(args.delta, "delta", 30.0 / 365.0, float),
-        maturities=_parse_float_list(maturities if isinstance(maturities, str)
-                                     else str(maturities)),
-        n_paths=pick(args.paths, "paths", 200_000, int),
-        n_inner=pick(args.inner, "inner", 64, int),
-        seed=pick(args.seed, "seed", seed_default, int),
-        skew_step=pick(args.skew_step, "skew_step", 0.01, float),
-        out_path=pick(args.out, "out", "-", str),
-        workers=pick(args.workers, "workers", 0, int),
-        quick=bool(args.quick),
-        heston_k=pick(args.heston_k, "heston_k", 1.0, float),
-        heston_theta=float(theta) if theta is not None else None,
-    )
+    """RunConfig from the flags, else the config file, else (seed only)
+    ``VIXSMILE_SEED``; a setting none of them gives keeps its field default."""
+    settings = load_config_file(args.config) if args.config else {}
+    values = {}
+    for key, (name, caster) in _SETTINGS.items():
+        raw = getattr(args, key)
+        if raw is None:
+            raw = settings.get(key)
+        if raw is not None:
+            values[name] = caster(raw)
+    if "seed" not in values and "VIXSMILE_SEED" in os.environ:
+        values["seed"] = int(os.environ["VIXSMILE_SEED"])
+    return RunConfig(quick=args.quick, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        # Fail fast on invalid model parameters before any simulation.
+        # Fail fast on invalid model parameters, maturities or window before
+        # any output or simulation.
         if config.model == "mixed":
             config.model_params()
         else:
             config.heston_params()
+        for maturity in config.maturities:
+            config.sim_grid(maturity)
     except (ValueError, OSError) as exc:
         _log(f"vixsmile: configuration error: {exc}")
         return 2

@@ -80,11 +80,8 @@ def _rv_level_integral_oracle(hurst, beta, maturity):
 
 
 def _rv_level_integral(hurst, beta, maturity):
-    """The same integral and its bound as rv_atmi_approx evaluates it: at
-    f'(0) = v0 = 1 the value is sqrt(integral) / T^(3/2)."""
-    value, bound = asy._rv_atmi_approx_err(1.0, 1.0, hurst, beta, maturity)
-    integral = (value * maturity ** 1.5) ** 2
-    return integral, 2.0 * integral * bound / value
+    """The same integral and its bound as rv_atmi_approx evaluates it."""
+    return asy._rv_level_integral(mk(H=hurst, beta=beta), maturity)
 
 
 def _level_integral_mpmath(hurst, beta, maturity, window):
@@ -225,6 +222,13 @@ def test_vix_atmi_approx_zero_volvol():
 def test_vix_atmi_approx_rejects_bad_maturity():
     with pytest.raises(ValueError):
         vix_atmi_approx(mk(), DELTA, 0.0)
+
+
+@pytest.mark.parametrize("func", [vix_atmi_approx, vix_skew_approx])
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
+def test_vix_approximations_reject_bad_window(func, delta):
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        func(mk(), delta, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +652,53 @@ def test_heston_sign_flip_at_large_reversion():
 # ---------------------------------------------------------------------------
 # formula registry
 # ---------------------------------------------------------------------------
+
+# Each formula's public function, of (params, maturity), and for the four
+# quadrature-backed ones the (value, bound) function evaluate() shares.
+_PUBLIC = {
+    FormulaId.VIX_ATMI_LIMIT: lambda p, t: vix_atmi_limit(p, DELTA),
+    FormulaId.VIX_ATMI_APPROX: lambda p, t: vix_atmi_approx(p, DELTA, t),
+    FormulaId.VIX_SKEW_LIMIT: lambda p, t: vix_skew_limit(p, DELTA),
+    FormulaId.VIX_SKEW_APPROX: lambda p, t: vix_skew_approx(p, DELTA, t),
+    FormulaId.SABR_VIX_SKEW: lambda p, t: sabr_mixed_vix_skew(p.gamma, p.nu, p.eta),
+    FormulaId.RV_ATMI_LIMIT: lambda p, t: rv_atmi_limit(p),
+    FormulaId.RV_ATMI_APPROX: lambda p, t: rv_atmi_approx(p, t),
+    FormulaId.RV_SKEW_LIMIT: lambda p, t: rv_skew_limit(p),
+    FormulaId.HESTON_VIX_SKEW_SIGN: lambda p, t: heston_vix_skew_sign(p, DELTA)[0],
+}
+_ERR = {
+    FormulaId.VIX_ATMI_APPROX: lambda p, t: asy._vix_atmi_approx_err(p, DELTA, t),
+    FormulaId.VIX_SKEW_APPROX: lambda p, t: asy._vix_skew_approx_err(p, DELTA, t),
+    FormulaId.RV_ATMI_APPROX: lambda p, t: asy._rv_atmi_approx_err(p, t),
+    FormulaId.RV_SKEW_LIMIT: lambda p, t: asy._rv_skew_limit_err(p),
+}
+_WITH_MATURITY = {FormulaId.VIX_ATMI_APPROX, FormulaId.VIX_SKEW_APPROX,
+                  FormulaId.RV_ATMI_APPROX}
+
+
+@pytest.mark.parametrize("fid", [f for f in FormulaId if f is not FormulaId.HESTON_VIX_SKEW_SIGN])
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_evaluate_equals_the_public_function(fid, hurst, beta, mixed):
+    params = (mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0) if mixed
+              else mk(H=hurst, beta=beta))
+    for maturity in (1e-3, 0.5) if fid in _WITH_MATURITY else (None,):
+        res = evaluate(fid, params, delta=DELTA, maturity=maturity)
+        assert res.value == _PUBLIC[fid](params, maturity)
+        if fid in _ERR:
+            assert (res.value, res.quad_error_bound) == _ERR[fid](params, maturity)
+        else:
+            assert res.quad_error_bound == 0.0
+
+
+@pytest.mark.parametrize("k", [1.0, 100.0])
+def test_evaluate_equals_the_public_heston_sign(k):
+    params = HestonParams(k=k, theta=0.09, nu=0.3, v0=0.09)
+    res = evaluate(FormulaId.HESTON_VIX_SKEW_SIGN, params, delta=DELTA)
+    assert res.value == _PUBLIC[FormulaId.HESTON_VIX_SKEW_SIGN](params, None)
+    assert res.inputs_echo["sign"] == heston_vix_skew_sign(params, DELTA)[1]
+
 
 def test_evaluate_closed_forms():
     params = mk(H=0.5, gamma=0.5, nu=3.0, eta=1.0)

@@ -85,10 +85,32 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert "seed=3" in out.splitlines()[0]
 
 
+def test_unset_settings_keep_the_run_config_defaults(monkeypatch):
+    monkeypatch.delenv("VIXSMILE_SEED", raising=False)
+    args = cli.build_parser().parse_args(["asymptote"])
+    assert cli.resolve_config(args) == RunConfig()
+    # Every setting flag reaches a RunConfig field.
+    assert set(cli._SETTINGS) == set(vars(args)) - {"command", "config", "quick"}
+
+
 def test_invalid_model_parameters_exit_nonzero(capsys):
     code, _, err = run_cli(["atmi", "--hurst", "0.9"] + BASE, capsys)
     assert code == 2
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("command", ["atmi", "asymptote"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--T", "nan"], ["--T", "inf"], ["--T", "0.1,inf"],
+     ["--delta", "nan"], ["--delta", "0"]],
+    ids=" ".join,
+)
+def test_non_finite_maturity_or_window_fails_before_any_output(command, flags, capsys):
+    code, out, err = run_cli([command] + BASE + flags, capsys)
+    assert code == 2
+    assert "configuration error" in err
+    assert out == ""
 
 
 def test_run_config_validation():
