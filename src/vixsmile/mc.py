@@ -40,10 +40,11 @@ __all__ = [
 ]
 
 # Relative eigenvalue tolerance of _factor. Dropping the eigenvalues below
-# tol * max moves no covariance entry by more than ~1.3e-13 of the largest,
-# under the ~7e-13 accuracy of the matrices themselves; at 1e-12 the dropped
-# eigenvalues add up to 8e-12. The most negative eigenvalue of a sampler
-# covariance is about -1.2e-15 of the largest (n_inner up to 512).
+# tol * max moves no covariance entry by more than ~1.2e-13 of the largest
+# (the matrices agree with their scalar oracle to ~7e-15 of it); at 1e-12
+# the dropped eigenvalues add up to 8e-12. The tolerance must stay above the
+# eigenvalue noise: the most negative eigenvalue of a sampler covariance is
+# about -1.1e-15 of the largest (n_inner up to 512).
 _FACTOR_TOL = 1e-14
 
 

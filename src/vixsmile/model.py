@@ -34,15 +34,13 @@ __all__ = [
 # classifying endpoint singularities of covariance integrands.
 _TIME_EQ_TOL = 1e-12
 
-# Fixed rules of kernel_covariance_matrix: nodes per rule and panel, and the
-# geometric panels from the near-field rule out to the noise boundary.
+# Fixed rules of kernel_covariance_matrix: nodes per rule and panel.
 _COV_NODES = 16
-_COV_PANELS = 12
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_COV_NODES)
 _GL01_X, _GL01_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
-# Pairs integrated per pass: bounds the node temporaries (a few MB) at any
-# grid size, where one pass over all pairs would grow them with n^2.
-_COV_BLOCK = 512
+# Kernel evaluations (active nodes x quadrature points) per Gram pass: bounds
+# the temporaries at a few MB for any grid.
+_COV_EVALS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -197,88 +195,89 @@ def kernel_covariance(params: ModelParams, t1: float, t2: float, upto: float) ->
 def kernel_covariance_matrix(params: ModelParams, times, windows) -> np.ndarray:
     """Symmetric matrix of kernel_covariance(t_i, t_j, min(w_i, w_j)).
 
-    All upper-triangle pairs are integrated at once by fixed rules in the
-    distance tau from the noise boundary U, with the gaps g = t - U snapped
-    as in :func:`kernel_covariance` and sorted so g_lo <= g_hi:
-
-    - both gaps zero: ``kernel_variance(U)``, in closed form;
-    - one gap zero: Gauss-Jacobi with weight tau^(H-1/2) on [0, min(g_hi, U)];
-    - no gap zero: Gauss-Legendre on [0, min(g_lo, U)];
-    - the rest of [0, U]: Gauss-Legendre on geometric panels, whose widths
-      grow with the distance from the kernel singularities at tau <= 0.
-
-    The rule is the same for every beta. :func:`kernel_covariance` is its
-    reference in the tests.
+    Entry (i, j) integrates phi_i phi_j over the noise time u, where
+    phi_i(u) = k(t_i - u) for u < w_i and 0 beyond: each row's kernel is
+    evaluated once per quadrature point, and Gram products A A^T with
+    A = phi sqrt(weight) sum all pairs. Row i is node i, its time snapped to
+    its window as in kernel_covariance; a node whose time takes another
+    value in its pairs with lower windows (unsnapped, or snapped to one of
+    them) gets a row for each. The noise range splits at the distinct
+    positive windows. On a segment [s, b], in tau = b - u, the active rows
+    have offsets c = t - b >= 0; with a = min(smallest nonzero c, b - s),
+    [0, a] takes 16-point Gauss-Legendre for pairs of nonzero offsets and
+    Gauss-Jacobi with weight tau^(H-1/2) for pairs with one, and [a, b - s]
+    Gauss-Legendre panels in geometric progression of ratio at most 2, so
+    each singularity tau = -c <= 0 is a panel width away. Pairs of zero
+    offsets are ``kernel_variance(b)``. The test reference is kernel_covariance.
     """
     times = np.asarray(times, dtype=float)
     windows = np.asarray(windows, dtype=float)
     if times.ndim != 1 or windows.shape != times.shape:
         raise ValueError("times and windows must be vectors of equal length")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(windows))):
-        raise ValueError("kernel_covariance_matrix arguments must be finite")
+    # Past half the float range the scalar reference overflows; keep its domain.
+    if not (np.all(np.isfinite(2.0 * times)) and np.all(np.isfinite(windows))):
+        raise ValueError("arguments must be finite, and times below half the largest float")
     if np.any(times <= 0.0):
         raise ValueError("times must be positive")
     if np.any(windows < 0.0) or np.any(windows > times * (1.0 + _TIME_EQ_TOL)):
         raise ValueError("every window must lie in [0, its time]")
 
-    rows, cols = np.triu_indices(times.size)
-    upto = np.minimum(windows[rows], windows[cols])
+    # The distinct positive windows, ascending. Python sorts these short lists:
+    # numpy's sort kernels would add to the process's resident memory.
+    ends = sorted(set(windows[windows > 0.0].tolist()))
+    # Extra rows: (node, time, window, the nodes whose pairs with it use them).
+    n, tol = times.size, _TIME_EQ_TOL * np.maximum(1.0, times)
+    own = np.searchsorted(ends, windows)
+    low = np.minimum(np.searchsorted(ends, times - tol), own)  # lowest window in tol
+    snapped = np.abs(times - windows) <= tol
+    extra = [(i, times[i], ends[low[i] - 1], own < low[i])
+             for i in np.flatnonzero(snapped & (times != windows) & (low > 0))]
+    extra += [(i, ends[k], ends[k], own == k)
+              for i in np.flatnonzero(snapped) for k in range(low[i], own[i])]
+    times = np.concatenate([np.where(snapped, windows, times), [e[1] for e in extra]])
+    windows = np.concatenate([windows, [e[2] for e in extra]])
 
-    def gap(t):
-        snap = np.abs(t - upto) <= _TIME_EQ_TOL * np.maximum(1.0, np.abs(t))
-        return np.where(snap, 0.0, t - upto)
-
-    gap1, gap2 = gap(times[rows]), gap(times[cols])
-    g_lo, g_hi = np.minimum(gap1, gap2), np.maximum(gap1, gap2)
-
-    values = np.zeros(rows.size)
-    both = (g_hi == 0.0) & (upto > 0.0)
-    values[both] = [kernel_variance(params, float(u)) for u in upto[both]]
-    pending = np.flatnonzero((g_hi > 0.0) & (upto > 0.0))
-    for start in range(0, pending.size, _COV_BLOCK):
-        sel = pending[start:start + _COV_BLOCK]
-        values[sel] = _covariance_block(params, g_lo[sel], g_hi[sel], upto[sel])
-    if not np.all(np.isfinite(values)):
+    # Rows in decreasing window order, so those active on a segment lead.
+    order = np.array(sorted(range(times.size), key=windows.__getitem__, reverse=True), int)
+    t, w = times[order], windows[order]
+    jac_x, jac_w = gauss_jacobi(params.H - 0.5, _COV_NODES)
+    cov = np.zeros((t.size, t.size))
+    for start, end in zip([0.0] + ends[:-1], ends):
+        c = t[w >= end] - end
+        m, span, zero = c.size, end - start, c == 0.0
+        near = np.min(c, where=~zero, initial=span)
+        tau, weight = near * _GL01_X, near * _GL01_W
+        panels = math.ceil(math.log2(span / near))
+        if panels:  # geometric panels from near to the segment span
+            edges = near * (span / near) ** (np.arange(panels + 1) / panels)
+            edges[-1] = span
+            half = 0.5 * np.diff(edges)[:, None]
+            tau = np.concatenate([tau, (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()])
+            weight = np.concatenate([weight, (half * _GL_W).ravel()])
+        root_w = np.sqrt(weight)
+        step = max(_COV_NODES, _COV_EVALS // m)
+        for j in range(0, tau.size, step):
+            a = kernel(params, c[:, None] + tau[j:j + step]) * root_w[j:j + step]
+            if j == 0:
+                a[zero, :_COV_NODES] = 0.0
+            cov[:m, :m] += a @ a.T
+        # The zero offsets' near field: Gauss-Jacobi cross terms. A zero offset
+        # is a row at its window, so each zero-zero pair is kernel_variance(end).
+        idx = np.flatnonzero(zero)
+        cross = kernel(params, c[:, None] + near * jac_x) @ (
+            near ** (params.H + 0.5) * jac_w * np.exp(-params.beta * near * jac_x))
+        cross[idx] = 0.0
+        cov[idx, :m] += cross
+        cov[:m, idx] += cross[:, None]
+        cov[idx[:, None], idx] = kernel_variance(params, float(end))
+    if not np.all(np.isfinite(cov)):
         raise ValueError("kernel covariance not finite; check the model parameters")
 
-    cov = np.empty((times.size, times.size))
-    cov[rows, cols] = values
-    cov[cols, rows] = values
-    return cov
-
-
-def _covariance_block(params: ModelParams, g_lo: np.ndarray, g_hi: np.ndarray,
-                      upto: np.ndarray) -> np.ndarray:
-    """Fixed-rule covariance integrals for pairs with g_hi > 0 and U > 0."""
-    h_exp = params.H - 0.5
-    beta = params.beta
-    lo, hi = g_lo[:, None], g_hi[:, None]
-
-    def smooth(tau):
-        return (hi + tau) ** h_exp * np.exp(-beta * (lo + hi + 2.0 * tau))
-
-    # Near field: [0, near], with tau^(H-1/2) carried by the Gauss-Jacobi
-    # weight when one gap is zero.
-    one_zero = g_lo == 0.0
-    near = np.minimum(np.where(one_zero, g_hi, g_lo), upto)
-    jac_x, jac_w = gauss_jacobi(h_exp, _COV_NODES)
-    jacobi = one_zero[:, None]
-    tau = near[:, None] * np.where(jacobi, jac_x, _GL01_X)
-    f = smooth(tau) * np.where(jacobi, 1.0, (lo + tau) ** h_exp)
-    head = (np.where(jacobi, jac_w, _GL01_W) * f).sum(axis=1)
-    head *= np.where(one_zero, near ** (h_exp + 1.0), near)
-
-    # Far field: [near, U] on panels in geometric progression (zero width
-    # when near = U).
-    ratio = (upto / near) ** (1.0 / _COV_PANELS)
-    edges = near[:, None] * ratio[:, None] ** np.arange(_COV_PANELS + 1)
-    edges[:, -1] = upto
-    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])[:, :, None]
-    tau = (mid + half * _GL_X).reshape(upto.size, -1)
-    w = (half * _GL_W).reshape(upto.size, -1)
-    tail = (w * smooth(tau) * (lo + tau) ** h_exp).sum(axis=1)
-    return head + tail
+    cov[np.ix_(order, order)] = cov.copy()  # back to input order
+    for r, (i, _, _, served) in enumerate(extra):
+        served = np.flatnonzero(served)
+        cov[i, served] = cov[served, i] = cov[n + r, served]
+    return np.ascontiguousarray(cov[:n, :n])
 
 
 def forward_variance(params: ModelParams, gaussian: float, s: float, t_obs: float) -> float:

@@ -269,6 +269,48 @@ def test_consecutive_seeds_share_no_chunk():
     assert np.intersect1d(*rv).size == 0
 
 
+_BLAS_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from vixsmile.mc import SimGrid, build_vix_sampler, sample_rv, sample_vix
+from vixsmile.model import ModelParams, kernel_covariance_matrix
+
+digest = hashlib.sha256()
+for params in (ModelParams(v0=0.04, H=0.3, nu=2.0),
+               ModelParams(v0=0.04, H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)):
+    for n in (16, 96):
+        grid = SimGrid(T=0.25, n_inner=n, n_paths=8192, seed=11)
+        rv_nodes = grid.T * np.arange(1, n + 1) / n
+        sampler = build_vix_sampler(params, grid)
+        digest.update(sampler.cov.tobytes())
+        digest.update(kernel_covariance_matrix(params, rv_nodes, rv_nodes).tobytes())
+        digest.update(sample_vix(sampler).samples.tobytes())
+        digest.update(sample_rv(params, grid).samples.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_covariances_and_samples_do_not_depend_on_blas_threads():
+    # The covariance Gram products and the sampler matmuls run in BLAS; their
+    # bytes must not change with its thread count.
+    import os
+    import subprocess
+    import sys
+
+    import vixsmile
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vixsmile.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _BLAS_DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("seed, chunk_index", [(0, 0), (7, 1), (42, 5), (2 ** 63 + 9, 12)])
 def test_chunk_rng_is_the_spawned_child_stream(seed, chunk_index):
     # Chunk c of seed s is the c-th child of SeedSequence(s), drawn with SFC64.

@@ -282,6 +282,92 @@ def test_covariance_matrix_zero_window_and_snapped_times():
     assert cov[1, 2] == pytest.approx(kernel_covariance(p, times[1], 0.9, 0.4), rel=1e-10)
 
 
+def _general_layout(rng, n):
+    """Non-uniform times whose windows are zero, the node's own time, shared,
+    below the time, or within the snap tolerance of the time."""
+    times = np.sort(rng.uniform(0.05, 2.0, n))
+    kind = rng.integers(5, size=n)
+    windows = np.where(kind == 0, 0.0, times)
+    below = kind == 2
+    windows[below] = times[below] * rng.uniform(0.1, 0.9, below.sum())
+    shared = kind == 3
+    windows[shared] = 0.5 * times[shared].min(initial=np.inf)
+    snapped = kind == 4
+    times[snapped] *= 1.0 + rng.uniform(-5e-13, 5e-13, snapped.sum())
+    return times, windows
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_covariance_matrix_matches_scalar_oracle_general_layouts(seed):
+    rng = np.random.default_rng(seed)
+    times, windows = _general_layout(rng, int(rng.integers(2, 13)))
+    params = mk(H=float(rng.choice([0.05, 0.1, 0.3, 0.5])),
+                beta=float(rng.choice([0.0, 1.0, 5.0])))
+    _assert_matches_oracle(params, times, windows)
+
+
+@pytest.mark.parametrize(
+    "times, windows",
+    [
+        # Node 0's time snaps to its window 1.0 in its pairs with nodes 0 and
+        # 1, not with node 2, whose window lies 1e-7 below: one time for all
+        # three pairs is off by up to 2e-7.
+        ([1.0 + 8e-13, 1.5, 1.0 - 1e-7, 0.7], [1.0, 1.5, 1.0 - 1e-7, 0.7]),
+        # Windows a few ulps or 1e-13 apart, each time within the snap
+        # tolerance of several: one snapped time per node is off by 1.5e-7.
+        ([0.3, 0.1 + 0.2, 0.3 + 3e-13, 0.9, 0.3 * (1 + 4e-16)],
+         [0.3, 0.1 + 0.2, 0.3 + 1e-13, 0.9, 0.1 + 0.2]),
+    ],
+)
+@pytest.mark.parametrize("hurst, beta", [(0.05, 0.0), (0.1, 1.0), (0.3, 0.0)])
+def test_covariance_matrix_snaps_each_pair_to_its_own_boundary(times, windows, hurst, beta):
+    _assert_matches_oracle(mk(H=hurst, beta=beta), np.array(times), np.array(windows))
+
+
+def _covariance_mpmath(hurst, beta, gap1, gap2, upto):
+    """int_0^upto (g1 + tau)^(H-1/2) (g2 + tau)^(H-1/2) e^(-beta (g1 + g2 + 2 tau))
+    at 30 digits, on panels refined geometrically towards the smallest gap."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        h = mpmath.mpf(hurst) - mpmath.mpf(1) / 2
+        g1, g2, u = mpmath.mpf(gap1), mpmath.mpf(gap2), mpmath.mpf(upto)
+
+        def f(tau):
+            return (g1 + tau) ** h * (g2 + tau) ** h * mpmath.exp(-beta * (g1 + g2 + 2 * tau))
+
+        small = min(g for g in (g1, g2, u) if g > 0)
+        points = [small * mpmath.mpf(2) ** k for k in range(0, 200, 2) if small * 2 ** k < u]
+        return float(mpmath.quad(f, [0] + points + [u]))
+
+
+@pytest.mark.parametrize("hurst, beta", [(0.05, 0.0), (0.1, 1.0), (0.3, 5.0)])
+def test_covariance_matrix_tiny_offsets_against_mpmath(hurst, beta):
+    # Offsets down to 1e-9 of the window, where the scalar oracle's declared
+    # endpoint power law only approaches the true one: pin against mpmath.
+    b = 0.5
+    times = b + np.array([0.0, 1e-9 * b, 1e-3 * b, 0.3])
+    gaps = times - b  # exact: the times are within a factor 2 of b
+    cov = kernel_covariance_matrix(mk(H=hurst, beta=beta), times, np.full(4, b))
+    for i, j in [(0, 1), (1, 1), (1, 2), (0, 3), (2, 3)]:
+        exact = _covariance_mpmath(hurst, beta, gaps[i], gaps[j], b)
+        assert cov[i, j] == pytest.approx(exact, rel=1e-13, abs=0.0), (i, j)
+
+
+@pytest.mark.parametrize("n_inner, limit_mib", [(96, 6.0), (512, 16.0)])
+def test_covariance_matrix_temporaries_stay_bounded(n_inner, limit_mib):
+    import tracemalloc
+
+    times, windows = _layout("rv", 0.25, n_inner)
+    tracemalloc.start()
+    try:
+        kernel_covariance_matrix(mk(H=0.1, beta=1.0), times, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20
+
+
 @pytest.mark.parametrize(
     "times, windows",
     [
