@@ -29,7 +29,9 @@ from .specfun import (
     QuadSpec,
     gauss_jacobi,
     gauss_kronrod_15,
+    geometric_rule,
     integrate_err,
+    kronrod_bound,
     lower_incomplete_gamma,
 )
 
@@ -146,29 +148,25 @@ def _kernel_integral(params: ModelParams, bot, top):
 
 def _panel_rule(maturity: float):
     """Nodes and weights of the fixed rule on [0, T]: the head ends 0 and
-    eps = T 2^-44, then 15-point Gauss-Kronrod panels [eps 2^j, eps 2^(j+1)]
-    up to T, weighted by Kronrod and by Kronrod minus its embedded Gauss rule."""
+    eps = T 2^-44, then the 15-point Gauss-Kronrod rule on the 44
+    :func:`~vixsmile.specfun.geometric_rule` panels from eps to T, weighted
+    by Kronrod and by Kronrod minus its embedded Gauss rule."""
     eps = maturity * 2.0 ** -_PANELS
     gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
-    edges = eps * 2.0 ** np.arange(_PANELS + 1.0)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    nodes = np.concatenate([[0.0, eps], (mid + half * gk_x).ravel()])
-    weights = np.stack([half * gk_kronrod, half * (gk_kronrod - gk_gauss)])
-    return nodes, weights.reshape(2, -1)
+    nodes, weights = geometric_rule(gk_x, [gk_kronrod, gk_kronrod - gk_gauss], eps, maturity)
+    return np.concatenate([[0.0, eps], nodes.ravel()]), weights.reshape(2, -1)
 
 
 def _integral_of_square(nodes, values, weights) -> tuple[float, float]:
     """int_0^T G^2 and its bound from G at the nodes of :func:`_panel_rule`. G^2
     must be monotone on the head, which takes the mean of its end values and
-    half their gap as its bound; each panel adds its Kronrod-Gauss gap,
-    floored at 50 ulps of its value as in QUADPACK's qk15."""
+    half their gap as its bound; each panel adds its
+    :func:`~vixsmile.specfun.kronrod_bound`."""
     square = values * values
     half_eps = 0.5 * nodes[1]
     panels, gaps = (square[2:] * weights).reshape(2, _PANELS, -1).sum(axis=2)
-    floored = np.maximum(np.abs(gaps), 50.0 * 2.0 ** -52 * panels)
     return (float(half_eps * (square[0] + square[1]) + panels.sum()),
-            float(half_eps * abs(square[1] - square[0]) + floored.sum()))
+            float(half_eps * abs(square[1] - square[0]) + kronrod_bound(panels, gaps).sum()))
 
 
 def _volvol_derivatives(params: ModelParams) -> tuple[float, float]:
@@ -416,8 +414,6 @@ def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
 # Realized-variance ATM skew
 # ---------------------------------------------------------------------------
 
-_RV_SKEW_PROBE = 1e-4  # default t_probe of rv_skew_constant
-
 # Fixed rules of the kernel-overlap constant: geometric Gauss-Kronrod panels
 # per half of the outer integral, and the inner Gauss-Jacobi head and
 # Gauss-Legendre panel sizes.
@@ -427,7 +423,7 @@ _OVERLAP_PANEL_NODES = 12
 
 
 @lru_cache(maxsize=64)
-def rv_skew_constant(hurst: float, t_probe: float = _RV_SKEW_PROBE) -> float:
+def rv_skew_constant(hurst: float) -> float:
     """Kernel-overlap constant of the RV skew,
 
         I(H) = 1/2 int_0^1 J(rho)^2 drho,
@@ -440,15 +436,12 @@ def rv_skew_constant(hurst: float, t_probe: float = _RV_SKEW_PROBE) -> float:
 
     after the 2F1 is written as an integral over r in [u, T] and the order
     of integration is swapped. The nested form is homogeneous of degree
-    4H+3 in T, so ``t_probe`` (kept for its range check) does not change the
-    value. Equals 1/15 at H = 1/2.
+    4H+3 in T, so the value does not depend on T. Equals 1/15 at H = 1/2.
 
     Fixed rules only (see :func:`_rv_skew_constant_err`). Against a 40-digit
     mpmath value over H in [0.01, 1/2] the relative error is at most 1.1e-15
     and the reported bound at most 1.5e-14; H = 1/2 gives 1/15 to one ulp.
     """
-    if not (1e-5 <= t_probe <= 1e-2):
-        raise ValueError(f"t_probe must lie in [1e-5, 1e-2], got {t_probe!r}")
     return _rv_skew_constant_err(hurst)[0]
 
 
@@ -457,10 +450,10 @@ def _rv_skew_constant_err(hurst: float) -> tuple[float, float]:
     """:func:`rv_skew_constant` and its error bound.
 
     The outer integral is split at rho = 1/2 and each half runs t from its
-    end: rho = t on the left, epsilon = 1 - rho = t on the right, over
-    15-point Gauss-Kronrod panels [0, 2^-40], [2^-40, 2^-39], ..., [1/4, 1/2].
-    The bound adds, per panel, the gap to its embedded 7-point Gauss rule,
-    floored at 50 ulps of the panel's value as in QUADPACK's qk15.
+    end: rho = t on the left, epsilon = 1 - rho = t on the right, over the
+    15-point Gauss-Kronrod rule on a head panel [0, 2^-40] and the
+    :func:`~vixsmile.specfun.geometric_rule` panels from 2^-40 to 1/2. The
+    bound adds each panel's :func:`~vixsmile.specfun.kronrod_bound`.
 
     Inner integral J, with the x^(H-1/2) endpoint handled by a Gauss-Jacobi
     head: on the left (rho <= epsilon) the head spans all of [0, rho]. On the
@@ -479,9 +472,10 @@ def _rv_skew_constant_err(hurst: float) -> tuple[float, float]:
     head_y, head_w = gauss_jacobi(hurst - 0.5, _OVERLAP_HEAD_NODES)
     gl_x, gl_w = np.polynomial.legendre.leggauss(_OVERLAP_PANEL_NODES)
 
-    edges = np.concatenate([[0.0], 2.0 ** np.arange(-_OVERLAP_PANELS, 0.0)])
-    half = 0.5 * np.diff(edges)
-    t = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * gk_x
+    inner, rows = 2.0 ** -_OVERLAP_PANELS, np.array([gk_kronrod, gk_kronrod - gk_gauss])
+    t, weights = geometric_rule(gk_x, rows, inner, 0.5)
+    t = np.vstack([0.5 * inner * (1.0 + gk_x), t])
+    weights = np.concatenate([0.5 * inner * rows[:, None], weights], axis=1)
     ratio = (1.0 - t) / t  # the far end over the near one, >= 1
 
     # Left half: x = rho y on the head, J = rho^(2H+1) sum w (eps/rho + y)^a.
@@ -501,11 +495,8 @@ def _rv_skew_constant_err(hurst: float) -> tuple[float, float]:
     last = 2.0 ** m.astype(float)
     j_right = t ** (2.0 * a) * (cumulative[m] + panels(last, ratio))
 
-    integrand = j_left ** 2 + j_right ** 2
-    kronrod = half * (integrand @ gk_kronrod)
-    gap = half * np.abs(integrand @ (gk_kronrod - gk_gauss))
-    bound = np.maximum(gap, 50.0 * 2.0 ** -52 * kronrod)
-    return 0.5 * float(kronrod.sum()), 0.5 * float(bound.sum())
+    kronrod, gap = ((j_left ** 2 + j_right ** 2) * weights).sum(axis=2)
+    return 0.5 * float(kronrod.sum()), 0.5 * float(kronrod_bound(kronrod, gap).sum())
 
 
 def _rv_skew_limit_err(params: ModelParams) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import QuadSpec, gauss_jacobi, integrate, lower_incomplete_gamma
+from .specfun import QuadSpec, gauss_jacobi, geometric_rule, integrate, lower_incomplete_gamma
 
 __all__ = [
     "ModelParams",
@@ -27,17 +27,11 @@ __all__ = [
     "kernel_variance",
     "kernel_covariance",
     "kernel_covariance_matrix",
-    "forward_variance",
 ]
-
-# Relative tolerance under which two times are treated as the same node when
-# classifying endpoint singularities of covariance integrands.
-_TIME_EQ_TOL = 1e-12
 
 # Fixed rules of kernel_covariance_matrix: nodes per rule and panel.
 _COV_NODES = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_COV_NODES)
-_GL01_X, _GL01_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
 # Kernel evaluations (active nodes x quadrature points) per Gram pass: bounds
 # the temporaries at a few MB for any grid.
 _COV_EVALS = 1 << 15
@@ -103,16 +97,12 @@ class HestonParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"HestonParams.{name} must be positive and finite")
-        if not self.feller_ok:
+        if 2.0 * self.k * self.theta <= self.nu ** 2:
             warnings.warn(
                 "Feller condition 2*k*theta > nu^2 violated: the variance "
                 "process can touch zero",
                 stacklevel=2,
             )
-
-    @property
-    def feller_ok(self) -> bool:
-        return 2.0 * self.k * self.theta > self.nu ** 2
 
 
 def kernel(params: ModelParams, lag) -> float | np.ndarray:
@@ -142,25 +132,20 @@ def kernel_covariance(params: ModelParams, t1: float, t2: float, upto: float) ->
     """Cov of the Volterra integrals to times t1, t2 over driving noise [0, upto].
 
     Computes int_0^upto k(t1-u) k(t2-u) du by adaptive quadrature with the
-    endpoint power law declared: order 2H-1 when upto coincides with both
-    times, H-1/2 when it coincides with exactly one.
+    endpoint power law declared: order 2H-1 when upto equals both times,
+    H-1/2 when it equals exactly one. A time any distance above upto is
+    integrated as it is, its near-singularity resolved by refinement.
     """
     if not all(math.isfinite(v) for v in (t1, t2, upto)):
         raise ValueError("kernel_covariance arguments must be finite")
     if t1 <= 0.0 or t2 <= 0.0:
         raise ValueError("t1 and t2 must be positive")
-    if upto < 0.0 or upto > min(t1, t2) * (1.0 + _TIME_EQ_TOL):
+    if upto < 0.0 or upto > min(t1, t2):
         raise ValueError(f"upto must lie in [0, min(t1, t2)], got {upto!r}")
     if upto == 0.0:
         return 0.0
 
-    # Snap times that match the upper noise boundary to it exactly, so the
-    # declared power law is the true endpoint behaviour.
-    def _matches(t: float) -> bool:
-        return abs(t - upto) <= _TIME_EQ_TOL * max(1.0, abs(t))
-
-    gap1 = 0.0 if _matches(t1) else t1 - upto
-    gap2 = 0.0 if _matches(t2) else t2 - upto
+    gap1, gap2 = t1 - upto, t2 - upto
     n_singular = (gap1 == 0.0) + (gap2 == 0.0)
 
     h_exp = params.H - 0.5
@@ -169,11 +154,10 @@ def kernel_covariance(params: ModelParams, t1: float, t2: float, upto: float) ->
     # Integrate over the distance from the singular endpoint, tau = upto - u,
     # so the power-law endpoint sits exactly at zero.
     def f(tau):
-        return (
-            (gap1 + tau) ** h_exp
-            * (gap2 + tau) ** h_exp
-            * np.exp(-beta * (gap1 + gap2 + 2.0 * tau))
-        )
+        value = (gap1 + tau) ** h_exp * (gap2 + tau) ** h_exp
+        if beta == 0.0:  # the exponent's argument overflows past half the float range
+            return value
+        return value * np.exp(-beta * (gap1 + gap2 + 2.0 * tau))
 
     if n_singular == 2:
         spec = QuadSpec(singular_left=True, singular_exponent=2.0 * params.H - 1.0)
@@ -196,73 +180,53 @@ def kernel_covariance_matrix(params: ModelParams, times, windows) -> np.ndarray:
     """Symmetric matrix of kernel_covariance(t_i, t_j, min(w_i, w_j)).
 
     Entry (i, j) integrates phi_i phi_j over the noise time u, where
-    phi_i(u) = k(t_i - u) for u < w_i and 0 beyond: each row's kernel is
+    phi_i(u) = k(t_i - u) for u < w_i and 0 beyond: each node's kernel is
     evaluated once per quadrature point, and Gram products A A^T with
-    A = phi sqrt(weight) sum all pairs. Row i is node i, its time snapped to
-    its window as in kernel_covariance; a node whose time takes another
-    value in its pairs with lower windows (unsnapped, or snapped to one of
-    them) gets a row for each. The noise range splits at the distinct
-    positive windows. On a segment [s, b], in tau = b - u, the active rows
-    have offsets c = t - b >= 0; with a = min(smallest nonzero c, b - s),
-    [0, a] takes 16-point Gauss-Legendre for pairs of nonzero offsets and
-    Gauss-Jacobi with weight tau^(H-1/2) for pairs with one, and [a, b - s]
-    Gauss-Legendre panels in geometric progression of ratio at most 2, so
-    each singularity tau = -c <= 0 is a panel width away. Pairs of zero
-    offsets are ``kernel_variance(b)``. The test reference is kernel_covariance.
+    A = phi sqrt(weight) sum all pairs. The noise range splits at the
+    distinct positive windows. On a segment [s, b], in tau = b - u, the
+    active nodes have offsets c = t - b >= 0, zero only for a time equal to
+    its window b. With a = min(smallest nonzero c, b - s), 16-point
+    Gauss-Legendre takes the head [0, a] for pairs of nonzero offsets, and
+    Gauss-Jacobi with weight tau^(H-1/2) for pairs with one; the same
+    Gauss-Legendre rule takes the :func:`~vixsmile.specfun.geometric_rule`
+    panels from a to b - s, so each singularity tau = -c <= 0 is a panel
+    width away. Pairs of zero offsets are ``kernel_variance(b)``. The test
+    reference is kernel_covariance.
     """
     times = np.asarray(times, dtype=float)
     windows = np.asarray(windows, dtype=float)
     if times.ndim != 1 or windows.shape != times.shape:
         raise ValueError("times and windows must be vectors of equal length")
-    # Past half the float range the scalar reference overflows; keep its domain.
-    if not (np.all(np.isfinite(2.0 * times)) and np.all(np.isfinite(windows))):
-        raise ValueError("arguments must be finite, and times below half the largest float")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(windows))):
+        raise ValueError("times and windows must be finite")
     if np.any(times <= 0.0):
         raise ValueError("times must be positive")
-    if np.any(windows < 0.0) or np.any(windows > times * (1.0 + _TIME_EQ_TOL)):
+    if np.any(windows < 0.0) or np.any(windows > times):
         raise ValueError("every window must lie in [0, its time]")
 
     # The distinct positive windows, ascending. Python sorts these short lists:
     # numpy's sort kernels would add to the process's resident memory.
     ends = sorted(set(windows[windows > 0.0].tolist()))
-    # Extra rows: (node, time, window, the nodes whose pairs with it use them).
-    n, tol = times.size, _TIME_EQ_TOL * np.maximum(1.0, times)
-    own = np.searchsorted(ends, windows)
-    low = np.minimum(np.searchsorted(ends, times - tol), own)  # lowest window in tol
-    snapped = np.abs(times - windows) <= tol
-    extra = [(i, times[i], ends[low[i] - 1], own < low[i])
-             for i in np.flatnonzero(snapped & (times != windows) & (low > 0))]
-    extra += [(i, ends[k], ends[k], own == k)
-              for i in np.flatnonzero(snapped) for k in range(low[i], own[i])]
-    times = np.concatenate([np.where(snapped, windows, times), [e[1] for e in extra]])
-    windows = np.concatenate([windows, [e[2] for e in extra]])
-
-    # Rows in decreasing window order, so those active on a segment lead.
+    # Nodes in decreasing window order, so those active on a segment lead.
     order = np.array(sorted(range(times.size), key=windows.__getitem__, reverse=True), int)
     t, w = times[order], windows[order]
     jac_x, jac_w = gauss_jacobi(params.H - 0.5, _COV_NODES)
     cov = np.zeros((t.size, t.size))
     for start, end in zip([0.0] + ends[:-1], ends):
         c = t[w >= end] - end
-        m, span, zero = c.size, end - start, c == 0.0
-        near = np.min(c, where=~zero, initial=span)
-        tau, weight = near * _GL01_X, near * _GL01_W
-        panels = math.ceil(math.log2(span / near))
-        if panels:  # geometric panels from near to the segment span
-            edges = near * (span / near) ** (np.arange(panels + 1) / panels)
-            edges[-1] = span
-            half = 0.5 * np.diff(edges)[:, None]
-            tau = np.concatenate([tau, (edges[:-1, None] + half * (1.0 + _GL_X)).ravel()])
-            weight = np.concatenate([weight, (half * _GL_W).ravel()])
-        root_w = np.sqrt(weight)
+        m, zero = c.size, c == 0.0
+        near = np.min(c, where=~zero, initial=end - start)
+        far_tau, far_weight = geometric_rule(_GL_X, _GL_W, near, end - start)
+        tau = np.concatenate([0.5 * near * (1.0 + _GL_X), far_tau.ravel()])
+        root_w = np.sqrt(np.concatenate([0.5 * near * _GL_W, far_weight.ravel()]))
         step = max(_COV_NODES, _COV_EVALS // m)
         for j in range(0, tau.size, step):
             a = kernel(params, c[:, None] + tau[j:j + step]) * root_w[j:j + step]
             if j == 0:
                 a[zero, :_COV_NODES] = 0.0
             cov[:m, :m] += a @ a.T
-        # The zero offsets' near field: Gauss-Jacobi cross terms. A zero offset
-        # is a row at its window, so each zero-zero pair is kernel_variance(end).
+        # The zero offsets' head: Gauss-Jacobi cross terms, and each zero-zero
+        # pair is kernel_variance(end).
         idx = np.flatnonzero(zero)
         cross = kernel(params, c[:, None] + near * jac_x) @ (
             near ** (params.H + 0.5) * jac_w * np.exp(-params.beta * near * jac_x))
@@ -274,31 +238,4 @@ def kernel_covariance_matrix(params: ModelParams, times, windows) -> np.ndarray:
         raise ValueError("kernel covariance not finite; check the model parameters")
 
     cov[np.ix_(order, order)] = cov.copy()  # back to input order
-    for r, (i, _, _, served) in enumerate(extra):
-        served = np.flatnonzero(served)
-        cov[i, served] = cov[served, i] = cov[n + r, served]
-    return np.ascontiguousarray(cov[:n, :n])
-
-
-def forward_variance(params: ModelParams, gaussian: float, s: float, t_obs: float) -> float:
-    """Conditional expected variance E_[t_obs] v_s given the simulated factor.
-
-    ``gaussian`` is the value of X = int_0^t_obs k(s-u) dW_u. Splitting
-    B_s = X + (independent remainder), the conditional expectation of each
-    Wick exponential leaves exp(a X - a^2/2 Var X) with a in
-    {nu sqrt(2H), eta sqrt(2H)} and Var X = kernel_covariance(s, s, t_obs).
-    """
-    if not (math.isfinite(gaussian) and math.isfinite(s) and math.isfinite(t_obs)):
-        raise ValueError("forward_variance arguments must be finite")
-    if s <= t_obs:
-        raise ValueError(f"need s > t_obs, got s={s!r}, t_obs={t_obs!r}")
-    if t_obs < 0.0:
-        raise ValueError(f"t_obs must be nonnegative, got {t_obs!r}")
-
-    var_x = 0.0 if t_obs == 0.0 else kernel_covariance(params, s, s, t_obs)
-    sqrt_2h = math.sqrt(2.0 * params.H)
-    a1 = params.nu * sqrt_2h
-    a2 = params.eta * sqrt_2h
-    mix = params.gamma * math.exp(a1 * gaussian - 0.5 * a1 ** 2 * var_x)
-    mix += (1.0 - params.gamma) * math.exp(a2 * gaussian - 0.5 * a2 ** 2 * var_x)
-    return params.v0 * mix
+    return cov

@@ -5,8 +5,8 @@ machinery) is built on four primitives: the lower incomplete gamma
 function, for a scalar or an array argument, the Gaussian hypergeometric
 function on its z <= 0 branch, the standard normal CDF/PDF, and an adaptive
 Gauss-Kronrod integrator that tolerates integrable power-law endpoint
-singularities. Fixed Gauss-Jacobi and Gauss-Kronrod rules serve integrals
-that are evaluated in bulk.
+singularities. Fixed Gauss-Jacobi and Gauss-Kronrod rules, mapped onto
+geometric panels by one builder, serve integrals that are evaluated in bulk.
 
 All functions are pure and safe to call concurrently.
 """
@@ -28,6 +28,8 @@ __all__ = [
     "integrate_err",
     "gauss_jacobi",
     "gauss_kronrod_15",
+    "geometric_rule",
+    "kronrod_bound",
     "lower_incomplete_gamma",
     "gauss_2f1",
     "normal_cdf",
@@ -402,6 +404,44 @@ def gauss_kronrod_15() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _GK_NODES, _GK_WEIGHTS, _GK_GAUSS_WEIGHTS
 
 
+def _doubling_edges(inner: float, outer: float) -> np.ndarray:
+    """Edges inner 2^j, j = 0..ceil(log2(outer/inner)) - 1, then ``outer``.
+
+    The count comes exactly from the binary exponents and mantissas, so every
+    ratio of neighbouring edges is 2 except the last, which lies in (1, 2].
+    """
+    if not (0.0 < inner <= outer < math.inf):
+        raise ValueError(f"need 0 < inner <= outer < inf, got {inner!r}, {outer!r}")
+    (m_in, e_in), (m_out, e_out) = math.frexp(inner), math.frexp(outer)
+    count = e_out - e_in + (m_out > m_in)
+    edges = np.ldexp(inner, np.arange(count + 1))
+    edges[-1] = outer
+    return edges
+
+
+def geometric_rule(x: np.ndarray, weights, inner: float,
+                   outer: float) -> tuple[np.ndarray, np.ndarray]:
+    """Map the rule (x, weights) on [-1, 1] onto panels that double in width
+    from ``inner``, the last clipped at ``outer``.
+
+    Panel j is [inner 2^j, inner 2^(j+1)]: no wider than its distance from
+    0, so a singularity at or below 0 lies a panel width or more from its
+    nodes. ``weights`` is one row or a stack of rows, each mapped alike
+    (for example Kronrod and Kronrod minus Gauss). Returns nodes of shape
+    (panels, n) and weights of shape (panels, n) or (rows, panels, n).
+    """
+    edges = _doubling_edges(inner, outer)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return mid + half * x, half * np.asarray(weights)[..., None, :]
+
+
+def kronrod_bound(kronrod, gap):
+    """Per-panel error bound: the Kronrod-Gauss gap, floored at 50 ulps of
+    the panel's Kronrod value as in QUADPACK's qk15."""
+    return np.maximum(np.abs(gap), 50.0 * 2.0 ** -52 * np.abs(kronrod))
+
+
 # ---------------------------------------------------------------------------
 # Lower incomplete gamma
 # ---------------------------------------------------------------------------
@@ -595,24 +635,10 @@ def _reciprocal_gamma(x: float) -> float:
 # Panels shrink geometrically towards each endpoint so the power-law factors
 # and the (1 - z t) transition are resolved at every scale; the remaining
 # endpoint slivers are added in closed form.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _EULER_CUT = 1e-20
-
-
-def _geometric_panels(inner: float, outer: float):
-    """Panel edges from ``inner`` up to ``outer`` doubling in width."""
-    edges = [inner]
-    while edges[-1] < outer:
-        edges.append(min(2.0 * edges[-1], outer))
-    return np.array(edges)
-
-
-_EULER_EDGES = _geometric_panels(_EULER_CUT, 0.5)
-_EULER_HALF = 0.5 * np.diff(_EULER_EDGES)
-_EULER_MID = 0.5 * (_EULER_EDGES[:-1] + _EULER_EDGES[1:])
-# Flattened node/weight tensors over all panels, distance from the endpoint.
-_EULER_T = (_EULER_MID[:, None] + _EULER_HALF[:, None] * _GL_NODES[None, :]).ravel()
-_EULER_W = (_EULER_HALF[:, None] * _GL_WEIGHTS[None, :]).ravel()
+# Flattened nodes and weights over all panels, distance from the endpoint.
+_EULER_T, _EULER_W = (a.ravel() for a in geometric_rule(
+    *np.polynomial.legendre.leggauss(20), _EULER_CUT, 0.5))
 
 
 def _euler_2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Model kernel, covariance, and conditional forward-variance tests."""
+"""Model kernel and covariance tests."""
 
 import math
 import warnings
@@ -9,7 +9,6 @@ import pytest
 from vixsmile.model import (
     HestonParams,
     ModelParams,
-    forward_variance,
     kernel,
     kernel_covariance,
     kernel_covariance_matrix,
@@ -54,13 +53,11 @@ def test_mixture_moments():
 
 
 def test_heston_feller_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        bad = HestonParams(k=0.5, theta=0.04, nu=1.0, v0=0.04)
-    assert not bad.feller_ok
-    assert any("Feller" in str(w.message) for w in caught)
-    ok = HestonParams(k=2.0, theta=0.09, nu=0.3, v0=0.09)
-    assert ok.feller_ok
+    with pytest.warns(UserWarning, match="Feller"):
+        HestonParams(k=0.5, theta=0.04, nu=1.0, v0=0.04)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        HestonParams(k=2.0, theta=0.09, nu=0.3, v0=0.09)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +206,14 @@ def test_covariance_rejects_bad_window():
         kernel_covariance(mk(), -1.0, 2.0, 0.5)
 
 
+def test_window_one_ulp_above_its_time_raises():
+    above = math.nextafter(0.4, 1.0)
+    with pytest.raises(ValueError):
+        kernel_covariance(mk(), 0.4, 0.9, above)
+    with pytest.raises(ValueError):
+        kernel_covariance_matrix(mk(), np.array([0.4, 0.9]), np.array([above, 0.4]))
+
+
 # ---------------------------------------------------------------------------
 # covariance matrices: the fixed-rule builder against the scalar oracle
 # ---------------------------------------------------------------------------
@@ -273,18 +278,21 @@ def test_covariance_matrix_brownian_case_is_constant():
 
 
 def test_covariance_matrix_zero_window_and_snapped_times():
+    # A time 1e-13 above its window keeps its offset: no snap to the window.
     p = mk(H=0.2, beta=0.7)
     times = np.array([0.4, 0.4 * (1.0 + 1e-13), 0.9])
     windows = np.array([0.0, 0.4, 0.4])
     cov = kernel_covariance_matrix(p, times, windows)
     assert np.all(cov[0] == 0.0) and np.all(cov[:, 0] == 0.0)
-    assert cov[1, 1] == kernel_variance(p, 0.4)
+    gap = times[1] - 0.4
+    assert cov[1, 1] == pytest.approx(_covariance_mpmath(0.2, 0.7, gap, gap, 0.4),
+                                      rel=1e-13, abs=0.0)
     assert cov[1, 2] == pytest.approx(kernel_covariance(p, times[1], 0.9, 0.4), rel=1e-10)
 
 
 def _general_layout(rng, n):
     """Non-uniform times whose windows are zero, the node's own time, shared,
-    below the time, or within the snap tolerance of the time."""
+    below the time, or up to 5e-13 relative below the time."""
     times = np.sort(rng.uniform(0.05, 2.0, n))
     kind = rng.integers(5, size=n)
     windows = np.where(kind == 0, 0.0, times)
@@ -293,7 +301,7 @@ def _general_layout(rng, n):
     shared = kind == 3
     windows[shared] = 0.5 * times[shared].min(initial=np.inf)
     snapped = kind == 4
-    times[snapped] *= 1.0 + rng.uniform(-5e-13, 5e-13, snapped.sum())
+    times[snapped] *= 1.0 + rng.uniform(0.0, 5e-13, snapped.sum())
     return times, windows
 
 
@@ -309,12 +317,11 @@ def test_covariance_matrix_matches_scalar_oracle_general_layouts(seed):
 @pytest.mark.parametrize(
     "times, windows",
     [
-        # Node 0's time snaps to its window 1.0 in its pairs with nodes 0 and
-        # 1, not with node 2, whose window lies 1e-7 below: one time for all
-        # three pairs is off by up to 2e-7.
+        # Node 0's time lies 8e-13 above its window 1.0, which lies 1e-7
+        # above node 2's: both offsets are kept exactly.
         ([1.0 + 8e-13, 1.5, 1.0 - 1e-7, 0.7], [1.0, 1.5, 1.0 - 1e-7, 0.7]),
-        # Windows a few ulps or 1e-13 apart, each time within the snap
-        # tolerance of several: one snapped time per node is off by 1.5e-7.
+        # Windows a few ulps or 1e-13 apart, times a few ulps or 3e-13
+        # above several of them.
         ([0.3, 0.1 + 0.2, 0.3 + 3e-13, 0.9, 0.3 * (1 + 4e-16)],
          [0.3, 0.1 + 0.2, 0.3 + 1e-13, 0.9, 0.1 + 0.2]),
     ],
@@ -385,14 +392,13 @@ def test_covariance_matrix_rejects_bad_inputs(times, windows):
 
 
 def test_covariance_matrix_raises_on_non_finite_values():
-    # Near the float range the integrand overflows to NaN; like the scalar
-    # path, the builder must raise rather than return it.
+    # Past half the float range t1 + t2 overflows, but at beta = 0 the
+    # integral stays finite: the scalar path and the builder agree on it.
     times, windows = np.array([1e308, 1.7e308]), np.array([1e308, 1e308])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            kernel_covariance(mk(), float(times[0]), float(times[1]), 1e308)
-        with pytest.raises(ValueError):
-            kernel_covariance_matrix(mk(), times, windows)
+    oracle = kernel_covariance(mk(), float(times[0]), float(times[1]), 1e308)
+    cov = kernel_covariance_matrix(mk(), times, windows)
+    assert math.isfinite(oracle) and np.all(np.isfinite(cov))
+    assert cov[0, 1] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_samplers_never_call_the_scalar_quadrature(monkeypatch):
@@ -411,37 +417,3 @@ def test_samplers_never_call_the_scalar_quadrature(monkeypatch):
         samples = sample_rv(params, grid).samples
         assert np.all(np.isfinite(samples)) and np.all(samples > 0.0)
 
-
-# ---------------------------------------------------------------------------
-# conditional forward variance
-# ---------------------------------------------------------------------------
-
-def test_forward_variance_unconditional_is_v0():
-    p = mk(gamma=0.6, nu=2.0, eta=0.5)
-    assert forward_variance(p, 0.0, 0.15, 0.0) == pytest.approx(p.v0, abs=1e-15)
-
-
-def test_forward_variance_deterministic_volvol_zero():
-    p = mk(nu=0.0, eta=0.0, gamma=0.3)
-    for x in (-2.0, 0.0, 3.5):
-        assert forward_variance(p, x, 0.2, 0.1) == pytest.approx(p.v0, abs=1e-15)
-
-
-def test_forward_variance_assembled_from_oracle_pieces():
-    # gamma=1, nu=2, H=0.3, beta=0, v0=0.04, t_obs=0.1, s=0.15, X=0.05
-    p = mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0)
-    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
-    c = integrate(lambda u: (0.15 - u) ** -0.4, 0.0, 0.1, spec)
-    expected = 0.04 * math.exp(2.0 * math.sqrt(0.6) * 0.05 - 4.0 * 0.3 * c)
-    assert forward_variance(p, 0.05, 0.15, 0.1) == pytest.approx(expected, rel=1e-9)
-
-
-def test_forward_variance_positive():
-    p = mk(gamma=0.4, nu=3.0, eta=0.5, H=0.1, beta=2.0)
-    for x in (-4.0, -1.0, 0.0, 2.0):
-        assert forward_variance(p, x, 0.3, 0.25) > 0.0
-
-
-def test_forward_variance_rejects_bad_times():
-    with pytest.raises(ValueError):
-        forward_variance(mk(), 0.0, 0.1, 0.2)

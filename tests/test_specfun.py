@@ -22,8 +22,11 @@ from vixsmile.specfun import (
     QuadSpec,
     gauss_2f1,
     gauss_jacobi,
+    gauss_kronrod_15,
+    geometric_rule,
     integrate,
     integrate_err,
+    kronrod_bound,
     lower_incomplete_gamma,
     normal_cdf,
     normal_pdf,
@@ -500,3 +503,64 @@ def test_gauss_jacobi_is_cached_and_read_only():
 def test_gauss_jacobi_rejects_bad_inputs(alpha, n_nodes):
     with pytest.raises(ValueError):
         gauss_jacobi(alpha, n_nodes)
+
+
+# ---------------------------------------------------------------------------
+# Geometric panels
+# ---------------------------------------------------------------------------
+
+_EPS = 2.0 ** -52
+
+
+@pytest.mark.parametrize(
+    "inner, outer",
+    [
+        (1.0, 1.0),
+        (1.0, 2.0),
+        (0.7, 0.9),
+        (0.3, 0.3 * 2.0 ** 7),
+        (2.0 ** -44, 1.0),
+        (1e-20, 0.5),
+        (1e-300, 1e300),  # outer/inner overflows
+        (5e-324, 1.0),
+        # A few ulps past a power of two, where log2 rounds to the integer,
+        # and an ulp below one.
+        (1.0, 2.0 ** 10 * (1.0 + 3 * _EPS)),
+        (0.3, 0.3 * 2.0 ** 40 * (1.0 + _EPS)),
+        (1.0, 2.0 ** 10 * (1.0 - _EPS / 2)),
+    ],
+)
+def test_doubling_edges(inner, outer):
+    edges = specfun._doubling_edges(inner, outer)
+    assert edges[0] == inner and edges[-1] == outer
+    ratios = edges[1:] / edges[:-1]
+    assert np.all(ratios[:-1] == 2.0)
+    assert np.all((ratios > 1.0) & (ratios <= 2.0))
+    # count = ceil(log2(outer/inner)), tested with exact products.
+    count = edges.size - 1
+    assert math.ldexp(inner, count) >= outer
+    assert count == 0 or math.ldexp(inner, count - 1) < outer
+
+
+@pytest.mark.parametrize("inner, outer", [(0.0, 1.0), (1.0, 0.5), (1.0, math.inf), (math.nan, 1.0)])
+def test_geometric_rule_rejects_bad_inputs(inner, outer):
+    with pytest.raises(ValueError):
+        geometric_rule(np.zeros(1), np.ones(1), inner, outer)
+
+
+@pytest.mark.parametrize("inner, outer", [(0.3, 5.0), (1e-6, 0.25), (2.0 ** -10, 2.0 ** -3)])
+def test_geometric_rule_is_exact_for_polynomials_of_its_degree(inner, outer):
+    # 15-point Kronrod: degree 22; its embedded 7-point Gauss: degree 13.
+    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
+    nodes, weights = geometric_rule(gk_x, [gk_kronrod, gk_gauss], inner, outer)
+    edges = specfun._doubling_edges(inner, outer)
+    assert nodes.shape == (edges.size - 1, 15) and weights.shape == (2,) + nodes.shape
+    for row, degree in zip(weights, (22, 13)):
+        for k in range(degree + 1):
+            exact = (edges[1:] ** (k + 1) - edges[:-1] ** (k + 1)) / (k + 1)
+            np.testing.assert_allclose((row * nodes ** k).sum(axis=1), exact, rtol=1e-13)
+
+
+def test_kronrod_bound_floors_at_fifty_ulps():
+    bound = kronrod_bound(np.array([2.0, -2.0, 2.0]), np.array([0.0, 0.0, -1e-3]))
+    np.testing.assert_array_equal(bound, [100.0 * _EPS, 100.0 * _EPS, 1e-3])
