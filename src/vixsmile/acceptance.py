@@ -23,7 +23,7 @@ from .model import HestonParams, ModelParams
 from .pricing import atmi, atmi_skew
 from .specfun import QuadSpec, gauss_2f1, integrate, lower_incomplete_gamma
 
-__all__ = ["CriterionResult", "CRITERIA", "TOLERANCES", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA", "TOLERANCES", "run_criterion"]
 
 DELTA = 30.0 / 365.0
 SEED = 42
@@ -318,7 +318,3 @@ def run_criterion(criterion: Criterion, quick: bool = False) -> CriterionResult:
         criterion.key, criterion.name, passed, achieved, tolerance, detail,
         time.perf_counter() - start,
     )
-
-
-def run_all(quick: bool = False) -> list[CriterionResult]:
-    return [run_criterion(criterion, quick) for criterion in CRITERIA]

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import HestonParams, ModelParams, kernel
+from .model import HestonParams, ModelParams, kernel, kernel_variance
 from .specfun import (
     QuadSpec,
     gauss_jacobi,
@@ -38,9 +38,7 @@ from .specfun import (
 __all__ = [
     "FormulaId",
     "AsymptoteResult",
-    "WindowIntegrals",
     "DegenerateModelError",
-    "window_integrals",
     "vix_atmi_limit",
     "vix_atmi_approx",
     "vix_skew_limit",
@@ -97,42 +95,6 @@ class AsymptoteResult:
                 f"quadrature bound {self.quad_error_bound!r} exceeds the "
                 f"module tolerance for value {self.value!r}"
             )
-
-
-@dataclass(frozen=True)
-class WindowIntegrals:
-    """Window moments of the kernel over [0, delta].
-
-    int_kernel    = int_0^delta u^(H-1/2) e^(-beta u) du
-    int_kernel_sq = int_0^delta u^(2H-1) e^(-2 beta u) du
-    """
-
-    int_kernel: float
-    int_kernel_sq: float
-    H: float
-    delta: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.delta > 0.0 and not (self.int_kernel > 0.0 and self.int_kernel_sq > 0.0):
-            raise ValueError("window integrals must be positive for delta > 0")
-
-
-def window_integrals(params: ModelParams, delta: float) -> WindowIntegrals:
-    """Kernel window moments in closed form via the incomplete gamma."""
-    _check_positive("delta", delta)
-    hurst, beta = params.H, params.beta
-    if beta == 0.0:
-        int_k = delta ** (hurst + 0.5) / (hurst + 0.5)
-        int_k2 = delta ** (2.0 * hurst) / (2.0 * hurst)
-    else:
-        int_k = beta ** -(hurst + 0.5) * lower_incomplete_gamma(
-            hurst + 0.5, beta * delta
-        )
-        int_k2 = (2.0 * beta) ** -(2.0 * hurst) * lower_incomplete_gamma(
-            2.0 * hurst, 2.0 * beta * delta
-        )
-    return WindowIntegrals(int_k, int_k2, hurst, delta, beta)
 
 
 def _kernel_integral(params: ModelParams, bot, top):
@@ -202,8 +164,8 @@ def vix_atmi_limit(params: ModelParams, delta: float) -> float:
     """Short-maturity VIX ATM implied vol,
     f'(0)/(2 delta v0) * int_0^delta u^(H-1/2) e^(-beta u) du; independent of v0."""
     fprime, _ = _volvol_derivatives(params)
-    wi = window_integrals(params, delta)
-    return fprime * wi.int_kernel / (2.0 * delta * params.v0)
+    _check_positive("delta", delta)
+    return fprime * _kernel_integral(params, 0.0, delta) / (2.0 * delta * params.v0)
 
 
 def _window_kernel_sq_integral(params: ModelParams, delta: float,
@@ -250,13 +212,15 @@ def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float
 # ---------------------------------------------------------------------------
 
 def vix_skew_limit(params: ModelParams, delta: float) -> float:
-    """Short-maturity VIX skew (1/2) (G/J f''/f' - J/delta f'/v0), with G, J
-    the window moments; positive for genuine mixtures (gamma in (0,1),
+    """Short-maturity VIX skew (1/2) (G/J f''/f' - J/delta f'/v0), with the
+    window moments G = int_0^delta k^2 (:func:`~vixsmile.model.kernel_variance`)
+    and J = int_0^delta k; positive for genuine mixtures (gamma in (0,1),
     nu != eta), zero in the plain lognormal case."""
     fprime, fsecond = _skew_derivatives(params)
-    wi = window_integrals(params, delta)
-    ratio_term = wi.int_kernel_sq / wi.int_kernel * fsecond / fprime
-    level_term = wi.int_kernel / delta * fprime / params.v0
+    _check_positive("delta", delta)
+    int_k = _kernel_integral(params, 0.0, delta)
+    ratio_term = kernel_variance(params, delta) / int_k * fsecond / fprime
+    level_term = int_k / delta * fprime / params.v0
     return 0.5 * (ratio_term - level_term)
 
 

@@ -9,11 +9,13 @@ skew       same for the central-difference ATM skew (closed form only in
 asymptote  closed forms only, no simulation
 validate   run the acceptance criteria end to end; nonzero exit on failure
 
-Configuration is flat ``key = value`` text (``#`` comments) overridden by
-command-line flags of the same names; ``VIXSMILE_SEED`` is the seed fallback.
-CSV goes to ``--out`` or stdout with a schema/parameter header line; floats
-are printed with 17 significant digits so outputs are byte-stable. Logs go
-to stderr.
+Every setting is declared once, in ``_SETTINGS``: its flag, config-file key,
+caster, help text and header echo. Configuration is flat ``key = value``
+text (``#`` comments) overridden by command-line flags of the same names;
+``VIXSMILE_SEED`` is the seed fallback. CSV goes to ``--out`` or stdout with
+a schema/parameter header line; floats are printed with 17 significant
+digits so outputs are byte-stable. ``atmi`` and ``skew`` share one row loop
+over the maturities. Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import asymptotics as asy
 from .acceptance import CRITERIA, run_criterion
@@ -70,6 +72,8 @@ class RunConfig:
             raise ValueError(f"underlying must be 'vix' or 'rv', got {self.underlying!r}")
         if not self.maturities or any(t <= 0.0 for t in self.maturities):
             raise ValueError("maturities must be nonempty and positive")
+        if not (self.skew_step > 0.0 and math.isfinite(self.skew_step)):
+            raise ValueError(f"skew_step must be positive and finite, got {self.skew_step!r}")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative")
 
@@ -94,29 +98,66 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _echo_header(config: RunConfig, schema: str) -> str:
-    # workers and out are excluded: they do not affect the numbers, and the
-    # byte-identity contract must hold across worker counts.
-    fields = [
-        f"model={config.model}",
-        f"underlying={config.underlying}",
-        f"v0={_fmt(config.v0)}",
-        f"hurst={_fmt(config.hurst)}",
-        f"beta={_fmt(config.beta)}",
-        f"gamma={_fmt(config.gamma)}",
-        f"nu={_fmt(config.nu)}",
-        f"eta={_fmt(config.eta)}",
-        f"delta={_fmt(config.delta)}",
-        "T=" + ",".join(_fmt(t) for t in config.maturities),
-        f"paths={config.n_paths}",
-        f"inner={config.n_inner}",
-        f"seed={config.seed}",
-        f"skew_step={_fmt(config.skew_step)}",
-    ]
+def _parse_float_list(text: str) -> list[float]:
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"empty list: {text!r}")
+    return values
+
+
+class _Setting(NamedTuple):
+    field: str  # RunConfig field
+    cast: Callable[[str], Any]  # of the flag or config-file text
+    help: str | None = None
+    echo: Callable[[Any], str] | None = _fmt  # header text; None: not echoed
+    choices: tuple[str, ...] | None = None
+
+
+# Every setting, keyed by its config-file key, which is also its flag's dest
+# ("--skew-step" -> "skew_step") and its header name. The defaults live only
+# in RunConfig. The header echoes the settings in this order; out and workers
+# are not echoed: they do not affect the numbers, and the byte-identity
+# contract must hold across worker counts.
+_SETTINGS: dict[str, _Setting] = {
+    "model": _Setting("model", str, None, str, ("mixed", "heston")),
+    "underlying": _Setting("underlying", str, None, str, ("vix", "rv")),
+    "v0": _Setting("v0", float, "initial instantaneous variance"),
+    "hurst": _Setting("hurst", float, "Hurst parameter in (0, 1/2]"),
+    "beta": _Setting("beta", float, "kernel mean-reversion rate"),
+    "gamma": _Setting("gamma", float, "mixing weight in [0, 1]"),
+    "nu": _Setting("nu", float, "first vol-of-vol"),
+    "eta": _Setting("eta", float, "second vol-of-vol"),
+    "delta": _Setting("delta", float, "averaging window in years"),
+    "T": _Setting("maturities", _parse_float_list, "comma list of maturities",
+                  lambda ts: ",".join(_fmt(t) for t in ts)),
+    "paths": _Setting("n_paths", int, "Monte Carlo paths", str),
+    "inner": _Setting("n_inner", int, "inner quadrature nodes", str),
+    "seed": _Setting("seed", int, "RNG seed (VIXSMILE_SEED fallback)", str),
+    "skew_step": _Setting("skew_step", float, "central-difference log-strike step"),
+    "out": _Setting("out_path", str, "output path ('-' for stdout)", None),
+    "workers": _Setting("workers", int, "parallel workers (0: all cores)", None),
+    # Echoed for the heston model only, theta as resolved.
+    "heston_k": _Setting("heston_k", float, "Heston reversion speed (heston model only)"),
+    "heston_theta": _Setting("heston_theta", float, "Heston long-run variance (defaults to v0)"),
+}
+
+_COLUMNS = {
+    "atmi": "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status",
+    "skew": "T,mc_skew,mc_stderr,approx_skew,limit_value,status",
+    "asymptote": "formula_id,maturity,value,quad_error_bound,status",
+}
+
+
+def _write_header(config: RunConfig, schema: str, stream) -> None:
+    """The schema/parameter header line, then the column line."""
+    values = dict(vars(config))
     if config.model == "heston":
-        fields.append(f"heston_k={_fmt(config.heston_k)}")
-        fields.append(f"heston_theta={_fmt(config.heston_params().theta)}")
-    return f"# vixsmile-csv schema={schema}.{SCHEMA_VERSION} " + " ".join(fields)
+        values["heston_theta"] = config.heston_params().theta
+    fields = [f"{key}={setting.echo(values[setting.field])}"
+              for key, setting in _SETTINGS.items()
+              if setting.echo and (config.model == "heston" or not key.startswith("heston_"))]
+    stream.write(f"# vixsmile-csv schema={schema}.{SCHEMA_VERSION} {' '.join(fields)}\n")
+    stream.write(_COLUMNS[schema] + "\n")
 
 
 def _log(message: str) -> None:
@@ -127,40 +168,52 @@ def _log(message: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_atmi(config: RunConfig, stream) -> None:
-    """One row per maturity: MC ATM implied vol vs approximation and limit."""
+def _simulated_rows(config: RunConfig, stream, schema: str,
+                    row_values: Callable[..., list[float]]) -> None:
+    """Header, then one row per maturity: ``row_values(params, batch, T)`` on
+    a fresh draw of the underlying, or zeros marked degenerate when the
+    vol-of-vol mean is zero. A failing maturity writes an error row and a
+    comment line, then re-raises."""
     params = config.model_params()
-    stream.write(_echo_header(config, "atmi") + "\n")
-    stream.write("T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status\n")
-    degenerate = params.volvol_mean == 0.0
+    _write_header(config, schema, stream)
+    width = _COLUMNS[schema].count(",") - 1  # the values between T and status
     for maturity in config.maturities:
         try:
-            if degenerate:
-                row = [maturity, 0.0, 0.0, 0.0, 0.0, 0.0]
-                status = "degenerate"
+            if params.volvol_mean == 0.0:
+                values, status = [0.0] * width, "degenerate"
             else:
-                _log(f"atmi: simulating {config.underlying} at T={maturity:g}")
+                _log(f"{schema}: simulating {config.underlying} at T={maturity:g}")
                 grid = config.sim_grid(maturity)
                 if config.underlying == "vix":
                     batch = sample_vix(build_vix_sampler(params, grid),
                                        workers=config.effective_workers)
-                    approx = asy.vix_atmi_approx(params, config.delta, maturity)
-                    limit = asy.vix_atmi_limit(params, config.delta)
                 else:
                     batch = sample_rv(params, grid, workers=config.effective_workers)
-                    approx = asy.rv_atmi_approx(params, maturity)
-                    limit = asy.rv_atmi_limit(params)
-                vol, stderr = atmi(batch, maturity)
-                rel_gap = abs(approx - vol) / vol if vol > 0.0 else math.inf
-                row = [maturity, vol, stderr, approx, limit, rel_gap]
-                status = "ok"
-            stream.write(",".join(_fmt(v) for v in row) + f",{status}\n")
-            stream.flush()
+                values, status = row_values(params, batch, maturity), "ok"
+            stream.write(",".join(_fmt(v) for v in [maturity, *values]) + f",{status}\n")
         except Exception as exc:
-            stream.write(f"{_fmt(maturity)},,,,,,error\n")
+            stream.write(f"{_fmt(maturity)},{',' * width}error\n")
             stream.write(f"# error at T={maturity!r}: {exc!r}\n")
-            stream.flush()
             raise
+        finally:
+            stream.flush()
+
+
+def cmd_atmi(config: RunConfig, stream) -> None:
+    """One row per maturity: MC ATM implied vol vs approximation and limit."""
+
+    def row_values(params: ModelParams, batch, maturity: float) -> list[float]:
+        if config.underlying == "vix":
+            approx = asy.vix_atmi_approx(params, config.delta, maturity)
+            limit = asy.vix_atmi_limit(params, config.delta)
+        else:
+            approx = asy.rv_atmi_approx(params, maturity)
+            limit = asy.rv_atmi_limit(params)
+        vol, stderr = atmi(batch, maturity)
+        rel_gap = abs(approx - vol) / vol if vol > 0.0 else math.inf
+        return [vol, stderr, approx, limit, rel_gap]
+
+    _simulated_rows(config, stream, "atmi", row_values)
 
 
 def cmd_skew(config: RunConfig, stream) -> None:
@@ -169,67 +222,42 @@ def cmd_skew(config: RunConfig, stream) -> None:
     In Heston mode no simulation is run; the closed-form skew-sign value is
     emitted instead.
     """
-    stream.write(_echo_header(config, "skew") + "\n")
     if config.model == "heston":
-        stream.write("T,mc_skew,mc_stderr,approx_skew,limit_value,status\n")
+        _write_header(config, "skew", stream)
         value, sign = asy.heston_vix_skew_sign(config.heston_params(), config.delta)
         for maturity in config.maturities:
-            row = f"{_fmt(maturity)},,,{_fmt(value)},{_fmt(value)},closed_form_sign={sign:+d}"
-            stream.write(row + "\n")
+            stream.write(f"{_fmt(maturity)},,,{_fmt(value)},{_fmt(value)},"
+                         f"closed_form_sign={sign:+d}\n")
         stream.flush()
         return
 
-    params = config.model_params()
-    stream.write("T,mc_skew,mc_stderr,approx_skew,limit_value,status\n")
-    degenerate = params.volvol_mean == 0.0
-    for maturity in config.maturities:
-        try:
-            if degenerate:
-                stream.write(",".join(_fmt(v) for v in [maturity, 0, 0, 0, 0]))
-                stream.write(",degenerate\n")
-                stream.flush()
-                continue
-            _log(f"skew: simulating {config.underlying} at T={maturity:g}")
-            grid = config.sim_grid(maturity)
-            if config.underlying == "vix":
-                batch = sample_vix(build_vix_sampler(params, grid),
-                                   workers=config.effective_workers)
-                approx = asy.vix_skew_approx(params, config.delta, maturity)
-                limit = asy.vix_skew_limit(params, config.delta)
-            else:
-                batch = sample_rv(params, grid, workers=config.effective_workers)
-                limit = asy.rv_skew_limit(params)
-                approx = limit * maturity ** (params.H - 0.5)
-            value, stderr = atmi_skew(batch, maturity, step=config.skew_step)
-            row = [maturity, value, stderr, approx, limit]
-            stream.write(",".join(_fmt(v) for v in row) + ",ok\n")
-            stream.flush()
-        except Exception as exc:
-            stream.write(f"{_fmt(maturity)},,,,,error\n")
-            stream.write(f"# error at T={maturity!r}: {exc!r}\n")
-            stream.flush()
-            raise
+    def row_values(params: ModelParams, batch, maturity: float) -> list[float]:
+        if config.underlying == "vix":
+            approx = asy.vix_skew_approx(params, config.delta, maturity)
+            limit = asy.vix_skew_limit(params, config.delta)
+        else:
+            limit = asy.rv_skew_limit(params)
+            approx = limit * maturity ** (params.H - 0.5)
+        value, stderr = atmi_skew(batch, maturity, step=config.skew_step)
+        return [value, stderr, approx, limit]
+
+    _simulated_rows(config, stream, "skew", row_values)
 
 
 def cmd_asymptote(config: RunConfig, stream) -> None:
     """Closed forms only: every formula applicable to the configuration."""
-    stream.write(_echo_header(config, "asymptote") + "\n")
-    stream.write("formula_id,maturity,value,quad_error_bound,status\n")
+    _write_header(config, "asymptote", stream)
 
     def write_row(fid: FormulaId, maturity: float | None) -> None:
         params = (config.heston_params() if fid is FormulaId.HESTON_VIX_SKEW_SIGN
                   else config.model_params())
+        head = f"{fid.value},{'' if maturity is None else _fmt(maturity)}"
         try:
             res = evaluate(fid, params, delta=config.delta, maturity=maturity)
             extra = f"sign={res.inputs_echo['sign']:+d}" if "sign" in res.inputs_echo else "ok"
-            stream.write(
-                f"{fid.value},{'' if maturity is None else _fmt(maturity)},"
-                f"{_fmt(res.value)},{_fmt(res.quad_error_bound)},{extra}\n"
-            )
+            stream.write(f"{head},{_fmt(res.value)},{_fmt(res.quad_error_bound)},{extra}\n")
         except DegenerateModelError:
-            stream.write(
-                f"{fid.value},{'' if maturity is None else _fmt(maturity)},,,degenerate\n"
-            )
+            stream.write(f"{head},,,degenerate\n")
 
     if config.model == "heston":
         write_row(FormulaId.HESTON_VIX_SKEW_SIGN, None)
@@ -274,38 +302,6 @@ def cmd_validate(config: RunConfig, stream) -> int:
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError(f"empty list: {text!r}")
-    return values
-
-
-# Flag destination, which is also the config-file key ("--skew-step" ->
-# "skew_step") -> (RunConfig field, caster of the flag or file value). The
-# defaults live only in RunConfig.
-_SETTINGS: dict[str, tuple[str, Callable[[Any], Any]]] = {
-    "model": ("model", str),
-    "underlying": ("underlying", str),
-    "v0": ("v0", float),
-    "hurst": ("hurst", float),
-    "beta": ("beta", float),
-    "gamma": ("gamma", float),
-    "nu": ("nu", float),
-    "eta": ("eta", float),
-    "delta": ("delta", float),
-    "T": ("maturities", _parse_float_list),
-    "paths": ("n_paths", int),
-    "inner": ("n_inner", int),
-    "seed": ("seed", int),
-    "skew_step": ("skew_step", float),
-    "out": ("out_path", str),
-    "workers": ("workers", int),
-    "heston_k": ("heston_k", float),
-    "heston_theta": ("heston_theta", float),
-}
-
-
 def load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` pairs; ``#`` starts a comment."""
     out: dict[str, str] = {}
@@ -331,13 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
             "realized-variance options, validated by Monte Carlo."
         ),
         epilog=(
-            "CSV columns: atmi -> T,mc_atmi,mc_stderr,approx_atmi,limit_value,"
-            "rel_gap,status | skew -> T,mc_skew,mc_stderr,approx_skew,"
-            "limit_value,status | asymptote -> formula_id,maturity,value,"
-            "quad_error_bound,status. For the rv underlying, limit_value is "
-            "the power-law coefficient of T^(H-1/2). Floats carry 17 "
-            "significant digits; outputs are byte-stable for a fixed seed, "
-            "independent of --workers."
+            "CSV columns: "
+            + " | ".join(f"{name} -> {columns}" for name, columns in _COLUMNS.items())
+            + ". For the rv underlying, limit_value is the power-law coefficient "
+            "of T^(H-1/2). Floats carry 17 significant digits; outputs are "
+            "byte-stable for a fixed seed, independent of --workers."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -349,29 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--model", choices=["mixed", "heston"])
-        p.add_argument("--underlying", choices=["vix", "rv"])
-        p.add_argument("--v0", type=float, help="initial instantaneous variance")
-        p.add_argument("--hurst", type=float, help="Hurst parameter in (0, 1/2]")
-        p.add_argument("--beta", type=float, help="kernel mean-reversion rate")
-        p.add_argument("--gamma", type=float, help="mixing weight in [0, 1]")
-        p.add_argument("--nu", type=float, help="first vol-of-vol")
-        p.add_argument("--eta", type=float, help="second vol-of-vol")
-        p.add_argument("--delta", type=float, help="averaging window in years")
-        p.add_argument("--T", help="comma list of maturities")
-        p.add_argument("--paths", type=int, help="Monte Carlo paths")
-        p.add_argument("--inner", type=int, help="inner quadrature nodes")
-        p.add_argument("--seed", type=int, help="RNG seed (VIXSMILE_SEED fallback)")
-        p.add_argument("--skew-step", dest="skew_step", type=float,
-                       help="central-difference log-strike step")
-        p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--workers", type=int, help="parallel workers (0: all cores)")
+        for key, setting in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.cast,
+                           choices=setting.choices, help=setting.help)
         p.add_argument("--quick", action="store_true",
                        help="reduced paths, doubled MC tolerances")
-        p.add_argument("--heston-k", dest="heston_k", type=float,
-                       help="Heston reversion speed (heston model only)")
-        p.add_argument("--heston-theta", dest="heston_theta", type=float,
-                       help="Heston long-run variance (defaults to v0)")
     return parser
 
 
@@ -380,12 +356,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     ``VIXSMILE_SEED``; a setting none of them gives keeps its field default."""
     settings = load_config_file(args.config) if args.config else {}
     values = {}
-    for key, (name, caster) in _SETTINGS.items():
-        raw = getattr(args, key)
-        if raw is None:
-            raw = settings.get(key)
-        if raw is not None:
-            values[name] = caster(raw)
+    for key, setting in _SETTINGS.items():
+        value = getattr(args, key)
+        if value is None and key in settings:
+            value = setting.cast(settings[key])
+        if value is not None:
+            values[setting.field] = value
     if "seed" not in values and "VIXSMILE_SEED" in os.environ:
         values["seed"] = int(os.environ["VIXSMILE_SEED"])
     return RunConfig(quick=args.quick, **values)
@@ -395,20 +371,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        # Fail fast on invalid model parameters, maturities or window before
-        # any output or simulation.
+        # Fail fast on invalid model parameters, maturities, window or output
+        # path before any output or simulation.
         if config.model == "mixed":
             config.model_params()
         else:
             config.heston_params()
         for maturity in config.maturities:
             config.sim_grid(maturity)
+        own_stream = config.out_path not in ("-", "")
+        stream = open(config.out_path, "w", encoding="utf-8") if own_stream else sys.stdout
     except (ValueError, OSError) as exc:
         _log(f"vixsmile: configuration error: {exc}")
         return 2
 
-    own_stream = config.out_path not in ("-", "")
-    stream = open(config.out_path, "w", encoding="utf-8") if own_stream else sys.stdout
     try:
         if args.command == "atmi":
             cmd_atmi(config, stream)

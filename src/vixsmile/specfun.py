@@ -508,50 +508,16 @@ def _lig_series_array(a: float, x: np.ndarray) -> np.ndarray:
     return total / a * np.exp(a * np.log(x) - x)
 
 
-def _uig_continued_fraction_array(a: float, x: np.ndarray) -> np.ndarray:
-    """:func:`_uig_continued_fraction` for an array of x >= a + 1.
-
-    Each element leaves the iteration once converged: past that point its
-    factors wobble by an ulp around 1 and would never all pass together.
-    """
-    tiny = 1e-300
-    out = np.empty(x.shape)
-    left = np.arange(x.size)  # indices of the unconverged elements
-    b = x + 1.0 - a
-    c = np.full(x.shape, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d[np.abs(d) < tiny] = tiny
-        c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < _GAMMA_EPS
-        if np.any(done):
-            out[left[done]] = h[done]
-            keep = ~done
-            left, b, c, d, h = left[keep], b[keep], c[keep], d[keep], h[keep]
-            if left.size == 0:
-                return np.exp(a * np.log(x) - x) * out
-    raise QuadratureError(
-        "incomplete gamma continued fraction did not converge", float(h[0]), 1.0
-    )
-
-
 def lower_incomplete_gamma(a: float, x):
     """Lower incomplete gamma gamma(a, x) = int_0^x t^(a-1) e^-t dt.
 
     Standard (unnormalised) convention: nondecreasing in x with
     gamma(a, inf) = Gamma(a). Series expansion for x < a + 4, continued
     fraction for the complement otherwise. ``x`` may be a scalar, which
-    returns a float, or an array, evaluated elementwise with both branches
-    vectorised and returned in its shape. Raises :class:`QuadratureError`
-    if any element fails to converge.
+    returns a float, or an array, returned in its shape: the series runs
+    vectorised over its elements, and each element at x >= a + 4 takes the
+    scalar continued fraction, so it equals the scalar result exactly.
+    Raises :class:`QuadratureError` if any element fails to converge.
     """
     if not math.isfinite(a):
         raise ValueError("lower_incomplete_gamma requires finite arguments")
@@ -581,7 +547,8 @@ def lower_incomplete_gamma(a: float, x):
         out[series] = _lig_series_array(a, x[series])
     if hi >= a + _SERIES_REACH:
         fraction = x >= a + _SERIES_REACH
-        out[fraction] = math.gamma(a) - _uig_continued_fraction_array(a, x[fraction])
+        out[fraction] = [math.gamma(a) - _uig_continued_fraction(a, v)
+                         for v in x[fraction].tolist()]
     return out
 
 

@@ -32,9 +32,8 @@ from vixsmile.asymptotics import (
     vix_atmi_limit,
     vix_skew_approx,
     vix_skew_limit,
-    window_integrals,
 )
-from vixsmile.model import HestonParams, ModelParams, kernel
+from vixsmile.model import HestonParams, ModelParams, kernel, kernel_variance
 from vixsmile.specfun import QuadSpec, integrate, integrate_err, lower_incomplete_gamma
 
 DELTA = 30.0 / 365.0
@@ -153,23 +152,24 @@ def test_level_integrals_within_their_bounds_of_mpmath(hurst, beta, maturity, wi
 # ---------------------------------------------------------------------------
 
 def test_window_integrals_unit_case():
-    wi = window_integrals(mk(H=0.5, beta=0.0), 1.0)
-    assert wi.int_kernel == pytest.approx(1.0, abs=1e-14)
-    assert wi.int_kernel_sq == pytest.approx(1.0, abs=1e-14)
+    p = mk(H=0.5, beta=0.0)
+    assert asy._kernel_integral(p, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert kernel_variance(p, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_window_integrals_power_law():
-    wi = window_integrals(mk(H=0.3, beta=0.0), DELTA)
-    assert wi.int_kernel == pytest.approx(DELTA ** 0.8 / 0.8, rel=1e-14)
-    assert wi.int_kernel_sq == pytest.approx(DELTA ** 0.6 / 0.6, rel=1e-14)
+    p = mk(H=0.3, beta=0.0)
+    assert asy._kernel_integral(p, 0.0, DELTA) == pytest.approx(DELTA ** 0.8 / 0.8, rel=1e-14)
+    assert kernel_variance(p, DELTA) == pytest.approx(DELTA ** 0.6 / 0.6, rel=1e-14)
 
 
 def test_window_integrals_damped_vs_quadrature():
-    wi = window_integrals(mk(H=0.3, beta=2.0), DELTA)
     spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_left=True,
                     singular_exponent=-0.2)
     oracle = integrate(lambda u: u ** -0.2 * np.exp(-2.0 * u), 0.0, DELTA, spec)
-    assert wi.int_kernel == pytest.approx(oracle, abs=1e-10)
+    assert asy._kernel_integral(mk(H=0.3, beta=2.0), 0.0, DELTA) == pytest.approx(
+        oracle, abs=1e-10
+    )
 
 
 # ---------------------------------------------------------------------------

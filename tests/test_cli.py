@@ -99,11 +99,13 @@ def test_invalid_model_parameters_exit_nonzero(capsys):
     assert "configuration error" in err
 
 
-@pytest.mark.parametrize("command", ["atmi", "asymptote"])
+@pytest.mark.parametrize("command", ["atmi", "skew", "asymptote"])
 @pytest.mark.parametrize(
     "flags",
     [["--T", "nan"], ["--T", "inf"], ["--T", "0.1,inf"],
-     ["--delta", "nan"], ["--delta", "0"]],
+     ["--delta", "nan"], ["--delta", "0"],
+     ["--skew-step", "-1"], ["--skew-step", "0"], ["--skew-step", "nan"],
+     ["--skew-step", "inf"]],
     ids=" ".join,
 )
 def test_non_finite_maturity_or_window_fails_before_any_output(command, flags, capsys):
@@ -113,6 +115,15 @@ def test_non_finite_maturity_or_window_fails_before_any_output(command, flags, c
     assert out == ""
 
 
+def test_unwritable_output_path_is_a_configuration_error(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "rows.csv"
+    code, out, err = run_cli(["asymptote", "--out", str(missing)], capsys)
+    assert code == 2
+    assert "configuration error" in err and "Traceback" not in err
+    assert out == ""
+    assert not missing.parent.exists()
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(model="local")
@@ -120,6 +131,9 @@ def test_run_config_validation():
         RunConfig(maturities=[])
     with pytest.raises(ValueError):
         RunConfig(maturities=[-0.1])
+    for step in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RunConfig(skew_step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +151,60 @@ def test_atmi_csv_shape_and_determinism(capsys):
     assert lines[1] == "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"
     assert lines[2].endswith(",ok")
     assert len(lines) == 3
+
+
+_HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 "
+         "eta=0 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 seed=11 "
+         "skew_step=0.01")
+
+
+@pytest.mark.parametrize(
+    "argv,header,columns",
+    [
+        (["atmi"] + BASE,
+         "# vixsmile-csv schema=atmi.v1 model=mixed underlying=vix " + _HEAD,
+         "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
+        (["atmi", "--underlying", "rv"] + BASE,
+         "# vixsmile-csv schema=atmi.v1 model=mixed underlying=rv " + _HEAD,
+         "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
+        (["skew", "--gamma", "0.5", "--eta", "1"] + BASE,
+         "# vixsmile-csv schema=skew.v1 model=mixed underlying=vix "
+         "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=0.5 "
+         "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 "
+         "seed=11 skew_step=0.01",
+         "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
+        (["skew", "--model", "heston", "--heston-k", "1.0", "--nu", "0.25",
+          "--v0", "0.09", "--T", "0.25,0.5"],
+         "# vixsmile-csv schema=skew.v1 model=heston underlying=vix "
+         "v0=0.089999999999999997 hurst=0.29999999999999999 beta=0 gamma=1 "
+         "nu=0.25 eta=0 delta=0.082191780821917804 T=0.25,0.5 paths=200000 "
+         "inner=64 seed=42 skew_step=0.01 heston_k=1 "
+         "heston_theta=0.089999999999999997",
+         "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
+        (["asymptote", "--gamma", "0.5", "--eta", "1", "--beta", "2",
+          "--T", "0.1,0.5"],
+         "# vixsmile-csv schema=asymptote.v1 model=mixed underlying=vix "
+         "v0=0.040000000000000001 hurst=0.29999999999999999 beta=2 gamma=0.5 "
+         "nu=2 eta=1 delta=0.082191780821917804 T=0.10000000000000001,0.5 "
+         "paths=200000 inner=64 seed=42 skew_step=0.01",
+         "formula_id,maturity,value,quad_error_bound,status"),
+        (["asymptote", "--model", "heston", "--heston-k", "1.5",
+          "--heston-theta", "0.05", "--nu", "0.3"],
+         "# vixsmile-csv schema=asymptote.v1 model=heston underlying=vix "
+         "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 "
+         "nu=0.29999999999999999 eta=0 delta=0.082191780821917804 T=0.25 "
+         "paths=200000 inner=64 seed=42 skew_step=0.01 heston_k=1.5 "
+         "heston_theta=0.050000000000000003",
+         "formula_id,maturity,value,quad_error_bound,status"),
+    ],
+    ids=["atmi-vix", "atmi-rv", "skew-mixed", "skew-heston", "asymptote-mixed",
+         "asymptote-heston"],
+)
+def test_header_and_column_lines_are_pinned(argv, header, columns, capsys, monkeypatch):
+    monkeypatch.delenv("VIXSMILE_SEED", raising=False)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == [header, columns]
 
 
 def test_atmi_csv_worker_count_invariance(capsys):

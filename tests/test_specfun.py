@@ -121,6 +121,8 @@ def test_gamma_array_matches_scalar_path(a):
     scalar = np.array([lower_incomplete_gamma(a, float(v)) for v in x])
     array = lower_incomplete_gamma(a, x)
     np.testing.assert_allclose(array, scalar, rtol=1e-14, atol=0.0)
+    # Each element at or past the cut takes the scalar continued fraction.
+    assert np.array_equal(array[x >= cut], scalar[x >= cut])
 
 
 @pytest.mark.parametrize("a", [0.05, 0.3, 0.6, 0.8, 1.0, 1.7, 3.0])
