@@ -17,7 +17,7 @@ from .asymptotics import (
 )
 from .mc import PathBatch, SimGrid, build_vix_sampler, sample_rv, sample_vix
 from .model import HestonParams, ModelParams
-from .pricing import atmi, atmi_skew, price_call, smile
+from .pricing import atmi, atmi_skew
 
 __version__ = "0.1.0"
 
@@ -32,14 +32,12 @@ __all__ = [
     "build_vix_sampler",
     "evaluate",
     "heston_vix_skew_sign",
-    "price_call",
     "rv_atmi_approx",
     "rv_atmi_limit",
     "rv_skew_limit",
     "sabr_mixed_vix_skew",
     "sample_rv",
     "sample_vix",
-    "smile",
     "vix_atmi_approx",
     "vix_atmi_limit",
     "vix_skew_approx",

@@ -262,7 +262,7 @@ def _c10_simulation_invariants(quick: bool):
     ratio_violation = max(
         max(0.0, (0.4 - r) / 0.4, (r - 0.6) / 0.6) for r in ratios
     )
-    violations.append(("stderr halving", 1.0 if ratio_violation > 0 else 0.0))
+    violations.append(("stderr halving", 2.0 if ratio_violation > 0 else 0.0))
 
     ref = sample_vix(sampler, workers=1).samples
     same = all(

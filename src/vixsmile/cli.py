@@ -3,7 +3,7 @@
 Subcommands
 -----------
 atmi       simulate each maturity, emit MC ATM implied vol vs the
-           closed-form approximation and limit
+           closed-form approximation and limit (mixed model only)
 skew       same for the central-difference ATM skew (closed form only in
            Heston mode)
 asymptote  closed forms only, no simulation
@@ -32,7 +32,7 @@ from .acceptance import CRITERIA, run_criterion
 from .asymptotics import DegenerateModelError, FormulaId, evaluate
 from .mc import SimGrid, build_vix_sampler, sample_rv, sample_vix
 from .model import HestonParams, ModelParams
-from .pricing import atmi, atmi_skew
+from .pricing import DEFAULT_SKEW_STEP, atmi, atmi_skew
 
 __all__ = ["RunConfig", "cmd_atmi", "cmd_skew", "cmd_asymptote", "cmd_validate", "main"]
 
@@ -58,7 +58,7 @@ class RunConfig:
     n_paths: int = 200_000
     n_inner: int = 64
     seed: int = 42
-    skew_step: float = 0.01
+    skew_step: float = DEFAULT_SKEW_STEP
     out_path: str = "-"
     workers: int = 0  # 0: all cores
     quick: bool = False
@@ -72,6 +72,8 @@ class RunConfig:
             raise ValueError(f"underlying must be 'vix' or 'rv', got {self.underlying!r}")
         if not self.maturities or any(t <= 0.0 for t in self.maturities):
             raise ValueError("maturities must be nonempty and positive")
+        if self.n_paths < 3:  # the fewest the skew's delete-block jackknife takes
+            raise ValueError(f"paths must be >= 3, got {self.n_paths!r}")
         if not (self.skew_step > 0.0 and math.isfinite(self.skew_step)):
             raise ValueError(f"skew_step must be positive and finite, got {self.skew_step!r}")
         if self.workers < 0:
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("atmi", "Monte Carlo ATM implied vol vs closed forms, one row per maturity"),
+        ("atmi", "Monte Carlo ATM implied vol vs closed forms (mixed model only)"),
         ("skew", "Monte Carlo ATM skew vs closed forms (closed form only for heston)"),
         ("asymptote", "closed-form values only, no simulation"),
         ("validate", "run the acceptance criteria suite"),
@@ -375,6 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         # path before any output or simulation.
         if config.model == "mixed":
             config.model_params()
+        elif args.command == "atmi":
+            raise ValueError("atmi supports only the mixed model: there is no Heston simulator")
         else:
             config.heston_params()
         for maturity in config.maturities:

@@ -47,6 +47,10 @@ __all__ = [
 # about -1.1e-15 of the largest (n_inner up to 512).
 _FACTOR_TOL = 1e-14
 
+# Paths per chunk. Each chunk has its own stream (see _chunk_rng), so the
+# sample bytes of every batch longer than one chunk depend on this value.
+_CHUNK_SIZE = 4096
+
 
 class CovarianceNotPSDError(RuntimeError):
     """Covariance matrix has an eigenvalue below -tol times its largest."""
@@ -61,7 +65,6 @@ class SimGrid:
     n_inner: int = 64
     n_paths: int = 200_000
     seed: int = 42
-    chunk_size: int = 4096
 
     def __post_init__(self) -> None:
         if not (self.T > 0.0 and math.isfinite(self.T)):
@@ -72,8 +75,6 @@ class SimGrid:
             raise ValueError(f"n_inner must be >= 2, got {self.n_inner!r}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
@@ -124,17 +125,9 @@ def _trapezoid_weights(n_points: int, dx: float) -> np.ndarray:
     return w
 
 
-def _chunk_sizes(n_paths: int, chunk_size: int) -> list[int]:
-    n_chunks = (n_paths + chunk_size - 1) // chunk_size
-    return [
-        min(chunk_size, n_paths - c * chunk_size) for c in range(n_chunks)
-    ]
-
-
 def _run_chunks(
     simulate_chunk: Callable[[int, int], np.ndarray],
     n_paths: int,
-    chunk_size: int,
     workers: int,
 ) -> np.ndarray:
     """Evaluate chunks (possibly in parallel) and assemble in chunk order.
@@ -142,7 +135,7 @@ def _run_chunks(
     The assembly order is fixed by the chunk index, so the resulting sample
     vector (and anything reduced from it) is independent of ``workers``.
     """
-    sizes = _chunk_sizes(n_paths, chunk_size)
+    sizes = [min(_CHUNK_SIZE, n_paths - start) for start in range(0, n_paths, _CHUNK_SIZE)]
     results: list[np.ndarray | None] = [None] * len(sizes)
     if workers <= 1 or len(sizes) == 1:
         for idx, size in enumerate(sizes):
@@ -235,8 +228,7 @@ def _draw(sampler: FactorSampler, n_paths: int | None, seed: int | None,
     n_paths = grid.n_paths if n_paths is None else n_paths
     seed = grid.seed if seed is None else seed
     samples = _run_chunks(
-        lambda idx, size: sampler.draw_chunk(idx, size, seed),
-        n_paths, grid.chunk_size, workers,
+        lambda idx, size: sampler.draw_chunk(idx, size, seed), n_paths, workers
     )
     out_grid = replace(grid, n_paths=n_paths, seed=seed)
     return PathBatch(sampler.kind, samples, out_grid, sampler.params)

@@ -1,4 +1,5 @@
-"""Turn path batches into option prices, ATM implied vols, smiles, and skews.
+"""The two Monte Carlo estimators the paper's comparisons need: the ATM
+implied vol (``atmi``) and the ATM skew (``atmi_skew``) of a path batch.
 
 The ATM strike is always the sample mean of the same batch being priced
 (maximal variance cancellation; the resulting O(1/n) bias is checked against
@@ -13,74 +14,16 @@ full-sample sums in O(n) work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bs import BracketError, BsQuote, atm_implied_vol, bs_vega, implied_vol
+from .bs import BsQuote, atm_implied_vol, bs_vega, implied_vol
 from .mc import PathBatch
 
-__all__ = [
-    "PriceEstimate",
-    "SmilePoint",
-    "price_call",
-    "atmi",
-    "smile",
-    "atmi_skew",
-]
+__all__ = ["atmi", "atmi_skew"]
 
 DEFAULT_SKEW_STEP = 1e-2
 JACKKNIFE_BLOCKS = 20
-
-
-@dataclass(frozen=True)
-class PriceEstimate:
-    """Monte Carlo price with standard error and path count."""
-
-    value: float
-    stderr: float
-    n_paths: int
-
-    def __post_init__(self) -> None:
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
-        if self.value < 0.0:
-            raise ValueError("call prices must be nonnegative")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-
-
-@dataclass(frozen=True)
-class SmilePoint:
-    """One smile node: log-strike offset from ATM, implied vol, vol error.
-
-    ``implied_vol`` is NaN when the inversion failed at that strike (price
-    outside the no-arbitrage bracket after Monte Carlo noise).
-    """
-
-    log_strike_offset: float
-    implied_vol: float
-    vol_stderr: float
-
-
-def _payoff_stats(samples: np.ndarray, strike: float) -> tuple[float, float]:
-    payoff = np.maximum(samples - strike, 0.0)
-    mean = float(np.mean(payoff))
-    if samples.size < 2:
-        raise ValueError("need at least two paths")
-    stderr = float(np.std(payoff, ddof=1) / math.sqrt(samples.size))
-    return mean, stderr
-
-
-def price_call(batch: PathBatch, strike: float) -> PriceEstimate:
-    """Monte Carlo call price E(A - K)+ with its standard error.
-
-    A zero strike prices the forward itself (payoff equals the underlying).
-    """
-    if not (strike >= 0.0 and math.isfinite(strike)):
-        raise ValueError(f"strike must be nonnegative and finite, got {strike!r}")
-    mean, stderr = _payoff_stats(batch.samples, strike)
-    return PriceEstimate(mean, stderr, batch.samples.size)
 
 
 def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
@@ -90,53 +33,17 @@ def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
     reported as the degenerate result (0.0, 0.0).
     """
     samples = batch.samples
+    if samples.size < 2:
+        raise ValueError("need at least two paths")
     forward = float(np.mean(samples))
-    price, price_stderr = _payoff_stats(samples, forward)
+    payoff = np.maximum(samples - forward, 0.0)
+    price = float(np.mean(payoff))
     if price <= 0.0:
         return 0.0, 0.0
+    price_stderr = float(np.std(payoff, ddof=1) / math.sqrt(samples.size))
     vol = atm_implied_vol(price, forward, maturity)
     vega = bs_vega(BsQuote(math.log(forward), math.log(forward), maturity, vol))
     return vol, price_stderr / vega
-
-
-def smile(batch: PathBatch, maturity: float,
-          offsets: list[float]) -> list[SmilePoint]:
-    """Implied vols at log-strike offsets from ATM, all on the same batch.
-
-    Call-price monotonicity across the strike grid is asserted on every run;
-    individual inversion failures yield NaN points rather than aborting.
-    """
-    samples = batch.samples
-    forward = float(np.mean(samples))
-    order = np.argsort(np.asarray(offsets, dtype=float))
-    sorted_offsets = [float(offsets[i]) for i in order]
-    strikes = [forward * math.exp(k) for k in sorted_offsets]
-    stats = [_payoff_stats(samples, strike) for strike in strikes]
-
-    prices = [s[0] for s in stats]
-    tol = 1e-12 * max(1.0, prices[0] if prices else 0.0)
-    if any(b > a + tol for a, b in zip(prices, prices[1:])):
-        raise RuntimeError("call prices failed to be nonincreasing in strike")
-    # Convexity in strike: slopes of a convex function are nondecreasing.
-    slopes = [
-        (pb - pa) / (kb - ka)
-        for pa, pb, ka, kb in zip(prices, prices[1:], strikes, strikes[1:])
-    ]
-    if any(b < a - tol for a, b in zip(slopes, slopes[1:])):
-        raise RuntimeError("call prices failed to be convex in strike")
-
-    log_f = math.log(forward)
-    points: dict[float, SmilePoint] = {}
-    for offset, strike, (price, stderr) in zip(sorted_offsets, strikes, stats):
-        try:
-            vol = implied_vol(price, log_f, log_f + offset, maturity)
-            quote = BsQuote(log_f, log_f + offset, maturity, vol)
-            vega = bs_vega(quote)
-            vol_err = stderr / vega if vega > 0.0 else math.inf
-            points[offset] = SmilePoint(offset, vol, vol_err)
-        except (BracketError, ValueError):
-            points[offset] = SmilePoint(offset, math.nan, math.nan)
-    return [points[float(k)] for k in offsets]
 
 
 def _skew_from_prices(forward: float, prices: tuple[float, float],

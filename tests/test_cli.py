@@ -105,11 +105,20 @@ def test_invalid_model_parameters_exit_nonzero(capsys):
     [["--T", "nan"], ["--T", "inf"], ["--T", "0.1,inf"],
      ["--delta", "nan"], ["--delta", "0"],
      ["--skew-step", "-1"], ["--skew-step", "0"], ["--skew-step", "nan"],
-     ["--skew-step", "inf"]],
+     ["--skew-step", "inf"], ["--paths", "1"], ["--paths", "2"]],
     ids=" ".join,
 )
 def test_non_finite_maturity_or_window_fails_before_any_output(command, flags, capsys):
     code, out, err = run_cli([command] + BASE + flags, capsys)
+    assert code == 2
+    assert "configuration error" in err
+    assert out == ""
+
+
+def test_atmi_heston_model_is_a_configuration_error(capsys):
+    # No Heston simulator or ATMI formula exists: the rows would be the
+    # mixed model's under a Heston header.
+    code, out, err = run_cli(["atmi", "--model", "heston"] + BASE, capsys)
     assert code == 2
     assert "configuration error" in err
     assert out == ""
@@ -134,6 +143,10 @@ def test_run_config_validation():
     for step in (0.0, -0.01, math.nan, math.inf):
         with pytest.raises(ValueError):
             RunConfig(skew_step=step)
+    for n_paths in (0, 1, 2):  # below the skew jackknife's three paths
+        with pytest.raises(ValueError):
+            RunConfig(n_paths=n_paths)
+    assert RunConfig(n_paths=3).n_paths == 3
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,12 @@ def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
         {"delta": 0.0},
         {"n_inner": 1},
         {"n_paths": 0},
-        {"chunk_size": 0},
+        {"T": math.inf},
         {"seed": -1},
     ],
 )
 def test_simgrid_validation(kwargs):
-    base = dict(T=0.1, delta=30 / 365, n_inner=8, n_paths=100, seed=1, chunk_size=64)
+    base = dict(T=0.1, delta=30 / 365, n_inner=8, n_paths=100, seed=1)
     base.update(kwargs)
     with pytest.raises(ValueError):
         SimGrid(**base)
@@ -208,7 +208,7 @@ def test_positivity_of_samples():
 
 
 def test_determinism_across_worker_counts_and_runs():
-    grid = SimGrid(T=0.1, n_inner=8, n_paths=10_000, seed=99, chunk_size=4096)
+    grid = SimGrid(T=0.1, n_inner=8, n_paths=10_000, seed=99)
     sampler = build_vix_sampler(mk(H=0.3, nu=2.0), grid)
     reference = sample_vix(sampler, workers=1).samples
     for workers in (2, 4):
@@ -258,7 +258,7 @@ def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
 
 def test_consecutive_seeds_share_no_chunk():
     # Multi-chunk batches at seeds s and s + 1 come from disjoint streams.
-    grid = SimGrid(T=0.1, n_inner=8, n_paths=16_000, seed=1, chunk_size=4096)
+    grid = SimGrid(T=0.1, n_inner=8, n_paths=16_000, seed=1)
     params = mk(H=0.3, nu=2.0)
     sampler = build_vix_sampler(params, grid)
     for seed in (200, 202, 1000):
@@ -355,17 +355,16 @@ def test_stderr_halves_with_four_times_the_paths():
 
 def test_grid_refinement_below_noise():
     # Doubling n_inner moves the ATM call price by less than 2 MC stderr.
-    from vixsmile.pricing import price_call
-
     params = mk(H=0.3, nu=2.0)
     prices = {}
     for n_inner in (32, 64):
         grid = SimGrid(T=0.25, n_inner=n_inner, n_paths=50_000, seed=31)
         batch = sample_vix(build_vix_sampler(params, grid))
         forward, _ = estimate_mean(batch)
-        prices[n_inner] = price_call(batch, forward)
-    diff = abs(prices[64].value - prices[32].value)
-    noise = math.hypot(prices[64].stderr, prices[32].stderr)
+        payoff = np.maximum(batch.samples - forward, 0.0)
+        prices[n_inner] = (np.mean(payoff), np.std(payoff, ddof=1) / math.sqrt(payoff.size))
+    diff = abs(prices[64][0] - prices[32][0])
+    noise = math.hypot(prices[64][1], prices[32][1])
     assert diff <= 2.0 * noise
 
 
@@ -431,7 +430,7 @@ def test_estimate_mean_rejects_single_path():
 
 
 def test_estimate_mean_reproducible():
-    grid = SimGrid(T=0.1, n_inner=8, n_paths=9000, seed=64, chunk_size=2048)
+    grid = SimGrid(T=0.1, n_inner=8, n_paths=9000, seed=64)
     sampler = build_vix_sampler(mk(H=0.4, nu=1.0), grid)
     values = {
         estimate_mean(sample_vix(sampler, workers=w))[0] for w in (1, 2, 4)

@@ -1,4 +1,4 @@
-"""Pricing-layer tests: call prices, ATM implied vols, smiles, skews."""
+"""Pricing-layer tests: ATM implied vols and skews."""
 
 import math
 
@@ -8,15 +8,7 @@ import pytest
 from vixsmile.bs import implied_vol
 from vixsmile.mc import PathBatch, SimGrid, build_vix_sampler, sample_rv, sample_vix
 from vixsmile.model import ModelParams
-from vixsmile.pricing import (
-    JACKKNIFE_BLOCKS,
-    PriceEstimate,
-    _block_estimates,
-    atmi,
-    atmi_skew,
-    price_call,
-    smile,
-)
+from vixsmile.pricing import JACKKNIFE_BLOCKS, _block_estimates, atmi, atmi_skew
 
 
 def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
@@ -27,41 +19,6 @@ def manual_batch(values, kind="vix"):
     values = np.asarray(values, dtype=float)
     grid = SimGrid(T=1.0, n_paths=values.size)
     return PathBatch(kind, values, grid, mk())
-
-
-# ---------------------------------------------------------------------------
-# price_call
-# ---------------------------------------------------------------------------
-
-def test_price_call_hand_computed():
-    est = price_call(manual_batch([1.0, 3.0]), 2.0)
-    assert est.value == pytest.approx(0.5, abs=1e-15)
-    assert est.stderr == pytest.approx(0.5, abs=1e-15)
-    assert est.n_paths == 2
-
-
-def test_price_call_zero_strike_is_mean():
-    batch = manual_batch([1.0, 2.0, 3.0])
-    est = price_call(batch, 0.0)
-    assert est.value == pytest.approx(2.0, abs=1e-15)
-
-
-def test_price_call_above_support_is_zero():
-    est = price_call(manual_batch([1.0, 2.0]), 5.0)
-    assert est.value == 0.0
-    assert est.stderr == 0.0
-
-
-def test_price_call_rejects_negative_strike():
-    with pytest.raises(ValueError):
-        price_call(manual_batch([1.0, 2.0]), -1.0)
-
-
-def test_price_estimate_validation():
-    with pytest.raises(ValueError):
-        PriceEstimate(-1.0, 0.0, 10)
-    with pytest.raises(ValueError):
-        PriceEstimate(1.0, -0.1, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -107,40 +64,6 @@ def test_atmi_v0_invariance_for_rv_options():
     vol_base, _ = atmi(base, 0.25)
     vol_scaled, _ = atmi(scaled, 0.25)
     assert vol_scaled == pytest.approx(vol_base, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# smile
-# ---------------------------------------------------------------------------
-
-def test_smile_atm_point_reduces_to_atmi():
-    grid = SimGrid(T=0.25, n_inner=16, n_paths=10_000, seed=6)
-    batch = sample_vix(build_vix_sampler(mk(H=0.4, nu=1.5), grid))
-    points = smile(batch, 0.25, [0.0])
-    vol, stderr = atmi(batch, 0.25)
-    assert points[0].implied_vol == pytest.approx(vol, abs=1e-12)
-    assert points[0].vol_stderr == pytest.approx(stderr, abs=1e-12)
-
-
-def test_smile_preserves_offset_order_and_flags_failures():
-    grid = SimGrid(T=0.25, n_inner=16, n_paths=2000, seed=8)
-    batch = sample_vix(build_vix_sampler(mk(H=0.4, nu=1.0), grid))
-    offsets = [0.05, -0.05, 0.0, 5.0]  # the last strike is above the support
-    points = smile(batch, 0.25, offsets)
-    assert [p.log_strike_offset for p in points] == offsets
-    assert all(np.isfinite(p.implied_vol) for p in points[:3])
-    assert math.isnan(points[3].implied_vol)
-
-
-def test_smile_prices_monotone_and_convex_in_strike():
-    grid = SimGrid(T=0.25, n_inner=16, n_paths=30_000, seed=9)
-    batch = sample_vix(build_vix_sampler(mk(H=0.3, nu=2.0), grid))
-    forward = float(np.mean(batch.samples))
-    strikes = forward * np.exp(np.linspace(-0.3, 0.3, 13))
-    prices = [price_call(batch, float(k)).value for k in strikes]
-    diffs = np.diff(prices)
-    assert np.all(diffs <= 1e-12)
-    assert np.all(np.diff(diffs) >= -1e-12)  # convexity
 
 
 # ---------------------------------------------------------------------------
