@@ -5,7 +5,7 @@ Subcommands
 atmi       simulate each maturity, emit MC ATM implied vol vs the
            closed-form approximation and limit (mixed model only)
 skew       same for the central-difference ATM skew (closed form only in
-           Heston mode)
+           Heston mode, which has the vix underlying only)
 asymptote  closed forms only, no simulation
 validate   run the acceptance criteria end to end; nonzero exit on failure
 
@@ -379,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
             config.model_params()
         elif args.command == "atmi":
             raise ValueError("atmi supports only the mixed model: there is no Heston simulator")
+        elif config.underlying == "rv":
+            raise ValueError("the heston model has only the VIX skew-sign formula: "
+                             "there is no Heston rv underlying")
         else:
             config.heston_params()
         for maturity in config.maturities:

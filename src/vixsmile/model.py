@@ -32,9 +32,15 @@ __all__ = [
 # Fixed rules of kernel_covariance_matrix: nodes per rule and panel.
 _COV_NODES = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_COV_NODES)
-# Kernel evaluations (active nodes x quadrature points) per Gram pass: bounds
-# the temporaries at a few MB for any grid.
-_COV_EVALS = 1 << 15
+# Kernel evaluations (rows x quadrature points) per block of a pass: bounds the
+# temporaries at 64 KiB each for any grid. On a 2-core box with glibc malloc,
+# blocks twice as large were 3-5 % faster at 96 RV nodes but left about
+# 0.2 MiB more of the process resident.
+_COV_EVALS = 1 << 13
+# Rows per Gram block are a multiple of this: OpenBLAS splits a threaded
+# product between threads on 8-row register tiles, and a partial tile's sums
+# then depend on the thread count; whole tiles keep the bits the same.
+_ROW_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -110,16 +116,23 @@ def kernel(params: ModelParams, lag) -> float | np.ndarray:
     lag_arr = np.asarray(lag, dtype=float)
     if np.any(lag_arr <= 0.0):
         raise ValueError("kernel lag must be positive")
-    out = lag_arr ** (params.H - 0.5) * np.exp(-params.beta * lag_arr)
+    out = lag_arr ** (params.H - 0.5)
+    if params.beta != 0.0:  # else exp(-0 lag) is 1 (NaN at an infinite lag)
+        out *= np.exp(-params.beta * lag_arr)
     return float(out) if np.ndim(lag) == 0 else out
 
 
-def kernel_variance(params: ModelParams, t: float) -> float:
-    """Var(B_t) = int_0^t u^(2H-1) e^(-2 beta u) du, in closed form."""
-    if t < 0.0 or not math.isfinite(t):
+def kernel_variance(params: ModelParams, t):
+    """Var(B_t) = int_0^t u^(2H-1) e^(-2 beta u) du, in closed form.
+
+    ``t`` is a float, or an array of times, whose values are returned in its
+    shape.
+    """
+    if isinstance(t, np.ndarray):
+        if not np.all((t >= 0.0) & np.isfinite(t)):
+            raise ValueError("times must be nonnegative and finite")
+    elif t < 0.0 or not math.isfinite(t):
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
-    if t == 0.0:
-        return 0.0
     two_h = 2.0 * params.H
     if params.beta == 0.0:
         return t ** two_h / two_h
@@ -176,21 +189,60 @@ def kernel_covariance(params: ModelParams, t1: float, t2: float, upto: float) ->
     return integrate(f, 0.0, upto, spec)
 
 
+def _kernel_blocks(params: ModelParams, t, tau, weight, ends, rows):
+    """Yield (j, k, a) over column blocks j:k of a quadrature in tau on the
+    segments ending at ``ends``: a[i, c] = k(t_i - ends[c] + tau[c]) weight[c]
+    for the rows i < rows[c], and 0 below them.
+
+    ``rows`` holds the counts as floats (numpy's broadcast integer compare
+    would add to the process's resident memory) and must not increase, so
+    rows[j] bounds a block's active rows; a block has them rounded up to a
+    multiple of _ROW_TILE, and a whole number of _COV_NODES columns, about
+    _COV_EVALS entries in all. The offset t - end is formed before tau is
+    added (exact when t is within a factor 2 of the end, Sterbenz), and a
+    masked entry's lag is floored at tau, so no lag reaching the kernel is
+    negative. The rows below rows[k - 1] are active in every column of the
+    block, so only the rows from there on need the mask.
+    """
+    j = 0
+    while j < tau.size and rows[j] > 0:
+        m = min(t.size, -(-int(rows[j]) // _ROW_TILE) * _ROW_TILE)
+        k = min(tau.size, j + _COV_NODES * max(1, _COV_EVALS // (_COV_NODES * m)))
+        low = int(rows[k - 1])
+        lag = t[:m, None] - ends[j:k]
+        np.maximum(lag[low:], 0.0, out=lag[low:])
+        lag += tau[j:k]
+        a = kernel(params, lag)
+        a[:low] *= weight[j:k]
+        a[low:] *= np.where(np.arange(low, m, dtype=float)[:, None] < rows[j:k],
+                            weight[j:k], 0.0)
+        yield j, k, a
+        j = k
+
+
 def kernel_covariance_matrix(params: ModelParams, times, windows) -> np.ndarray:
     """Symmetric matrix of kernel_covariance(t_i, t_j, min(w_i, w_j)).
 
     Entry (i, j) integrates phi_i phi_j over the noise time u, where
-    phi_i(u) = k(t_i - u) for u < w_i and 0 beyond: each node's kernel is
-    evaluated once per quadrature point, and Gram products A A^T with
-    A = phi sqrt(weight) sum all pairs. The noise range splits at the
-    distinct positive windows. On a segment [s, b], in tau = b - u, the
-    active nodes have offsets c = t - b >= 0, zero only for a time equal to
-    its window b. With a = min(smallest nonzero c, b - s), 16-point
-    Gauss-Legendre takes the head [0, a] for pairs of nonzero offsets, and
-    Gauss-Jacobi with weight tau^(H-1/2) for pairs with one; the same
-    Gauss-Legendre rule takes the :func:`~vixsmile.specfun.geometric_rule`
-    panels from a to b - s, so each singularity tau = -c <= 0 is a panel
-    width away. Pairs of zero offsets are ``kernel_variance(b)``. The test
+    phi_i(u) = k(t_i - u) for u < w_i and 0 beyond. The noise range splits
+    at the distinct positive windows. On a segment [s, b], in tau = b - u,
+    the active nodes (w >= b) have offsets c = t - b >= 0, zero only for a
+    time equal to its window b. With a = min(smallest nonzero c, b - s),
+    16-point Gauss-Legendre takes the head [0, a] for pairs of nonzero
+    offsets, and Gauss-Jacobi with weight tau^(H-1/2) for pairs with one;
+    the same Gauss-Legendre rule takes the
+    :func:`~vixsmile.specfun.geometric_rule` panels from a to b - s, so
+    each singularity tau = -c <= 0 is a panel width away. Pairs of zero
+    offsets are ``kernel_variance(b)``.
+
+    Every segment's head and panel nodes form one list of columns, and each
+    node's kernel is evaluated once per column, weighted by the root of the
+    column's weight, and zero where the node is inactive: the Gram products
+    A A^T of column blocks of about _COV_EVALS entries sum all pairs over
+    all segments. A second pass of such blocks sums the Gauss-Jacobi cross
+    terms of every zero offset, and one array ``kernel_variance`` call sets
+    the zero-zero pairs. So the number of numpy calls grows with the number
+    of kernel evaluations, not with the number of windows. The test
     reference is kernel_covariance.
     """
     times = np.asarray(times, dtype=float)
@@ -204,38 +256,75 @@ def kernel_covariance_matrix(params: ModelParams, times, windows) -> np.ndarray:
     if np.any(windows < 0.0) or np.any(windows > times):
         raise ValueError("every window must lie in [0, its time]")
 
-    # The distinct positive windows, ascending. Python sorts these short lists:
-    # numpy's sort kernels would add to the process's resident memory.
-    ends = sorted(set(windows[windows > 0.0].tolist()))
-    # Nodes in decreasing window order, so those active on a segment lead.
-    order = np.array(sorted(range(times.size), key=windows.__getitem__, reverse=True), int)
-    t, w = times[order], windows[order]
-    jac_x, jac_w = gauss_jacobi(params.H - 0.5, _COV_NODES)
+    # Nodes in decreasing (window, time) order: the nodes active on a segment
+    # (window >= its end b) lead, and among them the zero offsets (time = b)
+    # come last. One pass in Python over these short lists finds, for each
+    # distinct positive window b, the rows active on its segment, the rows
+    # with a nonzero offset and the smallest time among them, and the zero
+    # offsets' rows; numpy's sort and search kernels would add to the
+    # process's resident memory.
+    nodes = sorted(zip(windows.tolist(), times.tolist(), range(times.size)), reverse=True)
+    ends, active, nonzero, smallest, zero, zero_seg = [], [], [], [], [], []
+    least = math.inf
+    for row, (w_i, t_i, _) in enumerate(nodes):
+        if w_i == 0.0:
+            break
+        if not ends or w_i != ends[-1]:
+            ends.append(w_i)
+            active.append(row)
+            nonzero.append(row)
+            smallest.append(least)
+        active[-1] = row + 1
+        least = min(least, t_i)
+        if t_i > w_i:
+            nonzero[-1] = row + 1
+            smallest[-1] = least
+        else:
+            zero.append(row)
+            zero_seg.append(len(ends) - 1)
+    if not ends:
+        return np.zeros((times.size, times.size))
+    # Ascending segments [start, b]; a = min(smallest nonzero offset, b - start).
+    ends, active, nonzero, smallest = ends[::-1], active[::-1], nonzero[::-1], smallest[::-1]
+    width = [b - start for start, b in zip([0.0] + ends[:-1], ends)]
+    near = np.array([min(least - b, wide) for least, b, wide in zip(smallest, ends, width)])
+    order = [i for _, _, i in nodes]
+    # Inactive padding rows (copies of the last node) fill the last row tile.
+    t = times[order + order[-1:] * (-len(order) % _ROW_TILE)]
     cov = np.zeros((t.size, t.size))
-    for start, end in zip([0.0] + ends[:-1], ends):
-        c = t[w >= end] - end
-        m, zero = c.size, c == 0.0
-        near = np.min(c, where=~zero, initial=end - start)
-        far_tau, far_weight = geometric_rule(_GL_X, _GL_W, near, end - start)
-        tau = np.concatenate([0.5 * near * (1.0 + _GL_X), far_tau.ravel()])
-        root_w = np.sqrt(np.concatenate([0.5 * near * _GL_W, far_weight.ravel()]))
-        step = max(_COV_NODES, _COV_EVALS // m)
-        for j in range(0, tau.size, step):
-            a = kernel(params, c[:, None] + tau[j:j + step]) * root_w[j:j + step]
-            if j == 0:
-                a[zero, :_COV_NODES] = 0.0
-            cov[:m, :m] += a @ a.T
-        # The zero offsets' head: Gauss-Jacobi cross terms, and each zero-zero
-        # pair is kernel_variance(end).
-        idx = np.flatnonzero(zero)
-        cross = kernel(params, c[:, None] + near * jac_x) @ (
-            near ** (params.H + 0.5) * jac_w * np.exp(-params.beta * near * jac_x))
-        cross[idx] = 0.0
-        cov[idx, :m] += cross
-        cov[:m, idx] += cross[:, None]
-        cov[idx[:, None], idx] = kernel_variance(params, float(end))
-    if not np.all(np.isfinite(cov)):
+
+    # Columns by segment, each segment's panels before its head, so the
+    # active rows do not increase along them.
+    far_tau, far_weight = geometric_rule(_GL_X, _GL_W, near, np.array(width))
+    n_far = far_tau[0].size
+    half = 0.5 * near[:, None]
+    tau = np.concatenate([far_tau.reshape(near.size, n_far), half * (1.0 + _GL_X)], axis=1)
+    root_w = np.sqrt(np.concatenate([far_weight.reshape(near.size, n_far), half * _GL_W], axis=1))
+    rows = np.repeat(np.array([active, nonzero], float), [n_far, _COV_NODES], axis=0).T
+    for _, _, a in _kernel_blocks(params, t, tau.ravel(), root_w.ravel(),
+                                  np.repeat(ends, tau.shape[1]), rows.ravel()):
+        cov[:a.shape[0], :a.shape[0]] += a @ a.T
+
+    # The zero offsets' heads, by ascending segment: Gauss-Jacobi cross terms
+    # with the nonzero offsets, and each zero-zero pair is kernel_variance(b).
+    zero_seg = [len(ends) - 1 - s for s in zero_seg[::-1]]
+    zero = np.array(zero[::-1], int)
+    jac_x, jac_w = gauss_jacobi(params.H - 0.5, _COV_NODES)
+    head = near[zero_seg][:, None]
+    jac_weight = head ** (params.H + 0.5) * jac_w * np.exp(-params.beta * head * jac_x)
+    zero_end = np.array([ends[s] for s in zero_seg])
+    for j, k, a in _kernel_blocks(params, t, (head * jac_x).ravel(), jac_weight.ravel(),
+                                  np.repeat(zero_end, _COV_NODES),
+                                  np.repeat([float(nonzero[s]) for s in zero_seg], _COV_NODES)):
+        cross = a.reshape(a.shape[0], -1, _COV_NODES).sum(axis=2)
+        cols = zero[j // _COV_NODES:k // _COV_NODES]
+        cov[:a.shape[0], cols] += cross
+        cov[cols, :a.shape[0]] += cross.T
+    pair_i, pair_j = np.nonzero(zero_end[:, None] == zero_end)  # same window
+    cov[zero[pair_i], zero[pair_j]] = kernel_variance(params, zero_end)[pair_i]
+    if not np.isfinite(cov).all():
         raise ValueError("kernel covariance not finite; check the model parameters")
 
-    cov[np.ix_(order, order)] = cov.copy()  # back to input order
-    return cov
+    back = np.empty(len(order), int)  # back to input order
+    back[order] = np.arange(len(order))
+    return cov.take(back, 0).take(back, 1)

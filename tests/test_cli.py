@@ -124,6 +124,17 @@ def test_atmi_heston_model_is_a_configuration_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["skew", "asymptote"])
+def test_heston_model_rv_underlying_is_a_configuration_error(command, capsys):
+    # The only Heston formula is the VIX skew sign: its rows would sit under
+    # an underlying=rv header.
+    code, out, err = run_cli([command, "--model", "heston", "--underlying", "rv"] + BASE,
+                             capsys)
+    assert code == 2
+    assert "configuration error" in err
+    assert out == ""
+
+
 def test_unwritable_output_path_is_a_configuration_error(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "rows.csv"
     code, out, err = run_cli(["asymptote", "--out", str(missing)], capsys)

@@ -286,6 +286,15 @@ for params in (ModelParams(v0=0.04, H=0.3, nu=2.0),
         digest.update(kernel_covariance_matrix(params, rv_nodes, rv_nodes).tobytes())
         digest.update(sample_vix(sampler).samples.tobytes())
         digest.update(sample_rv(params, grid).samples.tobytes())
+    # Several windows per matrix, so Gram blocks span segments: zero windows,
+    # a shared window, windows below their times, and times on them.
+    for n in (16, 96, 150, 200):
+        times = 0.05 + 1.95 * np.arange(1, n + 1) / n
+        kind = np.arange(n) % 4
+        windows = np.where(kind == 0, 0.0, times)
+        windows[kind == 1] = 0.5 * times[0]
+        windows[kind == 2] *= 0.6
+        digest.update(kernel_covariance_matrix(params, times, windows).tobytes())
 print(digest.hexdigest())
 """
 

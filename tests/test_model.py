@@ -361,6 +361,52 @@ def test_covariance_matrix_tiny_offsets_against_mpmath(hurst, beta):
         assert cov[i, j] == pytest.approx(exact, rel=1e-13, abs=0.0), (i, j)
 
 
+@pytest.mark.parametrize("hurst, beta", [(0.05, 0.0), (0.1, 1.0), (0.3, 5.0)])
+def test_covariance_matrix_tiny_offsets_across_windows_against_mpmath(hurst, beta):
+    # Three windows, each with a time on it and times 1e-9 and 1e-3 of it
+    # above: every segment's head is set by a tiny offset, and the pairs
+    # across windows sum the segments below the smaller window.
+    ends = np.array([0.3, 0.5, 0.8])
+    times = (ends[:, None] * (1.0 + np.array([0.0, 1e-9, 1e-3]))).ravel()
+    windows = np.repeat(ends, 3)
+    cov = kernel_covariance_matrix(mk(H=hurst, beta=beta), times, windows)
+    pairs = [(1, 1), (0, 1), (1, 2), (4, 4), (3, 4), (7, 8),  # within a window
+             (1, 4), (0, 7), (4, 6), (2, 8)]  # across windows
+    for i, j in pairs:
+        upto = min(windows[i], windows[j])
+        exact = _covariance_mpmath(hurst, beta, times[i] - upto, times[j] - upto, upto)
+        assert cov[i, j] == pytest.approx(exact, rel=1e-13, abs=0.0), (i, j)
+
+
+@pytest.mark.parametrize("n_inner", [16, 96, 512])
+def test_covariance_matrix_kernel_calls_do_not_grow_with_windows(n_inner, monkeypatch):
+    from vixsmile import model
+
+    sizes = []
+    kernel_fn = model.kernel
+
+    def counted(params, lag):
+        sizes.append(np.size(lag))
+        return kernel_fn(params, lag)
+
+    monkeypatch.setattr(model, "kernel", counted)
+    params = mk(H=0.1, beta=1.0)
+    # RV: one window per node. The Gram pass and the Gauss-Jacobi pass each
+    # need about 16 n^2 / 2 kernel values, in blocks of _COV_EVALS entries at
+    # least half of them active (the active rows fall along a block), plus
+    # one last partial block each.
+    kernel_covariance_matrix(params, *_layout("rv", 0.25, n_inner))
+    assert len(sizes) <= 2 + 2 * 16 * n_inner ** 2 / model._COV_EVALS
+    assert max(sizes) <= max(model._COV_EVALS, 16 * n_inner)
+    # VIX: one window. At 16 nodes its columns fit in one block, so there is
+    # one Gram block and one Gauss-Jacobi block.
+    sizes.clear()
+    kernel_covariance_matrix(params, *_layout("vix", 0.25, n_inner))
+    if n_inner == 16:
+        assert len(sizes) == 2
+    assert max(sizes) <= max(model._COV_EVALS, 16 * n_inner)
+
+
 @pytest.mark.parametrize("n_inner, limit_mib", [(96, 6.0), (512, 16.0)])
 def test_covariance_matrix_temporaries_stay_bounded(n_inner, limit_mib):
     import tracemalloc
