@@ -4,9 +4,11 @@ underlyings.
 Both underlyings are trapezoid-rule window integrals of the same
 Wick-exponential mixture of one Gaussian Volterra factor, so one sampler
 serves both. The factor values at the inner nodes are jointly Gaussian with
-covariances given by the kernel covariance integrals; they are drawn exactly
-through a factor of that matrix, truncated to its numerical rank, so the only
-discretisation is the trapezoid rule on the inner time grid.
+covariances given by the kernel covariance integrals: the VIX nodes all over
+the noise window [0, T] (``kernel_covariance_matrix``), and the RV grid
+nodes each over its own past (``grid_covariance_matrix``). They are drawn
+exactly through a factor of that matrix, truncated to its numerical rank, so
+the only discretisation is the trapezoid rule on the inner time grid.
 Sampling is deterministic: paths are generated in fixed-size chunks, and
 chunk c of seed s draws from an SFC64 generator seeded by the c-th child of
 ``SeedSequence(s)`` (spawn key (c,)), numpy's scheme for independent
@@ -24,9 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-# kernel_covariance, the scalar reference of kernel_covariance_matrix, is
+from .model import ModelParams, grid_covariance_matrix, kernel_covariance_matrix
+
+# kernel_covariance, the scalar reference of the covariance builders, is
 # imported but not called: perfbench/tracer.py binds it as mc.kernel_covariance.
-from .model import ModelParams, kernel_covariance, kernel_covariance_matrix  # noqa: F401
+from .model import kernel_covariance  # noqa: F401
 
 __all__ = [
     "SimGrid",
@@ -164,13 +168,13 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 class FactorSampler:
     """Precomputed Gaussian layer for one underlying at one maturity.
 
-    At each inner node t_i, with its conditioning window U_i, the variance is
-    v_i = v0 * sum_k g_k exp(a_k X_i - a_k^2 Var X_i / 2), where X_i is the
-    Volterra factor integrated over [0, U_i], g = (gamma, 1 - gamma) and
-    a = (nu, eta) * sqrt(2H); a zero-weight term is skipped. A sample is
-    (offset + weights . v) / divisor, and its square root for the VIX.
-    The Wick variances are taken from the drawn factor itself, so
-    E[v_i] = v0 holds exactly for the simulated Gaussians.
+    ``cov`` is the covariance matrix of the Volterra factor X_i at the inner
+    nodes, each integrated over its conditioning window. At node i the
+    variance is v_i = v0 * sum_k g_k exp(a_k X_i - a_k^2 Var X_i / 2), where
+    g = (gamma, 1 - gamma) and a = (nu, eta) * sqrt(2H); a zero-weight term
+    is skipped. A sample is (offset + weights . v) / divisor, and its square
+    root for the VIX. The Wick variances are taken from the drawn factor
+    itself, so E[v_i] = v0 holds exactly for the simulated Gaussians.
 
     Each term's variance shift exp(-a^2 Var X_i / 2) and mixture weight g_k
     are folded into the reduction weights once per sampler, and the terms'
@@ -179,13 +183,11 @@ class FactorSampler:
     """
 
     def __init__(self, kind: str, params: ModelParams, grid: SimGrid,
-                 nodes: np.ndarray, windows: np.ndarray, weights: np.ndarray,
-                 offset: float, divisor: float):
+                 cov: np.ndarray, weights: np.ndarray, offset: float, divisor: float):
         self.kind = kind
         self.params = params
         self.grid = grid
-        self.nodes = nodes
-        self.cov = kernel_covariance_matrix(params, nodes, windows)
+        self.cov = cov
         self.factor = _factor(self.cov)
         wick = np.sum(self.factor ** 2, axis=1)
         sqrt_2h = math.sqrt(2.0 * params.H)
@@ -217,9 +219,9 @@ def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
     VIX_T^2 = (1/delta) int_T^{T+delta} E_T[v_s] ds.
     """
     nodes = np.linspace(grid.T, grid.T + grid.delta, grid.n_inner)
+    cov = kernel_covariance_matrix(params, nodes, grid.T)
     weights = _trapezoid_weights(grid.n_inner, grid.delta / (grid.n_inner - 1))
-    return FactorSampler("vix", params, grid, nodes, np.full(grid.n_inner, grid.T),
-                         weights, 0.0, grid.delta)
+    return FactorSampler("vix", params, grid, cov, weights, 0.0, grid.delta)
 
 
 def _draw(sampler: FactorSampler, n_paths: int | None, seed: int | None,
@@ -257,10 +259,10 @@ def sample_rv(
     integrated by the trapezoid rule over n_inner uniform steps; each node in
     (0, T] is its own conditioning window.
     """
-    nodes = grid.T * (np.arange(1, grid.n_inner + 1) / grid.n_inner)
+    cov = grid_covariance_matrix(params, grid.T, grid.n_inner)
     weights = _trapezoid_weights(grid.n_inner + 1, grid.T / grid.n_inner)
-    sampler = FactorSampler("rv", params, grid, nodes, nodes, weights[1:],
-                            weights[0] * params.v0, grid.T)
+    sampler = FactorSampler("rv", params, grid, cov, weights[1:], weights[0] * params.v0,
+                            grid.T)
     return _draw(sampler, n_paths, seed, workers)
 
 

@@ -27,15 +27,16 @@ __all__ = [
     "kernel_variance",
     "kernel_covariance",
     "kernel_covariance_matrix",
+    "grid_covariance_matrix",
 ]
 
 # Fixed rules of kernel_covariance_matrix: nodes per rule and panel.
 _COV_NODES = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_COV_NODES)
-# Kernel evaluations (rows x quadrature points) per block of a pass: bounds the
-# temporaries at 64 KiB each for any grid. On a 2-core box with glibc malloc,
-# blocks twice as large were 3-5 % faster at 96 RV nodes but left about
-# 0.2 MiB more of the process resident.
+# Kernel evaluations (rows x quadrature points) per Gram block of whole
+# panels: up to 512 rows this bounds the temporaries at 64 KiB each. On a
+# 2-core box with glibc malloc, blocks twice as large left about 0.2 MiB more
+# of the process resident.
 _COV_EVALS = 1 << 13
 # Rows per Gram block are a multiple of this: OpenBLAS splits a threaded
 # product between threads on 8-row register tiles, and a partial tile's sums
@@ -122,17 +123,12 @@ def kernel(params: ModelParams, lag) -> float | np.ndarray:
     return float(out) if np.ndim(lag) == 0 else out
 
 
-def kernel_variance(params: ModelParams, t):
-    """Var(B_t) = int_0^t u^(2H-1) e^(-2 beta u) du, in closed form.
-
-    ``t`` is a float, or an array of times, whose values are returned in its
-    shape.
-    """
-    if isinstance(t, np.ndarray):
-        if not np.all((t >= 0.0) & np.isfinite(t)):
-            raise ValueError("times must be nonnegative and finite")
-    elif t < 0.0 or not math.isfinite(t):
+def kernel_variance(params: ModelParams, t: float) -> float:
+    """Var(B_t) = int_0^t u^(2H-1) e^(-2 beta u) du, in closed form."""
+    if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
+    if t == 0.0:
+        return 0.0
     two_h = 2.0 * params.H
     if params.beta == 0.0:
         return t ** two_h / two_h
@@ -189,142 +185,78 @@ def kernel_covariance(params: ModelParams, t1: float, t2: float, upto: float) ->
     return integrate(f, 0.0, upto, spec)
 
 
-def _kernel_blocks(params: ModelParams, t, tau, weight, ends, rows):
-    """Yield (j, k, a) over column blocks j:k of a quadrature in tau on the
-    segments ending at ``ends``: a[i, c] = k(t_i - ends[c] + tau[c]) weight[c]
-    for the rows i < rows[c], and 0 below them.
+def kernel_covariance_matrix(params: ModelParams, times, upto: float) -> np.ndarray:
+    """Symmetric matrix of kernel_covariance(t_i, t_j, upto): the Volterra
+    integrals to the given times, all over the one noise window [0, upto].
 
-    ``rows`` holds the counts as floats (numpy's broadcast integer compare
-    would add to the process's resident memory) and must not increase, so
-    rows[j] bounds a block's active rows; a block has them rounded up to a
-    multiple of _ROW_TILE, and a whole number of _COV_NODES columns, about
-    _COV_EVALS entries in all. The offset t - end is formed before tau is
-    added (exact when t is within a factor 2 of the end, Sterbenz), and a
-    masked entry's lag is floored at tau, so no lag reaching the kernel is
-    negative. The rows below rows[k - 1] are active in every column of the
-    block, so only the rows from there on need the mask.
-    """
-    j = 0
-    while j < tau.size and rows[j] > 0:
-        m = min(t.size, -(-int(rows[j]) // _ROW_TILE) * _ROW_TILE)
-        k = min(tau.size, j + _COV_NODES * max(1, _COV_EVALS // (_COV_NODES * m)))
-        low = int(rows[k - 1])
-        lag = t[:m, None] - ends[j:k]
-        np.maximum(lag[low:], 0.0, out=lag[low:])
-        lag += tau[j:k]
-        a = kernel(params, lag)
-        a[:low] *= weight[j:k]
-        a[low:] *= np.where(np.arange(low, m, dtype=float)[:, None] < rows[j:k],
-                            weight[j:k], 0.0)
-        yield j, k, a
-        j = k
-
-
-def kernel_covariance_matrix(params: ModelParams, times, windows) -> np.ndarray:
-    """Symmetric matrix of kernel_covariance(t_i, t_j, min(w_i, w_j)).
-
-    Entry (i, j) integrates phi_i phi_j over the noise time u, where
-    phi_i(u) = k(t_i - u) for u < w_i and 0 beyond. The noise range splits
-    at the distinct positive windows. On a segment [s, b], in tau = b - u,
-    the active nodes (w >= b) have offsets c = t - b >= 0, zero only for a
-    time equal to its window b. With a = min(smallest nonzero c, b - s),
-    16-point Gauss-Legendre takes the head [0, a] for pairs of nonzero
-    offsets, and Gauss-Jacobi with weight tau^(H-1/2) for pairs with one;
-    the same Gauss-Legendre rule takes the
-    :func:`~vixsmile.specfun.geometric_rule` panels from a to b - s, so
-    each singularity tau = -c <= 0 is a panel width away. Pairs of zero
-    offsets are ``kernel_variance(b)``.
-
-    Every segment's head and panel nodes form one list of columns, and each
-    node's kernel is evaluated once per column, weighted by the root of the
-    column's weight, and zero where the node is inactive: the Gram products
-    A A^T of column blocks of about _COV_EVALS entries sum all pairs over
-    all segments. A second pass of such blocks sums the Gauss-Jacobi cross
-    terms of every zero offset, and one array ``kernel_variance`` call sets
-    the zero-zero pairs. So the number of numpy calls grows with the number
-    of kernel evaluations, not with the number of windows. The test
-    reference is kernel_covariance.
+    In tau = upto - u the nodes have offsets c = t - upto >= 0, zero only for
+    a time equal to upto. With a = min(smallest nonzero c, upto), 16-point
+    Gauss-Legendre takes the head [0, a] for pairs of nonzero offsets, and
+    Gauss-Jacobi with weight tau^(H-1/2) for pairs with one zero offset; the
+    same Gauss-Legendre rule takes the
+    :func:`~vixsmile.specfun.geometric_rule` panels from a to upto, so each
+    singularity tau = -c <= 0 is a panel width away. Pairs of zero offsets
+    are ``kernel_variance(upto)``. Each node's kernel is evaluated once per
+    Gauss-Legendre node, weighted by the root of its weight (zero on a zero
+    offset's head), and Gram products A A^T of column blocks sum all pairs.
+    The test reference is kernel_covariance.
     """
     times = np.asarray(times, dtype=float)
-    windows = np.asarray(windows, dtype=float)
-    if times.ndim != 1 or windows.shape != times.shape:
-        raise ValueError("times and windows must be vectors of equal length")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(windows))):
-        raise ValueError("times and windows must be finite")
-    if np.any(times <= 0.0):
-        raise ValueError("times must be positive")
-    if np.any(windows < 0.0) or np.any(windows > times):
-        raise ValueError("every window must lie in [0, its time]")
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty vector")
+    if not (np.all(np.isfinite(times)) and 0.0 < upto < math.inf):
+        raise ValueError("times must be finite, and upto positive and finite")
+    if np.any(times < upto):
+        raise ValueError(f"upto must not exceed any time, got {upto!r}")
 
-    # Nodes in decreasing (window, time) order: the nodes active on a segment
-    # (window >= its end b) lead, and among them the zero offsets (time = b)
-    # come last. One pass in Python over these short lists finds, for each
-    # distinct positive window b, the rows active on its segment, the rows
-    # with a nonzero offset and the smallest time among them, and the zero
-    # offsets' rows; numpy's sort and search kernels would add to the
-    # process's resident memory.
-    nodes = sorted(zip(windows.tolist(), times.tolist(), range(times.size)), reverse=True)
-    ends, active, nonzero, smallest, zero, zero_seg = [], [], [], [], [], []
-    least = math.inf
-    for row, (w_i, t_i, _) in enumerate(nodes):
-        if w_i == 0.0:
-            break
-        if not ends or w_i != ends[-1]:
-            ends.append(w_i)
-            active.append(row)
-            nonzero.append(row)
-            smallest.append(least)
-        active[-1] = row + 1
-        least = min(least, t_i)
-        if t_i > w_i:
-            nonzero[-1] = row + 1
-            smallest[-1] = least
-        else:
-            zero.append(row)
-            zero_seg.append(len(ends) - 1)
-    if not ends:
-        return np.zeros((times.size, times.size))
-    # Ascending segments [start, b]; a = min(smallest nonzero offset, b - start).
-    ends, active, nonzero, smallest = ends[::-1], active[::-1], nonzero[::-1], smallest[::-1]
-    width = [b - start for start, b in zip([0.0] + ends[:-1], ends)]
-    near = np.array([min(least - b, wide) for least, b, wide in zip(smallest, ends, width)])
-    order = [i for _, _, i in nodes]
-    # Inactive padding rows (copies of the last node) fill the last row tile.
-    t = times[order + order[-1:] * (-len(order) % _ROW_TILE)]
-    cov = np.zeros((t.size, t.size))
+    # Offsets, formed before tau is added (exact for a time within a factor 2
+    # of upto, Sterbenz). Padding rows, copies of the last node, fill the last
+    # row tile.
+    c = np.concatenate([times, times[-1:].repeat(-times.size % _ROW_TILE)]) - upto
+    zero = c == 0.0
+    near = np.min(c, where=~zero, initial=upto)
+    far_tau, far_weight = geometric_rule(_GL_X, _GL_W, near, upto)
+    tau = np.concatenate([0.5 * near * (1.0 + _GL_X), far_tau.ravel()])
+    root_w = np.sqrt(np.concatenate([0.5 * near * _GL_W, far_weight.ravel()]))
+    step = _COV_NODES * max(1, _COV_EVALS // (_COV_NODES * c.size))
+    cov = np.zeros((c.size, c.size))
+    for j in range(0, tau.size, step):
+        a = kernel(params, c[:, None] + tau[j:j + step]) * root_w[j:j + step]
+        if j == 0:
+            a[zero, :_COV_NODES] = 0.0
+        cov += a @ a.T
 
-    # Columns by segment, each segment's panels before its head, so the
-    # active rows do not increase along them.
-    far_tau, far_weight = geometric_rule(_GL_X, _GL_W, near, np.array(width))
-    n_far = far_tau[0].size
-    half = 0.5 * near[:, None]
-    tau = np.concatenate([far_tau.reshape(near.size, n_far), half * (1.0 + _GL_X)], axis=1)
-    root_w = np.sqrt(np.concatenate([far_weight.reshape(near.size, n_far), half * _GL_W], axis=1))
-    rows = np.repeat(np.array([active, nonzero], float), [n_far, _COV_NODES], axis=0).T
-    for _, _, a in _kernel_blocks(params, t, tau.ravel(), root_w.ravel(),
-                                  np.repeat(ends, tau.shape[1]), rows.ravel()):
-        cov[:a.shape[0], :a.shape[0]] += a @ a.T
-
-    # The zero offsets' heads, by ascending segment: Gauss-Jacobi cross terms
-    # with the nonzero offsets, and each zero-zero pair is kernel_variance(b).
-    zero_seg = [len(ends) - 1 - s for s in zero_seg[::-1]]
-    zero = np.array(zero[::-1], int)
+    # The zero offsets' head: Gauss-Jacobi cross terms with the nonzero
+    # offsets, and each zero-zero pair is kernel_variance(upto).
     jac_x, jac_w = gauss_jacobi(params.H - 0.5, _COV_NODES)
-    head = near[zero_seg][:, None]
-    jac_weight = head ** (params.H + 0.5) * jac_w * np.exp(-params.beta * head * jac_x)
-    zero_end = np.array([ends[s] for s in zero_seg])
-    for j, k, a in _kernel_blocks(params, t, (head * jac_x).ravel(), jac_weight.ravel(),
-                                  np.repeat(zero_end, _COV_NODES),
-                                  np.repeat([float(nonzero[s]) for s in zero_seg], _COV_NODES)):
-        cross = a.reshape(a.shape[0], -1, _COV_NODES).sum(axis=2)
-        cols = zero[j // _COV_NODES:k // _COV_NODES]
-        cov[:a.shape[0], cols] += cross
-        cov[cols, :a.shape[0]] += cross.T
-    pair_i, pair_j = np.nonzero(zero_end[:, None] == zero_end)  # same window
-    cov[zero[pair_i], zero[pair_j]] = kernel_variance(params, zero_end)[pair_i]
+    jac_weight = near ** (params.H + 0.5) * jac_w * np.exp(-params.beta * near * jac_x)
+    cross = (kernel(params, c[:, None] + near * jac_x) * jac_weight).sum(axis=1)
+    idx = np.flatnonzero(zero)
+    cov[idx] += cross
+    cov[:, idx] += cross[:, None]
+    cov[idx[:, None], idx] = kernel_variance(params, upto)
     if not np.isfinite(cov).all():
         raise ValueError("kernel covariance not finite; check the model parameters")
+    return np.ascontiguousarray(cov[:times.size, :times.size])
 
-    back = np.empty(len(order), int)  # back to input order
-    back[order] = np.arange(len(order))
-    return cov.take(back, 0).take(back, 1)
+
+def grid_covariance_matrix(params: ModelParams, maturity: float, n: int) -> np.ndarray:
+    """Covariance matrix of the Volterra integrals to the uniform grid times
+    t_k = k T/n, k = 1..n, each over its own noise window [0, t_k].
+
+    The kernel depends only on the lag, so the noise on [t_(m-1), t_m] gives
+    the node pair (m+p, m+q) the entry that the noise on [0, t_1] gives the
+    pair (1+p, 1+q). With S the one-window :func:`kernel_covariance_matrix`
+    of the grid over [0, T/n], the matrix is S summed along its diagonals:
+    C[k, l] = S[k, l] + C[k-1, l-1] (row k, column l). Both sums run in the
+    same order, so C is exactly symmetric.
+    """
+    if not 0.0 < maturity < math.inf:
+        raise ValueError(f"maturity must be positive and finite, got {maturity!r}")
+    if n < 1:
+        raise ValueError(f"need at least one grid node, got {n!r}")
+    width = maturity / n
+    cov = kernel_covariance_matrix(params, width * np.arange(1, n + 1), width)
+    for k in range(1, n):
+        cov[k, 1:] += cov[k - 1, :-1]
+    return cov

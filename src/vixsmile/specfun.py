@@ -404,30 +404,23 @@ def gauss_kronrod_15() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _GK_NODES, _GK_WEIGHTS, _GK_GAUSS_WEIGHTS
 
 
-def _doubling_edges(inner, outer) -> np.ndarray:
+def _doubling_edges(inner: float, outer: float) -> np.ndarray:
     """Edges inner 2^j, j = 0..ceil(log2(outer/inner)) - 1, then ``outer``.
 
     The count comes exactly from the binary exponents and mantissas, so every
     ratio of neighbouring edges is 2 except the last, which lies in (1, 2].
-    Arrays of (inner, outer) give one row of edges per pair, each padded with
-    ``outer`` to the length of the longest.
     """
-    inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
-    counts = []
-    for lo, hi in zip(inner.ravel().tolist(), outer.ravel().tolist()):
-        if not (0.0 < lo <= hi < math.inf):
-            raise ValueError(f"need 0 < inner <= outer < inf, got {lo!r}, {hi!r}")
-        (m_in, e_in), (m_out, e_out) = math.frexp(lo), math.frexp(hi)
-        counts.append(e_out - e_in + (m_out > m_in))
-    steps = np.arange(max(counts) + 1)
-    if min(counts) < max(counts):  # each row steps to its own count: none overflows
-        steps = np.minimum(steps, np.reshape(counts, inner.shape + (1,)))
-    # inner 2^j < outer exactly for j below the pair's count.
-    return np.minimum(np.ldexp(inner[..., None], steps), outer[..., None])
+    if not (0.0 < inner <= outer < math.inf):
+        raise ValueError(f"need 0 < inner <= outer < inf, got {inner!r}, {outer!r}")
+    (m_in, e_in), (m_out, e_out) = math.frexp(inner), math.frexp(outer)
+    count = e_out - e_in + (m_out > m_in)
+    edges = np.ldexp(inner, np.arange(count + 1))
+    edges[-1] = outer
+    return edges
 
 
-def geometric_rule(x: np.ndarray, weights, inner,
-                   outer) -> tuple[np.ndarray, np.ndarray]:
+def geometric_rule(x: np.ndarray, weights, inner: float,
+                   outer: float) -> tuple[np.ndarray, np.ndarray]:
     """Map the rule (x, weights) on [-1, 1] onto panels that double in width
     from ``inner``, the last clipped at ``outer``.
 
@@ -436,16 +429,11 @@ def geometric_rule(x: np.ndarray, weights, inner,
     nodes. ``weights`` is one row or a stack of rows, each mapped alike
     (for example Kronrod and Kronrod minus Gauss). Returns nodes of shape
     (panels, n) and weights of shape (panels, n) or (rows, panels, n).
-    ``inner`` and ``outer`` may also be arrays of one shape: each pair's
-    panels then lie along a new axis after that shape, padded to the longest
-    by panels of zero width (nodes at ``outer``, zero weights).
     """
     edges = _doubling_edges(inner, outer)
-    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
-    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-    weights = np.asarray(weights)
-    rows = weights.reshape(weights.shape[:-1] + (1,) * (half.ndim - 1) + weights.shape[-1:])
-    return mid + half * x, half * rows
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return mid + half * x, half * np.asarray(weights)[..., None, :]
 
 
 def kronrod_bound(kronrod, gap):
@@ -548,7 +536,7 @@ def lower_incomplete_gamma(a: float, x):
         return math.gamma(a) - _uig_continued_fraction(a, x)
 
     x = np.asarray(x, dtype=float)
-    lo, hi = x.min(initial=0.0), x.max(initial=0.0)  # empty arrays pass
+    lo, hi = x.min(), x.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("lower_incomplete_gamma requires finite arguments")
     if lo < 0.0:

@@ -19,7 +19,7 @@ from vixsmile.mc import (
     sample_rv,
     sample_vix,
 )
-from vixsmile.model import ModelParams, kernel, kernel_covariance_matrix
+from vixsmile.model import ModelParams, grid_covariance_matrix, kernel, kernel_covariance_matrix
 from vixsmile.specfun import QuadSpec, integrate
 
 
@@ -80,7 +80,7 @@ def test_vix_sampler_covariance_matches_brute_force():
     params = mk(H=0.3, beta=0.0)
     grid = SimGrid(T=0.1, delta=30 / 365, n_inner=8, n_paths=10)
     sampler = build_vix_sampler(params, grid)
-    nodes = sampler.nodes
+    nodes = np.linspace(grid.T, grid.T + grid.delta, grid.n_inner)
     for i in range(8):
         for j in range(i, 8):
             t1, t2 = float(nodes[i]), float(nodes[j])
@@ -113,12 +113,11 @@ def test_factor_rejects_indefinite_matrix():
         _factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def _layout(kind, T, n, delta=30 / 365):
-    """Nodes and windows of the VIX and RV samplers."""
+def _covariance(params, kind, T, n, delta=30 / 365):
+    """Covariance matrix of the VIX and RV samplers."""
     if kind == "vix":
-        return np.linspace(T, T + delta, n), np.full(n, T)
-    nodes = T * (np.arange(1, n + 1) / n)
-    return nodes, nodes
+        return kernel_covariance_matrix(params, np.linspace(T, T + delta, n), T)
+    return grid_covariance_matrix(params, T, n)
 
 
 @pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.5])
@@ -130,7 +129,7 @@ def test_factor_reproduces_covariance(H, beta):
     for T in (1e-8, 1e-4, 0.1, 0.5, 2.0):
         for n in (2, 16, 33, 96):
             for kind in ("vix", "rv"):
-                cov = kernel_covariance_matrix(params, *_layout(kind, T, n))
+                cov = _covariance(params, kind, T, n)
                 factor = _factor(cov)
                 err = np.max(np.abs(factor @ factor.T - cov))
                 assert err <= 1e-12 * np.max(np.abs(cov)), (kind, T, n)
@@ -190,9 +189,8 @@ def test_instantaneous_variance_martingale_at_nodes():
     # identity as reduction weights makes the core return v at each node.
     params = mk(H=0.3, beta=0.5, gamma=0.5, nu=2.0, eta=0.5)
     grid = SimGrid(T=0.5, n_inner=8, n_paths=60_000, seed=17)
-    nodes, windows = _layout("rv", grid.T, grid.n_inner)
-    sampler = FactorSampler("rv", params, grid, nodes, windows, np.eye(grid.n_inner),
-                            0.0, 1.0)
+    sampler = FactorSampler("rv", params, grid, _covariance(params, "rv", grid.T, grid.n_inner),
+                            np.eye(grid.n_inner), 0.0, 1.0)
     v = sampler.draw_chunk(0, grid.n_paths, 17)
     means = v.mean(axis=1)
     stderrs = v.std(axis=1, ddof=1) / math.sqrt(grid.n_paths)
@@ -244,11 +242,11 @@ def _term_by_term_draw_chunk(sampler, weights, offset, divisor, chunk_index, siz
 @pytest.mark.parametrize("T", [1e-4, 0.5])
 def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
     grid = SimGrid(T=T, n_inner=16, n_paths=1000, seed=3)
-    nodes, windows = _layout(kind, T, grid.n_inner)
     span = grid.delta if kind == "vix" else T
     weights = _trapezoid_weights(grid.n_inner, span / (grid.n_inner - 1))
     offset, divisor = (0.0, grid.delta) if kind == "vix" else (0.001, T)
-    sampler = FactorSampler(kind, params, grid, nodes, windows, weights, offset, divisor)
+    sampler = FactorSampler(kind, params, grid, _covariance(params, kind, T, grid.n_inner),
+                            weights, offset, divisor)
     for chunk_index in (0, 3):
         drawn = sampler.draw_chunk(chunk_index, 1000, 77)
         reference = _term_by_term_draw_chunk(sampler, weights, offset, divisor,
@@ -273,28 +271,24 @@ _BLAS_DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
 from vixsmile.mc import SimGrid, build_vix_sampler, sample_rv, sample_vix
-from vixsmile.model import ModelParams, kernel_covariance_matrix
+from vixsmile.model import ModelParams, grid_covariance_matrix, kernel_covariance_matrix
 
 digest = hashlib.sha256()
 for params in (ModelParams(v0=0.04, H=0.3, nu=2.0),
                ModelParams(v0=0.04, H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)):
+    # Samples at 16 and 96 nodes only: at 150 and 170, eigh's bits, and so
+    # the samples, still depend on the thread count.
     for n in (16, 96):
         grid = SimGrid(T=0.25, n_inner=n, n_paths=8192, seed=11)
-        rv_nodes = grid.T * np.arange(1, n + 1) / n
         sampler = build_vix_sampler(params, grid)
-        digest.update(sampler.cov.tobytes())
-        digest.update(kernel_covariance_matrix(params, rv_nodes, rv_nodes).tobytes())
         digest.update(sample_vix(sampler).samples.tobytes())
         digest.update(sample_rv(params, grid).samples.tobytes())
-    # Several windows per matrix, so Gram blocks span segments: zero windows,
-    # a shared window, windows below their times, and times on them.
-    for n in (16, 96, 150, 200):
-        times = 0.05 + 1.95 * np.arange(1, n + 1) / n
-        kind = np.arange(n) % 4
-        windows = np.where(kind == 0, 0.0, times)
-        windows[kind == 1] = 0.5 * times[0]
-        windows[kind == 2] *= 0.6
-        digest.update(kernel_covariance_matrix(params, times, windows).tobytes())
+    # Both layouts' covariances, with row counts that are not whole register
+    # tiles and with several Gram blocks.
+    for n in (16, 96, 150, 170, 200, 512):
+        vix_nodes = np.linspace(0.25, 0.25 + 30 / 365, n)
+        digest.update(kernel_covariance_matrix(params, vix_nodes, 0.25).tobytes())
+        digest.update(grid_covariance_matrix(params, 0.25, n).tobytes())
 print(digest.hexdigest())
 """
 

@@ -9,6 +9,7 @@ import pytest
 from vixsmile.model import (
     HestonParams,
     ModelParams,
+    grid_covariance_matrix,
     kernel,
     kernel_covariance,
     kernel_covariance_matrix,
@@ -211,23 +212,25 @@ def test_window_one_ulp_above_its_time_raises():
     with pytest.raises(ValueError):
         kernel_covariance(mk(), 0.4, 0.9, above)
     with pytest.raises(ValueError):
-        kernel_covariance_matrix(mk(), np.array([0.4, 0.9]), np.array([above, 0.4]))
+        kernel_covariance_matrix(mk(), np.array([0.4, 0.9]), above)
 
 
 # ---------------------------------------------------------------------------
-# covariance matrices: the fixed-rule builder against the scalar oracle
+# covariance matrices: the fixed-rule builders against the scalar oracle
 # ---------------------------------------------------------------------------
 
 DELTA = 30.0 / 365.0
 
 
-def _layout(kind, maturity, n_inner):
-    """(times, windows) of the VIX sampler and of the RV variance state."""
+def _sampler_covariance(params, kind, maturity, n_inner):
+    """(matrix, times, windows) of the VIX sampler, whose nodes share the
+    window [0, T], and of the RV variance state, each node over its own past."""
     if kind == "vix":
-        return (np.linspace(maturity, maturity + DELTA, n_inner),
+        times = np.linspace(maturity, maturity + DELTA, n_inner)
+        return (kernel_covariance_matrix(params, times, maturity), times,
                 np.full(n_inner, maturity))
-    nodes = maturity * (np.arange(1, n_inner + 1) / n_inner)
-    return nodes, nodes
+    times = maturity * (np.arange(1, n_inner + 1) / n_inner)
+    return grid_covariance_matrix(params, maturity, n_inner), times, times
 
 
 def _oracle_pairs(n):
@@ -241,8 +244,7 @@ def _oracle_pairs(n):
     return rows[keep], cols[keep]
 
 
-def _assert_matches_oracle(params, times, windows):
-    fast = kernel_covariance_matrix(params, times, windows)
+def _assert_matches_oracle(params, fast, times, windows):
     np.testing.assert_array_equal(fast, fast.T)
     rows, cols = _oracle_pairs(times.size)
     oracle = [
@@ -257,78 +259,46 @@ def _assert_matches_oracle(params, times, windows):
 @pytest.mark.parametrize("n_inner", [2, 16, 33])
 @pytest.mark.parametrize("maturity", [1e-8, 1e-4, 0.1, 0.5, 2.0])
 def test_covariance_matrix_matches_scalar_oracle(kind, n_inner, maturity):
-    times, windows = _layout(kind, maturity, n_inner)
     for hurst in (0.05, 0.1, 0.3, 0.5):
         for beta in (0.0, 1.0, 5.0):
-            _assert_matches_oracle(mk(H=hurst, beta=beta), times, windows)
+            params = mk(H=hurst, beta=beta)
+            _assert_matches_oracle(params, *_sampler_covariance(params, kind, maturity, n_inner))
 
 
 @pytest.mark.parametrize("kind", ["vix", "rv"])
 @pytest.mark.parametrize("n_inner", [96, 128])
 @pytest.mark.parametrize("hurst, beta", [(0.3, 0.0), (0.1, 1.0)])
 def test_covariance_matrix_matches_scalar_oracle_fine_grid(kind, n_inner, hurst, beta):
-    _assert_matches_oracle(mk(H=hurst, beta=beta), *_layout(kind, 0.25, n_inner))
+    params = mk(H=hurst, beta=beta)
+    _assert_matches_oracle(params, *_sampler_covariance(params, kind, 0.25, n_inner))
 
 
 def test_covariance_matrix_brownian_case_is_constant():
     # H = 1/2, beta = 0: every covariance over [0, T] equals T.
-    times, windows = _layout("vix", 0.3, 16)
-    cov = kernel_covariance_matrix(mk(H=0.5, beta=0.0), times, windows)
+    cov = kernel_covariance_matrix(mk(H=0.5, beta=0.0), np.linspace(0.3, 0.3 + DELTA, 16), 0.3)
     np.testing.assert_allclose(cov, 0.3, rtol=1e-14)
 
 
-def test_covariance_matrix_zero_window_and_snapped_times():
-    # A time 1e-13 above its window keeps its offset: no snap to the window.
-    p = mk(H=0.2, beta=0.7)
-    times = np.array([0.4, 0.4 * (1.0 + 1e-13), 0.9])
-    windows = np.array([0.0, 0.4, 0.4])
-    cov = kernel_covariance_matrix(p, times, windows)
-    assert np.all(cov[0] == 0.0) and np.all(cov[:, 0] == 0.0)
-    gap = times[1] - 0.4
-    assert cov[1, 1] == pytest.approx(_covariance_mpmath(0.2, 0.7, gap, gap, 0.4),
-                                      rel=1e-13, abs=0.0)
-    assert cov[1, 2] == pytest.approx(kernel_covariance(p, times[1], 0.9, 0.4), rel=1e-10)
-
-
 def _general_layout(rng, n):
-    """Non-uniform times whose windows are zero, the node's own time, shared,
-    below the time, or up to 5e-13 relative below the time."""
-    times = np.sort(rng.uniform(0.05, 2.0, n))
-    kind = rng.integers(5, size=n)
-    windows = np.where(kind == 0, 0.0, times)
-    below = kind == 2
-    windows[below] = times[below] * rng.uniform(0.1, 0.9, below.sum())
-    shared = kind == 3
-    windows[shared] = 0.5 * times[shared].min(initial=np.inf)
-    snapped = kind == 4
-    times[snapped] *= 1.0 + rng.uniform(0.0, 5e-13, snapped.sum())
-    return times, windows
+    """Non-uniform times over one window: on it, up to 5e-13 relative above
+    it, or anywhere above it up to 2."""
+    upto = rng.uniform(0.05, 1.0)
+    kind = rng.integers(3, size=n)
+    times = rng.uniform(upto, 2.0, n)
+    times[kind == 0] = upto
+    snapped = kind == 1
+    times[snapped] = upto * (1.0 + rng.uniform(0.0, 5e-13, snapped.sum()))
+    return times, upto
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_covariance_matrix_matches_scalar_oracle_general_layouts(seed):
     rng = np.random.default_rng(seed)
-    times, windows = _general_layout(rng, int(rng.integers(2, 13)))
+    times, upto = _general_layout(rng, int(rng.integers(2, 13)))
     params = mk(H=float(rng.choice([0.05, 0.1, 0.3, 0.5])),
                 beta=float(rng.choice([0.0, 1.0, 5.0])))
-    _assert_matches_oracle(params, times, windows)
-
-
-@pytest.mark.parametrize(
-    "times, windows",
-    [
-        # Node 0's time lies 8e-13 above its window 1.0, which lies 1e-7
-        # above node 2's: both offsets are kept exactly.
-        ([1.0 + 8e-13, 1.5, 1.0 - 1e-7, 0.7], [1.0, 1.5, 1.0 - 1e-7, 0.7]),
-        # Windows a few ulps or 1e-13 apart, times a few ulps or 3e-13
-        # above several of them.
-        ([0.3, 0.1 + 0.2, 0.3 + 3e-13, 0.9, 0.3 * (1 + 4e-16)],
-         [0.3, 0.1 + 0.2, 0.3 + 1e-13, 0.9, 0.1 + 0.2]),
-    ],
-)
-@pytest.mark.parametrize("hurst, beta", [(0.05, 0.0), (0.1, 1.0), (0.3, 0.0)])
-def test_covariance_matrix_snaps_each_pair_to_its_own_boundary(times, windows, hurst, beta):
-    _assert_matches_oracle(mk(H=hurst, beta=beta), np.array(times), np.array(windows))
+    _assert_matches_oracle(params, kernel_covariance_matrix(params, times, upto), times,
+                           np.full(times.size, upto))
 
 
 def _covariance_mpmath(hurst, beta, gap1, gap2, upto):
@@ -350,36 +320,36 @@ def _covariance_mpmath(hurst, beta, gap1, gap2, upto):
 
 @pytest.mark.parametrize("hurst, beta", [(0.05, 0.0), (0.1, 1.0), (0.3, 5.0)])
 def test_covariance_matrix_tiny_offsets_against_mpmath(hurst, beta):
-    # Offsets down to 1e-9 of the window, where the scalar oracle's declared
-    # endpoint power law only approaches the true one: pin against mpmath.
-    b = 0.5
-    times = b + np.array([0.0, 1e-9 * b, 1e-3 * b, 0.3])
-    gaps = times - b  # exact: the times are within a factor 2 of b
-    cov = kernel_covariance_matrix(mk(H=hurst, beta=beta), times, np.full(4, b))
-    for i, j in [(0, 1), (1, 1), (1, 2), (0, 3), (2, 3)]:
-        exact = _covariance_mpmath(hurst, beta, gaps[i], gaps[j], b)
-        assert cov[i, j] == pytest.approx(exact, rel=1e-13, abs=0.0), (i, j)
+    # Offsets down to 1e-9 of the window, or 8e-13 above it, where the scalar
+    # oracle's declared endpoint power law only approaches the true one: pin
+    # against mpmath. No time snaps onto the window.
+    for b, tiny in [(0.5, 0.5e-9), (1.0, 8e-13)]:
+        times = b + np.array([0.0, tiny, 1e-3 * b, 0.3])
+        gaps = times - b  # exact: the times are within a factor 2 of b
+        cov = kernel_covariance_matrix(mk(H=hurst, beta=beta), times, b)
+        for i, j in [(0, 1), (1, 1), (1, 2), (0, 3), (2, 3)]:
+            exact = _covariance_mpmath(hurst, beta, gaps[i], gaps[j], b)
+            assert cov[i, j] == pytest.approx(exact, rel=1e-13, abs=0.0), (b, i, j)
 
 
 @pytest.mark.parametrize("hurst, beta", [(0.05, 0.0), (0.1, 1.0), (0.3, 5.0)])
-def test_covariance_matrix_tiny_offsets_across_windows_against_mpmath(hurst, beta):
-    # Three windows, each with a time on it and times 1e-9 and 1e-3 of it
-    # above: every segment's head is set by a tiny offset, and the pairs
-    # across windows sum the segments below the smaller window.
-    ends = np.array([0.3, 0.5, 0.8])
-    times = (ends[:, None] * (1.0 + np.array([0.0, 1e-9, 1e-3]))).ravel()
-    windows = np.repeat(ends, 3)
-    cov = kernel_covariance_matrix(mk(H=hurst, beta=beta), times, windows)
-    pairs = [(1, 1), (0, 1), (1, 2), (4, 4), (3, 4), (7, 8),  # within a window
-             (1, 4), (0, 7), (4, 6), (2, 8)]  # across windows
-    for i, j in pairs:
-        upto = min(windows[i], windows[j])
-        exact = _covariance_mpmath(hurst, beta, times[i] - upto, times[j] - upto, upto)
+def test_grid_covariance_long_prefix_sums_are_exact(hurst, beta):
+    # At 512 nodes the last entries sum 512 window terms along a diagonal:
+    # the diagonal against the closed-form variance, and entries far from
+    # it against mpmath.
+    params, maturity, n = mk(H=hurst, beta=beta), 0.25, 512
+    cov = grid_covariance_matrix(params, maturity, n)
+    times = maturity * (np.arange(1, n + 1) / n)
+    variance = [kernel_variance(params, float(t)) for t in times]
+    np.testing.assert_allclose(np.diag(cov), variance, rtol=1e-13, atol=0.0)
+    for i, j in [(0, 511), (300, 511), (400, 450)]:
+        exact = _covariance_mpmath(hurst, beta, 0.0, maturity * (j - i) / n,
+                                   maturity * (i + 1) / n)
         assert cov[i, j] == pytest.approx(exact, rel=1e-13, abs=0.0), (i, j)
 
 
 @pytest.mark.parametrize("n_inner", [16, 96, 512])
-def test_covariance_matrix_kernel_calls_do_not_grow_with_windows(n_inner, monkeypatch):
+def test_covariance_matrix_kernel_values_grow_linearly_with_grid(n_inner, monkeypatch):
     from vixsmile import model
 
     sizes = []
@@ -391,17 +361,15 @@ def test_covariance_matrix_kernel_calls_do_not_grow_with_windows(n_inner, monkey
 
     monkeypatch.setattr(model, "kernel", counted)
     params = mk(H=0.1, beta=1.0)
-    # RV: one window per node. The Gram pass and the Gauss-Jacobi pass each
-    # need about 16 n^2 / 2 kernel values, in blocks of _COV_EVALS entries at
-    # least half of them active (the active rows fall along a block), plus
-    # one last partial block each.
-    kernel_covariance_matrix(params, *_layout("rv", 0.25, n_inner))
-    assert len(sizes) <= 2 + 2 * 16 * n_inner ** 2 / model._COV_EVALS
-    assert max(sizes) <= max(model._COV_EVALS, 16 * n_inner)
-    # VIX: one window. At 16 nodes its columns fit in one block, so there is
-    # one Gram block and one Gauss-Jacobi block.
+    # RV: one window of width T/n and its diagonal sums, so about 32 n
+    # kernel values (16 n for each of the Gauss-Legendre and Gauss-Jacobi
+    # heads), against 16 n^2 for a window per node.
+    grid_covariance_matrix(params, 0.25, n_inner)
+    assert sum(sizes) <= 40 * n_inner
+    # VIX: at 16 nodes the columns fit in one block, so there is one Gram
+    # block and one Gauss-Jacobi block.
     sizes.clear()
-    kernel_covariance_matrix(params, *_layout("vix", 0.25, n_inner))
+    kernel_covariance_matrix(params, np.linspace(0.25, 0.25 + DELTA, n_inner), 0.25)
     if n_inner == 16:
         assert len(sizes) == 2
     assert max(sizes) <= max(model._COV_EVALS, 16 * n_inner)
@@ -411,10 +379,9 @@ def test_covariance_matrix_kernel_calls_do_not_grow_with_windows(n_inner, monkey
 def test_covariance_matrix_temporaries_stay_bounded(n_inner, limit_mib):
     import tracemalloc
 
-    times, windows = _layout("rv", 0.25, n_inner)
     tracemalloc.start()
     try:
-        kernel_covariance_matrix(mk(H=0.1, beta=1.0), times, windows)
+        grid_covariance_matrix(mk(H=0.1, beta=1.0), 0.25, n_inner)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,27 +389,36 @@ def test_covariance_matrix_temporaries_stay_bounded(n_inner, limit_mib):
 
 
 @pytest.mark.parametrize(
-    "times, windows",
+    "times, upto",
     [
-        ([0.5, np.nan], [0.5, 0.5]),
-        ([0.5, 1.0], [0.5, np.inf]),
-        ([0.0, 1.0], [0.0, 0.5]),
-        ([0.5, 1.0], [0.6, 0.5]),
-        ([0.5, 1.0], [-0.1, 0.5]),
-        ([0.5, 1.0], [0.5]),
+        ([0.5, np.nan], 0.5),
+        ([0.5, 1.0], np.inf),
+        ([0.5, 1.0], 0.0),
+        ([0.5, 1.0], 0.6),
+        ([0.5, 1.0], -0.1),
+        ([[0.5, 1.0]], 0.5),
+        ([0.5, 1.0], np.nan),
+        ([], 0.5),
     ],
 )
-def test_covariance_matrix_rejects_bad_inputs(times, windows):
+def test_covariance_matrix_rejects_bad_inputs(times, upto):
     with pytest.raises(ValueError):
-        kernel_covariance_matrix(mk(), np.array(times), np.array(windows))
+        kernel_covariance_matrix(mk(), np.array(times), upto)
+
+
+@pytest.mark.parametrize("maturity, n", [(0.0, 4), (-1.0, 4), (np.inf, 4), (np.nan, 4),
+                                         (0.25, 0)])
+def test_grid_covariance_rejects_bad_inputs(maturity, n):
+    with pytest.raises(ValueError):
+        grid_covariance_matrix(mk(), maturity, n)
 
 
 def test_covariance_matrix_raises_on_non_finite_values():
     # Past half the float range t1 + t2 overflows, but at beta = 0 the
     # integral stays finite: the scalar path and the builder agree on it.
-    times, windows = np.array([1e308, 1.7e308]), np.array([1e308, 1e308])
+    times = np.array([1e308, 1.7e308])
     oracle = kernel_covariance(mk(), float(times[0]), float(times[1]), 1e308)
-    cov = kernel_covariance_matrix(mk(), times, windows)
+    cov = kernel_covariance_matrix(mk(), times, 1e308)
     assert math.isfinite(oracle) and np.all(np.isfinite(cov))
     assert cov[0, 1] == pytest.approx(oracle, rel=1e-10)
 

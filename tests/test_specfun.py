@@ -563,24 +563,6 @@ def test_geometric_rule_is_exact_for_polynomials_of_its_degree(inner, outer):
             np.testing.assert_allclose((row * nodes ** k).sum(axis=1), exact, rtol=1e-13)
 
 
-def test_geometric_rule_rows_match_scalar_calls():
-    # Arrays of edges: each row holds its pair's panels, exactly as a scalar
-    # call gives them, then zero-width padding panels (nodes at outer, zero
-    # weights). The 1e300 row takes no steps past its own count, so nothing
-    # overflows (a RuntimeWarning fails the test).
-    x, w = np.polynomial.legendre.leggauss(4)
-    inner = np.array([0.3, 1e-6, 2.0 ** -10, 1.0, 1e-300, 1e300])
-    outer = np.array([5.0, 0.25, 2.0 ** -3, 1.0, 1e300, 1e300])
-    nodes, weights = geometric_rule(x, w, inner, outer)
-    assert nodes.shape == weights.shape == (inner.size, nodes.shape[1], 4)
-    for row, (lo, hi) in enumerate(zip(inner, outer)):
-        one_nodes, one_weights = geometric_rule(x, w, lo, hi)
-        count = one_nodes.shape[0]
-        np.testing.assert_array_equal(nodes[row, :count], one_nodes)
-        np.testing.assert_array_equal(weights[row, :count], one_weights)
-        assert np.all(nodes[row, count:] == hi) and np.all(weights[row, count:] == 0.0)
-
-
 def test_kronrod_bound_floors_at_fifty_ulps():
     bound = kronrod_bound(np.array([2.0, -2.0, 2.0]), np.array([0.0, 0.0, -1e-3]))
     np.testing.assert_array_equal(bound, [100.0 * _EPS, 100.0 * _EPS, 1e-3])
