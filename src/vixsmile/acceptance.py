@@ -95,7 +95,7 @@ def _c2_rv_power_law(quick: bool):
 def _c3_heston_sign(quick: bool):
     values = []
     for k in (0.5, 1.0, 2.0, 5.0):
-        params = HestonParams(k=k, theta=0.09, nu=0.25, v0=0.09)
+        params = HestonParams(k=k, nu=0.25, v0=0.09)
         value, _ = asy.heston_vix_skew_sign(params, DELTA)
         values.append(value)
     achieved = max(values)  # all must be negative
@@ -211,7 +211,6 @@ def _c9_special_function_oracles(quick: bool):
     for a in np.linspace(0.1, 3.0, 10):
         for x in np.linspace(0.05, 8.0, 10):
             spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-12,
-                            singular_left=(a < 1.0),
                             singular_exponent=min(0.0, float(a) - 1.0))
             oracle = integrate(
                 lambda t: t ** (float(a) - 1.0) * np.exp(-t), 0.0, float(x), spec

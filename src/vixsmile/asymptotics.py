@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -80,11 +80,10 @@ class FormulaId(enum.Enum):
 
 @dataclass(frozen=True)
 class AsymptoteResult:
-    """A closed-form (or quadrature-backed) value with provenance echoed."""
+    """A closed-form (or quadrature-backed) value and its quadrature bound."""
 
     formula_id: FormulaId
     value: float
-    inputs_echo: dict = field(default_factory=dict)
     quad_error_bound: float = 0.0
 
     def __post_init__(self) -> None:
@@ -290,7 +289,7 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     all nodes of an outer panel at once, and W comes from the same rule.
     """
     kernel_mass, w_int, w_err = _kernel_mass_rule(params, delta, maturity)
-    outer_spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9, max_subdivisions=4000)
+    outer_spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9)
 
     # Largest relative error estimate of the inner rule, rel: the outer
     # integrand m^2 then carries a first-order error of at most 2 rel m^2.
@@ -490,7 +489,8 @@ def rv_skew_limit(params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 def heston_vix_skew_sign(params: HestonParams, delta: float) -> tuple[float, int]:
-    """Closed-form short-maturity VIX skew driver for Heston (v0 = theta):
+    """Closed-form short-maturity VIX skew driver for Heston, with the
+    long-run variance equal to v0:
 
         (nu^2 (1-e^(-k delta))/(4 k delta)) (1 - 2(1-e^(-k delta))/(k delta))
 
@@ -508,18 +508,6 @@ def heston_vix_skew_sign(params: HestonParams, delta: float) -> tuple[float, int
 # ---------------------------------------------------------------------------
 # Formula registry
 # ---------------------------------------------------------------------------
-
-def _echo(params, **extra) -> dict:
-    out = dict(extra)
-    if isinstance(params, ModelParams):
-        out.update(
-            v0=params.v0, H=params.H, beta=params.beta,
-            gamma=params.gamma, nu=params.nu, eta=params.eta,
-        )
-    elif isinstance(params, HestonParams):
-        out.update(k=params.k, theta=params.theta, nu=params.nu, v0=params.v0)
-    return out
-
 
 # formula -> (function of (params, delta, maturity) returning (value, quadrature
 # bound), needs delta, needs maturity). Closed forms report a zero bound.
@@ -549,7 +537,7 @@ def evaluate(
     delta: float | None = None,
     maturity: float | None = None,
 ) -> AsymptoteResult:
-    """Evaluate one registered formula and echo its inputs.
+    """Evaluate one registered formula.
 
     ``delta`` is required for the VIX and Heston formulas, ``maturity`` for
     the finite-maturity approximations. Closed forms report a zero
@@ -562,13 +550,8 @@ def evaluate(
         raise ValueError(f"{fid.value} requires delta")
     if needs_maturity and maturity is None:
         raise ValueError(f"{fid.value} requires maturity")
-    heston = fid is FormulaId.HESTON_VIX_SKEW_SIGN
-    required = HestonParams if heston else ModelParams
+    required = HestonParams if fid is FormulaId.HESTON_VIX_SKEW_SIGN else ModelParams
     if not isinstance(params, required):
         raise ValueError(f"{fid.value} requires {required.__name__}")
-
-    echo = _echo(params, delta=delta, maturity=maturity)
     value, bound = func(params, delta, maturity)
-    if heston:
-        echo["sign"] = int(np.sign(value))  # as heston_vix_skew_sign signs it
-    return AsymptoteResult(fid, value, echo, bound)
+    return AsymptoteResult(fid, value, bound)

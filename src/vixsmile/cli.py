@@ -4,18 +4,20 @@ Subcommands
 -----------
 atmi       simulate each maturity, emit MC ATM implied vol vs the
            closed-form approximation and limit (mixed model only)
-skew       same for the central-difference ATM skew (closed form only in
-           Heston mode, which has the vix underlying only)
+skew       same for the central-difference ATM skew (mixed model only)
 asymptote  closed forms only, no simulation
-validate   run the acceptance criteria end to end; nonzero exit on failure
+validate   run the acceptance criteria end to end at their fixed seeds and
+           path counts; nonzero exit on failure
 
 Every setting is declared once, in ``_SETTINGS``: its flag, config-file key,
-caster, help text and header echo. Configuration is flat ``key = value``
-text (``#`` comments) overridden by command-line flags of the same names;
-``VIXSMILE_SEED`` is the seed fallback. CSV goes to ``--out`` or stdout with
-a schema/parameter header line; floats are printed with 17 significant
-digits so outputs are byte-stable. ``atmi`` and ``skew`` share one row loop
-over the maturities. Logs go to stderr.
+caster, help text and header echo. ``validate`` takes only ``--quick`` and
+``--out``; the other subcommands take every setting and ``--config``.
+Configuration is flat ``key = value`` text (``#`` comments) overridden by
+command-line flags of the same names; ``VIXSMILE_SEED`` is the seed
+fallback. CSV goes to ``--out`` or stdout with a schema/parameter header
+line; floats are printed with 17 significant digits so outputs are
+byte-stable. ``atmi`` and ``skew`` share one row loop over the maturities.
+Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class RunConfig:
     workers: int = 0  # 0: all cores
     quick: bool = False
     heston_k: float = 1.0
-    heston_theta: float | None = None
 
     def __post_init__(self) -> None:
         if self.model not in ("mixed", "heston"):
@@ -88,8 +89,7 @@ class RunConfig:
                            gamma=self.gamma, nu=self.nu, eta=self.eta)
 
     def heston_params(self) -> HestonParams:
-        theta = self.v0 if self.heston_theta is None else self.heston_theta
-        return HestonParams(k=self.heston_k, theta=theta, nu=self.nu, v0=self.v0)
+        return HestonParams(k=self.heston_k, nu=self.nu, v0=self.v0)
 
     def sim_grid(self, maturity: float) -> SimGrid:
         return SimGrid(T=maturity, delta=self.delta, n_inner=self.n_inner,
@@ -138,9 +138,8 @@ _SETTINGS: dict[str, _Setting] = {
     "skew_step": _Setting("skew_step", float, "central-difference log-strike step"),
     "out": _Setting("out_path", str, "output path ('-' for stdout)", None),
     "workers": _Setting("workers", int, "parallel workers (0: all cores)", None),
-    # Echoed for the heston model only, theta as resolved.
+    # Echoed for the heston model only.
     "heston_k": _Setting("heston_k", float, "Heston reversion speed (heston model only)"),
-    "heston_theta": _Setting("heston_theta", float, "Heston long-run variance (defaults to v0)"),
 }
 
 _COLUMNS = {
@@ -152,9 +151,7 @@ _COLUMNS = {
 
 def _write_header(config: RunConfig, schema: str, stream) -> None:
     """The schema/parameter header line, then the column line."""
-    values = dict(vars(config))
-    if config.model == "heston":
-        values["heston_theta"] = config.heston_params().theta
+    values = vars(config)
     fields = [f"{key}={setting.echo(values[setting.field])}"
               for key, setting in _SETTINGS.items()
               if setting.echo and (config.model == "heston" or not key.startswith("heston_"))]
@@ -219,19 +216,7 @@ def cmd_atmi(config: RunConfig, stream) -> None:
 
 
 def cmd_skew(config: RunConfig, stream) -> None:
-    """One row per maturity: MC central-difference skew vs approximation/limit.
-
-    In Heston mode no simulation is run; the closed-form skew-sign value is
-    emitted instead.
-    """
-    if config.model == "heston":
-        _write_header(config, "skew", stream)
-        value, sign = asy.heston_vix_skew_sign(config.heston_params(), config.delta)
-        for maturity in config.maturities:
-            stream.write(f"{_fmt(maturity)},,,{_fmt(value)},{_fmt(value)},"
-                         f"closed_form_sign={sign:+d}\n")
-        stream.flush()
-        return
+    """One row per maturity: MC central-difference skew vs approximation/limit."""
 
     def row_values(params: ModelParams, batch, maturity: float) -> list[float]:
         if config.underlying == "vix":
@@ -256,10 +241,13 @@ def cmd_asymptote(config: RunConfig, stream) -> None:
         head = f"{fid.value},{'' if maturity is None else _fmt(maturity)}"
         try:
             res = evaluate(fid, params, delta=config.delta, maturity=maturity)
-            extra = f"sign={res.inputs_echo['sign']:+d}" if "sign" in res.inputs_echo else "ok"
-            stream.write(f"{head},{_fmt(res.value)},{_fmt(res.quad_error_bound)},{extra}\n")
         except DegenerateModelError:
             stream.write(f"{head},,,degenerate\n")
+            return
+        status = "ok"
+        if fid is FormulaId.HESTON_VIX_SKEW_SIGN:
+            status = f"sign={(res.value > 0.0) - (res.value < 0.0):+d}"
+        stream.write(f"{head},{_fmt(res.value)},{_fmt(res.quad_error_bound)},{status}\n")
 
     if config.model == "heston":
         write_row(FormulaId.HESTON_VIX_SKEW_SIGN, None)
@@ -337,36 +325,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_setting(p: argparse.ArgumentParser, key: str) -> None:
+        setting = _SETTINGS[key]
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.cast,
+                       choices=setting.choices, help=setting.help)
+
     for name, help_text in (
         ("atmi", "Monte Carlo ATM implied vol vs closed forms (mixed model only)"),
-        ("skew", "Monte Carlo ATM skew vs closed forms (closed form only for heston)"),
+        ("skew", "Monte Carlo ATM skew vs closed forms (mixed model only)"),
         ("asymptote", "closed-form values only, no simulation"),
-        ("validate", "run the acceptance criteria suite"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        for key, setting in _SETTINGS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.cast,
-                           choices=setting.choices, help=setting.help)
-        p.add_argument("--quick", action="store_true",
-                       help="reduced paths, doubled MC tolerances")
+        for key in _SETTINGS:
+            add_setting(p, key)
+    p = sub.add_parser("validate", help="run the acceptance criteria suite at its "
+                                        "fixed seeds and path counts")
+    p.add_argument("--quick", action="store_true",
+                   help="reduced paths, doubled MC tolerances")
+    add_setting(p, "out")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the flags, else the config file, else (seed only)
-    ``VIXSMILE_SEED``; a setting none of them gives keeps its field default."""
-    settings = load_config_file(args.config) if args.config else {}
+    ``VIXSMILE_SEED``; a setting none of them gives keeps its field default.
+    A flag or ``--config`` that the subcommand lacks reads as unset."""
+    config_path = getattr(args, "config", None)
+    settings = load_config_file(config_path) if config_path else {}
     values = {}
     for key, setting in _SETTINGS.items():
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is None and key in settings:
             value = setting.cast(settings[key])
         if value is not None:
             values[setting.field] = value
     if "seed" not in values and "VIXSMILE_SEED" in os.environ:
         values["seed"] = int(os.environ["VIXSMILE_SEED"])
-    return RunConfig(quick=args.quick, **values)
+    return RunConfig(quick=getattr(args, "quick", False), **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,8 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         # path before any output or simulation.
         if config.model == "mixed":
             config.model_params()
-        elif args.command == "atmi":
-            raise ValueError("atmi supports only the mixed model: there is no Heston simulator")
+        elif args.command in ("atmi", "skew"):
+            raise ValueError(f"{args.command} supports only the mixed model: "
+                             "there is no Heston simulator")
         elif config.underlying == "rv":
             raise ValueError("the heston model has only the VIX skew-sign formula: "
                              "there is no Heston rv underlying")

@@ -224,16 +224,12 @@ def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
     return FactorSampler("vix", params, grid, cov, weights, 0.0, grid.delta)
 
 
-def _draw(sampler: FactorSampler, n_paths: int | None, seed: int | None,
-          workers: int) -> PathBatch:
-    grid = sampler.grid
-    n_paths = grid.n_paths if n_paths is None else n_paths
-    seed = grid.seed if seed is None else seed
+def _draw(sampler: FactorSampler, grid: SimGrid, workers: int) -> PathBatch:
+    """grid.n_paths samples from grid.seed's chunk streams."""
     samples = _run_chunks(
-        lambda idx, size: sampler.draw_chunk(idx, size, seed), n_paths, workers
+        lambda idx, size: sampler.draw_chunk(idx, size, grid.seed), grid.n_paths, workers
     )
-    out_grid = replace(grid, n_paths=n_paths, seed=seed)
-    return PathBatch(sampler.kind, samples, out_grid, sampler.params)
+    return PathBatch(sampler.kind, samples, grid, sampler.params)
 
 
 def sample_vix(
@@ -242,17 +238,15 @@ def sample_vix(
     seed: int | None = None,
     workers: int = 1,
 ) -> PathBatch:
-    """Draw VIX_T samples: sqrt of the window-averaged conditional variance."""
-    return _draw(sampler, n_paths, seed, workers)
+    """Draw VIX_T samples: sqrt of the window-averaged conditional variance.
+    ``n_paths`` and ``seed`` override the sampler grid's."""
+    grid = sampler.grid
+    grid = replace(grid, n_paths=grid.n_paths if n_paths is None else n_paths,
+                   seed=grid.seed if seed is None else seed)
+    return _draw(sampler, grid, workers)
 
 
-def sample_rv(
-    params: ModelParams,
-    grid: SimGrid,
-    n_paths: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-) -> PathBatch:
+def sample_rv(params: ModelParams, grid: SimGrid, workers: int = 1) -> PathBatch:
     """Draw RV_T = (1/T) int_0^T v_s ds samples by exact Gaussian simulation.
 
     The variance path starts at the analytic value v(0) = v0 and is
@@ -263,7 +257,7 @@ def sample_rv(
     weights = _trapezoid_weights(grid.n_inner + 1, grid.T / grid.n_inner)
     sampler = FactorSampler("rv", params, grid, cov, weights[1:], weights[0] * params.v0,
                             grid.T)
-    return _draw(sampler, n_paths, seed, workers)
+    return _draw(sampler, grid, workers)
 
 
 def estimate_mean(batch: PathBatch) -> tuple[float, float]:

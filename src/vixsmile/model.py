@@ -92,21 +92,21 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HestonParams:
-    """Heston parameters for the VIX skew-sign formula (assumes v0 = theta)."""
+    """Heston parameters for the VIX skew-sign formula, which takes the
+    long-run variance equal to v0."""
 
     k: float
-    theta: float
     nu: float
     v0: float
 
     def __post_init__(self) -> None:
-        for name in ("k", "theta", "nu", "v0"):
+        for name in ("k", "nu", "v0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"HestonParams.{name} must be positive and finite")
-        if 2.0 * self.k * self.theta <= self.nu ** 2:
+        if 2.0 * self.k * self.v0 <= self.nu ** 2:
             warnings.warn(
-                "Feller condition 2*k*theta > nu^2 violated: the variance "
+                "Feller condition 2*k*v0 > nu^2 violated: the variance "
                 "process can touch zero",
                 stacklevel=2,
             )
@@ -168,19 +168,12 @@ def kernel_covariance(params: ModelParams, t1: float, t2: float, upto: float) ->
             return value
         return value * np.exp(-beta * (gap1 + gap2 + 2.0 * tau))
 
-    if n_singular == 2:
-        spec = QuadSpec(singular_left=True, singular_exponent=2.0 * params.H - 1.0)
-    elif n_singular == 1:
-        spec = QuadSpec(singular_left=True, singular_exponent=h_exp)
-    else:
-        spec = QuadSpec()
     # Tolerances relative to the (possibly tiny) scale of the integral.
     scale = kernel_variance(params, upto)
     spec = QuadSpec(
         abs_tol=max(1e-14 * scale, 1e-280),
         rel_tol=1e-11,
-        singular_left=spec.singular_left,
-        singular_exponent=spec.singular_exponent,
+        singular_exponent=n_singular * h_exp,
     )
     return integrate(f, 0.0, upto, spec)
 

@@ -44,27 +44,26 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Adaptive Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
+# Panel splits after which a failing integral raises QuadratureError.
+_MAX_SUBDIVISIONS = 4000
+
+
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature control: tolerances, budget, and declared endpoint behaviour.
+    """Quadrature control: tolerances and the declared lower-endpoint law.
 
-    ``singular_exponent`` is the power-law order alpha of the integrand at a
-    flagged endpoint, f(t) ~ (t - endpoint)^alpha with alpha in (-1, 0].
-    The same exponent applies to both endpoints when both are flagged.
+    ``singular_exponent`` is the power-law order alpha of the integrand at
+    the lower limit, f(t) ~ (t - lo)^alpha with alpha in (-1, 0]; 0 declares
+    no singularity.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-    singular_left: bool = False
-    singular_right: bool = False
     singular_exponent: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0) or not (self.rel_tol > 0.0):
             raise ValueError("abs_tol and rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
         if not (-1.0 < self.singular_exponent <= 0.0):
             raise ValueError(
                 "singular_exponent must lie in (-1, 0], got "
@@ -135,7 +134,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     if not np.all(np.isfinite(y)):
         raise ValueError(
             f"integrand not finite inside panel [{a!r}, {b!r}]; "
-            "declare the singularity in QuadSpec if it sits at an endpoint"
+            "declare the singularity in QuadSpec if it sits at the lower limit"
         )
     resk = half * float(_GK_WEIGHTS @ y)
     resg = half * float(_G_WEIGHTS @ y[_G_IDX])
@@ -147,30 +146,27 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     return resk, err
 
 
-def _power_substitution(f, lo, hi, alpha, left):
-    """Map a power-law endpoint onto w = (t - endpoint)^(alpha+1).
+def _power_substitution(f, lo, hi, alpha):
+    """Map a power-law lower endpoint onto w = (t - lo)^(alpha+1).
 
-    The transformed integrand is bounded whenever f(t) ~ (t - endpoint)^alpha
-    with alpha > -1 at the flagged endpoint. Below a distance floor (where
-    floating point can no longer represent t distinctly from the endpoint)
-    the declared power law is continued analytically: f is probed at the
-    floor and rescaled by the exact power ratio, so integrands that compute
-    the distance from t never see a cancelled zero.
+    The transformed integrand is bounded whenever f(t) ~ (t - lo)^alpha with
+    alpha > -1. Below a distance floor (where floating point can no longer
+    represent t distinctly from lo) the declared power law is continued
+    analytically: f is probed at the floor and rescaled by the exact power
+    ratio, so integrands that compute the distance from t never see a
+    cancelled zero.
     """
     p = 1.0 / (1.0 + alpha)
-    span = hi - lo
-    width = span ** (1.0 + alpha)
-    endpoint = lo if left else hi
-    # Floor only where t would be unrepresentable next to the endpoint; at an
-    # endpoint of zero the power map is exact down to subnormals.
-    dist_floor = max(abs(endpoint) * 2.0 ** -27, 1e-290)
-    sign = 1.0 if left else -1.0
+    width = (hi - lo) ** (1.0 + alpha)
+    # Floor only where t would be unrepresentable next to lo; at a lower
+    # limit of zero the power map is exact down to subnormals.
+    dist_floor = max(abs(lo) * 2.0 ** -27, 1e-290)
 
     def g(w):
         w = np.asarray(w, dtype=float)
         dist = w ** p
         clamped = dist < dist_floor
-        t = endpoint + sign * np.where(clamped, dist_floor, dist)
+        t = lo + np.where(clamped, dist_floor, dist)
         # Unclamped: plain Jacobian p w^(p-1). Clamped: the probed value
         # carries (dist_floor)^alpha, so multiply by (dist/dist_floor)^alpha
         # times the Jacobian; the exponents combine to p*alpha + p - 1 = 0.
@@ -184,24 +180,7 @@ def _power_substitution(f, lo, hi, alpha, left):
     return g, 0.0, width
 
 
-def _pieces(f, lo, hi, spec: QuadSpec):
-    alpha = spec.singular_exponent
-    left = spec.singular_left and alpha != 0.0
-    right = spec.singular_right and alpha != 0.0
-    if left and right:
-        mid = 0.5 * (lo + hi)
-        return [
-            _power_substitution(f, lo, mid, alpha, left=True),
-            _power_substitution(f, mid, hi, alpha, left=False),
-        ]
-    if left:
-        return [_power_substitution(f, lo, hi, alpha, left=True)]
-    if right:
-        return [_power_substitution(f, lo, hi, alpha, left=False)]
-    return [(f, lo, hi)]
-
-
-def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions):
+def _adaptive(f, a, b, abs_tol, rel_tol):
     est, err = _gk15(f, a, b)
     panels = [(-err, a, b, est, err)]
     total, total_err = est, err
@@ -211,7 +190,7 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions):
     doublings = 0
 
     while total_err > max(abs_tol, rel_tol * abs(total)):
-        if n_sub >= max_subdivisions:
+        if n_sub >= _MAX_SUBDIVISIONS:
             raise QuadratureError("quadrature tolerance not reached", total, total_err)
         neg_err, a0, b0, est0, err0 = heapq.heappop(panels)
         mid = 0.5 * (a0 + b0)
@@ -256,16 +235,9 @@ def integrate_err(
     if lo == hi:
         return 0.0, 0.0
 
-    pieces = _pieces(f, lo, hi, spec)
-    budget = max(1, spec.max_subdivisions // len(pieces))
-    total, total_err = 0.0, 0.0
-    for g, a, b in pieces:
-        est, err = _adaptive(
-            g, a, b, spec.abs_tol / len(pieces), spec.rel_tol, budget
-        )
-        total += est
-        total_err += err
-    return total, total_err
+    if spec.singular_exponent != 0.0:
+        f, lo, hi = _power_substitution(f, lo, hi, spec.singular_exponent)
+    return _adaptive(f, lo, hi, spec.abs_tol, spec.rel_tol)
 
 
 def integrate(
@@ -277,9 +249,9 @@ def integrate(
     """Adaptively integrate ``f`` over [lo, hi].
 
     ``f`` must accept numpy arrays of abscissae and evaluate elementwise.
-    Endpoint power-law singularities of order alpha in (-1, 0) must be
-    declared through ``spec``; they are removed by the substitution
-    w = (t - endpoint)^(alpha+1) before the adaptive pass.
+    A power-law singularity of order alpha in (-1, 0) at ``lo`` must be
+    declared through ``spec``; it is removed by the substitution
+    w = (t - lo)^(alpha+1) before the adaptive pass.
 
     Raises :class:`QuadratureError` when the tolerance cannot be met (the
     exception carries the best estimate), and ``ValueError`` for non-finite

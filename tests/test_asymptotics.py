@@ -164,8 +164,7 @@ def test_window_integrals_power_law():
 
 
 def test_window_integrals_damped_vs_quadrature():
-    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_left=True,
-                    singular_exponent=-0.2)
+    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_exponent=-0.2)
     oracle = integrate(lambda u: u ** -0.2 * np.exp(-2.0 * u), 0.0, DELTA, spec)
     assert asy._kernel_integral(mk(H=0.3, beta=2.0), 0.0, DELTA) == pytest.approx(
         oracle, abs=1e-10
@@ -327,11 +326,8 @@ def _skew_numerators_oracle(params, delta, maturity, rel_tol=1e-12):
     """Nested adaptive evaluation of the skew numerators: one adaptive
     quadrature of the kernel mass m(r) = int_0^T K-bar(T - tau) k(r - T + tau)
     dtau per outer node, with the return tuple of ``_skew_numerators``."""
-    inner_spec = QuadSpec(
-        abs_tol=1e-280, rel_tol=rel_tol,
-        singular_left=True, singular_exponent=params.H - 0.5,
-    )
-    outer_spec = QuadSpec(abs_tol=1e-280, rel_tol=rel_tol, max_subdivisions=4000)
+    inner_spec = QuadSpec(abs_tol=1e-280, rel_tol=rel_tol, singular_exponent=params.H - 0.5)
+    outer_spec = QuadSpec(abs_tol=1e-280, rel_tol=rel_tol)
     worst_inner = 0.0
 
     def kernel_mass(r_scalar):
@@ -495,8 +491,7 @@ def test_rv_atmi_approx_quadrature_oracle_beta_positive():
         integrate(
             lambda u: (u - float(si)) ** (params.H - 0.5) * np.exp(-params.beta * (u - float(si))),
             float(si), maturity,
-            QuadSpec(abs_tol=1e-14, rel_tol=1e-11, singular_left=True,
-                     singular_exponent=params.H - 0.5),
+            QuadSpec(abs_tol=1e-14, rel_tol=1e-11, singular_exponent=params.H - 0.5),
         )
         for si in s[:: n // 40]
     ])
@@ -615,14 +610,14 @@ def test_rv_skew_constant_rejects_bad_inputs():
 
 def test_heston_small_reversion_limit():
     with pytest.warns(UserWarning, match="Feller"):
-        params = HestonParams(k=1e-6, theta=0.04, nu=0.5, v0=0.04)
+        params = HestonParams(k=1e-6, nu=0.5, v0=0.04)
     value, sign = heston_vix_skew_sign(params, DELTA)
     assert value == pytest.approx(-(0.5 ** 2) / 4.0, rel=1e-4)
     assert sign == -1
 
 
 def test_heston_market_conditions_negative():
-    params = HestonParams(k=1.0, theta=0.09, nu=0.3, v0=0.09)
+    params = HestonParams(k=1.0, nu=0.3, v0=0.09)
     value, sign = heston_vix_skew_sign(params, DELTA)
     k_delta = 1.0 * DELTA
     decay = 1.0 - math.exp(-k_delta)
@@ -632,7 +627,7 @@ def test_heston_market_conditions_negative():
 
 
 def test_heston_sign_flip_at_large_reversion():
-    params = HestonParams(k=100.0, theta=0.09, nu=0.3, v0=0.09)
+    params = HestonParams(k=100.0, nu=0.3, v0=0.09)
     value, sign = heston_vix_skew_sign(params, 1.0)
     assert value > 0.0 and sign == 1
 
@@ -682,10 +677,10 @@ def test_evaluate_equals_the_public_function(fid, hurst, beta, mixed):
 
 @pytest.mark.parametrize("k", [1.0, 100.0])
 def test_evaluate_equals_the_public_heston_sign(k):
-    params = HestonParams(k=k, theta=0.09, nu=0.3, v0=0.09)
+    params = HestonParams(k=k, nu=0.3, v0=0.09)
     res = evaluate(FormulaId.HESTON_VIX_SKEW_SIGN, params, delta=DELTA)
     assert res.value == _PUBLIC[FormulaId.HESTON_VIX_SKEW_SIGN](params, None)
-    assert res.inputs_echo["sign"] == heston_vix_skew_sign(params, DELTA)[1]
+    assert res.quad_error_bound == 0.0
 
 
 def test_evaluate_closed_forms():
@@ -693,7 +688,6 @@ def test_evaluate_closed_forms():
     res = evaluate(FormulaId.SABR_VIX_SKEW, params, delta=DELTA)
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert res.quad_error_bound == 0.0
-    assert res.inputs_echo["gamma"] == 0.5
 
 
 def _vix_atmi_approx_mpmath(hurst, maturity):
@@ -755,14 +749,14 @@ def test_evaluate_heston_requires_heston_params():
         evaluate(FormulaId.HESTON_VIX_SKEW_SIGN, mk(), delta=DELTA)
     res = evaluate(
         FormulaId.HESTON_VIX_SKEW_SIGN,
-        HestonParams(k=1.0, theta=0.09, nu=0.3, v0=0.09),
+        HestonParams(k=1.0, nu=0.3, v0=0.09),
         delta=DELTA,
     )
-    assert res.inputs_echo["sign"] == -1
+    assert res.value < 0.0
 
 
 def test_asymptote_result_validates_bound():
     with pytest.raises(ValueError):
-        AsymptoteResult(FormulaId.VIX_ATMI_LIMIT, 1.0, {}, quad_error_bound=-1.0)
+        AsymptoteResult(FormulaId.VIX_ATMI_LIMIT, 1.0, quad_error_bound=-1.0)
     with pytest.raises(ValueError):
-        AsymptoteResult(FormulaId.VIX_ATMI_LIMIT, 1.0, {}, quad_error_bound=1e-3)
+        AsymptoteResult(FormulaId.VIX_ATMI_LIMIT, 1.0, quad_error_bound=1e-3)

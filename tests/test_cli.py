@@ -7,7 +7,9 @@ import pytest
 
 import vixsmile.acceptance as acceptance
 import vixsmile.cli as cli
+from vixsmile.asymptotics import heston_vix_skew_sign
 from vixsmile.cli import RunConfig, cmd_atmi, cmd_skew, cmd_validate, main
+from vixsmile.model import HestonParams
 
 
 def run_cli(argv, capsys):
@@ -56,7 +58,6 @@ def test_config_file_accepts_every_setting_flag(tmp_path):
         "beta": "0", "gamma": "1", "nu": "2", "eta": "0", "delta": "0.08",
         "T": "0.25", "paths": "4000", "inner": "8", "seed": "5",
         "skew_step": "0.01", "out": "-", "workers": "1", "heston_k": "1",
-        "heston_theta": "0.04",
     }
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
@@ -90,7 +91,34 @@ def test_unset_settings_keep_the_run_config_defaults(monkeypatch):
     args = cli.build_parser().parse_args(["asymptote"])
     assert cli.resolve_config(args) == RunConfig()
     # Every setting flag reaches a RunConfig field.
-    assert set(cli._SETTINGS) == set(vars(args)) - {"command", "config", "quick"}
+    assert set(cli._SETTINGS) == set(vars(args)) - {"command", "config"}
+
+
+def test_validate_takes_only_quick_and_out(monkeypatch, tmp_path):
+    monkeypatch.delenv("VIXSMILE_SEED", raising=False)
+    out = str(tmp_path / "rows.txt")
+    args = cli.build_parser().parse_args(["validate", "--quick", "--out", out])
+    assert set(vars(args)) == {"command", "quick", "out"}
+    assert cli.resolve_config(args) == RunConfig(quick=True, out_path=out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["asymptote", "--model", "heston", "--heston-theta", "5", "--v0", "0.04"],
+     ["skew", "--model", "heston"] + BASE,
+     ["validate", "--seed", "7"], ["validate", "--paths", "10"],
+     ["asymptote", "--quick"], ["atmi", "--quick"] + BASE, ["skew", "--quick"] + BASE],
+    ids=" ".join,
+)
+def test_dropped_inputs_exit_2_before_any_output(argv, capsys):
+    # Inputs that changed no output are rejected, not ignored.
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: unknown flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
 
 
 def test_invalid_model_parameters_exit_nonzero(capsys):
@@ -197,14 +225,6 @@ _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 
          "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 "
          "seed=11 skew_step=0.01",
          "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
-        (["skew", "--model", "heston", "--heston-k", "1.0", "--nu", "0.25",
-          "--v0", "0.09", "--T", "0.25,0.5"],
-         "# vixsmile-csv schema=skew.v1 model=heston underlying=vix "
-         "v0=0.089999999999999997 hurst=0.29999999999999999 beta=0 gamma=1 "
-         "nu=0.25 eta=0 delta=0.082191780821917804 T=0.25,0.5 paths=200000 "
-         "inner=64 seed=42 skew_step=0.01 heston_k=1 "
-         "heston_theta=0.089999999999999997",
-         "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
         (["asymptote", "--gamma", "0.5", "--eta", "1", "--beta", "2",
           "--T", "0.1,0.5"],
          "# vixsmile-csv schema=asymptote.v1 model=mixed underlying=vix "
@@ -212,17 +232,14 @@ _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 
          "nu=2 eta=1 delta=0.082191780821917804 T=0.10000000000000001,0.5 "
          "paths=200000 inner=64 seed=42 skew_step=0.01",
          "formula_id,maturity,value,quad_error_bound,status"),
-        (["asymptote", "--model", "heston", "--heston-k", "1.5",
-          "--heston-theta", "0.05", "--nu", "0.3"],
+        (["asymptote", "--model", "heston", "--heston-k", "1.5", "--nu", "0.3"],
          "# vixsmile-csv schema=asymptote.v1 model=heston underlying=vix "
          "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 "
          "nu=0.29999999999999999 eta=0 delta=0.082191780821917804 T=0.25 "
-         "paths=200000 inner=64 seed=42 skew_step=0.01 heston_k=1.5 "
-         "heston_theta=0.050000000000000003",
+         "paths=200000 inner=64 seed=42 skew_step=0.01 heston_k=1.5",
          "formula_id,maturity,value,quad_error_bound,status"),
     ],
-    ids=["atmi-vix", "atmi-rv", "skew-mixed", "skew-heston", "asymptote-mixed",
-         "asymptote-heston"],
+    ids=["atmi-vix", "atmi-rv", "skew-mixed", "asymptote-mixed", "asymptote-heston"],
 )
 def test_header_and_column_lines_are_pinned(argv, header, columns, capsys, monkeypatch):
     monkeypatch.delenv("VIXSMILE_SEED", raising=False)
@@ -293,18 +310,6 @@ def test_skew_csv_rv_mode(capsys):
     )
 
 
-def test_skew_heston_closed_form_only(capsys):
-    code, out, _ = run_cli(
-        ["skew", "--model", "heston", "--heston-k", "1.0", "--nu", "0.25",
-         "--v0", "0.09", "--T", "0.25,0.5"],
-        capsys,
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 4
-    assert lines[2].endswith("closed_form_sign=-1")
-
-
 def test_asymptote_lists_formulas(capsys):
     code, out, _ = run_cli(["asymptote", "--T", "0.25"], capsys)
     assert code == 0
@@ -313,6 +318,18 @@ def test_asymptote_lists_formulas(capsys):
     assert {"VIX_ATMI_LIMIT", "VIX_SKEW_LIMIT", "RV_ATMI_LIMIT",
             "RV_SKEW_LIMIT", "SABR_VIX_SKEW", "VIX_ATMI_APPROX",
             "VIX_SKEW_APPROX", "RV_ATMI_APPROX"} <= ids
+
+
+@pytest.mark.parametrize("k,delta,sign", [("1", "0.082191780821917804", "-1"),
+                                          ("100", "1", "+1")])
+def test_asymptote_heston_row_signs_its_value(k, delta, sign, capsys):
+    code, out, _ = run_cli(["asymptote", "--model", "heston", "--heston-k", k,
+                            "--nu", "0.3", "--v0", "0.09", "--delta", delta], capsys)
+    assert code == 0
+    params = HestonParams(k=float(k), nu=0.3, v0=0.09)
+    value, _ = heston_vix_skew_sign(params, float(delta))
+    assert out.splitlines()[2:] == [
+        f"HESTON_VIX_SKEW_SIGN,,{format(value, '.17g')},0,sign={sign}"]
 
 
 def test_asymptote_degenerate_rows(capsys):

@@ -55,10 +55,10 @@ def test_mixture_moments():
 
 def test_heston_feller_warning():
     with pytest.warns(UserWarning, match="Feller"):
-        HestonParams(k=0.5, theta=0.04, nu=1.0, v0=0.04)
+        HestonParams(k=0.5, nu=1.0, v0=0.04)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        HestonParams(k=2.0, theta=0.09, nu=0.3, v0=0.09)
+        HestonParams(k=2.0, nu=0.3, v0=0.09)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +97,7 @@ def test_kernel_variance_zero_time():
 
 def test_kernel_variance_quadrature_oracle():
     p = mk(H=0.3, beta=1.5)
-    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_left=True,
-                    singular_exponent=-0.4)
+    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_exponent=-0.4)
     oracle = integrate(lambda u: u ** -0.4 * np.exp(-3.0 * u), 0.0, 1.0, spec)
     assert kernel_variance(p, 1.0) == pytest.approx(oracle, abs=1e-10)
 

@@ -39,12 +39,7 @@ from vixsmile.specfun import (
 
 def _gamma_quadrature_oracle(a, x, tol=1e-12):
     """Defining integral of gamma(a, x), evaluated independently."""
-    spec = QuadSpec(
-        abs_tol=tol,
-        rel_tol=1e-12,
-        singular_left=(a < 1.0),
-        singular_exponent=min(0.0, a - 1.0),
-    )
+    spec = QuadSpec(abs_tol=tol, rel_tol=1e-12, singular_exponent=min(0.0, a - 1.0))
     return integrate(lambda t: t ** (a - 1.0) * np.exp(-t), 0.0, x, spec)
 
 
@@ -190,22 +185,24 @@ def test_gamma_array_fails_loudly_without_convergence(monkeypatch, x):
 # ---------------------------------------------------------------------------
 
 def _hyp2f1_euler_oracle(a, b, c, z):
-    """Euler-integral quadrature with an independent (adaptive) scheme."""
+    """Euler-integral quadrature with an independent (adaptive) scheme. The
+    right half runs s = 1 - t from 0, so each half's endpoint power law sits
+    at its lower limit."""
     pref = math.exp(math.lgamma(c) - math.lgamma(b) - math.lgamma(c - b))
 
     def f(t):
         return t ** (b - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - z * t) ** (-a)
 
+    def f_reflected(s):
+        return s ** (c - b - 1.0) * (1.0 - s) ** (b - 1.0) * (1.0 - z * (1.0 - s)) ** (-a)
+
     left = integrate(
         f, 0.0, 0.5,
-        QuadSpec(abs_tol=1e-13, rel_tol=1e-12,
-                 singular_left=(b < 1.0), singular_exponent=min(0.0, b - 1.0)),
+        QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_exponent=min(0.0, b - 1.0)),
     )
     right = integrate(
-        f, 0.5, 1.0,
-        QuadSpec(abs_tol=1e-13, rel_tol=1e-12,
-                 singular_right=(c - b < 1.0),
-                 singular_exponent=min(0.0, c - b - 1.0)),
+        f_reflected, 0.0, 0.5,
+        QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_exponent=min(0.0, c - b - 1.0)),
     )
     return pref * (left + right)
 
@@ -339,14 +336,15 @@ def test_integrate_empty_interval():
 
 
 def test_integrate_inverse_sqrt_singularity():
-    spec = QuadSpec(singular_left=True, singular_exponent=-0.5)
-    assert integrate(lambda t: t ** -0.5, 0.0, 1.0, spec) == pytest.approx(2.0, abs=1e-10)
+    # The exponent alone declares the lower-limit power law.
+    spec = QuadSpec(singular_exponent=-0.5)
+    assert integrate(lambda t: t ** -0.5, 0.0, 1.0, spec) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_integrate_cross_checks_incomplete_gamma():
     # int_0^D t^(H-1/2) e^(-beta t) dt = beta^(-H-1/2) gamma(H+1/2, beta D)
     hurst, beta, delta = 0.3, 2.0, 30.0 / 365.0
-    spec = QuadSpec(singular_left=True, singular_exponent=hurst - 0.5)
+    spec = QuadSpec(singular_exponent=hurst - 0.5)
     value = integrate(lambda t: t ** (hurst - 0.5) * np.exp(-beta * t), 0.0, delta, spec)
     closed = beta ** (-hurst - 0.5) * lower_incomplete_gamma(hurst + 0.5, beta * delta)
     assert value == pytest.approx(closed, abs=1e-10)
@@ -366,41 +364,34 @@ def test_integrate_linearity():
     assert abs(combined - separate) <= 4.0 * spec.abs_tol
 
 
-@pytest.mark.parametrize("alpha", [-0.85, -0.5, -0.25, -0.05])
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_integrate_power_law_times_smooth(alpha, side):
+# The ids name the singular endpoint, the lower limit (the only one a
+# QuadSpec can declare).
+@pytest.mark.parametrize("alpha", [-0.85, -0.5, -0.25, -0.05], ids="left-{}".format)
+def test_integrate_power_law_times_smooth(alpha):
     # f(t) = t^alpha (1 + t + t^2) against the termwise closed form.
     closed = sum(1.0 / (alpha + k + 1.0) for k in range(3))
-    if side == "left":
-        spec = QuadSpec(singular_left=True, singular_exponent=alpha)
-
-        def f(t):
-            return t ** alpha * (1.0 + t + t ** 2)
-    else:
-        spec = QuadSpec(singular_right=True, singular_exponent=alpha)
-
-        def f(t):
-            u = 1.0 - t
-            return u ** alpha * (1.0 + u + u ** 2)
-
-    value = integrate(f, 0.0, 1.0, spec)
+    spec = QuadSpec(singular_exponent=alpha)
+    value = integrate(lambda t: t ** alpha * (1.0 + t + t ** 2), 0.0, 1.0, spec)
     assert value == pytest.approx(closed, rel=1e-8)
 
 
-def test_integrate_both_endpoints_singular():
-    # Beta(1/2, 1/2) = pi
-    spec = QuadSpec(singular_left=True, singular_right=True, singular_exponent=-0.5)
-    value = integrate(lambda t: (t * (1.0 - t)) ** -0.5, 0.0, 1.0, spec)
-    assert value == pytest.approx(math.pi, rel=1e-9)
-
-
 def test_integrate_error_reports_estimate():
-    # Integrable but undeclared t^-0.99: the budget runs out first.
-    spec = QuadSpec(max_subdivisions=50)
+    # A jump at 1/3 cannot meet a 1e-300 tolerance: refinement stops at the
+    # panel of floating-point width around it and reports what it has.
+    spec = QuadSpec(abs_tol=1e-300, rel_tol=1e-300)
     with pytest.raises(QuadratureError) as excinfo:
-        integrate(lambda t: t ** -0.99, 0.0, 1.0, spec)
-    assert excinfo.value.estimate > 0.0
-    assert excinfo.value.error_bound > 0.0
+        integrate(lambda t: np.where(t > 1.0 / 3.0, 1.0, 0.0), 0.0, 1.0, spec)
+    assert excinfo.value.estimate == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert 0.0 < excinfo.value.error_bound < 1e-12
+
+
+def test_integrate_raises_at_the_subdivision_cap(monkeypatch):
+    # Undeclared sqrt(t) converges, but not within two panel splits.
+    assert integrate(np.sqrt, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-10)
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 2)
+    with pytest.raises(QuadratureError) as excinfo:
+        integrate(np.sqrt, 0.0, 1.0)
+    assert excinfo.value.estimate == pytest.approx(2.0 / 3.0, abs=1e-3)
 
 
 def test_integrate_detects_nonintegrable_blowup():
@@ -432,7 +423,7 @@ def test_integrate_err_returns_bound():
     [
         {"abs_tol": 0.0},
         {"rel_tol": -1.0},
-        {"max_subdivisions": 0},
+        {"singular_exponent": math.nan},
         {"singular_exponent": -1.0},
         {"singular_exponent": 0.5},
     ],
