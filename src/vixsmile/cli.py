@@ -14,10 +14,10 @@ caster, help text and header echo. ``validate`` takes only ``--quick`` and
 ``--out``; the other subcommands take every setting and ``--config``.
 Configuration is flat ``key = value`` text (``#`` comments) overridden by
 command-line flags of the same names; ``VIXSMILE_SEED`` is the seed
-fallback. CSV goes to ``--out`` or stdout with a schema/parameter header
-line; floats are printed with 17 significant digits so outputs are
-byte-stable. ``atmi`` and ``skew`` share one row loop over the maturities.
-Logs go to stderr.
+fallback of the subcommands that take ``--seed``. CSV goes to ``--out`` or
+stdout with a schema/parameter header line; floats are printed with 17
+significant digits so outputs are byte-stable. ``atmi`` and ``skew`` share
+one row loop over the maturities. Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -349,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags, else the config file, else (seed only)
-    ``VIXSMILE_SEED``; a setting none of them gives keeps its field default.
-    A flag or ``--config`` that the subcommand lacks reads as unset."""
+    """RunConfig from the flags, else the config file, else (seed only, and
+    only for a subcommand with ``--seed``) ``VIXSMILE_SEED``; a setting none
+    of them gives keeps its field default. A flag or ``--config`` that the
+    subcommand lacks reads as unset."""
     config_path = getattr(args, "config", None)
     settings = load_config_file(config_path) if config_path else {}
     values = {}
@@ -361,7 +362,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = setting.cast(settings[key])
         if value is not None:
             values[setting.field] = value
-    if "seed" not in values and "VIXSMILE_SEED" in os.environ:
+    if "seed" not in values and hasattr(args, "seed") and "VIXSMILE_SEED" in os.environ:
         values["seed"] = int(os.environ["VIXSMILE_SEED"])
     return RunConfig(quick=getattr(args, "quick", False), **values)
 

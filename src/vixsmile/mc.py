@@ -12,9 +12,12 @@ the only discretisation is the trapezoid rule on the inner time grid.
 Sampling is deterministic: paths are generated in fixed-size chunks, and
 chunk c of seed s draws from an SFC64 generator seeded by the c-th child of
 ``SeedSequence(s)`` (spawn key (c,)), numpy's scheme for independent
-parallel streams. Results are bit-identical for any worker count, and
-different (seed, chunk) pairs seed their generators differently, so batches
-drawn at nearby seeds share no chunk.
+parallel streams. A draw allocates its sample vector once; chunk c writes
+its samples straight into its own slice of it, and each worker draws its
+chunks through one reused workspace for the normals and Wick exponents.
+Results are therefore bit-identical for any worker count, and different
+(seed, chunk) pairs seed their generators differently, so batches drawn at
+nearby seeds share no chunk.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -129,30 +131,31 @@ def _trapezoid_weights(n_points: int, dx: float) -> np.ndarray:
     return w
 
 
-def _run_chunks(
-    simulate_chunk: Callable[[int, int], np.ndarray],
-    n_paths: int,
-    workers: int,
-) -> np.ndarray:
-    """Evaluate chunks (possibly in parallel) and assemble in chunk order.
+def _run_chunks(sampler: FactorSampler, n_paths: int, seed: int, workers: int) -> np.ndarray:
+    """n_paths samples of seed's chunk streams, drawn (possibly in parallel).
 
-    The assembly order is fixed by the chunk index, so the resulting sample
-    vector (and anything reduced from it) is independent of ``workers``.
+    Chunk c fills samples[c * _CHUNK_SIZE : (c + 1) * _CHUNK_SIZE] whichever
+    worker draws it, so the sample vector (and anything reduced from it) is
+    independent of ``workers``. Worker w draws chunks w, w + workers, ...
+    through its own workspace.
     """
-    sizes = [min(_CHUNK_SIZE, n_paths - start) for start in range(0, n_paths, _CHUNK_SIZE)]
-    results: list[np.ndarray | None] = [None] * len(sizes)
-    if workers <= 1 or len(sizes) == 1:
-        for idx, size in enumerate(sizes):
-            results[idx] = simulate_chunk(idx, size)
+    samples = np.empty(n_paths)
+    n_chunks = -(-n_paths // _CHUNK_SIZE)
+    workers = min(max(workers, 1), n_chunks)
+
+    def draw_chunks(first: int) -> None:
+        work = sampler.workspace(min(_CHUNK_SIZE, n_paths))
+        for idx in range(first, n_chunks, workers):
+            start = idx * _CHUNK_SIZE
+            sampler.draw_chunk(idx, samples[start:start + _CHUNK_SIZE], seed, work)
+
+    if workers == 1:
+        draw_chunks(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(simulate_chunk, idx, size): idx
-                for idx, size in enumerate(sizes)
-            }
-            for future, idx in futures.items():
-                results[idx] = future.result()
-    return np.concatenate(results)
+            for future in [pool.submit(draw_chunks, w) for w in range(workers)]:
+                future.result()
+    return samples
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -179,7 +182,7 @@ class FactorSampler:
     Each term's variance shift exp(-a^2 Var X_i / 2) and mixture weight g_k
     are folded into the reduction weights once per sampler, and the terms'
     scaled factors a_k F are stacked, so a chunk costs one matmul, one
-    in-place exp and one reduction.
+    in-place exp and one reduction, all written into preallocated arrays.
     """
 
     def __init__(self, kind: str, params: ModelParams, grid: SimGrid,
@@ -204,12 +207,30 @@ class FactorSampler:
         self._offset = offset
         self._divisor = divisor
 
-    def draw_chunk(self, chunk_index: int, size: int, seed: int) -> np.ndarray:
-        rng = _chunk_rng(seed, chunk_index)
-        y = self._scaled @ rng.standard_normal((self.factor.shape[1], size))
+    def workspace(self, size: int) -> np.ndarray:
+        """Scratch buffer for draw_chunk: the normals and Wick exponents of
+        chunks of up to ``size`` paths."""
+        return np.empty((self.factor.shape[1] + self._scaled.shape[0]) * size)
+
+    def draw_chunk(self, chunk_index: int, out: np.ndarray, seed: int,
+                   work: np.ndarray) -> None:
+        """Write chunk ``chunk_index`` of ``seed`` into ``out``, one sample
+        per column (its last axis sets the chunk size), using ``work`` from
+        workspace() as scratch."""
+        size = out.shape[-1]
+        rank, rows = self.factor.shape[1], self._scaled.shape[0]
+        # C-contiguous prefixes of the flat buffer, as out= needs.
+        z = work[:rank * size].reshape(rank, size)
+        y = work[rank * size:(rank + rows) * size].reshape(rows, size)
+        _chunk_rng(seed, chunk_index).standard_normal(out=z)
+        np.matmul(self._scaled, z, out=y)
         np.exp(y, out=y)
-        samples = (self._offset + self.params.v0 * (self._reduce @ y)) / self._divisor
-        return np.sqrt(samples) if self.kind == "vix" else samples
+        np.matmul(self._reduce, y, out=out)
+        out *= self.params.v0
+        out += self._offset
+        out /= self._divisor
+        if self.kind == "vix":
+            np.sqrt(out, out=out)
 
 
 def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
@@ -226,9 +247,7 @@ def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
 
 def _draw(sampler: FactorSampler, grid: SimGrid, workers: int) -> PathBatch:
     """grid.n_paths samples from grid.seed's chunk streams."""
-    samples = _run_chunks(
-        lambda idx, size: sampler.draw_chunk(idx, size, grid.seed), grid.n_paths, workers
-    )
+    samples = _run_chunks(sampler, grid.n_paths, grid.seed, workers)
     return PathBatch(sampler.kind, samples, grid, sampler.params)
 
 

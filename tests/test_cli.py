@@ -86,6 +86,18 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert "seed=3" in out.splitlines()[0]
 
 
+def test_env_seed_read_only_by_subcommands_with_a_seed(capsys, monkeypatch):
+    monkeypatch.setenv("VIXSMILE_SEED", "abc")
+    monkeypatch.setattr(cli, "CRITERIA", _fast_criteria())
+    code, out, _ = run_cli(["validate", "--quick"], capsys)
+    assert code == 0
+    assert "2/2 criteria passed" in out
+    code, out, err = run_cli(["atmi", "--paths", "4000", "--inner", "8", "--T", "0.25"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err
+
+
 def test_unset_settings_keep_the_run_config_defaults(monkeypatch):
     monkeypatch.delenv("VIXSMILE_SEED", raising=False)
     args = cli.build_parser().parse_args(["asymptote"])

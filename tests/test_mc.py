@@ -3,6 +3,7 @@ sampling, determinism under parallelism, and the simulation invariants."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vixsmile.mc import (
     FactorSampler,
     PathBatch,
     SimGrid,
+    _CHUNK_SIZE,
     _chunk_rng,
     _factor,
     _trapezoid_weights,
@@ -192,7 +194,8 @@ def test_instantaneous_variance_martingale_at_nodes():
     grid = SimGrid(T=0.5, n_inner=8, n_paths=60_000, seed=17)
     sampler = FactorSampler("rv", params, grid, _covariance(params, "rv", grid.T, grid.n_inner),
                             np.eye(grid.n_inner), 0.0, 1.0)
-    v = sampler.draw_chunk(0, grid.n_paths, 17)
+    v = np.empty((grid.n_inner, grid.n_paths))
+    sampler.draw_chunk(0, v, 17, sampler.workspace(grid.n_paths))
     means = v.mean(axis=1)
     stderrs = v.std(axis=1, ddof=1) / math.sqrt(grid.n_paths)
     assert np.all(np.abs(means - params.v0) <= 4.0 * stderrs)
@@ -248,11 +251,67 @@ def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
     offset, divisor = (0.0, grid.delta) if kind == "vix" else (0.001, T)
     sampler = FactorSampler(kind, params, grid, _covariance(params, kind, T, grid.n_inner),
                             weights, offset, divisor)
+    work = sampler.workspace(1000)
     for chunk_index in (0, 3):
-        drawn = sampler.draw_chunk(chunk_index, 1000, 77)
+        drawn = np.empty(1000)
+        sampler.draw_chunk(chunk_index, drawn, 77, work)
         reference = _term_by_term_draw_chunk(sampler, weights, offset, divisor,
                                        chunk_index, 1000, 77)
         np.testing.assert_allclose(drawn, reference, rtol=1e-13, atol=0.0)
+
+
+def _per_chunk_reference(sampler, n_paths, seed):
+    """Each chunk drawn into fresh arrays and the chunks concatenated."""
+    chunks = []
+    for idx, start in enumerate(range(0, n_paths, _CHUNK_SIZE)):
+        size = min(_CHUNK_SIZE, n_paths - start)
+        y = sampler._scaled @ _chunk_rng(seed, idx).standard_normal((sampler.factor.shape[1], size))
+        np.exp(y, out=y)
+        samples = (sampler._offset + sampler.params.v0 * (sampler._reduce @ y)) / sampler._divisor
+        chunks.append(np.sqrt(samples) if sampler.kind == "vix" else samples)
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("kind", ["vix", "rv"])
+@pytest.mark.parametrize(
+    "params", [mk(H=0.1, nu=2.0), mk(H=0.3, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)],
+    ids=["single", "mixed"],
+)
+@pytest.mark.parametrize("n_inner", [16, 96])
+def test_draw_matches_per_chunk_reference(kind, params, n_inner):
+    # Drawing through a reused workspace into slices of one vector moves no
+    # sample bit, at any chunk split and worker count.
+    for n_paths in (1, _CHUNK_SIZE - 1, _CHUNK_SIZE + 1, 3 * _CHUNK_SIZE + 5):
+        grid = SimGrid(T=0.25, n_inner=n_inner, n_paths=n_paths, seed=31)
+        if kind == "vix":
+            sampler = build_vix_sampler(params, grid)
+        else:
+            weights = _trapezoid_weights(n_inner + 1, grid.T / n_inner)
+            sampler = FactorSampler("rv", params, grid, _covariance(params, "rv", grid.T, n_inner),
+                                    weights[1:], weights[0] * params.v0, grid.T)
+        reference = _per_chunk_reference(sampler, n_paths, grid.seed)
+        for workers in (1, 2, 3):
+            if kind == "vix":
+                drawn = sample_vix(sampler, workers=workers).samples
+            else:
+                drawn = sample_rv(params, grid, workers=workers).samples
+            assert np.array_equal(drawn, reference), (n_paths, workers)
+
+
+def test_draw_makes_no_concatenate_copy():
+    # The samples are written in place: the traced peak stays well below the
+    # two sample vectors that chunk results plus their concatenation held.
+    grid = SimGrid(T=0.25, n_inner=2, n_paths=100_000, seed=5)
+    params = mk(H=0.3, nu=2.0)
+    # A first draw allocates one-time state that would count towards the peak.
+    sample_rv(params, dataclasses.replace(grid, n_paths=10))
+    tracemalloc.start()
+    try:
+        samples = sample_rv(params, grid, workers=1).samples
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * samples.nbytes
 
 
 def test_consecutive_seeds_share_no_chunk():
