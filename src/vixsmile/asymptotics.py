@@ -488,21 +488,19 @@ def rv_skew_limit(params: ModelParams) -> float:
 # Heston skew sign
 # ---------------------------------------------------------------------------
 
-def heston_vix_skew_sign(params: HestonParams, delta: float) -> tuple[float, int]:
+def heston_vix_skew_sign(params: HestonParams, delta: float) -> float:
     """Closed-form short-maturity VIX skew driver for Heston, with the
     long-run variance equal to v0:
 
         (nu^2 (1-e^(-k delta))/(4 k delta)) (1 - 2(1-e^(-k delta))/(k delta))
 
-    Negative under typical reversion speeds, implying a negative VIX skew;
-    the sign flips for very large k*delta. Returns (value, sign).
+    Its sign is the VIX skew's: negative under typical reversion speeds,
+    positive for very large k*delta.
     """
     _check_positive("delta", delta)
     k_delta = params.k * delta
     decay = -math.expm1(-k_delta)  # 1 - e^(-k delta)
-    value = (params.nu ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)
-    sign = 0 if value == 0.0 else (1 if value > 0.0 else -1)
-    return value, sign
+    return (params.nu ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +517,7 @@ _FORMULAS: dict[FormulaId, tuple[Callable[..., tuple[float, float]], bool, bool]
         lambda p, d, t: (vix_skew_limit(p, d), 0.0), True, False),
     FormulaId.VIX_SKEW_APPROX: (_vix_skew_approx_err, True, True),
     FormulaId.SABR_VIX_SKEW: (
-        lambda p, d, t: (sabr_mixed_vix_skew(p.gamma, p.nu, p.eta), 0.0), True, False),
+        lambda p, d, t: (sabr_mixed_vix_skew(p.gamma, p.nu, p.eta), 0.0), False, False),
     FormulaId.RV_ATMI_LIMIT: (
         lambda p, d, t: (rv_atmi_limit(p), 0.0), False, False),
     FormulaId.RV_ATMI_APPROX: (
@@ -527,7 +525,7 @@ _FORMULAS: dict[FormulaId, tuple[Callable[..., tuple[float, float]], bool, bool]
     FormulaId.RV_SKEW_LIMIT: (
         lambda p, d, t: _rv_skew_limit_err(p), False, False),
     FormulaId.HESTON_VIX_SKEW_SIGN: (
-        lambda p, d, t: (heston_vix_skew_sign(p, d)[0], 0.0), True, False),
+        lambda p, d, t: (heston_vix_skew_sign(p, d), 0.0), True, False),
 }
 
 
@@ -539,10 +537,11 @@ def evaluate(
 ) -> AsymptoteResult:
     """Evaluate one registered formula.
 
-    ``delta`` is required for the VIX and Heston formulas, ``maturity`` for
-    the finite-maturity approximations. Closed forms report a zero
-    quadrature bound; quadrature-backed values report the achieved error
-    bounds of their quadratures, propagated to first order.
+    ``delta`` is required for the VIX formulas other than the SABR skew and
+    for the Heston one, ``maturity`` for the finite-maturity
+    approximations. Closed forms report a zero quadrature bound;
+    quadrature-backed values report the achieved error bounds of their
+    quadratures, propagated to first order.
     """
     fid = FormulaId(formula_id)
     func, needs_delta, needs_maturity = _FORMULAS[fid]

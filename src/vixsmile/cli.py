@@ -10,8 +10,11 @@ validate   run the acceptance criteria end to end at their fixed seeds and
            path counts; nonzero exit on failure
 
 Every setting is declared once, in ``_SETTINGS``: its flag, config-file key,
-caster, help text and header echo. ``validate`` takes only ``--quick`` and
-``--out``; the other subcommands take every setting and ``--config``.
+caster, help text and header echo. ``_TAKES`` declares which settings each
+subcommand reads; its flags, the config-file keys it accepts and its header
+echo all come from that one row, so a flag or a known config-file key that
+the subcommand does not read exits 2 before any output. The first three
+subcommands also take ``--config`` and ``validate`` takes ``--quick``.
 Configuration is flat ``key = value`` text (``#`` comments) overridden by
 command-line flags of the same names; ``VIXSMILE_SEED`` is the seed
 fallback of the subcommands that take ``--seed``. CSV goes to ``--out`` or
@@ -117,9 +120,8 @@ class _Setting(NamedTuple):
 
 # Every setting, keyed by its config-file key, which is also its flag's dest
 # ("--skew-step" -> "skew_step") and its header name. The defaults live only
-# in RunConfig. The header echoes the settings in this order; out and workers
-# are not echoed: they do not affect the numbers, and the byte-identity
-# contract must hold across worker counts.
+# in RunConfig. Out and workers are not echoed: they do not affect the
+# numbers, and the byte-identity contract must hold across worker counts.
 _SETTINGS: dict[str, _Setting] = {
     "model": _Setting("model", str, None, str, ("mixed", "heston")),
     "underlying": _Setting("underlying", str, None, str, ("vix", "rv")),
@@ -142,6 +144,19 @@ _SETTINGS: dict[str, _Setting] = {
     "heston_k": _Setting("heston_k", float, "Heston reversion speed (heston model only)"),
 }
 
+# The settings each subcommand reads, in _SETTINGS order: its flags, the
+# config-file keys it accepts and its header echo. atmi and skew simulate
+# only the mixed model; asymptote writes the VIX and the RV closed forms
+# whatever the underlying, and no Monte Carlo setting reaches them.
+_CLOSED_FORM = ("v0", "hurst", "beta", "gamma", "nu", "eta", "delta", "T")
+_MC = ("paths", "inner", "seed")
+_TAKES: dict[str, tuple[str, ...]] = {
+    "atmi": ("underlying", *_CLOSED_FORM, *_MC, "out", "workers"),
+    "skew": ("underlying", *_CLOSED_FORM, *_MC, "skew_step", "out", "workers"),
+    "asymptote": ("model", *_CLOSED_FORM, "out", "heston_k"),
+    "validate": ("out",),
+}
+
 _COLUMNS = {
     "atmi": "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status",
     "skew": "T,mc_skew,mc_stderr,approx_skew,limit_value,status",
@@ -150,11 +165,13 @@ _COLUMNS = {
 
 
 def _write_header(config: RunConfig, schema: str, stream) -> None:
-    """The schema/parameter header line, then the column line."""
+    """The schema/parameter header line, echoing the settings the subcommand
+    named by ``schema`` reads, then the column line."""
     values = vars(config)
     fields = [f"{key}={setting.echo(values[setting.field])}"
               for key, setting in _SETTINGS.items()
-              if setting.echo and (config.model == "heston" or not key.startswith("heston_"))]
+              if key in _TAKES[schema] and setting.echo
+              and (config.model == "heston" or not key.startswith("heston_"))]
     stream.write(f"# vixsmile-csv schema={schema}.{SCHEMA_VERSION} {' '.join(fields)}\n")
     stream.write(_COLUMNS[schema] + "\n")
 
@@ -326,43 +343,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_setting(p: argparse.ArgumentParser, key: str) -> None:
-        setting = _SETTINGS[key]
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.cast,
-                       choices=setting.choices, help=setting.help)
-
     for name, help_text in (
         ("atmi", "Monte Carlo ATM implied vol vs closed forms (mixed model only)"),
         ("skew", "Monte Carlo ATM skew vs closed forms (mixed model only)"),
         ("asymptote", "closed-form values only, no simulation"),
+        ("validate", "run the acceptance criteria suite at its fixed seeds and "
+                     "path counts"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value config file")
-        for key in _SETTINGS:
-            add_setting(p, key)
-    p = sub.add_parser("validate", help="run the acceptance criteria suite at its "
-                                        "fixed seeds and path counts")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced paths, doubled MC tolerances")
-    add_setting(p, "out")
+        if name == "validate":
+            p.add_argument("--quick", action="store_true",
+                           help="10x fewer paths, doubled tolerances for C1, C2, C4-C6")
+        else:
+            p.add_argument("--config", help="flat key=value config file")
+        for key in _TAKES[name]:
+            setting = _SETTINGS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.cast,
+                           choices=setting.choices, help=setting.help)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the flags, else the config file, else (seed only, and
     only for a subcommand with ``--seed``) ``VIXSMILE_SEED``; a setting none
-    of them gives keeps its field default. A flag or ``--config`` that the
-    subcommand lacks reads as unset."""
+    of them gives keeps its field default. A config-file key that the
+    subcommand does not read raises ValueError, as its flag would exit 2."""
+    takes = _TAKES[args.command]
     config_path = getattr(args, "config", None)
     settings = load_config_file(config_path) if config_path else {}
+    for key in settings:
+        if key not in takes:
+            raise ValueError(f"{config_path}: {args.command} does not take {key!r}")
     values = {}
-    for key, setting in _SETTINGS.items():
-        value = getattr(args, key, None)
+    for key in takes:
+        setting = _SETTINGS[key]
+        value = getattr(args, key)
         if value is None and key in settings:
             value = setting.cast(settings[key])
         if value is not None:
             values[setting.field] = value
-    if "seed" not in values and hasattr(args, "seed") and "VIXSMILE_SEED" in os.environ:
+    if "seed" in takes and "seed" not in values and "VIXSMILE_SEED" in os.environ:
         values["seed"] = int(os.environ["VIXSMILE_SEED"])
     return RunConfig(quick=getattr(args, "quick", False), **values)
 
@@ -375,12 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         # path before any output or simulation.
         if config.model == "mixed":
             config.model_params()
-        elif args.command in ("atmi", "skew"):
-            raise ValueError(f"{args.command} supports only the mixed model: "
-                             "there is no Heston simulator")
-        elif config.underlying == "rv":
-            raise ValueError("the heston model has only the VIX skew-sign formula: "
-                             "there is no Heston rv underlying")
         else:
             config.heston_params()
         for maturity in config.maturities:

@@ -39,3 +39,14 @@ def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch):
     result = run_criterion(c10, quick=True)
     assert not result.passed
     assert "worst: stderr halving" in result.detail
+
+
+@pytest.mark.parametrize("quick", [False, True])
+def test_run_criterion_pins_each_tolerance(quick):
+    # Runners return only (achieved, detail): the tolerance comes from
+    # TOLERANCES, doubled in quick mode for the QUICK_DOUBLED criteria only.
+    assert set(acceptance.TOLERANCES) == {c.key for c in CRITERIA}
+    for key, tolerance in acceptance.TOLERANCES.items():
+        stub = acceptance.Criterion(key, "stub", lambda quick: (0.0, ""))
+        doubled = quick and key in {"C1", "C2", "C4", "C5", "C6"}
+        assert run_criterion(stub, quick).tolerance == (2 * tolerance if doubled else tolerance)

@@ -611,25 +611,24 @@ def test_rv_skew_constant_rejects_bad_inputs():
 def test_heston_small_reversion_limit():
     with pytest.warns(UserWarning, match="Feller"):
         params = HestonParams(k=1e-6, nu=0.5, v0=0.04)
-    value, sign = heston_vix_skew_sign(params, DELTA)
+    value = heston_vix_skew_sign(params, DELTA)
     assert value == pytest.approx(-(0.5 ** 2) / 4.0, rel=1e-4)
-    assert sign == -1
+    assert value < 0.0
 
 
 def test_heston_market_conditions_negative():
     params = HestonParams(k=1.0, nu=0.3, v0=0.09)
-    value, sign = heston_vix_skew_sign(params, DELTA)
+    value = heston_vix_skew_sign(params, DELTA)
     k_delta = 1.0 * DELTA
     decay = 1.0 - math.exp(-k_delta)
     expected = (0.3 ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)
     assert value == pytest.approx(expected, rel=1e-12)
-    assert sign == -1 and value < 0.0
+    assert value < 0.0
 
 
 def test_heston_sign_flip_at_large_reversion():
     params = HestonParams(k=100.0, nu=0.3, v0=0.09)
-    value, sign = heston_vix_skew_sign(params, 1.0)
-    assert value > 0.0 and sign == 1
+    assert heston_vix_skew_sign(params, 1.0) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +646,7 @@ _PUBLIC = {
     FormulaId.RV_ATMI_LIMIT: lambda p, t: rv_atmi_limit(p),
     FormulaId.RV_ATMI_APPROX: lambda p, t: rv_atmi_approx(p, t),
     FormulaId.RV_SKEW_LIMIT: lambda p, t: rv_skew_limit(p),
-    FormulaId.HESTON_VIX_SKEW_SIGN: lambda p, t: heston_vix_skew_sign(p, DELTA)[0],
+    FormulaId.HESTON_VIX_SKEW_SIGN: lambda p, t: heston_vix_skew_sign(p, DELTA),
 }
 _ERR = {
     FormulaId.VIX_ATMI_APPROX: lambda p, t: asy._vix_atmi_approx_err(p, DELTA, t),
@@ -688,6 +687,25 @@ def test_evaluate_closed_forms():
     res = evaluate(FormulaId.SABR_VIX_SKEW, params, delta=DELTA)
     assert res.value == pytest.approx(0.25, abs=1e-12)
     assert res.quad_error_bound == 0.0
+    # The SABR skew reads no averaging window.
+    assert evaluate(FormulaId.SABR_VIX_SKEW, params).value == res.value
+
+
+@pytest.mark.parametrize("hurst,beta", [(0.1, 0.0), (0.3, 1.0), (0.5, 0.0)])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_mixed_model_formulas_are_scale_free_in_v0(hurst, beta, mixed):
+    # v multiplies by v0, so the VIX scales by sqrt(v0) and RV by v0: no ATM
+    # implied vol or skew moves beyond rounding.
+    def values(v0):
+        params = (mk(v0=v0, H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0) if mixed
+                  else mk(v0=v0, H=hurst, beta=beta))
+        return [evaluate(fid, params, delta=DELTA, maturity=maturity).value
+                for fid in FormulaId if fid is not FormulaId.HESTON_VIX_SKEW_SIGN
+                for maturity in ((1e-3, 0.1, 1.0) if fid in _WITH_MATURITY else (None,))]
+
+    base = values(0.04)
+    for v0 in (0.01, 0.09, 1.0):
+        np.testing.assert_allclose(values(v0), base, rtol=1e-13, atol=0.0)
 
 
 def _vix_atmi_approx_mpmath(hurst, maturity):

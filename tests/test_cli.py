@@ -13,7 +13,10 @@ from vixsmile.model import HestonParams
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: a flag the subcommand does not take
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -36,7 +39,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
         "T = 0.25\n"
         "seed = 5\n"
     )
-    code, out, _ = run_cli(["asymptote", "--config", str(cfg), "--nu", "2.5"], capsys)
+    code, out, _ = run_cli(["atmi", "--config", str(cfg), "--nu", "2.5"], capsys)
     assert code == 0
     header = out.splitlines()[0]
     assert "hurst=0.40000000000000002" in header  # from the file
@@ -78,11 +81,12 @@ def test_offsets_flag_and_key_are_rejected(tmp_path, capsys):
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VIXSMILE_SEED", "777")
-    code, out, _ = run_cli(["asymptote"], capsys)
+    argv = ["atmi", "--paths", "4000", "--inner", "8", "--T", "0.25"]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert "seed=777" in out.splitlines()[0]
     # explicit flag still wins
-    code, out, _ = run_cli(["asymptote", "--seed", "3"], capsys)
+    code, out, _ = run_cli(argv + ["--seed", "3"], capsys)
     assert "seed=3" in out.splitlines()[0]
 
 
@@ -96,14 +100,29 @@ def test_env_seed_read_only_by_subcommands_with_a_seed(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "configuration error" in err
+    # asymptote has no --seed: the variable is not read.
+    code, out, _ = run_cli(["asymptote"], capsys)
+    assert code == 0
+    assert "seed" not in out.splitlines()[0]
+
+
+_MODEL = ["v0", "hurst", "beta", "gamma", "nu", "eta", "delta", "T"]
+_TAKES = {
+    "atmi": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
+    "skew": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "skew_step",
+             "out", "workers"],
+    "asymptote": ["config", "model", *_MODEL, "out", "heston_k"],
+    "validate": ["quick", "out"],
+}
 
 
 def test_unset_settings_keep_the_run_config_defaults(monkeypatch):
     monkeypatch.delenv("VIXSMILE_SEED", raising=False)
-    args = cli.build_parser().parse_args(["asymptote"])
-    assert cli.resolve_config(args) == RunConfig()
-    # Every setting flag reaches a RunConfig field.
-    assert set(cli._SETTINGS) == set(vars(args)) - {"command", "config"}
+    for command, takes in _TAKES.items():
+        args = cli.build_parser().parse_args([command])
+        # Each subcommand has exactly the flags of the settings it reads.
+        assert sorted(vars(args)) == sorted(["command", *takes]), command
+        assert cli.resolve_config(args) == RunConfig()
 
 
 def test_validate_takes_only_quick_and_out(monkeypatch, tmp_path):
@@ -119,18 +138,32 @@ def test_validate_takes_only_quick_and_out(monkeypatch, tmp_path):
     [["asymptote", "--model", "heston", "--heston-theta", "5", "--v0", "0.04"],
      ["skew", "--model", "heston"] + BASE,
      ["validate", "--seed", "7"], ["validate", "--paths", "10"],
-     ["asymptote", "--quick"], ["atmi", "--quick"] + BASE, ["skew", "--quick"] + BASE],
+     ["asymptote", "--quick"], ["atmi", "--quick"] + BASE, ["skew", "--quick"] + BASE,
+     ["asymptote", "--underlying", "rv"], ["asymptote", "--paths", "10"],
+     ["asymptote", "--inner", "8"], ["asymptote", "--seed", "3"],
+     ["asymptote", "--skew-step", "0.02"], ["asymptote", "--workers", "2"],
+     ["atmi", "--skew-step", "0.02"] + BASE, ["atmi", "--heston-k", "2"] + BASE,
+     ["atmi", "--model", "mixed"] + BASE,
+     ["skew", "--heston-k", "2"] + BASE, ["skew", "--model", "mixed"] + BASE],
     ids=" ".join,
 )
 def test_dropped_inputs_exit_2_before_any_output(argv, capsys):
     # Inputs that changed no output are rejected, not ignored.
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse: unknown flag
-        code = exc.code
-    captured = capsys.readouterr()
+    code, out, _ = run_cli(argv, capsys)
     assert code == 2
-    assert captured.out == ""
+    assert out == ""
+
+
+@pytest.mark.parametrize("command,line,key", [("asymptote", "paths = 10", "paths"),
+                                              ("atmi", "model = heston", "model")])
+def test_config_key_the_subcommand_does_not_take_exits_2(command, line, key,
+                                                          tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err and repr(key) in err and str(cfg) in err
 
 
 def test_invalid_model_parameters_exit_nonzero(capsys):
@@ -139,17 +172,28 @@ def test_invalid_model_parameters_exit_nonzero(capsys):
     assert "configuration error" in err
 
 
-@pytest.mark.parametrize("command", ["atmi", "skew", "asymptote"])
+def _bad_flags(command, flag_lists):
+    return [pytest.param(command, flags, id=f"{' '.join(flags)}-{command}")
+            for flags in flag_lists]
+
+
+_BAD_MODEL = [["--T", "nan"], ["--T", "inf"], ["--T", "0.1,inf"],
+              ["--delta", "nan"], ["--delta", "0"]]
+_BAD_STEP = [["--skew-step", "-1"], ["--skew-step", "0"], ["--skew-step", "nan"],
+             ["--skew-step", "inf"]]
+_BAD_MC = [["--paths", "1"], ["--paths", "2"]]
+
+
+# Each subcommand only with the flags it takes.
 @pytest.mark.parametrize(
-    "flags",
-    [["--T", "nan"], ["--T", "inf"], ["--T", "0.1,inf"],
-     ["--delta", "nan"], ["--delta", "0"],
-     ["--skew-step", "-1"], ["--skew-step", "0"], ["--skew-step", "nan"],
-     ["--skew-step", "inf"], ["--paths", "1"], ["--paths", "2"]],
-    ids=" ".join,
+    "command,flags",
+    _bad_flags("atmi", _BAD_MODEL + _BAD_MC)
+    + _bad_flags("skew", _BAD_MODEL + _BAD_STEP + _BAD_MC)
+    + _bad_flags("asymptote", _BAD_MODEL),
 )
 def test_non_finite_maturity_or_window_fails_before_any_output(command, flags, capsys):
-    code, out, err = run_cli([command] + BASE + flags, capsys)
+    base = [] if command == "asymptote" else BASE
+    code, out, err = run_cli([command] + base + flags, capsys)
     assert code == 2
     assert "configuration error" in err
     assert out == ""
@@ -157,21 +201,21 @@ def test_non_finite_maturity_or_window_fails_before_any_output(command, flags, c
 
 def test_atmi_heston_model_is_a_configuration_error(capsys):
     # No Heston simulator or ATMI formula exists: the rows would be the
-    # mixed model's under a Heston header.
+    # mixed model's under a Heston header. atmi has no --model.
     code, out, err = run_cli(["atmi", "--model", "heston"] + BASE, capsys)
     assert code == 2
-    assert "configuration error" in err
+    assert "unrecognized arguments: --model heston" in err
     assert out == ""
 
 
 @pytest.mark.parametrize("command", ["skew", "asymptote"])
 def test_heston_model_rv_underlying_is_a_configuration_error(command, capsys):
     # The only Heston formula is the VIX skew sign: its rows would sit under
-    # an underlying=rv header.
-    code, out, err = run_cli([command, "--model", "heston", "--underlying", "rv"] + BASE,
-                             capsys)
+    # an underlying=rv header. skew has no --model, asymptote no --underlying.
+    code, out, err = run_cli([command, "--model", "heston", "--underlying", "rv"], capsys)
     assert code == 2
-    assert "configuration error" in err
+    dropped = "--model heston" if command == "skew" else "--underlying rv"
+    assert f"unrecognized arguments: {dropped}" in err
     assert out == ""
 
 
@@ -218,37 +262,35 @@ def test_atmi_csv_shape_and_determinism(capsys):
 
 
 _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 "
-         "eta=0 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 seed=11 "
-         "skew_step=0.01")
+         "eta=0 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 seed=11")
 
 
 @pytest.mark.parametrize(
     "argv,header,columns",
     [
         (["atmi"] + BASE,
-         "# vixsmile-csv schema=atmi.v1 model=mixed underlying=vix " + _HEAD,
+         "# vixsmile-csv schema=atmi.v1 underlying=vix " + _HEAD,
          "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
         (["atmi", "--underlying", "rv"] + BASE,
-         "# vixsmile-csv schema=atmi.v1 model=mixed underlying=rv " + _HEAD,
+         "# vixsmile-csv schema=atmi.v1 underlying=rv " + _HEAD,
          "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
         (["skew", "--gamma", "0.5", "--eta", "1"] + BASE,
-         "# vixsmile-csv schema=skew.v1 model=mixed underlying=vix "
+         "# vixsmile-csv schema=skew.v1 underlying=vix "
          "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=0.5 "
          "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 "
          "seed=11 skew_step=0.01",
          "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
         (["asymptote", "--gamma", "0.5", "--eta", "1", "--beta", "2",
           "--T", "0.1,0.5"],
-         "# vixsmile-csv schema=asymptote.v1 model=mixed underlying=vix "
+         "# vixsmile-csv schema=asymptote.v1 model=mixed "
          "v0=0.040000000000000001 hurst=0.29999999999999999 beta=2 gamma=0.5 "
-         "nu=2 eta=1 delta=0.082191780821917804 T=0.10000000000000001,0.5 "
-         "paths=200000 inner=64 seed=42 skew_step=0.01",
+         "nu=2 eta=1 delta=0.082191780821917804 T=0.10000000000000001,0.5",
          "formula_id,maturity,value,quad_error_bound,status"),
         (["asymptote", "--model", "heston", "--heston-k", "1.5", "--nu", "0.3"],
-         "# vixsmile-csv schema=asymptote.v1 model=heston underlying=vix "
+         "# vixsmile-csv schema=asymptote.v1 model=heston "
          "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 "
          "nu=0.29999999999999999 eta=0 delta=0.082191780821917804 T=0.25 "
-         "paths=200000 inner=64 seed=42 skew_step=0.01 heston_k=1.5",
+         "heston_k=1.5",
          "formula_id,maturity,value,quad_error_bound,status"),
     ],
     ids=["atmi-vix", "atmi-rv", "skew-mixed", "asymptote-mixed", "asymptote-heston"],
@@ -339,7 +381,8 @@ def test_asymptote_heston_row_signs_its_value(k, delta, sign, capsys):
                             "--nu", "0.3", "--v0", "0.09", "--delta", delta], capsys)
     assert code == 0
     params = HestonParams(k=float(k), nu=0.3, v0=0.09)
-    value, _ = heston_vix_skew_sign(params, float(delta))
+    value = heston_vix_skew_sign(params, float(delta))
+    assert (value > 0.0) - (value < 0.0) == int(sign)
     assert out.splitlines()[2:] == [
         f"HESTON_VIX_SKEW_SIGN,,{format(value, '.17g')},0,sign={sign}"]
 

@@ -66,6 +66,24 @@ def test_atmi_v0_invariance_for_rv_options():
     assert vol_scaled == pytest.approx(vol_base, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["vix", "rv"])
+def test_mixed_model_estimates_are_scale_free_in_v0(kind):
+    # v multiplies by v0, so at a fixed seed the VIX samples scale by
+    # sqrt(v0) and RV's by v0: ATM implied vols, skews and their error bars
+    # move only by rounding.
+    grid = SimGrid(T=0.25, n_inner=16, n_paths=20_000, seed=8)
+
+    def estimates(v0):
+        params = mk(v0=v0, gamma=0.5, nu=3.0, eta=1.0)
+        batch = (sample_vix(build_vix_sampler(params, grid)) if kind == "vix"
+                 else sample_rv(params, grid))
+        return [*atmi(batch, grid.T), *atmi_skew(batch, grid.T)]
+
+    base = estimates(0.04)
+    for v0 in (0.01, 0.09, 1.0):
+        np.testing.assert_allclose(estimates(v0), base, rtol=1e-10, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # atmi_skew
 # ---------------------------------------------------------------------------
