@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import HestonParams, ModelParams, kernel, kernel_variance
+from .model import HestonParams, ModelParams, kernel_variance
 from .specfun import (
     QuadSpec,
     gauss_jacobi,
@@ -242,17 +242,23 @@ def _kernel_mass_rule(params: ModelParams, delta: float, maturity: float):
     head, K-bar(T - tau) e^(-beta tau) falls, so the head integral lies between
     its two end values times the exact int_0^eps (g + tau)^(H-1/2) dtau: it
     takes the midpoint and reports half the bracket. Each panel's error is its
-    gap to the embedded Gauss rule; K-bar is folded into the weights.
+    gap to the embedded Gauss rule. The kernel k(g + tau) splits into
+    (g + tau)^(H-1/2) e^(-beta tau) e^(-beta g): K-bar(T - tau) e^(-beta tau)
+    is folded into the weights once, and e^(-beta g) scales each gap's row.
     """
     a, beta = params.H + 0.5, params.beta
     nodes, weights = _panel_rule(maturity)
     kbar = _kernel_integral(params, nodes, nodes + delta)
     eps, tau = nodes[1], nodes[2:]
-    # K-bar(T - tau) e^(-beta tau) at tau = 0 and tau = eps.
+    # K-bar(T - tau) e^(-beta tau) at tau = 0 and tau = eps, then on the panels.
     hi, lo = kbar[:2] * np.exp(-beta * nodes[:2])
-    kronrod, diff = kbar[2:] * weights
+    kronrod, diff = kbar[2:] * np.exp(-beta * tau) * weights
+    diff = diff.reshape(_PANELS, -1)
 
     def kernel_mass(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if np.any(gaps < 0.0):
+            raise ValueError("kernel-mass gaps must be nonnegative")
+        decay = np.exp(-beta * gaps)
         # int_0^eps (g + tau)^(H-1/2) e^(-beta g) dtau, with
         # (g + eps)^a - g^a through log1p where g > eps would cancel it away.
         top = gaps + eps
@@ -261,13 +267,13 @@ def _kernel_mass_rule(params: ModelParams, delta: float, maturity: float):
             gaps > eps,
             -top ** a * np.expm1(a * np.log1p(-ratio)),
             top ** a - gaps ** a,
-        ) * np.exp(-beta * gaps) / a
+        ) * decay / a
 
-        k_vals = kernel(params, gaps[:, None] + tau)
-        mass = 0.5 * (hi + lo) * power + k_vals @ kronrod
-        err = 0.5 * (hi - lo) * power + np.abs(
-            (k_vals * diff).reshape(gaps.size, _PANELS, -1).sum(axis=2)
-        ).sum(axis=1)
+        powers = np.add.outer(gaps, tau)
+        np.power(powers, params.H - 0.5, out=powers)
+        mass = 0.5 * (hi + lo) * power + decay * (powers @ kronrod)
+        panel_gaps = np.einsum("gpk,pk->gp", powers.reshape(gaps.size, _PANELS, -1), diff)
+        err = 0.5 * (hi - lo) * power + decay * np.abs(panel_gaps).sum(axis=1)
         return mass, err
 
     return kernel_mass, *_integral_of_square(nodes, kbar, weights)
@@ -285,8 +291,12 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
           = 1/2 (int_0^T K-bar(s)^2 ds)^2
 
     where I(s,u) = int_T^(T+delta) k(r-s) k(r-u) dr. The outer integral in r
-    is adaptive; the inner kernel mass uses :func:`_kernel_mass_rule` for
-    all nodes of an outer panel at once, and W comes from the same rule.
+    is adaptive, in w over [0, 1] with r - T = delta w^3. The kernel mass
+    behaves like m(0) + c g^(H+1/2) + ... in g = r - T, whose derivative is
+    unbounded at g = 0; in w the integrand m(delta w^3)^2 3 delta w^2 has
+    w^(3.5+3H) as its lowest non-smooth power, so few panels reach the
+    tolerance. The inner kernel mass uses :func:`_kernel_mass_rule` for all
+    nodes of an outer panel at once, and W comes from the same rule.
     """
     kernel_mass, w_int, w_err = _kernel_mass_rule(params, delta, maturity)
     outer_spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9)
@@ -295,15 +305,14 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     # integrand m^2 then carries a first-order error of at most 2 rel m^2.
     worst_inner = 0.0
 
-    def m_squared(r):
+    def m_squared(w):
         nonlocal worst_inner
-        mass, err = kernel_mass(np.atleast_1d(np.asarray(r, dtype=float)) - maturity)
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        mass, err = kernel_mass(delta * w ** 3)
         worst_inner = max(worst_inner, float(np.max(err / mass)))
-        return mass * mass
+        return mass * mass * (3.0 * delta) * (w * w)
 
-    cross, cross_err = integrate_err(
-        m_squared, maturity, maturity + delta, outer_spec
-    )
+    cross, cross_err = integrate_err(m_squared, 0.0, 1.0, outer_spec)
     cross *= 0.5
     cross_err = 0.5 * cross_err + 2.0 * worst_inner * cross
     return cross, cross_err, w_int, w_err

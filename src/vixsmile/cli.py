@@ -13,8 +13,11 @@ Every setting is declared once, in ``_SETTINGS``: its flag, config-file key,
 caster, help text and header echo. ``_TAKES`` declares which settings each
 subcommand reads; its flags, the config-file keys it accepts and its header
 echo all come from that one row, so a flag or a known config-file key that
-the subcommand does not read exits 2 before any output. The first three
-subcommands also take ``--config`` and ``validate`` takes ``--quick``.
+the subcommand does not read exits 2 before any output. ``_UNREAD`` does
+the same per run mode: the settings that the heston model, the mixed model
+or the rv underlying does not read exit 2 when given, and are not echoed.
+The first three subcommands also take ``--config`` and ``validate`` takes
+``--quick``.
 Configuration is flat ``key = value`` text (``#`` comments) overridden by
 command-line flags of the same names; ``VIXSMILE_SEED`` is the seed
 fallback of the subcommands that take ``--seed``. CSV goes to ``--out`` or
@@ -140,7 +143,6 @@ _SETTINGS: dict[str, _Setting] = {
     "skew_step": _Setting("skew_step", float, "central-difference log-strike step"),
     "out": _Setting("out_path", str, "output path ('-' for stdout)", None),
     "workers": _Setting("workers", int, "parallel workers (0: all cores)", None),
-    # Echoed for the heston model only.
     "heston_k": _Setting("heston_k", float, "Heston reversion speed (heston model only)"),
 }
 
@@ -157,6 +159,15 @@ _TAKES: dict[str, tuple[str, ...]] = {
     "validate": ("out",),
 }
 
+# The settings a run mode does not read, keyed by the setting and the value
+# that select the mode. The heston model writes only the VIX skew sign, from
+# v0, nu, delta and heston_k; the RV formulas and draws have no window.
+_UNREAD: dict[tuple[str, str], tuple[str, ...]] = {
+    ("model", "mixed"): ("heston_k",),
+    ("model", "heston"): ("hurst", "beta", "gamma", "eta", "T"),
+    ("underlying", "rv"): ("delta",),
+}
+
 _COLUMNS = {
     "atmi": "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status",
     "skew": "T,mc_skew,mc_stderr,approx_skew,limit_value,status",
@@ -164,14 +175,25 @@ _COLUMNS = {
 }
 
 
+def _unread(config: RunConfig, command: str) -> dict[str, str]:
+    """The settings ``command`` takes but does not read in the run mode of
+    ``config``, each mapped to the ``key=value`` of the mode."""
+    values = vars(config)
+    return {key: f"{mode_key}={mode}"
+            for (mode_key, mode), keys in _UNREAD.items()
+            if values[_SETTINGS[mode_key].field] == mode
+            for key in keys if key in _TAKES[command]}
+
+
 def _write_header(config: RunConfig, schema: str, stream) -> None:
     """The schema/parameter header line, echoing the settings the subcommand
-    named by ``schema`` reads, then the column line."""
+    named by ``schema`` reads in the run mode of ``config``, then the column
+    line."""
     values = vars(config)
+    unread = _unread(config, schema)
     fields = [f"{key}={setting.echo(values[setting.field])}"
               for key, setting in _SETTINGS.items()
-              if key in _TAKES[schema] and setting.echo
-              and (config.model == "heston" or not key.startswith("heston_"))]
+              if key in _TAKES[schema] and key not in unread and setting.echo]
     stream.write(f"# vixsmile-csv schema={schema}.{SCHEMA_VERSION} {' '.join(fields)}\n")
     stream.write(_COLUMNS[schema] + "\n")
 
@@ -367,7 +389,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the flags, else the config file, else (seed only, and
     only for a subcommand with ``--seed``) ``VIXSMILE_SEED``; a setting none
     of them gives keeps its field default. A config-file key that the
-    subcommand does not read raises ValueError, as its flag would exit 2."""
+    subcommand does not read raises ValueError, as its flag would exit 2, and
+    so does a flag or key that the run mode does not read (``_UNREAD``)."""
     takes = _TAKES[args.command]
     config_path = getattr(args, "config", None)
     settings = load_config_file(config_path) if config_path else {}
@@ -382,9 +405,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = setting.cast(settings[key])
         if value is not None:
             values[setting.field] = value
+    given = [key for key in takes if _SETTINGS[key].field in values]
     if "seed" in takes and "seed" not in values and "VIXSMILE_SEED" in os.environ:
         values["seed"] = int(os.environ["VIXSMILE_SEED"])
-    return RunConfig(quick=getattr(args, "quick", False), **values)
+    config = RunConfig(quick=getattr(args, "quick", False), **values)
+    unread = _unread(config, args.command)
+    for key in given:
+        if key in unread:
+            raise ValueError(f"{args.command} with {unread[key]} does not read {key!r}")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,7 +8,8 @@ with both legs priced on common random numbers; their standard errors come
 from a delete-block jackknife, since the legs are strongly correlated and
 naive error bars would be uselessly wide. The jackknife never copies the
 batch: every leave-one-block-out forward and leg price is derived from
-full-sample sums in O(n) work.
+full-sample sums in O(n) work. Each estimator writes its payoffs into one
+scratch vector the size of the batch, reused by every pass.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ DEFAULT_SKEW_STEP = 1e-2
 JACKKNIFE_BLOCKS = 20
 
 
+def _call_payoffs(samples: np.ndarray, strike: float, out: np.ndarray) -> np.ndarray:
+    """max(samples - strike, 0), written into ``out``."""
+    return np.maximum(np.subtract(samples, strike, out=out), 0.0, out=out)
+
+
 def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
     """ATM implied vol with strike at the batch mean, plus its standard error.
 
@@ -33,14 +39,18 @@ def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
     reported as the degenerate result (0.0, 0.0).
     """
     samples = batch.samples
-    if samples.size < 2:
+    n = samples.size
+    if n < 2:
         raise ValueError("need at least two paths")
     forward = float(np.mean(samples))
-    payoff = np.maximum(samples - forward, 0.0)
+    payoff = _call_payoffs(samples, forward, np.empty(n))
     price = float(np.mean(payoff))
     if price <= 0.0:
         return 0.0, 0.0
-    price_stderr = float(np.std(payoff, ddof=1) / math.sqrt(samples.size))
+    # np.std(payoff, ddof=1) in place: centre, square, sum.
+    np.subtract(payoff, price, out=payoff)
+    np.multiply(payoff, payoff, out=payoff)
+    price_stderr = math.sqrt(float(np.sum(payoff)) / (n - 1)) / math.sqrt(n)
     vol = atm_implied_vol(price, forward, maturity)
     vega = bs_vega(BsQuote(math.log(forward), math.log(forward), maturity, vol))
     return vol, price_stderr / vega
@@ -56,8 +66,9 @@ def _skew_from_prices(forward: float, prices: tuple[float, float],
 
 
 def _leave_block_out_payoffs(samples: np.ndarray, boundaries: np.ndarray,
-                             strikes: np.ndarray) -> np.ndarray:
-    """Summed call payoff at strikes[b] over the samples outside block b.
+                             strikes: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Summed call payoff at strikes[b] over the samples outside block b,
+    with ``work`` (the size of ``samples``) as scratch.
 
     With K0 = min(strikes), the full-sample payoff sum at any K >= K0 is
     P(K) = P(K0) - sum over x > K0 of min(x - K0, K - K0). The min is
@@ -66,34 +77,41 @@ def _leave_block_out_payoffs(samples: np.ndarray, boundaries: np.ndarray,
     payoff at strikes[b] is then removed with one pass over the block.
     """
     k0 = float(np.min(strikes))
-    excess = samples - k0
-    np.maximum(excess, 0.0, out=excess)
+    excess = _call_payoffs(samples, k0, work)
     gaps = strikes - k0
-    band = np.sort(excess[(excess > 0.0) & (excess <= np.max(gaps))])
+    in_band = excess > 0.0
+    in_band &= excess <= np.max(gaps)
+    band = np.sort(excess[in_band])
     below = np.searchsorted(band, gaps, side="right")
     band_sums = np.concatenate(([0.0], np.cumsum(band)))
     n_above = np.count_nonzero(excess)
     totals = float(np.sum(excess)) - band_sums[below] - gaps * (n_above - below)
+    # excess is spent: each block's own payoff overwrites its slice of work.
     own = [
-        np.sum(np.maximum(samples[lo:hi] - strike, 0.0))
+        np.sum(_call_payoffs(samples[lo:hi], strike, work[lo:hi]))
         for lo, hi, strike in zip(boundaries[:-1], boundaries[1:], strikes)
     ]
     return totals - own
 
 
-def _block_estimates(samples: np.ndarray, maturity: float, step: float) -> np.ndarray:
+def _block_estimates(samples: np.ndarray, maturity: float, step: float,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Skew of each delete-block subsample, re-centred on its own mean.
 
     Forwards come from block sums and leg prices from
-    _leave_block_out_payoffs, so no subsample is ever copied.
+    _leave_block_out_payoffs, so no subsample is ever copied. ``work`` is
+    scratch the size of ``samples``, allocated when not given.
     """
     n = samples.size
+    if work is None:
+        work = np.empty(n)
     n_blocks = min(JACKKNIFE_BLOCKS, n)
     boundaries = np.linspace(0, n, n_blocks + 1).astype(int)
     kept = n - np.diff(boundaries)
     forwards = (float(np.sum(samples)) - np.add.reduceat(samples, boundaries[:-1])) / kept
     legs = [
-        _leave_block_out_payoffs(samples, boundaries, forwards * math.exp(sign * step)) / kept
+        _leave_block_out_payoffs(samples, boundaries, forwards * math.exp(sign * step),
+                                 work) / kept
         for sign in (1.0, -1.0)
     ]
     return np.array([
@@ -118,13 +136,14 @@ def atmi_skew(batch: PathBatch, maturity: float,
     if samples.size < 3:
         raise ValueError("need at least three paths for a delete-block jackknife")
     forward = float(np.mean(samples))
+    work = np.empty(samples.size)
     prices = tuple(
-        float(np.mean(np.maximum(samples - forward * math.exp(sign * step), 0.0)))
+        float(np.mean(_call_payoffs(samples, forward * math.exp(sign * step), work)))
         for sign in (1.0, -1.0)
     )
     value = _skew_from_prices(forward, prices, maturity, step)
 
-    estimates = _block_estimates(samples, maturity, step)
+    estimates = _block_estimates(samples, maturity, step, work)
     n_blocks = estimates.size
     center = float(np.mean(estimates))
     stderr = math.sqrt(

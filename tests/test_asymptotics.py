@@ -392,7 +392,7 @@ def test_vix_skew_approx_matches_nested_adaptive_oracle(hurst, beta, maturity):
     )
 
 
-@pytest.mark.parametrize("hurst, beta, maturity", SKEW_ORACLE_POINTS[:3])
+@pytest.mark.parametrize("hurst, beta, maturity", SKEW_ORACLE_POINTS)
 def test_vix_skew_approx_bound_covers_oracle_gap(hurst, beta, maturity):
     params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
     res = evaluate(FormulaId.VIX_SKEW_APPROX, params, delta=DELTA, maturity=maturity)
@@ -429,9 +429,16 @@ def test_kernel_mass_rule_error_estimate_covers_its_error(gap_over_eps):
     assert abs(mass[0] - reference) <= err[0] < 1e-10 * reference
 
 
+def test_kernel_mass_rule_rejects_a_negative_gap():
+    rule = asy._kernel_mass_rule(mk(H=0.1, beta=1.0), DELTA, 0.25)[0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        rule(np.array([0.01, -1e-9]))
+
+
 def test_vix_skew_approx_runs_one_adaptive_quadrature(monkeypatch):
-    # Only the outer integral of Q_A is adaptive: the inner kernel mass and W
-    # come from one fixed rule, and the level formulas run none at all.
+    # Only the outer integral of Q_A is adaptive, in w over [0, 1] with
+    # r - T = delta w^3: the inner kernel mass and W come from one fixed
+    # rule, and the level formulas run none at all.
     calls = []
 
     def counting(*args, **kwargs):
@@ -441,11 +448,35 @@ def test_vix_skew_approx_runs_one_adaptive_quadrature(monkeypatch):
     monkeypatch.setattr(asy, "integrate_err", counting)
     params = mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
     vix_skew_approx(params, DELTA, 0.25)
-    assert calls == [(0.25, 0.25 + DELTA)]
+    assert calls == [(0.0, 1.0)]
     vix_atmi_approx(params, DELTA, 0.25)
     rv_atmi_approx(params, 0.25)
     assert len(calls) == 1
     assert not any(isinstance(value, np.vectorize) for value in vars(asy).values())
+
+
+def test_vix_skew_approx_outer_integral_takes_few_points(monkeypatch):
+    # In r the g^(H+1/2) term of the kernel mass at g = r - T = 0 drove
+    # GK15 to 315-765 integrand points over this grid; in w = (g/delta)^(1/3)
+    # it takes at most 135. The cap is that plus one 15-point panel.
+    points = []
+
+    def counting(f, lo, hi, spec):
+        def tallied(x):
+            points[-1] += np.size(x)
+            return f(x)
+
+        points.append(0)
+        return integrate_err(tallied, lo, hi, spec)
+
+    monkeypatch.setattr(asy, "integrate_err", counting)
+    for hurst in (0.05, 0.1, 0.3, 0.45):
+        for beta in (0.0, 1.0, 5.0):
+            params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
+            for maturity in (1e-4, 0.02, 0.5, 2.0):
+                vix_skew_approx(params, DELTA, maturity)
+    assert len(points) == 48
+    assert max(points) <= 150
 
 
 # ---------------------------------------------------------------------------

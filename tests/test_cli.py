@@ -166,6 +166,45 @@ def test_config_key_the_subcommand_does_not_take_exits_2(command, line, key,
     assert "configuration error" in err and repr(key) in err and str(cfg) in err
 
 
+_MODE_UNREAD = (
+    [("asymptote", ["--model", "heston"], key) for key in ("hurst", "beta", "gamma", "eta", "T")]
+    + [("asymptote", ["--model", "mixed"], "heston_k"), ("asymptote", [], "heston_k")]
+    + [(command, ["--underlying", "rv"] + BASE, "delta") for command in ("atmi", "skew")]
+)
+_MODE_VALUES = {"hurst": "0.1", "beta": "2", "gamma": "0.5", "eta": "1", "T": "0.5",
+                "heston_k": "2", "delta": "0.5"}
+
+
+@pytest.mark.parametrize("command,mode,key", _MODE_UNREAD,
+                         ids=[" ".join([c, *m[:2], k]) for c, m, k in _MODE_UNREAD])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_setting_the_run_mode_does_not_read_exits_2(command, mode, key, source,
+                                                     tmp_path, capsys):
+    # The heston model writes only the VIX skew sign, the mixed model never
+    # reads the Heston reversion speed, and the RV formulas and draws have
+    # no window: such a setting would change no row.
+    if source == "flag":
+        extra = ["--" + key.replace("_", "-"), _MODE_VALUES[key]]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {_MODE_VALUES[key]}\n")
+        extra = ["--config", str(cfg)]
+    code, out, err = run_cli([command] + mode + extra, capsys)
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err and f"does not read {key!r}" in err
+
+
+def test_model_and_underlying_from_the_config_file_select_the_mode(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = heston\nhurst = 0.1\n")
+    code, out, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
+    assert code == 2 and out == "" and "model=heston does not read 'hurst'" in err
+    cfg.write_text("underlying = rv\n")
+    code, out, err = run_cli(["atmi", "--config", str(cfg), "--delta", "0.5"] + BASE, capsys)
+    assert code == 2 and out == "" and "underlying=rv does not read 'delta'" in err
+
+
 def test_invalid_model_parameters_exit_nonzero(capsys):
     code, _, err = run_cli(["atmi", "--hurst", "0.9"] + BASE, capsys)
     assert code == 2
@@ -272,7 +311,8 @@ _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 
          "# vixsmile-csv schema=atmi.v1 underlying=vix " + _HEAD,
          "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
         (["atmi", "--underlying", "rv"] + BASE,
-         "# vixsmile-csv schema=atmi.v1 underlying=rv " + _HEAD,
+         "# vixsmile-csv schema=atmi.v1 underlying=rv "
+         + _HEAD.replace(" delta=0.082191780821917804", ""),
          "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
         (["skew", "--gamma", "0.5", "--eta", "1"] + BASE,
          "# vixsmile-csv schema=skew.v1 underlying=vix "
@@ -288,9 +328,8 @@ _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 
          "formula_id,maturity,value,quad_error_bound,status"),
         (["asymptote", "--model", "heston", "--heston-k", "1.5", "--nu", "0.3"],
          "# vixsmile-csv schema=asymptote.v1 model=heston "
-         "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 "
-         "nu=0.29999999999999999 eta=0 delta=0.082191780821917804 T=0.25 "
-         "heston_k=1.5",
+         "v0=0.040000000000000001 nu=0.29999999999999999 "
+         "delta=0.082191780821917804 heston_k=1.5",
          "formula_id,maturity,value,quad_error_bound,status"),
     ],
     ids=["atmi-vix", "atmi-rv", "skew-mixed", "asymptote-mixed", "asymptote-heston"],

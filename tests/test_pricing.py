@@ -1,11 +1,12 @@
 """Pricing-layer tests: ATM implied vols and skews."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vixsmile.bs import implied_vol
+from vixsmile.bs import BsQuote, atm_implied_vol, bs_vega, implied_vol
 from vixsmile.mc import PathBatch, SimGrid, build_vix_sampler, sample_rv, sample_vix
 from vixsmile.model import ModelParams
 from vixsmile.pricing import JACKKNIFE_BLOCKS, _block_estimates, atmi, atmi_skew
@@ -276,3 +277,34 @@ def test_skew_rejects_too_few_paths():
     for n_paths in (1, 2):
         with pytest.raises(ValueError):
             atmi_skew(manual_batch(np.linspace(1.0, 2.0, n_paths)), 0.1)
+
+
+@pytest.mark.parametrize("n_paths", [2, 7, 20_000])
+def test_atmi_equals_the_allocating_numpy_form(n_paths):
+    # The in-place payoff and standard deviation give the same bits as
+    # np.maximum on a fresh array and np.std(ddof=1).
+    grid = SimGrid(T=0.1, n_inner=8, n_paths=n_paths, seed=45)
+    samples = sample_vix(build_vix_sampler(mk(H=0.1, **MIXED), grid)).samples
+    forward = float(np.mean(samples))
+    payoff = np.maximum(samples - forward, 0.0)
+    price = float(np.mean(payoff))
+    vol = atm_implied_vol(price, forward, 0.1)
+    vega = bs_vega(BsQuote(math.log(forward), math.log(forward), 0.1, vol))
+    stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_paths)) / vega
+    assert repr(atmi(manual_batch(samples), 0.1)) == repr((vol, stderr))
+
+
+def test_pricing_a_batch_needs_one_scratch_vector():
+    # atmi and atmi_skew each write their payoffs into one vector the size
+    # of the batch; fresh payoff arrays per pass peaked at twice that.
+    grid = SimGrid(T=0.1, n_inner=8, n_paths=100_000, seed=46)
+    batch = sample_vix(build_vix_sampler(mk(H=0.3, **MIXED), grid))
+    atmi_skew(batch, 0.1)  # one-time imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        atmi(batch, 0.1)
+        atmi_skew(batch, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * batch.samples.nbytes
