@@ -14,8 +14,9 @@ caster, help text and header echo. ``_TAKES`` declares which settings each
 subcommand reads; its flags, the config-file keys it accepts and its header
 echo all come from that one row, so a flag or a known config-file key that
 the subcommand does not read exits 2 before any output. ``_UNREAD`` does
-the same per run mode: the settings that the heston model, the mixed model
-or the rv underlying does not read exit 2 when given, and are not echoed.
+the same per run mode: the settings that the heston model, the mixed model,
+the vix or the rv underlying does not read exit 2 when given, and are not
+echoed.
 The first three subcommands also take ``--config`` and ``validate`` takes
 ``--quick``.
 Configuration is flat ``key = value`` text (``#`` comments) overridden by
@@ -138,7 +139,7 @@ _SETTINGS: dict[str, _Setting] = {
     "T": _Setting("maturities", _parse_float_list, "comma list of maturities",
                   lambda ts: ",".join(_fmt(t) for t in ts)),
     "paths": _Setting("n_paths", int, "Monte Carlo paths", str),
-    "inner": _Setting("n_inner", int, "inner quadrature nodes", str),
+    "inner": _Setting("n_inner", int, "RV trapezoid steps (rv underlying only)", str),
     "seed": _Setting("seed", int, "RNG seed (VIXSMILE_SEED fallback)", str),
     "skew_step": _Setting("skew_step", float, "central-difference log-strike step"),
     "out": _Setting("out_path", str, "output path ('-' for stdout)", None),
@@ -161,10 +162,12 @@ _TAKES: dict[str, tuple[str, ...]] = {
 
 # The settings a run mode does not read, keyed by the setting and the value
 # that select the mode. The heston model writes only the VIX skew sign, from
-# v0, nu, delta and heston_k; the RV formulas and draws have no window.
+# v0, nu, delta and heston_k; the RV formulas and draws have no window, and
+# the VIX draws take a fixed window rule, so only the RV reads inner.
 _UNREAD: dict[tuple[str, str], tuple[str, ...]] = {
     ("model", "mixed"): ("heston_k",),
     ("model", "heston"): ("hurst", "beta", "gamma", "eta", "T"),
+    ("underlying", "vix"): ("inner",),
     ("underlying", "rv"): ("delta",),
 }
 

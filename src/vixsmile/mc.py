@@ -1,14 +1,17 @@
 """Exact Gaussian Monte Carlo simulation of the VIX and realized-variance
 underlyings.
 
-Both underlyings are trapezoid-rule window integrals of the same
+Both underlyings are fixed-rule window integrals of the same
 Wick-exponential mixture of one Gaussian Volterra factor, so one sampler
 serves both. The factor values at the inner nodes are jointly Gaussian with
 covariances given by the kernel covariance integrals: the VIX nodes all over
 the noise window [0, T] (``kernel_covariance_matrix``), and the RV grid
 nodes each over its own past (``grid_covariance_matrix``). They are drawn
 exactly through a factor of that matrix, truncated to its numerical rank, so
-the only discretisation is the trapezoid rule on the inner time grid.
+the only discretisation is the quadrature rule in time: for the VIX,
+``_VIX_NODES`` Gauss-Legendre nodes graded onto [T, T+delta] at the scale T
+(``specfun.window_rule``), and for the RV, the trapezoid rule on
+``SimGrid.n_inner`` uniform steps.
 Sampling is deterministic: paths are generated in fixed-size chunks, and
 chunk c of seed s draws from an SFC64 generator seeded by the c-th child of
 ``SeedSequence(s)`` (spawn key (c,)), numpy's scheme for independent
@@ -29,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ModelParams, grid_covariance_matrix, kernel_covariance_matrix
+from .specfun import window_rule
 
 # kernel_covariance, the scalar reference of the covariance builders, is
 # imported but not called: perfbench/tracer.py binds it as mc.kernel_covariance.
@@ -53,6 +57,18 @@ __all__ = [
 # about -1.1e-15 of the largest (n_inner up to 512).
 _FACTOR_TOL = 1e-14
 
+# Gauss-Legendre nodes of the VIX window rule. E_T[v_s] varies on the time
+# scale T just after s = T, rough like (s - T)^H, and window_rule grades the
+# nodes at that scale. Against a 48-node reference drawn from the same
+# normals (50k paths, T from 1e-4 to 2, H from 0.05 to 1/2, beta in {0, 5},
+# one factor and a mixture), 8 nodes are at worst 2.3e-5 off in relative ATM
+# implied vol and 0.0012 stderr off in the ATM skew. 12 nodes raise the
+# factor's rank from 8 to 10 at T = 0.1, and draw about 40 % slower. The
+# weights sum to delta within 6.3e-6 at T = 1e-4 (3e-3 at T = 1e-8): a
+# common scale of the samples, which moves no ATM implied vol or skew.
+_VIX_NODES = 8
+_VIX_X, _VIX_W = np.polynomial.legendre.leggauss(_VIX_NODES)
+
 # Paths per chunk. Each chunk has its own stream (see _chunk_rng), so the
 # sample bytes of every batch longer than one chunk depend on this value.
 _CHUNK_SIZE = 4096
@@ -64,7 +80,11 @@ class CovarianceNotPSDError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimGrid:
-    """Simulation layout: maturity, averaging window, inner nodes, paths."""
+    """Simulation layout: maturity, averaging window, inner nodes, paths.
+
+    ``n_inner`` is the number of trapezoid steps of the RV grid; the VIX
+    window always takes the ``_VIX_NODES`` graded nodes and ignores it.
+    """
 
     T: float
     delta: float = 30.0 / 365.0
@@ -233,15 +253,22 @@ class FactorSampler:
             np.sqrt(out, out=out)
 
 
+def _vix_rule(T: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and weights of the VIX window rule on [T, T+delta]."""
+    offsets, weights = window_rule(T, delta, _VIX_X, _VIX_W)
+    return T + offsets, weights
+
+
 def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
     """Precompute the Gaussian layer for VIX sampling at grid.T.
 
-    The nodes cover [T, T+delta], each conditioned on [0, T]:
-    VIX_T^2 = (1/delta) int_T^{T+delta} E_T[v_s] ds.
+    VIX_T^2 = (1/delta) int_T^{T+delta} E_T[v_s] ds, taken by the
+    ``_VIX_NODES``-node Gauss-Legendre rule graded onto the window by
+    ``specfun.window_rule``; every node is conditioned on [0, T].
+    ``grid.n_inner`` is not read.
     """
-    nodes = np.linspace(grid.T, grid.T + grid.delta, grid.n_inner)
-    cov = kernel_covariance_matrix(params, nodes, grid.T)
-    weights = _trapezoid_weights(grid.n_inner, grid.delta / (grid.n_inner - 1))
+    times, weights = _vix_rule(grid.T, grid.delta)
+    cov = kernel_covariance_matrix(params, times, grid.T)
     return FactorSampler("vix", params, grid, cov, weights, 0.0, grid.delta)
 
 

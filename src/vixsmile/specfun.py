@@ -6,7 +6,8 @@ function, for a scalar or an array argument, the Gaussian hypergeometric
 function on its z <= 0 branch, the standard normal CDF/PDF, and an adaptive
 Gauss-Kronrod integrator that tolerates integrable power-law endpoint
 singularities. Fixed Gauss-Jacobi and Gauss-Kronrod rules, mapped onto
-geometric panels by one builder, serve integrals that are evaluated in bulk.
+geometric panels by one builder, serve integrals that are evaluated in bulk;
+one map grades a fixed rule onto the VIX averaging window.
 
 All functions are pure and safe to call concurrently.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "gauss_jacobi",
     "gauss_kronrod_15",
     "geometric_rule",
+    "window_rule",
     "kronrod_bound",
     "lower_incomplete_gamma",
     "gauss_2f1",
@@ -406,6 +408,27 @@ def geometric_rule(x: np.ndarray, weights, inner: float,
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     return mid + half * x, half * np.asarray(weights)[..., None, :]
+
+
+def window_rule(T: float, delta: float, x: np.ndarray,
+                weights) -> tuple[np.ndarray, np.ndarray]:
+    """Map the rule (x, weights) on [-1, 1] onto the window [T, T + delta],
+    graded at the scale T, for integrands rough like (s - T)^H at s = T.
+
+    With u = (1 + x)/2 in [0, 1] and L = log1p(delta/T), the map is
+    s - T = T expm1(u^2 L) = T((1 + delta/T)^(u^2) - 1): the log part spaces
+    the nodes geometrically from the scale T up to delta, and the u^2 part
+    smooths the roughness at s = T (Davis & Rabinowitz, variable
+    substitutions for endpoint singularities). For T >> delta it tends to
+    s - T = delta u^2. Returns the offsets s - T, ascending with x, and the
+    weights times ds/dx = T L (1 + e) u, with e = expm1(u^2 L).
+    """
+    if not (0.0 < T < math.inf and 0.0 < delta < math.inf):
+        raise ValueError(f"need positive finite T and delta, got {T!r}, {delta!r}")
+    u = 0.5 * (1.0 + np.asarray(x, dtype=float))
+    log_span = math.log1p(delta / T)
+    e = np.expm1(u * u * log_span)
+    return T * e, np.asarray(weights) * (T * log_span) * (1.0 + e) * u
 
 
 def kronrod_bound(kronrod, gap):

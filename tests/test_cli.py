@@ -21,7 +21,9 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-BASE = ["--paths", "4000", "--inner", "8", "--T", "0.25", "--seed", "11"]
+# The VIX draws take a fixed window rule, so --inner is for the RV only.
+BASE = ["--paths", "4000", "--T", "0.25", "--seed", "11"]
+RV = ["--underlying", "rv", "--inner", "8"]
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +37,6 @@ def test_config_file_and_flag_override(tmp_path, capsys):
         "hurst = 0.4\n"
         "nu = 1.5\n"
         "paths = 4000\n"
-        "inner = 8\n"
         "T = 0.25\n"
         "seed = 5\n"
     )
@@ -81,7 +82,7 @@ def test_offsets_flag_and_key_are_rejected(tmp_path, capsys):
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VIXSMILE_SEED", "777")
-    argv = ["atmi", "--paths", "4000", "--inner", "8", "--T", "0.25"]
+    argv = ["atmi", "--paths", "4000", "--T", "0.25"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert "seed=777" in out.splitlines()[0]
@@ -96,7 +97,7 @@ def test_env_seed_read_only_by_subcommands_with_a_seed(capsys, monkeypatch):
     code, out, _ = run_cli(["validate", "--quick"], capsys)
     assert code == 0
     assert "2/2 criteria passed" in out
-    code, out, err = run_cli(["atmi", "--paths", "4000", "--inner", "8", "--T", "0.25"], capsys)
+    code, out, err = run_cli(["atmi", "--paths", "4000", "--T", "0.25"], capsys)
     assert code == 2
     assert out == ""
     assert "configuration error" in err
@@ -133,25 +134,34 @@ def test_validate_takes_only_quick_and_out(monkeypatch, tmp_path):
     assert cli.resolve_config(args) == RunConfig(quick=True, out_path=out)
 
 
+# Argparse rejects each flag below before any setting is resolved, so this
+# run tail, which passes --inner to a VIX run, is never read.
+_REJECTED_TAIL = ["--paths", "4000", "--inner", "8", "--T", "0.25", "--seed", "11"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["asymptote", "--model", "heston", "--heston-theta", "5", "--v0", "0.04"],
-     ["skew", "--model", "heston"] + BASE,
+     ["skew", "--model", "heston"] + _REJECTED_TAIL,
      ["validate", "--seed", "7"], ["validate", "--paths", "10"],
-     ["asymptote", "--quick"], ["atmi", "--quick"] + BASE, ["skew", "--quick"] + BASE,
+     ["asymptote", "--quick"], ["atmi", "--quick"] + _REJECTED_TAIL,
+     ["skew", "--quick"] + _REJECTED_TAIL,
      ["asymptote", "--underlying", "rv"], ["asymptote", "--paths", "10"],
      ["asymptote", "--inner", "8"], ["asymptote", "--seed", "3"],
      ["asymptote", "--skew-step", "0.02"], ["asymptote", "--workers", "2"],
-     ["atmi", "--skew-step", "0.02"] + BASE, ["atmi", "--heston-k", "2"] + BASE,
-     ["atmi", "--model", "mixed"] + BASE,
-     ["skew", "--heston-k", "2"] + BASE, ["skew", "--model", "mixed"] + BASE],
+     ["atmi", "--skew-step", "0.02"] + _REJECTED_TAIL,
+     ["atmi", "--heston-k", "2"] + _REJECTED_TAIL,
+     ["atmi", "--model", "mixed"] + _REJECTED_TAIL,
+     ["skew", "--heston-k", "2"] + _REJECTED_TAIL,
+     ["skew", "--model", "mixed"] + _REJECTED_TAIL],
     ids=" ".join,
 )
 def test_dropped_inputs_exit_2_before_any_output(argv, capsys):
     # Inputs that changed no output are rejected, not ignored.
-    code, out, _ = run_cli(argv, capsys)
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("command,line,key", [("asymptote", "paths = 10", "paths"),
@@ -170,9 +180,11 @@ _MODE_UNREAD = (
     [("asymptote", ["--model", "heston"], key) for key in ("hurst", "beta", "gamma", "eta", "T")]
     + [("asymptote", ["--model", "mixed"], "heston_k"), ("asymptote", [], "heston_k")]
     + [(command, ["--underlying", "rv"] + BASE, "delta") for command in ("atmi", "skew")]
+    + [(command, mode + BASE, "inner") for command in ("atmi", "skew")
+       for mode in (["--underlying", "vix"], [])]
 )
 _MODE_VALUES = {"hurst": "0.1", "beta": "2", "gamma": "0.5", "eta": "1", "T": "0.5",
-                "heston_k": "2", "delta": "0.5"}
+                "heston_k": "2", "delta": "0.5", "inner": "16"}
 
 
 @pytest.mark.parametrize("command,mode,key", _MODE_UNREAD,
@@ -181,8 +193,9 @@ _MODE_VALUES = {"hurst": "0.1", "beta": "2", "gamma": "0.5", "eta": "1", "T": "0
 def test_setting_the_run_mode_does_not_read_exits_2(command, mode, key, source,
                                                      tmp_path, capsys):
     # The heston model writes only the VIX skew sign, the mixed model never
-    # reads the Heston reversion speed, and the RV formulas and draws have
-    # no window: such a setting would change no row.
+    # reads the Heston reversion speed, the RV formulas and draws have no
+    # window, and the VIX draws take a fixed window rule: such a setting
+    # would change no row.
     if source == "flag":
         extra = ["--" + key.replace("_", "-"), _MODE_VALUES[key]]
     else:
@@ -203,6 +216,9 @@ def test_model_and_underlying_from_the_config_file_select_the_mode(tmp_path, cap
     cfg.write_text("underlying = rv\n")
     code, out, err = run_cli(["atmi", "--config", str(cfg), "--delta", "0.5"] + BASE, capsys)
     assert code == 2 and out == "" and "underlying=rv does not read 'delta'" in err
+    cfg.write_text("underlying = vix\n")
+    code, out, err = run_cli(["atmi", "--config", str(cfg), "--inner", "16"] + BASE, capsys)
+    assert code == 2 and out == "" and "underlying=vix does not read 'inner'" in err
 
 
 def test_invalid_model_parameters_exit_nonzero(capsys):
@@ -301,7 +317,7 @@ def test_atmi_csv_shape_and_determinism(capsys):
 
 
 _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 "
-         "eta=0 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 seed=11")
+         "eta=0 delta=0.082191780821917804 T=0.25 paths=4000 seed=11")
 
 
 @pytest.mark.parametrize(
@@ -310,15 +326,15 @@ _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 
         (["atmi"] + BASE,
          "# vixsmile-csv schema=atmi.v1 underlying=vix " + _HEAD,
          "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
-        (["atmi", "--underlying", "rv"] + BASE,
+        (["atmi"] + RV + BASE,
          "# vixsmile-csv schema=atmi.v1 underlying=rv "
-         + _HEAD.replace(" delta=0.082191780821917804", ""),
+         + _HEAD.replace(" delta=0.082191780821917804", "").replace(" seed", " inner=8 seed"),
          "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
         (["skew", "--gamma", "0.5", "--eta", "1"] + BASE,
          "# vixsmile-csv schema=skew.v1 underlying=vix "
          "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=0.5 "
-         "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 inner=8 "
-         "seed=11 skew_step=0.01",
+         "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 seed=11 "
+         "skew_step=0.01",
          "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
         (["asymptote", "--gamma", "0.5", "--eta", "1", "--beta", "2",
           "--T", "0.1,0.5"],
@@ -353,7 +369,7 @@ def test_atmi_sabr_tiny_maturity_row(capsys):
     # vol-of-vol and the MC column sits on it.
     code, out, _ = run_cli(
         ["atmi", "--hurst", "0.5", "--nu", "2", "--T", "0.0001",
-         "--paths", "20000", "--inner", "16", "--seed", "7"],
+         "--paths", "20000", "--seed", "7"],
         capsys,
     )
     assert code == 0
@@ -371,7 +387,7 @@ def test_atmi_degenerate_marker(capsys):
 
 
 def test_atmi_rv_underlying(capsys):
-    code, out, _ = run_cli(["atmi", "--underlying", "rv"] + BASE, capsys)
+    code, out, _ = run_cli(["atmi"] + RV + BASE, capsys)
     assert code == 0
     fields = out.splitlines()[2].split(",")
     assert fields[-1] == "ok"

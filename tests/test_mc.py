@@ -14,16 +14,25 @@ from vixsmile.mc import (
     PathBatch,
     SimGrid,
     _CHUNK_SIZE,
+    _VIX_NODES,
     _chunk_rng,
     _factor,
     _trapezoid_weights,
+    _vix_rule,
     build_vix_sampler,
     estimate_mean,
     sample_rv,
     sample_vix,
 )
-from vixsmile.model import ModelParams, grid_covariance_matrix, kernel, kernel_covariance_matrix
-from vixsmile.specfun import QuadSpec, integrate
+from vixsmile.model import (
+    ModelParams,
+    grid_covariance_matrix,
+    kernel,
+    kernel_covariance,
+    kernel_covariance_matrix,
+)
+from vixsmile.pricing import atmi, atmi_skew
+from vixsmile.specfun import QuadSpec, integrate, window_rule
 
 
 def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
@@ -81,25 +90,37 @@ def test_vix_sampler_brownian_closed_form():
 
 def test_vix_sampler_covariance_matches_brute_force():
     params = mk(H=0.3, beta=0.0)
-    grid = SimGrid(T=0.1, delta=30 / 365, n_inner=8, n_paths=10)
+    grid = SimGrid(T=0.1, delta=30 / 365, n_paths=10)
     sampler = build_vix_sampler(params, grid)
-    nodes = np.linspace(grid.T, grid.T + grid.delta, grid.n_inner)
-    for i in range(8):
-        for j in range(i, 8):
+    nodes, _ = _vix_rule(grid.T, grid.delta)
+    assert nodes.size == _VIX_NODES and np.all(nodes > grid.T)
+    for i in range(_VIX_NODES):
+        for j in range(i, _VIX_NODES):
             t1, t2 = float(nodes[i]), float(nodes[j])
-            # brute-force midpoint rule after removing the true endpoint
-            # power law at u = T (both factors singular only at node 0)
-            alpha = (params.H - 0.5) * ((t1 == grid.T) + (t2 == grid.T))
-            q = 1.0 / (1.0 + alpha)
+            # brute-force midpoint rule in tau = T - u: no node sits on T, so
+            # the kernels are smooth on the scale of the smallest offset
             n = 200_000
-            w_max = grid.T ** (1.0 + alpha)
-            w = (np.arange(n) + 0.5) * (w_max / n)
-            tau = w ** q
-            u = grid.T - tau
-            jac = q * w ** (q - 1.0)
-            vals = (t1 - u) ** (params.H - 0.5) * (t2 - u) ** (params.H - 0.5) * jac
-            oracle = float(np.sum(vals)) * (w_max / n)
+            tau = (np.arange(n) + 0.5) * (grid.T / n)
+            h = params.H - 0.5
+            vals = (t1 - grid.T + tau) ** h * (t2 - grid.T + tau) ** h
+            oracle = float(np.sum(vals)) * (grid.T / n)
             assert sampler.cov[i, j] == pytest.approx(oracle, abs=1e-7), (i, j)
+
+
+@pytest.mark.parametrize("T", [1e-4, 1e-3, 0.1, 2.0])
+@pytest.mark.parametrize("H, beta", [(0.05, 0.0), (0.1, 5.0), (0.3, 1.0), (0.5, 5.0)])
+def test_vix_sampler_covariance_matches_scalar_oracle(T, H, beta):
+    # The sampler's covariance is kernel_covariance_matrix at its graded
+    # nodes; every entry, down to the smallest offset (2.6e-7 at T = 1e-4),
+    # matches the adaptive scalar integral.
+    params = mk(H=H, beta=beta)
+    sampler = build_vix_sampler(params, SimGrid(T=T, n_paths=10))
+    times, _ = _vix_rule(T, 30 / 365)
+    if T == 1e-4:
+        assert 2e-7 < times[0] - T < 3e-7
+    oracle = np.array([[kernel_covariance(params, float(t1), float(t2), T) for t2 in times]
+                       for t1 in times])
+    np.testing.assert_allclose(sampler.cov, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_vix_sampler_degenerates_at_tiny_maturity():
@@ -116,10 +137,18 @@ def test_factor_rejects_indefinite_matrix():
         _factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def _graded_rule(T, n, delta=30 / 365):
+    """Times and weights of the n-node Gauss-Legendre rule graded onto the
+    VIX window, the layout of the VIX sampler at n = _VIX_NODES."""
+    offsets, weights = window_rule(T, delta, *np.polynomial.legendre.leggauss(n))
+    return T + offsets, weights
+
+
 def _covariance(params, kind, T, n, delta=30 / 365):
-    """Covariance matrix of the VIX and RV samplers."""
+    """Covariance matrix of the VIX layout at n graded nodes, and of the RV
+    sampler at n steps."""
     if kind == "vix":
-        return kernel_covariance_matrix(params, np.linspace(T, T + delta, n), T)
+        return kernel_covariance_matrix(params, _graded_rule(T, n, delta)[0], T)
     return grid_covariance_matrix(params, T, n)
 
 
@@ -141,12 +170,13 @@ def test_factor_reproduces_covariance(H, beta):
 
 
 def test_factor_rank_one_for_brownian_vix():
-    # H = 1/2, beta = 0: every VIX covariance entry equals T.
+    # H = 1/2, beta = 0: every VIX covariance entry equals T. The VIX window
+    # rule does not read n_inner.
     for n in (2, 16, 64):
         sampler = build_vix_sampler(mk(H=0.5), SimGrid(T=0.3, n_inner=n, n_paths=10))
-        assert sampler.factor.shape == (n, 1)
-    rough = build_vix_sampler(mk(H=0.1), SimGrid(T=0.3, n_inner=64, n_paths=10))
-    assert 1 < rough.factor.shape[1] < 64
+        assert sampler.factor.shape == (_VIX_NODES, 1)
+    rough = build_vix_sampler(mk(H=0.1), SimGrid(T=0.3, n_paths=10))
+    assert 1 < rough.factor.shape[1] <= _VIX_NODES
 
 
 def test_samplers_never_call_cholesky(monkeypatch):
@@ -246,8 +276,10 @@ def _term_by_term_draw_chunk(sampler, weights, offset, divisor, chunk_index, siz
 @pytest.mark.parametrize("T", [1e-4, 0.5])
 def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
     grid = SimGrid(T=T, n_inner=16, n_paths=1000, seed=3)
-    span = grid.delta if kind == "vix" else T
-    weights = _trapezoid_weights(grid.n_inner, span / (grid.n_inner - 1))
+    if kind == "vix":
+        weights = _graded_rule(T, grid.n_inner, grid.delta)[1]
+    else:
+        weights = _trapezoid_weights(grid.n_inner, T / (grid.n_inner - 1))
     offset, divisor = (0.0, grid.delta) if kind == "vix" else (0.001, T)
     sampler = FactorSampler(kind, params, grid, _covariance(params, kind, T, grid.n_inner),
                             weights, offset, divisor)
@@ -328,6 +360,91 @@ def test_consecutive_seeds_share_no_chunk():
     assert np.intersect1d(*rv).size == 0
 
 
+# ---------------------------------------------------------------------------
+# the VIX window rule
+# ---------------------------------------------------------------------------
+
+def _rule_and_reference(params, T, n_paths=50_000, seed=7, delta=30 / 365):
+    """(ATM vol, stderr, ATM skew, stderr) of the VIX sampler's window rule
+    and of a 48-node graded reference, both from one draw on the union of
+    their nodes, so their difference carries no independent noise."""
+    times, weights = _vix_rule(T, delta)
+    ref_times, ref_weights = _graded_rule(T, 48, delta)
+    n = times.size
+    union = np.concatenate([times, ref_times])
+    rows = np.zeros((2, union.size))
+    rows[0, :n], rows[1, n:] = weights, ref_weights
+    grid = SimGrid(T=T, delta=delta, n_paths=n_paths, seed=seed)
+    sampler = FactorSampler("vix", params, grid, kernel_covariance_matrix(params, union, T),
+                            rows, 0.0, delta)
+    work, samples = sampler.workspace(_CHUNK_SIZE), np.empty((2, n_paths))
+    for idx, start in enumerate(range(0, n_paths, _CHUNK_SIZE)):
+        chunk = np.empty((2, min(_CHUNK_SIZE, n_paths - start)))
+        sampler.draw_chunk(idx, chunk, seed, work)
+        samples[:, start:start + chunk.shape[1]] = chunk
+    results = []
+    for row in samples:
+        batch = PathBatch("vix", row, grid, params)
+        results.append((*atmi(batch, T), *atmi_skew(batch, T)))
+    return results
+
+
+@pytest.mark.parametrize("mix", [{}, {"gamma": 0.5, "nu": 3.0, "eta": 1.0}],
+                         ids=["single", "mixed"])
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.3, 0.5])
+@pytest.mark.parametrize("T", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 2.0])
+def test_vix_window_rule_agrees_with_graded_reference(T, H, mix):
+    # The window rule's bias: at most 1e-4 in relative ATM implied vol and
+    # 0.05 stderr in the ATM skew against 48 graded nodes. A 64-node
+    # trapezoid on [T, T+delta] is off by up to 13 % in vol and 27 stderr in
+    # skew over this grid.
+    for beta in (0.0, 5.0):
+        params = mk(H=H, beta=beta, **mix)
+        (vol, _, skew, _), (ref_vol, _, ref_skew, ref_skew_se) = _rule_and_reference(params, T)
+        assert abs(vol / ref_vol - 1.0) <= 1e-4, beta
+        assert abs(skew - ref_skew) <= 0.05 * ref_skew_se, beta
+
+
+_VIX_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from vixsmile.mc import SimGrid, build_vix_sampler, sample_vix
+from vixsmile.model import ModelParams
+
+params = ModelParams(v0=0.04, H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
+digests = set()
+for n_inner in (2, 16, 64):
+    grid = SimGrid(T=1e-4, n_inner=n_inner, n_paths=10_000, seed=5)
+    sampler = build_vix_sampler(params, grid)
+    for workers in (1, 3):
+        digests.add(hashlib.sha256(sample_vix(sampler, workers=workers).samples.tobytes())
+                    .hexdigest())
+print(*digests)
+"""
+
+
+def test_vix_samples_ignore_n_inner_workers_and_blas_threads():
+    # At T = 1e-4 the VIX sample bytes are the same for every n_inner,
+    # worker count and BLAS thread count.
+    import os
+    import subprocess
+    import sys
+
+    import vixsmile
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vixsmile.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _VIX_DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 1 and len(digests[0][0]) == 64
+    assert digests[0] == digests[1]
+
+
 _BLAS_DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -337,12 +454,13 @@ from vixsmile.model import ModelParams, grid_covariance_matrix, kernel_covarianc
 digest = hashlib.sha256()
 for params in (ModelParams(v0=0.04, H=0.3, nu=2.0),
                ModelParams(v0=0.04, H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)):
-    # Samples at 16 and 96 nodes only: at 150 and 170, eigh's bits, and so
-    # the samples, still depend on the thread count.
+    # The VIX samples on their fixed window rule, and the RV samples at 16
+    # and 96 steps only: at 150 and 170, eigh's bits, and so the samples,
+    # still depend on the thread count.
+    grid = SimGrid(T=0.25, n_paths=8192, seed=11)
+    digest.update(sample_vix(build_vix_sampler(params, grid)).samples.tobytes())
     for n in (16, 96):
         grid = SimGrid(T=0.25, n_inner=n, n_paths=8192, seed=11)
-        sampler = build_vix_sampler(params, grid)
-        digest.update(sample_vix(sampler).samples.tobytes())
         digest.update(sample_rv(params, grid).samples.tobytes())
     # Both layouts' covariances, with row counts that are not whole register
     # tiles and with several Gram blocks.
@@ -418,12 +536,13 @@ def test_stderr_halves_with_four_times_the_paths():
 
 
 def test_grid_refinement_below_noise():
-    # Doubling n_inner moves the ATM call price by less than 2 MC stderr.
+    # Doubling the RV grid's n_inner moves the ATM call price by less than 2
+    # MC stderr. (The VIX window rule does not read n_inner.)
     params = mk(H=0.3, nu=2.0)
     prices = {}
     for n_inner in (32, 64):
         grid = SimGrid(T=0.25, n_inner=n_inner, n_paths=50_000, seed=31)
-        batch = sample_vix(build_vix_sampler(params, grid))
+        batch = sample_rv(params, grid)
         forward, _ = estimate_mean(batch)
         payoff = np.maximum(batch.samples - forward, 0.0)
         prices[n_inner] = (np.mean(payoff), np.std(payoff, ddof=1) / math.sqrt(payoff.size))

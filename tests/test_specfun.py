@@ -30,6 +30,7 @@ from vixsmile.specfun import (
     lower_incomplete_gamma,
     normal_cdf,
     normal_pdf,
+    window_rule,
 )
 
 
@@ -552,6 +553,56 @@ def test_geometric_rule_is_exact_for_polynomials_of_its_degree(inner, outer):
         for k in range(degree + 1):
             exact = (edges[1:] ** (k + 1) - edges[:-1] ** (k + 1)) / (k + 1)
             np.testing.assert_allclose((row * nodes ** k).sum(axis=1), exact, rtol=1e-13)
+
+
+_DELTA = 30.0 / 365.0
+
+
+@pytest.mark.parametrize("T, delta", [(0.0, _DELTA), (-1.0, _DELTA), (math.inf, _DELTA),
+                                      (math.nan, _DELTA), (0.1, 0.0), (0.1, math.inf)])
+def test_window_rule_rejects_bad_inputs(T, delta):
+    with pytest.raises(ValueError):
+        window_rule(T, delta, np.zeros(1), np.ones(1))
+
+
+@pytest.mark.parametrize("T", [1e-8, 1e-4, 0.1, 2.0])
+def test_window_rule_maps_onto_the_window(T):
+    ends, _ = window_rule(T, _DELTA, np.array([-1.0, 1.0]), np.ones(2))
+    assert ends[0] == 0.0 and ends[1] == pytest.approx(_DELTA, rel=4 * _EPS)
+    offsets, weights = window_rule(T, _DELTA, *np.polynomial.legendre.leggauss(8))
+    assert np.all(np.diff(offsets) > 0.0) and 0.0 < offsets[0] and offsets[-1] < _DELTA
+    assert np.all(weights > 0.0)
+
+
+@pytest.mark.parametrize("T", [1e-8, 1e-4, 0.1, 2.0])
+@pytest.mark.parametrize("n", [2, 8, 12])
+def test_window_rule_is_exact_for_log_powers_of_its_degree(T, n):
+    # log(s/T) = u^2 log1p(delta/T) and ds/s = 2 u log1p(delta/T) du, so
+    # log(s/T)^k / s is a polynomial of degree 2k + 1 in u: the n-node
+    # Gauss-Legendre rule is exact for k < n.
+    offsets, weights = window_rule(T, _DELTA, *np.polynomial.legendre.leggauss(n))
+    span = math.log1p(_DELTA / T)
+    for k in range(n):
+        got = float(np.sum(weights * np.log1p(offsets / T) ** k / (T + offsets)))
+        assert got == pytest.approx(span ** (k + 1) / (k + 1), rel=1e-13), k
+
+
+@pytest.mark.parametrize("T", [1e-4, 0.1, 2.0])
+@pytest.mark.parametrize("hurst", [0.05, 0.1, 0.3])
+def test_window_rule_integrates_the_rough_endpoint(T, hurst):
+    # The u^2 map smooths the (s - T)^H roughness at s = T.
+    offsets, weights = window_rule(T, _DELTA, *np.polynomial.legendre.leggauss(48))
+    exact = _DELTA ** (hurst + 1.0) / (hurst + 1.0)
+    assert float(np.sum(weights * offsets ** hurst)) == pytest.approx(exact, rel=1e-8)
+
+
+def test_window_rule_tends_to_the_square_map_at_long_maturity():
+    # For T >> delta, s - T tends to delta u^2, with weights (dx/2) 2 delta u.
+    x, w = np.polynomial.legendre.leggauss(8)
+    offsets, weights = window_rule(1e8 * _DELTA, _DELTA, x, w)
+    u = 0.5 * (1.0 + x)
+    np.testing.assert_allclose(offsets, _DELTA * u ** 2, rtol=1e-7)
+    np.testing.assert_allclose(weights, w * _DELTA * u, rtol=1e-7)
 
 
 def test_kronrod_bound_floors_at_fifty_ulps():
