@@ -77,7 +77,7 @@ def _grid(maturity: float, quick: bool) -> SimGrid:
 # ---------------------------------------------------------------------------
 
 def _c1_sabr_vix_atmi(quick: bool):
-    params = ModelParams(v0=0.04, H=0.5, beta=0.0, gamma=1.0, nu=2.0)
+    params = ModelParams(H=0.5, beta=0.0, gamma=1.0, nu=2.0)
     grid = _grid(1e-4, quick)
     vol, _ = atmi(sample_vix(build_vix_sampler(params, grid)), grid.T)
     return abs(vol - 1.0), f"mc_atmi={vol:.5f} vs limit=1.0"
@@ -86,7 +86,7 @@ def _c1_sabr_vix_atmi(quick: bool):
 def _c2_rv_power_law(quick: bool):
     worst, parts = 0.0, []
     for hurst in (0.1, 0.3):
-        params = ModelParams(v0=0.04, H=hurst, beta=0.0, gamma=1.0, nu=2.0)
+        params = ModelParams(H=hurst, beta=0.0, gamma=1.0, nu=2.0)
         grid = _grid(1e-4, quick)
         vol, _ = atmi(sample_rv(params, grid), grid.T)
         rescaled = grid.T ** (0.5 - hurst) * vol
@@ -112,7 +112,7 @@ def _c4_mixed_sabr_skew(quick: bool):
     closed = asy.sabr_mixed_vix_skew(0.5, 3.0, 1.0)
     if abs(closed - 0.25) > 1e-12:
         return math.inf, f"closed form {closed!r} != 0.25"
-    params = ModelParams(v0=0.04, H=0.5, beta=0.0, gamma=0.5, nu=3.0, eta=1.0)
+    params = ModelParams(H=0.5, beta=0.0, gamma=0.5, nu=3.0, eta=1.0)
     worst, parts = 0.0, []
     for maturity in (1.0 / 12.0, 0.25):
         grid = _grid(maturity, quick)
@@ -124,7 +124,7 @@ def _c4_mixed_sabr_skew(quick: bool):
 
 
 def _c5_vix_atmi_approx_vs_mc(quick: bool):
-    params = ModelParams(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+    params = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
     worst, parts = 0.0, []
     for maturity in (0.1, 0.25, 0.5):
         grid = _grid(maturity, quick)
@@ -137,13 +137,13 @@ def _c5_vix_atmi_approx_vs_mc(quick: bool):
 
 
 def _c6_rv_atmi_approx(quick: bool):
-    params0 = ModelParams(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+    params0 = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
     for maturity in (0.05, 0.25, 1.0):
         expected = asy.rv_atmi_limit(params0) * maturity ** (params0.H - 0.5)
         got = asy.rv_atmi_approx(params0, maturity)
         if abs(got / expected - 1.0) > 1e-12:
             return math.inf, f"beta=0 reduction broken at T={maturity}: {got!r} vs {expected!r}"
-    params = ModelParams(v0=0.04, H=0.3, beta=1.0, gamma=1.0, nu=2.0)
+    params = ModelParams(H=0.3, beta=1.0, gamma=1.0, nu=2.0)
     grid = _grid(0.25, quick)
     mc_vol, _ = atmi(sample_rv(params, grid), grid.T)
     approx = asy.rv_atmi_approx(params, grid.T)
@@ -186,9 +186,9 @@ def _c7_overlap_constant(quick: bool):
 def _c8_limit_approx_consistency(quick: bool):
     # Worst gap as a fraction of its stated cap (so the pass bar is 1.0).
     checks = []
-    single = ModelParams(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0)
-    damped = ModelParams(v0=0.04, H=0.3, beta=1.0, gamma=1.0, nu=2.0)
-    mixed = ModelParams(v0=0.04, H=0.3, beta=0.0, gamma=0.5, nu=3.0, eta=1.0)
+    single = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+    damped = ModelParams(H=0.3, beta=1.0, gamma=1.0, nu=2.0)
+    mixed = ModelParams(H=0.3, beta=0.0, gamma=0.5, nu=3.0, eta=1.0)
 
     gap = abs(asy.vix_atmi_approx(single, DELTA, 1e-6)
               / asy.vix_atmi_limit(single, DELTA) - 1.0)
@@ -243,7 +243,7 @@ def _c9_special_function_oracles(quick: bool):
 
 
 def _c10_simulation_invariants(quick: bool):
-    params = ModelParams(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+    params = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
     grid = SimGrid(T=0.25, delta=DELTA, n_inner=32,
                    n_paths=20_000 if quick else FULL_PATHS // 4, seed=SEED)
     violations: list[tuple[str, float]] = []
@@ -277,7 +277,7 @@ def _c10_simulation_invariants(quick: bool):
 
 
 def _c11_sabr_flat_skew(quick: bool):
-    params = ModelParams(v0=0.04, H=0.5, beta=0.0, gamma=1.0, nu=2.0)
+    params = ModelParams(H=0.5, beta=0.0, gamma=1.0, nu=2.0)
     grid = _grid(1e-4, quick)
     value, stderr = atmi_skew(sample_vix(build_vix_sampler(params, grid)), grid.T)
     achieved = abs(value) / stderr if stderr > 0.0 else math.inf

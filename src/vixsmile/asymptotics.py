@@ -6,9 +6,10 @@ approximations, the kernel-overlap constant entering the realized-variance
 skew, and the Heston/SABR skew-sign examples.
 
 The paper states these results for a general smooth variance map v = f(Y)
-through f'(0) and f''(0); the mixture model enters only through
-f'(0) = v0 (gamma nu + (1-gamma) eta) sqrt(2H) and
-f''(0) = v0 (gamma nu^2 + (1-gamma) eta^2) (2H).
+through f'(0) and f''(0). Every implied vol here is scale-free in the
+variance level, so f is the mixture's unit-mean map, and the model enters
+only through f'(0) = (gamma nu + (1-gamma) eta) sqrt(2H) and
+f''(0) = (gamma nu^2 + (1-gamma) eta^2) (2H).
 Each quadrature-backed formula has one ``_<name>_err(params, ...)`` function
 returning (value, error bound), called by both its public function and
 :func:`evaluate`.
@@ -131,10 +132,9 @@ def _integral_of_square(nodes, values, weights) -> tuple[float, float]:
 
 
 def _volvol_derivatives(params: ModelParams) -> tuple[float, float]:
-    """(f'(0), f''(0)) of the mixture map v = f(Y), as in the module docstring."""
-    fprime = params.v0 * params.volvol_mean * math.sqrt(2.0 * params.H)
-    fsecond = params.v0 * params.volvol_sq_mean * 2.0 * params.H
-    return fprime, fsecond
+    """(f'(0), f''(0)) of the unit-mean mixture map, as in the module docstring."""
+    return (params.volvol_mean * math.sqrt(2.0 * params.H),
+            params.volvol_sq_mean * 2.0 * params.H)
 
 
 def _require_nondegenerate(params: ModelParams) -> None:
@@ -161,10 +161,10 @@ def _check_positive(name: str, value: float) -> None:
 
 def vix_atmi_limit(params: ModelParams, delta: float) -> float:
     """Short-maturity VIX ATM implied vol,
-    f'(0)/(2 delta v0) * int_0^delta u^(H-1/2) e^(-beta u) du; independent of v0."""
+    f'(0)/(2 delta) * int_0^delta u^(H-1/2) e^(-beta u) du."""
     fprime, _ = _volvol_derivatives(params)
     _check_positive("delta", delta)
-    return fprime * _kernel_integral(params, 0.0, delta) / (2.0 * delta * params.v0)
+    return fprime * _kernel_integral(params, 0.0, delta) / (2.0 * delta)
 
 
 def _window_kernel_sq_integral(params: ModelParams, delta: float,
@@ -191,13 +191,13 @@ def _vix_atmi_approx_err(params: ModelParams, delta: float,
     _check_positive("maturity", maturity)
     fprime, _ = _volvol_derivatives(params)
     w_int, w_err = _window_kernel_sq_integral(params, delta, maturity)
-    value = fprime * math.sqrt(w_int) / (params.v0 * 2.0 * delta * math.sqrt(maturity))
+    value = fprime * math.sqrt(w_int) / (2.0 * delta * math.sqrt(maturity))
     return value, abs(value) * w_err / (2.0 * w_int)
 
 
 def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float:
     """Finite-maturity VIX ATM implied-vol approximation,
-    f'(0)/(v0 2 delta sqrt(T)) * sqrt(int_0^T K-bar(s)^2 ds); tends to
+    f'(0)/(2 delta sqrt(T)) * sqrt(int_0^T K-bar(s)^2 ds); tends to
     :func:`vix_atmi_limit` as maturity goes to zero.
 
     First order in the vol-of-vol: sharpest for single-factor configurations
@@ -211,7 +211,7 @@ def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float
 # ---------------------------------------------------------------------------
 
 def vix_skew_limit(params: ModelParams, delta: float) -> float:
-    """Short-maturity VIX skew (1/2) (G/J f''/f' - J/delta f'/v0), with the
+    """Short-maturity VIX skew (1/2) (G/J f''/f' - J/delta f'), with the
     window moments G = int_0^delta k^2 (:func:`~vixsmile.model.kernel_variance`)
     and J = int_0^delta k; positive for genuine mixtures (gamma in (0,1),
     nu != eta), zero in the plain lognormal case."""
@@ -219,14 +219,14 @@ def vix_skew_limit(params: ModelParams, delta: float) -> float:
     _check_positive("delta", delta)
     int_k = _kernel_integral(params, 0.0, delta)
     ratio_term = kernel_variance(params, delta) / int_k * fsecond / fprime
-    level_term = int_k / delta * fprime / params.v0
+    level_term = int_k / delta * fprime
     return 0.5 * (ratio_term - level_term)
 
 
 def sabr_mixed_vix_skew(gamma: float, nu: float, eta: float) -> float:
     """Mixed SABR (H = 1/2, beta = 0) VIX skew:
     (1/2) ((g nu^2 + (1-g) eta^2)/(g nu + (1-g) eta) - (g nu + (1-g) eta))."""
-    params = ModelParams(v0=1.0, H=0.5, beta=0.0, gamma=gamma, nu=nu, eta=eta)
+    params = ModelParams(H=0.5, gamma=gamma, nu=nu, eta=eta)
     _require_nondegenerate(params)
     mean = params.volvol_mean
     return 0.5 * (params.volvol_sq_mean / mean - mean)
@@ -326,7 +326,7 @@ def _vix_skew_approx_err(params: ModelParams, delta: float,
     _check_positive("maturity", maturity)
     cross, cross_err, w_int, w_err = _skew_numerators(params, delta, maturity)
     curvature = fsecond / fprime
-    level = (fprime / params.v0) * w_int ** 2 / (2.0 * delta)
+    level = fprime * w_int ** 2 / (2.0 * delta)
     denominator = w_int ** 1.5 * math.sqrt(maturity)
     value = (curvature * cross - level) / denominator
     # Partial derivatives of the value in Q_A and in W.
@@ -339,7 +339,7 @@ def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float
     """Finite-maturity VIX skew approximation, normalised so the zero-maturity
     limit reproduces :func:`vix_skew_limit` exactly:
 
-        [f''/f' Q_A - f'/v0 Q_B/delta] / (W^(3/2) sqrt(T))
+        [f''/f' Q_A - f' Q_B/delta] / (W^(3/2) sqrt(T))
 
     with W = int K-bar^2, Q_B = W^2/2, and Q_A the cross-kernel double
     integral of :func:`_skew_numerators`. Flat in maturity for the mixed
@@ -354,11 +354,11 @@ def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float
 
 def rv_atmi_limit(params: ModelParams) -> float:
     """Power-law coefficient of the short-maturity RV ATM implied vol, the
-    limit of T^(1/2-H) times it: f'(0)/((H + 1/2) sqrt(2H + 2) v0);
+    limit of T^(1/2-H) times it: f'(0)/((H + 1/2) sqrt(2H + 2));
     independent of beta."""
     fprime, _ = _volvol_derivatives(params)
     hurst = params.H
-    return fprime / ((hurst + 0.5) * math.sqrt(2.0 * hurst + 2.0) * params.v0)
+    return fprime / ((hurst + 0.5) * math.sqrt(2.0 * hurst + 2.0))
 
 
 def _rv_atmi_approx_err(params: ModelParams, maturity: float) -> tuple[float, float]:
@@ -368,13 +368,13 @@ def _rv_atmi_approx_err(params: ModelParams, maturity: float) -> tuple[float, fl
         return rv_atmi_limit(params) * maturity ** (params.H - 0.5), 0.0
     fprime, _ = _volvol_derivatives(params)
     integral, err = _rv_level_integral(params, maturity)
-    value = fprime * math.sqrt(integral) / (params.v0 * maturity ** 1.5)
+    value = fprime * math.sqrt(integral) / maturity ** 1.5
     return value, abs(value) * err / (2.0 * integral)
 
 
 def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
     """Finite-maturity RV ATM implied vol:
-    f'(0)/(v0 T^(3/2)) sqrt(int_0^T (int_s^T k(u-s) du)^2 ds).
+    f'(0)/T^(3/2) sqrt(int_0^T (int_s^T k(u-s) du)^2 ds).
 
     For beta = 0 the double integral collapses analytically and the value is
     exactly the limit coefficient times T^(H-1/2).
@@ -480,7 +480,7 @@ def _rv_skew_limit_err(params: ModelParams) -> tuple[float, float]:
     curvature_term = (
         fsecond / fprime * overlap * (2.0 * hurst + 2.0) ** 1.5 * (hurst + 0.5)
     )
-    level_term = fprime / (params.v0 * (2.0 * hurst + 1.0) * math.sqrt(2.0 * hurst + 2.0))
+    level_term = fprime / ((2.0 * hurst + 1.0) * math.sqrt(2.0 * hurst + 2.0))
     _, overlap_err = _rv_skew_constant_err(hurst)
     return curvature_term - level_term, abs(curvature_term) * overlap_err / overlap
 
@@ -488,7 +488,7 @@ def _rv_skew_limit_err(params: ModelParams) -> tuple[float, float]:
 def rv_skew_limit(params: ModelParams) -> float:
     """Power-law coefficient of the short-maturity RV ATM skew, the limit of
     T^(1/2-H) times it:
-    f''/f' I(H) (2H+2)^(3/2) (H+1/2) - f'/(v0 (2H+1) sqrt(2H+2)).
+    f''/f' I(H) (2H+2)^(3/2) (H+1/2) - f'/((2H+1) sqrt(2H+2)).
     Scales linearly under joint scaling of (nu, eta)."""
     return _rv_skew_limit_err(params)[0]
 

@@ -56,7 +56,7 @@ class RunConfig:
 
     model: str = "mixed"
     underlying: str = "vix"
-    v0: float = 0.04
+    v0: float = 0.04  # heston model only
     hurst: float = 0.3
     beta: float = 0.0
     gamma: float = 1.0
@@ -92,7 +92,7 @@ class RunConfig:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
     def model_params(self) -> ModelParams:
-        return ModelParams(v0=self.v0, H=self.hurst, beta=self.beta,
+        return ModelParams(H=self.hurst, beta=self.beta,
                            gamma=self.gamma, nu=self.nu, eta=self.eta)
 
     def heston_params(self) -> HestonParams:
@@ -129,7 +129,7 @@ class _Setting(NamedTuple):
 _SETTINGS: dict[str, _Setting] = {
     "model": _Setting("model", str, None, str, ("mixed", "heston")),
     "underlying": _Setting("underlying", str, None, str, ("vix", "rv")),
-    "v0": _Setting("v0", float, "initial instantaneous variance"),
+    "v0": _Setting("v0", float, "Heston initial and long-run variance (heston model only)"),
     "hurst": _Setting("hurst", float, "Hurst parameter in (0, 1/2]"),
     "beta": _Setting("beta", float, "kernel mean-reversion rate"),
     "gamma": _Setting("gamma", float, "mixing weight in [0, 1]"),
@@ -149,23 +149,23 @@ _SETTINGS: dict[str, _Setting] = {
 
 # The settings each subcommand reads, in _SETTINGS order: its flags, the
 # config-file keys it accepts and its header echo. atmi and skew simulate
-# only the mixed model; asymptote writes the VIX and the RV closed forms
-# whatever the underlying, and no Monte Carlo setting reaches them.
-_CLOSED_FORM = ("v0", "hurst", "beta", "gamma", "nu", "eta", "delta", "T")
+# only the mixed model, at unit mean; asymptote writes the VIX and RV closed
+# forms whatever the underlying, and no Monte Carlo setting reaches them.
+_CLOSED_FORM = ("hurst", "beta", "gamma", "nu", "eta", "delta", "T")
 _MC = ("paths", "inner", "seed")
 _TAKES: dict[str, tuple[str, ...]] = {
     "atmi": ("underlying", *_CLOSED_FORM, *_MC, "out", "workers"),
     "skew": ("underlying", *_CLOSED_FORM, *_MC, "skew_step", "out", "workers"),
-    "asymptote": ("model", *_CLOSED_FORM, "out", "heston_k"),
+    "asymptote": ("model", "v0", *_CLOSED_FORM, "out", "heston_k"),
     "validate": ("out",),
 }
 
 # The settings a run mode does not read, keyed by the setting and the value
-# that select the mode. The heston model writes only the VIX skew sign, from
-# v0, nu, delta and heston_k; the RV formulas and draws have no window, and
+# that select the mode. Only the heston model's skew sign reads v0 (the mixed
+# closed forms are scale-free), the RV formulas and draws have no window, and
 # the VIX draws take a fixed window rule, so only the RV reads inner.
 _UNREAD: dict[tuple[str, str], tuple[str, ...]] = {
-    ("model", "mixed"): ("heston_k",),
+    ("model", "mixed"): ("heston_k", "v0"),
     ("model", "heston"): ("hurst", "beta", "gamma", "eta", "T"),
     ("underlying", "vix"): ("inner",),
     ("underlying", "rv"): ("delta",),

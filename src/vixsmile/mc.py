@@ -1,11 +1,11 @@
 """Exact Gaussian Monte Carlo simulation of the VIX and realized-variance
 underlyings.
 
-Both underlyings are fixed-rule window integrals of the same
-Wick-exponential mixture of one Gaussian Volterra factor, so one sampler
-serves both. The factor values at the inner nodes are jointly Gaussian with
-covariances given by the kernel covariance integrals: the VIX nodes all over
-the noise window [0, T] (``kernel_covariance_matrix``), and the RV grid
+Both underlyings are fixed-rule window averages of the same
+Wick-exponential mixture of one Gaussian Volterra factor, scaled by v0, so
+one sampler serves both. The factor values at the inner nodes are jointly
+Gaussian with covariances given by the kernel covariance integrals: the VIX
+nodes all over the noise window [0, T] (``kernel_covariance_matrix``), and the RV grid
 nodes each over its own past (``grid_covariance_matrix``). They are drawn
 exactly through a factor of that matrix, truncated to its numerical rank, so
 the only discretisation is the quadrature rule in time: for the VIX,
@@ -64,8 +64,8 @@ _FACTOR_TOL = 1e-14
 # one factor and a mixture), 8 nodes are at worst 2.3e-5 off in relative ATM
 # implied vol and 0.0012 stderr off in the ATM skew. 12 nodes raise the
 # factor's rank from 8 to 10 at T = 0.1, and draw about 40 % slower. The
-# weights sum to delta within 6.3e-6 at T = 1e-4 (3e-3 at T = 1e-8): a
-# common scale of the samples, which moves no ATM implied vol or skew.
+# weights sum to delta only within 6.3e-6 at T = 1e-4 (3e-3 at T = 1e-8), so
+# the sampler averages by their sum: a constant variance reads exactly.
 _VIX_NODES = 8
 _VIX_X, _VIX_W = np.polynomial.legendre.leggauss(_VIX_NODES)
 
@@ -193,20 +193,22 @@ class FactorSampler:
 
     ``cov`` is the covariance matrix of the Volterra factor X_i at the inner
     nodes, each integrated over its conditioning window. At node i the
-    variance is v_i = v0 * sum_k g_k exp(a_k X_i - a_k^2 Var X_i / 2), where
-    g = (gamma, 1 - gamma) and a = (nu, eta) * sqrt(2H); a zero-weight term
-    is skipped. A sample is (offset + weights . v) / divisor, and its square
-    root for the VIX. The Wick variances are taken from the drawn factor
-    itself, so E[v_i] = v0 holds exactly for the simulated Gaussians.
+    unit-mean variance is u_i = sum_k g_k exp(a_k X_i - a_k^2 Var X_i / 2),
+    where g = (gamma, 1 - gamma) and a = (nu, eta) * sqrt(2H); a zero-weight
+    term is skipped. ``weights`` and ``offset`` average the nodes and a node
+    where u = 1, summing to one, and a sample is v0 (offset + weights . u),
+    its square root for the VIX. The Wick variances are taken from the drawn
+    factor, so E[u_i] = 1 holds exactly for the simulated Gaussians.
 
-    Each term's variance shift exp(-a^2 Var X_i / 2) and mixture weight g_k
-    are folded into the reduction weights once per sampler, and the terms'
-    scaled factors a_k F are stacked, so a chunk costs one matmul, one
-    in-place exp and one reduction, all written into preallocated arrays.
+    v0, each term's variance shift exp(-a^2 Var X_i / 2) and its mixture
+    weight g_k are folded into the reduction weights and the offset once per
+    sampler, and the terms' scaled factors a_k F are stacked, so a chunk is
+    the normals, one matmul, one in-place exp, one reduction and the offset,
+    all written into preallocated arrays.
     """
 
     def __init__(self, kind: str, params: ModelParams, grid: SimGrid,
-                 cov: np.ndarray, weights: np.ndarray, offset: float, divisor: float):
+                 cov: np.ndarray, weights: np.ndarray, offset: float):
         self.kind = kind
         self.params = params
         self.grid = grid
@@ -221,11 +223,10 @@ class FactorSampler:
             if g != 0.0
         ]
         self._scaled = np.vstack([a * self.factor for _, a in terms])
-        self._reduce = np.concatenate(
+        self._reduce = params.v0 * np.concatenate(
             [g * weights * np.exp(-0.5 * a ** 2 * wick) for g, a in terms], axis=-1
         )
-        self._offset = offset
-        self._divisor = divisor
+        self._offset = params.v0 * offset
 
     def workspace(self, size: int) -> np.ndarray:
         """Scratch buffer for draw_chunk: the normals and Wick exponents of
@@ -246,9 +247,7 @@ class FactorSampler:
         np.matmul(self._scaled, z, out=y)
         np.exp(y, out=y)
         np.matmul(self._reduce, y, out=out)
-        out *= self.params.v0
         out += self._offset
-        out /= self._divisor
         if self.kind == "vix":
             np.sqrt(out, out=out)
 
@@ -264,12 +263,13 @@ def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
 
     VIX_T^2 = (1/delta) int_T^{T+delta} E_T[v_s] ds, taken by the
     ``_VIX_NODES``-node Gauss-Legendre rule graded onto the window by
-    ``specfun.window_rule``; every node is conditioned on [0, T].
-    ``grid.n_inner`` is not read.
+    ``specfun.window_rule`` over the sum of its weights, so that it averages
+    a constant exactly; every node is conditioned on [0, T]. ``grid.n_inner``
+    is not read.
     """
     times, weights = _vix_rule(grid.T, grid.delta)
     cov = kernel_covariance_matrix(params, times, grid.T)
-    return FactorSampler("vix", params, grid, cov, weights, 0.0, grid.delta)
+    return FactorSampler("vix", params, grid, cov, weights / weights.sum(), 0.0)
 
 
 def _draw(sampler: FactorSampler, grid: SimGrid, workers: int) -> PathBatch:
@@ -296,13 +296,12 @@ def sample_rv(params: ModelParams, grid: SimGrid, workers: int = 1) -> PathBatch
     """Draw RV_T = (1/T) int_0^T v_s ds samples by exact Gaussian simulation.
 
     The variance path starts at the analytic value v(0) = v0 and is
-    integrated by the trapezoid rule over n_inner uniform steps; each node in
+    averaged by the trapezoid rule over n_inner uniform steps; each node in
     (0, T] is its own conditioning window.
     """
     cov = grid_covariance_matrix(params, grid.T, grid.n_inner)
-    weights = _trapezoid_weights(grid.n_inner + 1, grid.T / grid.n_inner)
-    sampler = FactorSampler("rv", params, grid, cov, weights[1:], weights[0] * params.v0,
-                            grid.T)
+    weights = _trapezoid_weights(grid.n_inner + 1, 1.0 / grid.n_inner)
+    sampler = FactorSampler("rv", params, grid, cov, weights[1:], weights[0])
     return _draw(sampler, grid, workers)
 
 

@@ -48,23 +48,24 @@ _ROW_TILE = 8
 class ModelParams:
     """Mixed rough lognormal model parameters.
 
-    v0     initial instantaneous variance (> 0)
     H      Hurst parameter of the kernel, in (0, 1/2]
     beta   mean-reversion rate of the kernel (>= 0, per year)
     gamma  mixing weight of the first lognormal factor, in [0, 1]
     nu     vol-of-vol of the first factor (>= 0)
     eta    vol-of-vol of the second factor (>= 0)
+    v0     variance level (> 0), read only by the Monte Carlo sampler: every
+           implied vol and closed form is scale-free in it
     """
 
-    v0: float
     H: float
     beta: float = 0.0
     gamma: float = 1.0
     nu: float = 0.0
     eta: float = 0.0
+    v0: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("v0", "H", "beta", "gamma", "nu", "eta"):
+        for name in ("H", "beta", "gamma", "nu", "eta", "v0"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"ModelParams.{name} must be finite")

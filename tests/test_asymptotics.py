@@ -191,11 +191,6 @@ def test_vix_atmi_limit_mixed_plugin():
     assert value == pytest.approx(expected, rel=1e-13)
 
 
-def test_vix_atmi_limit_v0_invariance():
-    values = {vix_atmi_limit(mk(v0=v0), DELTA) for v0 in (0.01, 0.04, 0.25)}
-    assert max(values) - min(values) <= 1e-14
-
-
 def test_vix_atmi_limit_homogeneous_in_volvol():
     base = vix_atmi_limit(mk(gamma=0.4, nu=2.0, eta=0.5), DELTA)
     scaled = vix_atmi_limit(mk(gamma=0.4, nu=6.0, eta=1.5), DELTA)
@@ -491,11 +486,8 @@ def test_rv_atmi_limit_values():
     assert expected == pytest.approx(1.005038, abs=1e-6)
 
 
-def test_rv_atmi_limit_independent_of_beta_and_v0():
-    base = rv_atmi_limit(mk(H=0.25))
-    assert rv_atmi_limit(mk(H=0.25, beta=3.0)) == base
-    for v0 in (0.01, 0.09):
-        assert rv_atmi_limit(mk(H=0.25, v0=v0)) == pytest.approx(base, rel=1e-14)
+def test_rv_atmi_limit_independent_of_beta():
+    assert rv_atmi_limit(mk(H=0.25, beta=3.0)) == rv_atmi_limit(mk(H=0.25))
 
 
 def test_rv_atmi_approx_beta_zero_reduction_exact():
@@ -722,11 +714,12 @@ def test_evaluate_closed_forms():
     assert evaluate(FormulaId.SABR_VIX_SKEW, params).value == res.value
 
 
-@pytest.mark.parametrize("hurst,beta", [(0.1, 0.0), (0.3, 1.0), (0.5, 0.0)])
+@pytest.mark.parametrize("hurst,beta", [(0.1, 0.0), (0.25, 0.0), (0.3, 0.0), (0.3, 1.0),
+                                        (0.5, 0.0)])
 @pytest.mark.parametrize("mixed", [False, True])
 def test_mixed_model_formulas_are_scale_free_in_v0(hurst, beta, mixed):
     # v multiplies by v0, so the VIX scales by sqrt(v0) and RV by v0: no ATM
-    # implied vol or skew moves beyond rounding.
+    # implied vol or skew reads it, and no formula's bits move.
     def values(v0):
         params = (mk(v0=v0, H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0) if mixed
                   else mk(v0=v0, H=hurst, beta=beta))
@@ -735,8 +728,8 @@ def test_mixed_model_formulas_are_scale_free_in_v0(hurst, beta, mixed):
                 for maturity in ((1e-3, 0.1, 1.0) if fid in _WITH_MATURITY else (None,))]
 
     base = values(0.04)
-    for v0 in (0.01, 0.09, 1.0):
-        np.testing.assert_allclose(values(v0), base, rtol=1e-13, atol=0.0)
+    for v0 in (0.01, 0.09, 0.25, 1.0):
+        assert values(v0) == base, v0
 
 
 def _vix_atmi_approx_mpmath(hurst, maturity):

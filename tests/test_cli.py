@@ -107,12 +107,12 @@ def test_env_seed_read_only_by_subcommands_with_a_seed(capsys, monkeypatch):
     assert "seed" not in out.splitlines()[0]
 
 
-_MODEL = ["v0", "hurst", "beta", "gamma", "nu", "eta", "delta", "T"]
+_MODEL = ["hurst", "beta", "gamma", "nu", "eta", "delta", "T"]
 _TAKES = {
     "atmi": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
     "skew": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "skew_step",
              "out", "workers"],
-    "asymptote": ["config", "model", *_MODEL, "out", "heston_k"],
+    "asymptote": ["config", "model", "v0", *_MODEL, "out", "heston_k"],
     "validate": ["quick", "out"],
 }
 
@@ -153,7 +153,8 @@ _REJECTED_TAIL = ["--paths", "4000", "--inner", "8", "--T", "0.25", "--seed", "1
      ["atmi", "--heston-k", "2"] + _REJECTED_TAIL,
      ["atmi", "--model", "mixed"] + _REJECTED_TAIL,
      ["skew", "--heston-k", "2"] + _REJECTED_TAIL,
-     ["skew", "--model", "mixed"] + _REJECTED_TAIL],
+     ["skew", "--model", "mixed"] + _REJECTED_TAIL,
+     ["atmi", "--v0", "0.09"], ["skew", "--v0", "0.09"]],
     ids=" ".join,
 )
 def test_dropped_inputs_exit_2_before_any_output(argv, capsys):
@@ -165,7 +166,9 @@ def test_dropped_inputs_exit_2_before_any_output(argv, capsys):
 
 
 @pytest.mark.parametrize("command,line,key", [("asymptote", "paths = 10", "paths"),
-                                              ("atmi", "model = heston", "model")])
+                                              ("atmi", "model = heston", "model"),
+                                              ("atmi", "v0 = 0.09", "v0"),
+                                              ("skew", "v0 = 0.09", "v0")])
 def test_config_key_the_subcommand_does_not_take_exits_2(command, line, key,
                                                           tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -178,13 +181,14 @@ def test_config_key_the_subcommand_does_not_take_exits_2(command, line, key,
 
 _MODE_UNREAD = (
     [("asymptote", ["--model", "heston"], key) for key in ("hurst", "beta", "gamma", "eta", "T")]
-    + [("asymptote", ["--model", "mixed"], "heston_k"), ("asymptote", [], "heston_k")]
+    + [("asymptote", mode, key) for mode in (["--model", "mixed"], [])
+       for key in ("heston_k", "v0")]
     + [(command, ["--underlying", "rv"] + BASE, "delta") for command in ("atmi", "skew")]
     + [(command, mode + BASE, "inner") for command in ("atmi", "skew")
        for mode in (["--underlying", "vix"], [])]
 )
 _MODE_VALUES = {"hurst": "0.1", "beta": "2", "gamma": "0.5", "eta": "1", "T": "0.5",
-                "heston_k": "2", "delta": "0.5", "inner": "16"}
+                "heston_k": "2", "v0": "0.09", "delta": "0.5", "inner": "16"}
 
 
 @pytest.mark.parametrize("command,mode,key", _MODE_UNREAD,
@@ -192,10 +196,10 @@ _MODE_VALUES = {"hurst": "0.1", "beta": "2", "gamma": "0.5", "eta": "1", "T": "0
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_setting_the_run_mode_does_not_read_exits_2(command, mode, key, source,
                                                      tmp_path, capsys):
-    # The heston model writes only the VIX skew sign, the mixed model never
-    # reads the Heston reversion speed, the RV formulas and draws have no
-    # window, and the VIX draws take a fixed window rule: such a setting
-    # would change no row.
+    # The heston model writes only the VIX skew sign, the mixed model's
+    # closed forms read neither the Heston reversion speed nor the variance
+    # level, the RV formulas and draws have no window, and the VIX draws
+    # take a fixed window rule: such a setting would change no row.
     if source == "flag":
         extra = ["--" + key.replace("_", "-"), _MODE_VALUES[key]]
     else:
@@ -316,7 +320,7 @@ def test_atmi_csv_shape_and_determinism(capsys):
     assert len(lines) == 3
 
 
-_HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 "
+_HEAD = ("hurst=0.29999999999999999 beta=0 gamma=1 nu=2 "
          "eta=0 delta=0.082191780821917804 T=0.25 paths=4000 seed=11")
 
 
@@ -332,14 +336,14 @@ _HEAD = ("v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=1 nu=2 
          "T,mc_atmi,mc_stderr,approx_atmi,limit_value,rel_gap,status"),
         (["skew", "--gamma", "0.5", "--eta", "1"] + BASE,
          "# vixsmile-csv schema=skew.v1 underlying=vix "
-         "v0=0.040000000000000001 hurst=0.29999999999999999 beta=0 gamma=0.5 "
+         "hurst=0.29999999999999999 beta=0 gamma=0.5 "
          "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 seed=11 "
          "skew_step=0.01",
          "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
         (["asymptote", "--gamma", "0.5", "--eta", "1", "--beta", "2",
           "--T", "0.1,0.5"],
          "# vixsmile-csv schema=asymptote.v1 model=mixed "
-         "v0=0.040000000000000001 hurst=0.29999999999999999 beta=2 gamma=0.5 "
+         "hurst=0.29999999999999999 beta=2 gamma=0.5 "
          "nu=2 eta=1 delta=0.082191780821917804 T=0.10000000000000001,0.5",
          "formula_id,maturity,value,quad_error_bound,status"),
         (["asymptote", "--model", "heston", "--heston-k", "1.5", "--nu", "0.3"],

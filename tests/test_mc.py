@@ -195,10 +195,14 @@ def test_samplers_never_call_cholesky(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_vix_samples_constant_without_volvol():
-    grid = SimGrid(T=0.2, n_inner=16, n_paths=500, seed=5)
-    sampler = build_vix_sampler(mk(nu=0.0, eta=0.0), grid)
-    batch = sample_vix(sampler)
-    np.testing.assert_allclose(batch.samples, 0.2, rtol=1e-13)
+    # The graded weights sum to delta only within 3e-3 at T = 1e-8, and the
+    # sampler averages by their sum: every sample is sqrt(v0) to rounding.
+    for T in (1e-8, 1e-4, 0.1, 0.2):
+        for v0 in (0.04, 1.0):
+            grid = SimGrid(T=T, n_paths=500, seed=5)
+            batch = sample_vix(build_vix_sampler(mk(v0=v0, nu=0.0, eta=0.0), grid))
+            np.testing.assert_array_max_ulp(batch.samples, np.full(500, math.sqrt(v0)),
+                                            maxulp=4)
 
 
 def test_rv_samples_constant_without_volvol():
@@ -223,7 +227,7 @@ def test_instantaneous_variance_martingale_at_nodes():
     params = mk(H=0.3, beta=0.5, gamma=0.5, nu=2.0, eta=0.5)
     grid = SimGrid(T=0.5, n_inner=8, n_paths=60_000, seed=17)
     sampler = FactorSampler("rv", params, grid, _covariance(params, "rv", grid.T, grid.n_inner),
-                            np.eye(grid.n_inner), 0.0, 1.0)
+                            np.eye(grid.n_inner), 0.0)
     v = np.empty((grid.n_inner, grid.n_paths))
     sampler.draw_chunk(0, v, 17, sampler.workspace(grid.n_paths))
     means = v.mean(axis=1)
@@ -250,7 +254,7 @@ def test_determinism_across_worker_counts_and_runs():
     assert np.array_equal(sample_rv(mk(H=0.3, nu=2.0), grid, workers=3).samples, rv_ref)
 
 
-def _term_by_term_draw_chunk(sampler, weights, offset, divisor, chunk_index, size, seed):
+def _term_by_term_draw_chunk(sampler, weights, offset, chunk_index, size, seed):
     """The Wick reduction written term by term: exp(a X - a^2 Var X / 2)."""
     factors = sampler.factor @ _chunk_rng(seed, chunk_index).standard_normal(
         (sampler.factor.shape[1], size))
@@ -262,7 +266,7 @@ def _term_by_term_draw_chunk(sampler, weights, offset, divisor, chunk_index, siz
         for g, a in ((p.gamma, p.nu * sqrt_2h), (1.0 - p.gamma, p.eta * sqrt_2h))
         if g != 0.0
     )
-    samples = (offset + p.v0 * mixed) / divisor
+    samples = p.v0 * (offset + mixed)
     return np.sqrt(samples) if sampler.kind == "vix" else samples
 
 
@@ -276,19 +280,19 @@ def _term_by_term_draw_chunk(sampler, weights, offset, divisor, chunk_index, siz
 @pytest.mark.parametrize("T", [1e-4, 0.5])
 def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
     grid = SimGrid(T=T, n_inner=16, n_paths=1000, seed=3)
+    # Averaging weights: the rule's weights over the window length.
     if kind == "vix":
-        weights = _graded_rule(T, grid.n_inner, grid.delta)[1]
+        weights = _graded_rule(T, grid.n_inner, grid.delta)[1] / grid.delta
     else:
-        weights = _trapezoid_weights(grid.n_inner, T / (grid.n_inner - 1))
-    offset, divisor = (0.0, grid.delta) if kind == "vix" else (0.001, T)
+        weights = _trapezoid_weights(grid.n_inner, T / (grid.n_inner - 1)) / T
+    offset = 0.0 if kind == "vix" else 0.001 / T
     sampler = FactorSampler(kind, params, grid, _covariance(params, kind, T, grid.n_inner),
-                            weights, offset, divisor)
+                            weights, offset)
     work = sampler.workspace(1000)
     for chunk_index in (0, 3):
         drawn = np.empty(1000)
         sampler.draw_chunk(chunk_index, drawn, 77, work)
-        reference = _term_by_term_draw_chunk(sampler, weights, offset, divisor,
-                                       chunk_index, 1000, 77)
+        reference = _term_by_term_draw_chunk(sampler, weights, offset, chunk_index, 1000, 77)
         np.testing.assert_allclose(drawn, reference, rtol=1e-13, atol=0.0)
 
 
@@ -299,7 +303,7 @@ def _per_chunk_reference(sampler, n_paths, seed):
         size = min(_CHUNK_SIZE, n_paths - start)
         y = sampler._scaled @ _chunk_rng(seed, idx).standard_normal((sampler.factor.shape[1], size))
         np.exp(y, out=y)
-        samples = (sampler._offset + sampler.params.v0 * (sampler._reduce @ y)) / sampler._divisor
+        samples = sampler._offset + sampler._reduce @ y
         chunks.append(np.sqrt(samples) if sampler.kind == "vix" else samples)
     return np.concatenate(chunks)
 
@@ -318,9 +322,9 @@ def test_draw_matches_per_chunk_reference(kind, params, n_inner):
         if kind == "vix":
             sampler = build_vix_sampler(params, grid)
         else:
-            weights = _trapezoid_weights(n_inner + 1, grid.T / n_inner)
+            weights = _trapezoid_weights(n_inner + 1, 1.0 / n_inner)
             sampler = FactorSampler("rv", params, grid, _covariance(params, "rv", grid.T, n_inner),
-                                    weights[1:], weights[0] * params.v0, grid.T)
+                                    weights[1:], weights[0])
         reference = _per_chunk_reference(sampler, n_paths, grid.seed)
         for workers in (1, 2, 3):
             if kind == "vix":
@@ -373,10 +377,10 @@ def _rule_and_reference(params, T, n_paths=50_000, seed=7, delta=30 / 365):
     n = times.size
     union = np.concatenate([times, ref_times])
     rows = np.zeros((2, union.size))
-    rows[0, :n], rows[1, n:] = weights, ref_weights
+    rows[0, :n], rows[1, n:] = weights / weights.sum(), ref_weights / ref_weights.sum()
     grid = SimGrid(T=T, delta=delta, n_paths=n_paths, seed=seed)
     sampler = FactorSampler("vix", params, grid, kernel_covariance_matrix(params, union, T),
-                            rows, 0.0, delta)
+                            rows, 0.0)
     work, samples = sampler.workspace(_CHUNK_SIZE), np.empty((2, n_paths))
     for idx, start in enumerate(range(0, n_paths, _CHUNK_SIZE)):
         chunk = np.empty((2, min(_CHUNK_SIZE, n_paths - start)))
