@@ -5,10 +5,20 @@ failure) carrying the achieved value against the tolerance. The same
 criteria back ``vixsmile validate``.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import vixsmile.acceptance as acceptance
+import vixsmile.specfun as specfun
 from vixsmile.acceptance import CRITERIA, run_criterion
+from vixsmile.specfun import QuadratureError
+
+C9 = next(c for c in CRITERIA if c.key == "C9")
+# C9's incomplete-gamma grid.
+SHAPES = np.linspace(0.1, 3.0, 10).tolist()
+POINTS = np.linspace(0.05, 8.0, 10)
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[c.key for c in CRITERIA])
@@ -39,6 +49,53 @@ def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch):
     result = run_criterion(c10, quick=True)
     assert not result.passed
     assert "worst: stderr halving" in result.detail
+
+
+def test_c9_runs_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("C9 ran an adaptive quadrature")
+
+    monkeypatch.setattr(specfun, "_adaptive", refuse)
+    result = run_criterion(C9, quick=True)
+    assert result.passed, result.detail
+
+
+def test_incomplete_gamma_oracle_bound_is_honest():
+    # Against mpmath on C9's grid, each error is within its bound (plus 4
+    # ulps of rounding) and the bound overstates it by at most 100x.
+    import mpmath
+
+    for a in SHAPES:
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.gammainc(a, 0, x)) for x in POINTS.tolist()])
+        for n_nodes in (4, 6, 8):
+            values, bounds = acceptance._incomplete_gamma_oracle(
+                a, POINTS, n_nodes, max_bound=math.inf)
+            err = np.abs(values - exact)
+            assert np.all(err <= bounds + 4.0 * np.spacing(exact)), (a, n_nodes)
+            resolved = err > 1e-13
+            assert np.all(bounds[resolved] <= 100.0 * err[resolved]), (a, n_nodes)
+        assert acceptance._incomplete_gamma_oracle(a, POINTS)[1].max() <= 1e-20
+
+
+def test_incomplete_gamma_oracle_raises_above_its_cap():
+    with pytest.raises(QuadratureError, match="bound above its cap"):
+        acceptance._incomplete_gamma_oracle(1.5, np.array([1.0, 60.0]))
+
+
+@pytest.mark.parametrize("path", ["scalar", "array"])
+def test_c9_fails_when_the_incomplete_gamma_is_off(monkeypatch, path):
+    # A 1e-9 shift on one of lower_incomplete_gamma's paths is 10x C9's cap.
+    real = acceptance.lower_incomplete_gamma
+
+    def shifted(a, x):
+        off = (np.ndim(x) == 0) == (path == "scalar")
+        return real(a, x) + (1e-9 if off else 0.0)
+
+    monkeypatch.setattr(acceptance, "lower_incomplete_gamma", shifted)
+    result = run_criterion(C9, quick=True)
+    assert not result.passed
+    assert result.detail.startswith("gamma vs Gauss-Jacobi: 1.00e-09")
 
 
 @pytest.mark.parametrize("quick", [False, True])
