@@ -108,15 +108,28 @@ def _kernel_integral(params: ModelParams, bot, top):
     return params.beta ** -a * (gam[0] - gam[1])
 
 
+def _unit_panel_rule():
+    """:func:`_panel_rule` at T = 1, built once and read-only."""
+    eps = 2.0 ** -_PANELS
+    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
+    nodes, weights = geometric_rule(gk_x, [gk_kronrod, gk_kronrod - gk_gauss], eps, 1.0)
+    nodes, weights = np.concatenate([[0.0, eps], nodes.ravel()]), weights.reshape(2, -1)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+_UNIT_NODES, _UNIT_WEIGHTS = _unit_panel_rule()
+
+
 def _panel_rule(maturity: float):
     """Nodes and weights of the fixed rule on [0, T]: the head ends 0 and
     eps = T 2^-44, then the 15-point Gauss-Kronrod rule on the 44
     :func:`~vixsmile.specfun.geometric_rule` panels from eps to T, weighted
-    by Kronrod and by Kronrod minus its embedded Gauss rule."""
-    eps = maturity * 2.0 ** -_PANELS
-    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
-    nodes, weights = geometric_rule(gk_x, [gk_kronrod, gk_kronrod - gk_gauss], eps, maturity)
-    return np.concatenate([[0.0, eps], nodes.ravel()]), weights.reshape(2, -1)
+    by Kronrod and by Kronrod minus its embedded Gauss rule. The panels
+    double in width from eps, so the rule is the one on [0, 1] scaled by T:
+    new arrays, T times the read-only unit rule's nodes and weights."""
+    return maturity * _UNIT_NODES, maturity * _UNIT_WEIGHTS
 
 
 def _integral_of_square(nodes, values, weights) -> tuple[float, float]:

@@ -490,17 +490,23 @@ def _uig_continued_fraction(a: float, x: float) -> float:
 
 
 def _lig_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    """:func:`_lig_series` for an array of 0 < x < a + 4, the partial
-    products x^n / ((a+1)...(a+n)) of all terms as one cumulative product.
+    """:func:`_lig_series` for an array of 0 <= x < a + 4, its sum
+    1 + sum_{n>=1} c_n x^n with c_n = 1/((a+1)...(a+n)) by Horner's rule:
+    two in-place numpy calls per term on one work vector.
 
     Relative to its partial sum, the n-th term shrinks as x does (every
     term scales by (x/x_max)^k, k <= n), so the number of terms the series
-    takes at x_max serves every element.
+    takes at x_max serves every element. The prefactor is the scalar
+    path's exp(a log x - x), which is 0 at x = 0.
     """
     n_terms = _series_sum(a, float(x.max()))[1]
-    ratios = x / (a + np.arange(1.0, n_terms))[:, None]
-    total = 1.0 + np.cumprod(ratios, axis=0).sum(axis=0)
-    return total / a * np.exp(a * np.log(x) - x)
+    coefficients = [1.0] + np.cumprod(1.0 / (a + np.arange(1.0, n_terms))).tolist()
+    total = np.full(x.shape, coefficients[-1])
+    for c in reversed(coefficients[:-1]):
+        np.multiply(total, x, out=total)
+        np.add(total, c, out=total)
+    with np.errstate(divide="ignore"):
+        return total / a * np.exp(a * np.log(x) - x)
 
 
 def lower_incomplete_gamma(a: float, x):
@@ -509,10 +515,13 @@ def lower_incomplete_gamma(a: float, x):
     Standard (unnormalised) convention: nondecreasing in x with
     gamma(a, inf) = Gamma(a). Series expansion for x < a + 4, continued
     fraction for the complement otherwise. ``x`` may be a scalar, which
-    returns a float, or an array, returned in its shape: the series runs
-    vectorised over its elements, and each element at x >= a + 4 takes the
-    scalar continued fraction, so it equals the scalar result exactly.
-    Raises :class:`QuadratureError` if any element fails to converge.
+    returns a float, or an array, returned in its shape (an empty array
+    gives an empty one): the series sums all elements below a + 4, zeros
+    included, at once by :func:`_lig_series_array`, and only when some
+    element lies at x >= a + 4 are the two sets masked apart; each such
+    element takes the scalar continued fraction, so it equals the scalar
+    result exactly. Raises :class:`QuadratureError` if any element fails to
+    converge.
     """
     if not math.isfinite(a):
         raise ValueError("lower_incomplete_gamma requires finite arguments")
@@ -531,19 +540,22 @@ def lower_incomplete_gamma(a: float, x):
         return math.gamma(a) - _uig_continued_fraction(a, x)
 
     x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return np.zeros(x.shape)
     lo, hi = x.min(), x.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("lower_incomplete_gamma requires finite arguments")
     if lo < 0.0:
         raise ValueError(f"argument must be nonnegative, got {lo!r}")
-    out = np.zeros(x.shape)
-    series = (x > 0.0) & (x < a + _SERIES_REACH)
-    if series.any():
+    if hi < a + _SERIES_REACH:
+        return _lig_series_array(a, x)
+    out = np.empty(x.shape)
+    fraction = x >= a + _SERIES_REACH
+    if lo < a + _SERIES_REACH:
+        series = ~fraction
         out[series] = _lig_series_array(a, x[series])
-    if hi >= a + _SERIES_REACH:
-        fraction = x >= a + _SERIES_REACH
-        out[fraction] = [math.gamma(a) - _uig_continued_fraction(a, v)
-                         for v in x[fraction].tolist()]
+    out[fraction] = [math.gamma(a) - _uig_continued_fraction(a, v)
+                     for v in x[fraction].tolist()]
     return out
 
 

@@ -34,13 +34,46 @@ from vixsmile.asymptotics import (
     vix_skew_limit,
 )
 from vixsmile.model import HestonParams, ModelParams, kernel, kernel_variance
-from vixsmile.specfun import QuadSpec, integrate, integrate_err, lower_incomplete_gamma
+from vixsmile.specfun import (
+    QuadSpec,
+    gauss_kronrod_15,
+    geometric_rule,
+    integrate,
+    integrate_err,
+    lower_incomplete_gamma,
+)
 
 DELTA = 30.0 / 365.0
 
 
 def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
     return ModelParams(v0=v0, H=H, beta=beta, gamma=gamma, nu=nu, eta=eta)
+
+
+# ---------------------------------------------------------------------------
+# the fixed panel rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("maturity", [1e-8, 1e-4, 0.3, 2.0, 50.0])
+def test_panel_rule_is_the_rule_built_at_its_maturity(maturity):
+    # The rule geometric_rule builds directly from eps = T 2^-44 to T.
+    eps = maturity * 2.0 ** -asy._PANELS
+    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
+    nodes, weights = geometric_rule(gk_x, [gk_kronrod, gk_kronrod - gk_gauss], eps, maturity)
+    direct_nodes = np.concatenate([[0.0, eps], nodes.ravel()])
+    scaled_nodes, scaled_weights = asy._panel_rule(maturity)
+    assert scaled_nodes.shape == direct_nodes.shape
+    assert scaled_weights.shape == (2, direct_nodes.size - 2)
+    np.testing.assert_array_max_ulp(scaled_nodes, direct_nodes, maxulp=4)
+    np.testing.assert_array_max_ulp(scaled_weights, weights.reshape(2, -1), maxulp=4)
+    assert scaled_nodes.flags.writeable and scaled_weights.flags.writeable
+
+
+def test_panel_rule_unit_arrays_are_read_only():
+    for unit in (asy._UNIT_NODES, asy._UNIT_WEIGHTS):
+        assert not unit.flags.writeable
+        with pytest.raises(ValueError):
+            unit[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,39 @@ def test_gamma_both_sides_of_the_branch_point_match_mpmath(a):
         np.testing.assert_allclose(values, reference, rtol=2e-15, atol=0.0)
 
 
+def test_gamma_array_zero_in_series_range_is_exactly_zero():
+    # x = 0 takes the series with the others; pytest makes a log(0)
+    # RuntimeWarning an error.
+    x = np.array([0.0, 1e-3, 0.0, 2.5, 0.0])
+    out = lower_incomplete_gamma(0.6, x)
+    assert np.all(out[x == 0.0] == 0.0)
+    assert np.all(out[x > 0.0] > 0.0)
+    assert np.array_equal(lower_incomplete_gamma(0.6, np.zeros(3)), np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_gamma_array_empty_gives_empty(shape):
+    out = lower_incomplete_gamma(0.6, np.zeros(shape))
+    assert out.shape == shape and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("a", [0.05, 0.6, 3.0])
+@pytest.mark.parametrize("size", [1, 10, 1324])
+def test_gamma_array_series_sum_matches_mpmath(a, size):
+    # Over the series range, log-spread from 1e-12 (x/cut) up. The prefactor
+    # exp(a log x - x) is the scalar path's, and its rounding grows with
+    # |a log x| + x (1.7e-14 relative at a = 3, x = 1.7e-11): dividing it out
+    # leaves the series sum x^-a e^x gamma(a, x) that Horner's rule forms.
+    x = (a + specfun._SERIES_REACH) * np.geomspace(1e-12, 1.0, size + 2)[1:-1]
+    with mpmath.workdps(30):
+        reference = np.array([
+            float(mpmath.gammainc(a, 0, v) * v ** -a * mpmath.exp(v))
+            for v in map(mpmath.mpf, x.tolist())
+        ])
+    series = lower_incomplete_gamma(a, x) / np.exp(a * np.log(x) - x)
+    np.testing.assert_allclose(series, reference, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("x", [0.5, 5.0])
 def test_gamma_array_fails_loudly_without_convergence(monkeypatch, x):
     # Too few iterations for the series (x = 0.5) or the continued fraction.
