@@ -401,10 +401,12 @@ def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
 
 # Fixed rules of the kernel-overlap constant: geometric Gauss-Kronrod panels
 # per half of the outer integral, and the inner Gauss-Jacobi head and
-# Gauss-Legendre panel sizes.
+# Gauss-Legendre panel sizes. The Gauss-Legendre rule is built once per
+# process, for every Hurst exponent.
 _OVERLAP_PANELS = 40
 _OVERLAP_HEAD_NODES = 16
 _OVERLAP_PANEL_NODES = 12
+_OVERLAP_GL_X, _OVERLAP_GL_W = np.polynomial.legendre.leggauss(_OVERLAP_PANEL_NODES)
 
 
 @lru_cache(maxsize=64)
@@ -455,7 +457,6 @@ def _rv_skew_constant_err(hurst: float) -> tuple[float, float]:
     a = hurst + 0.5
     gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
     head_y, head_w = gauss_jacobi(hurst - 0.5, _OVERLAP_HEAD_NODES)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_OVERLAP_PANEL_NODES)
 
     inner, rows = 2.0 ** -_OVERLAP_PANELS, np.array([gk_kronrod, gk_kronrod - gk_gauss])
     t, weights = geometric_rule(gk_x, rows, inner, 0.5)
@@ -471,8 +472,8 @@ def _rv_skew_constant_err(hurst: float) -> tuple[float, float]:
 
     def panels(lo, hi):
         half_width = 0.5 * (hi - lo)
-        y = (0.5 * (lo + hi))[..., None] + half_width[..., None] * gl_x
-        return half_width * ((y ** (hurst - 0.5) * (1.0 + y) ** a) @ gl_w)
+        y = (0.5 * (lo + hi))[..., None] + half_width[..., None] * _OVERLAP_GL_X
+        return half_width * ((y ** (hurst - 0.5) * (1.0 + y) ** a) @ _OVERLAP_GL_W)
 
     lo = 2.0 ** np.arange(m.max(), dtype=float)
     cumulative = np.concatenate([[0.0], np.cumsum(panels(lo, 2.0 * lo))])

@@ -203,8 +203,9 @@ class FactorSampler:
     v0, each term's variance shift exp(-a^2 Var X_i / 2) and its mixture
     weight g_k are folded into the reduction weights and the offset once per
     sampler, and the terms' scaled factors a_k F are stacked, so a chunk is
-    the normals, one matmul, one in-place exp, one reduction and the offset,
-    all written into preallocated arrays.
+    the normals, one matmul (a broadcast multiply when F has rank one, as at
+    H = 1/2), one in-place exp, one reduction and the offset, all written
+    into preallocated arrays.
     """
 
     def __init__(self, kind: str, params: ModelParams, grid: SimGrid,
@@ -244,7 +245,12 @@ class FactorSampler:
         z = work[:rank * size].reshape(rank, size)
         y = work[rank * size:(rank + rows) * size].reshape(rows, size)
         _chunk_rng(seed, chunk_index).standard_normal(out=z)
-        np.matmul(self._scaled, z, out=y)
+        if rank == 1:
+            # An outer product: the same bits as the matmul, which is slow
+            # with an inner dimension of one.
+            np.multiply(self._scaled, z, out=y)
+        else:
+            np.matmul(self._scaled, z, out=y)
         np.exp(y, out=y)
         np.matmul(self._reduce, y, out=out)
         out += self._offset

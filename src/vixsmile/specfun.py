@@ -276,13 +276,13 @@ def _fixed(value: float) -> int:
     return (num << _POLISH_BITS) // den
 
 
-def _mul(a: int, b: int) -> int:
-    return a * b >> _POLISH_BITS
-
-
 def _div(a: int, b: int) -> int:
     return (a << _POLISH_BITS) // b
 
+
+# The fixed-point product of u and v is u * v >> _POLISH_BITS, written out
+# where it is used: a 16-node rule makes about 1,700 of them, and one Python
+# call per product was a sizeable share of the rule's build time.
 
 def _jacobi_recurrence(a: int, n: int) -> list[tuple[int, int, int]]:
     """(A_m, B_m, C_m), m = 2..n, with P_m = (A_m y - B_m) P_(m-1) - C_m P_(m-2).
@@ -290,13 +290,14 @@ def _jacobi_recurrence(a: int, n: int) -> list[tuple[int, int, int]]:
     The three-term recurrence of P^(0, alpha) on [-1, 1], in fixed point
     (a is alpha in fixed point).
     """
+    bits, one = _POLISH_BITS, _ONE
     steps = []
     for m in range(2, n + 1):
-        s = (2 * m << _POLISH_BITS) + a
-        c1 = _mul(2 * m * ((m << _POLISH_BITS) + a), s - 2 * _ONE)
-        c2 = _mul(_mul(s - _ONE, s), s - 2 * _ONE)
-        c3 = _mul(s - _ONE, _mul(a, a))
-        c4 = _mul(2 * (m - 1) * ((m - 1 << _POLISH_BITS) + a), s)
+        s = (2 * m << bits) + a
+        c1 = 2 * m * ((m << bits) + a) * (s - 2 * one) >> bits
+        c2 = ((s - one) * s >> bits) * (s - 2 * one) >> bits
+        c3 = (s - one) * (a * a >> bits) >> bits
+        c4 = 2 * (m - 1) * ((m - 1 << bits) + a) * s >> bits
         steps.append((_div(c2, c1), _div(c3, c1), _div(c4, c1)))
     return steps
 
@@ -311,18 +312,21 @@ def _polish_jacobi_node(a: int, n: int, steps: list[tuple[int, int, int]],
     zero is extrapolated with P_n'' from the Jacobi equation
     (1 - y^2) P'' + (alpha - (alpha + 2) y) P' + n (n + alpha + 1) P = 0.
     """
-    y = 2 * _fixed(x) - _ONE
-    p0, p1 = _ONE, (_mul(a + 2 * _ONE, y) - a) // 2
-    d0, d1 = 0, (a + 2 * _ONE) // 2
+    bits, one = _POLISH_BITS, _ONE
+    y = 2 * _fixed(x) - one
+    p0, p1 = one, ((a + 2 * one) * y >> bits) - a >> 1
+    d0, d1 = 0, a + 2 * one >> 1
     for a_m, b_m, c_m in steps:
-        lin = _mul(a_m, y) - b_m
-        p0, p1 = p1, _mul(lin, p1) - _mul(c_m, p0)
-        d0, d1 = d1, _mul(lin, d1) + _mul(a_m, p0) - _mul(c_m, d0)
+        lin = (a_m * y >> bits) - b_m
+        p0, p1 = p1, (lin * p1 >> bits) - (c_m * p0 >> bits)
+        d0, d1 = d1, (lin * d1 >> bits) + (a_m * p0 >> bits) - (c_m * d0 >> bits)
     step = -_div(p1, d1)
-    jacobi_eq = _mul(a - _mul(a + 2 * _ONE, y), d1) + _mul(n * ((n + 1 << _POLISH_BITS) + a), p1)
-    curvature = -_div(jacobi_eq, _ONE - _mul(y, y))
-    y, slope = y + step, d1 + _mul(curvature, step)
-    return (_ONE + y) / (2 * _ONE), _ONE / _mul(_ONE - _mul(y, y), _mul(slope, slope))
+    jacobi_eq = ((a - ((a + 2 * one) * y >> bits)) * d1 >> bits) \
+        + (n * ((n + 1 << bits) + a) * p1 >> bits)
+    curvature = -_div(jacobi_eq, one - (y * y >> bits))
+    y, slope = y + step, d1 + (curvature * step >> bits)
+    weight = one / ((one - (y * y >> bits)) * (slope * slope >> bits) >> bits)
+    return (one + y) / (2 * one), weight
 
 
 @lru_cache(maxsize=32)
@@ -333,8 +337,9 @@ def gauss_jacobi(alpha: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     the eigenvalues of the Jacobi matrix of the weight x^alpha on [0, 1]
     (Golub-Welsch). Each is then mapped to y = 2x - 1, a zero of the Jacobi
     polynomial P_n^(0, alpha), and polished by one Newton step in 128-bit
-    fixed point, from an eigenvalue good to about 1e-16. The weights come
-    from the derivative formula 2^(alpha+1) / ((1 - y^2) P_n'(y)^2),
+    fixed point, from an eigenvalue good to about 1e-16, with each
+    fixed-point product written inline rather than as a Python call. The
+    weights come from the derivative formula 2^(alpha+1) / ((1 - y^2) P_n'(y)^2),
     whose gamma-function factor is 1 for P_n^(0, alpha), times 2^-(alpha+1)
     for the map to [0, 1]. The polished values are good far beyond double
     precision, so each returned node and weight is the double nearest the
@@ -446,6 +451,15 @@ _GAMMA_MAX_ITER = 600
 # Series below x = a + _SERIES_REACH, where it is cheaper than the continued
 # fraction (measured, scalar and array) and, all terms positive, accurate.
 _SERIES_REACH = 4.0
+# The series prefactor is x^a e^-x, which rounds to a few ulps at any x,
+# unless x^a itself overflows (a log x above log(DBL_MAX) = 709.78, which
+# needs a above about 117 in the series range). There it is
+# exp(a log x - x), finite but off by about eps (a |log x| + x) relative.
+_POWER_LOG_MAX = 700.0
+
+
+def _prefactor_overflows(a: float, x_max: float) -> bool:
+    return x_max > 1.0 and a * math.log(x_max) > _POWER_LOG_MAX
 
 
 def _series_sum(a: float, x: float) -> tuple[float, int]:
@@ -462,7 +476,9 @@ def _series_sum(a: float, x: float) -> tuple[float, int]:
 
 def _lig_series(a: float, x: float) -> float:
     # gamma(a,x) = x^a e^-x sum_{n>=0} x^n / (a (a+1) ... (a+n))
-    return _series_sum(a, x)[0] * math.exp(a * math.log(x) - x)
+    if _prefactor_overflows(a, x):
+        return _series_sum(a, x)[0] * math.exp(a * math.log(x) - x)
+    return _series_sum(a, x)[0] * (x ** a * math.exp(-x))
 
 
 def _uig_continued_fraction(a: float, x: float) -> float:
@@ -489,24 +505,75 @@ def _uig_continued_fraction(a: float, x: float) -> float:
     raise QuadratureError("incomplete gamma continued fraction did not converge", h, 1.0)
 
 
-def _lig_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    """:func:`_lig_series` for an array of 0 <= x < a + 4, its sum
-    1 + sum_{n>=1} c_n x^n with c_n = 1/((a+1)...(a+n)) by Horner's rule:
-    two in-place numpy calls per term on one work vector.
+@lru_cache(maxsize=64)
+def _series_table(a: float, n_terms: int) -> np.ndarray:
+    """The coefficients c_n = 1/((a+1)...(a+n)), n < ``n_terms``, of
+    :func:`_lig_series_array`'s sum, c_0 = 1, as a read-only (q, b) table
+    with b = ceil(sqrt(n_terms)) and q = ceil(n_terms / b): row j holds
+    c_(jb) ... c_(jb+b-1), zero past the last term. Cached per shape and
+    term count, as :func:`gauss_jacobi` caches its rules."""
+    width = math.isqrt(n_terms - 1) + 1
+    table = np.zeros(-(-n_terms // width) * width)
+    table[0] = 1.0
+    np.cumprod(1.0 / (a + np.arange(1.0, n_terms)), out=table[1:n_terms])
+    table = table.reshape(-1, width)
+    table.flags.writeable = False
+    return table
+
+
+def _block_sum(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n c_n x^n over a flat array x, c_n the entries of a (q, b)
+    :func:`_series_table`, in baby-step giant-step blocks (Paterson &
+    Stockmeyer 1973): the powers x^0 ... x^b by in-place multiplies, each
+    block polynomial as one table row times the powers x^0 ... x^(b-1),
+    and Horner's rule in x^b over the blocks. That is b + 3q - 1 numpy
+    calls whatever the size of x (16 for the 19 terms at x near 1),
+    against two per term for Horner's rule in x. With every c_n positive,
+    the order changes only the rounding.
+
+    The row times powers products are matrix-vector (BLAS-2), which time
+    alike at one and two OpenBLAS threads. One matrix-matrix product for
+    all blocks would save q - 1 calls, but a process's first BLAS-3 call
+    makes OpenBLAS touch about 384 KB of its buffer (measured with numpy
+    2.4), and the closed forms make no other.
+    """
+    n_blocks, width = table.shape
+    # The powers x^0 ... x^(b-1), then x^b, then one block's values.
+    work = np.empty((width + 2, x.size))
+    powers, giant, block = work[:width], work[width], work[width + 1]
+    powers[0] = 1.0
+    powers[1] = x
+    for k in range(2, width):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    np.multiply(powers[-1], x, out=giant)
+    total = np.dot(table[-1], powers)
+    for row in table[-2::-1]:
+        total *= giant
+        total += np.dot(row, powers, out=block)
+    return total
+
+
+def _lig_series_array(a: float, x: np.ndarray, x_max: float) -> np.ndarray:
+    """:func:`_lig_series` for an array of 0 <= x < a + 4 whose largest
+    element is ``x_max``: its sum 1 + sum_{n>=1} c_n x^n by
+    :func:`_block_sum`, one path for every size.
 
     Relative to its partial sum, the n-th term shrinks as x does (every
     term scales by (x/x_max)^k, k <= n), so the number of terms the series
     takes at x_max serves every element. The prefactor is the scalar
-    path's exp(a log x - x), which is 0 at x = 0.
+    path's, x^a e^-x (0 at x = 0) unless x_max^a overflows.
     """
-    n_terms = _series_sum(a, float(x.max()))[1]
-    coefficients = [1.0] + np.cumprod(1.0 / (a + np.arange(1.0, n_terms))).tolist()
-    total = np.full(x.shape, coefficients[-1])
-    for c in reversed(coefficients[:-1]):
-        np.multiply(total, x, out=total)
-        np.add(total, c, out=total)
-    with np.errstate(divide="ignore"):
-        return total / a * np.exp(a * np.log(x) - x)
+    flat = x.reshape(-1)
+    total = _block_sum(_series_table(a, _series_sum(a, x_max)[1]), flat)
+    if _prefactor_overflows(a, x_max):
+        with np.errstate(divide="ignore"):  # log(0) = -inf gives e^-inf = 0
+            prefactor = np.exp(a * np.log(flat) - flat)
+    else:
+        prefactor = np.power(flat, a)
+        prefactor *= np.exp(-flat)
+    total *= prefactor
+    total /= a
+    return total.reshape(x.shape)
 
 
 def lower_incomplete_gamma(a: float, x):
@@ -517,10 +584,15 @@ def lower_incomplete_gamma(a: float, x):
     fraction for the complement otherwise. ``x`` may be a scalar, which
     returns a float, or an array, returned in its shape (an empty array
     gives an empty one): the series sums all elements below a + 4, zeros
-    included, at once by :func:`_lig_series_array`, and only when some
-    element lies at x >= a + 4 are the two sets masked apart; each such
-    element takes the scalar continued fraction, so it equals the scalar
-    result exactly. Raises :class:`QuadratureError` if any element fails to
+    included, at once by :func:`_lig_series_array`, in baby-step
+    giant-step blocks with one term count for the whole array, and only
+    when some element lies at x >= a + 4 are the two sets masked apart;
+    each such element takes the scalar continued fraction, so it equals the
+    scalar result exactly. Both series paths form the prefactor as
+    x^a e^-x, which rounds to a few ulps at any x, where exp(a log x - x)
+    would carry a relative error growing like eps (a |log x| + x); only
+    where x^a overflows, at shapes above about 117, do they take the
+    latter. Raises :class:`QuadratureError` if any element fails to
     converge.
     """
     if not math.isfinite(a):
@@ -548,12 +620,13 @@ def lower_incomplete_gamma(a: float, x):
     if lo < 0.0:
         raise ValueError(f"argument must be nonnegative, got {lo!r}")
     if hi < a + _SERIES_REACH:
-        return _lig_series_array(a, x)
+        return _lig_series_array(a, x, float(hi))
     out = np.empty(x.shape)
     fraction = x >= a + _SERIES_REACH
     if lo < a + _SERIES_REACH:
         series = ~fraction
-        out[series] = _lig_series_array(a, x[series])
+        below = x[series]
+        out[series] = _lig_series_array(a, below, float(below.max()))
     out[fraction] = [math.gamma(a) - _uig_continued_fraction(a, v)
                      for v in x[fraction].tolist()]
     return out

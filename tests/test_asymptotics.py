@@ -636,6 +636,18 @@ def test_rv_skew_constant_keeps_its_cache():
     assert rv_skew_constant.cache_info().currsize >= 1
 
 
+def test_rv_skew_constant_builds_no_legendre_rule_per_hurst(monkeypatch):
+    # Two cold Hurst exponents share the one Gauss-Legendre panel rule.
+    builds = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: builds.append(n) or leggauss(n))
+    for hurst in (0.137, 0.263):
+        asy._rv_skew_constant_err.cache_clear()
+        asy._rv_skew_constant_err(hurst)
+    assert len(builds) <= 1
+
+
 def test_rv_skew_limit_equal_volvol_collapse():
     hurst, c = 0.3, 1.4
     params = mk(H=hurst, gamma=0.6, nu=c, eta=c)

@@ -334,6 +334,21 @@ def test_draw_matches_per_chunk_reference(kind, params, n_inner):
             assert np.array_equal(drawn, reference), (n_paths, workers)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("T", [1e-4, 0.1, 0.5])
+@pytest.mark.parametrize("mix", [{}, {"gamma": 0.5, "nu": 3.0, "eta": 1.0}],
+                         ids=["single", "mixed"])
+def test_rank_one_draw_matches_the_matmul_form(beta, T, mix):
+    # At H = 1/2 the VIX factor has rank one for every beta, and a chunk
+    # multiplies the normals in by broadcasting: the reference's explicit
+    # matmul gives the same bytes.
+    grid = SimGrid(T=T, n_paths=2 * _CHUNK_SIZE + 3, seed=13)
+    sampler = build_vix_sampler(mk(H=0.5, beta=beta, **mix), grid)
+    assert sampler.factor.shape[1] == 1
+    reference = _per_chunk_reference(sampler, grid.n_paths, grid.seed)
+    assert sample_vix(sampler).samples.tobytes() == reference.tobytes()
+
+
 def test_draw_makes_no_concatenate_copy():
     # The samples are written in place: the traced peak stays well below the
     # two sample vectors that chunk results plus their concatenation held.

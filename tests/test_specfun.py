@@ -127,6 +127,12 @@ def test_gamma_array_matches_scipy(a):
     reference = scipy.special.gammainc(a, x) * math.gamma(a)
     # Away from scipy's underflow of the regularised value to zero.
     normal = reference > 1e-290
+    # scipy forms the prefactor as exp(a log x - x), which rounds to about
+    # eps (a |log x| + x) relative (1e-13 at a = 1.7, x = 1e-163). Where that
+    # exceeds a tenth of the tolerance, mpmath is the reference instead.
+    coarse = normal & (2.0 ** -52 * (a * np.abs(np.log(x, where=x > 0.0, out=np.zeros_like(x))) + x) > 1e-14)
+    with mpmath.workdps(30):
+        reference[coarse] = [float(mpmath.gammainc(a, 0, mpmath.mpf(v))) for v in x[coarse].tolist()]
     np.testing.assert_allclose(
         lower_incomplete_gamma(a, x)[normal], reference[normal], rtol=1e-13
     )
@@ -183,27 +189,80 @@ def test_gamma_array_zero_in_series_range_is_exactly_zero():
     assert np.array_equal(lower_incomplete_gamma(0.6, np.zeros(3)), np.zeros(3))
 
 
+@pytest.mark.parametrize("a", [150.0, 165.0])
+def test_gamma_series_prefactor_past_the_power_overflow(a):
+    # x^a overflows near the top of the series range at these shapes, where
+    # both paths form the prefactor as exp(a log x - x) instead; its rounding
+    # grows like eps a log x (about 1e-13 here). Zeros still give 0.
+    x = np.array([0.0, 1.0, 0.5 * a, a - 30.0, a, a + 3.9])
+    assert a * math.log(x[-1]) > math.log(np.finfo(float).max)
+    with mpmath.workdps(30):
+        reference = np.array([float(mpmath.gammainc(a, 0, mpmath.mpf(v))) for v in x])
+    scalar = np.array([lower_incomplete_gamma(a, float(v)) for v in x])
+    for values in (scalar, lower_incomplete_gamma(a, x)):
+        np.testing.assert_allclose(values, reference, rtol=3e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
 def test_gamma_array_empty_gives_empty(shape):
     out = lower_incomplete_gamma(0.6, np.zeros(shape))
     assert out.shape == shape and out.dtype == np.float64
 
 
-@pytest.mark.parametrize("a", [0.05, 0.6, 3.0])
+@pytest.mark.parametrize("a", [0.05, 0.6, 1.7, 3.0])
 @pytest.mark.parametrize("size", [1, 10, 1324])
 def test_gamma_array_series_sum_matches_mpmath(a, size):
-    # Over the series range, log-spread from 1e-12 (x/cut) up. The prefactor
-    # exp(a log x - x) is the scalar path's, and its rounding grows with
-    # |a log x| + x (1.7e-14 relative at a = 3, x = 1.7e-11): dividing it out
-    # leaves the series sum x^-a e^x gamma(a, x) that Horner's rule forms.
+    # gamma itself over the series range, log-spread from 1e-12 (x/cut) up.
+    # The prefactor x^a e^-x rounds to a few ulps whatever x is; the
+    # exp(a log x - x) it replaced was off by up to 1.2e-14 relative here
+    # (a = 3, x = 4.5e-10), its rounding growing with a |log x| + x.
     x = (a + specfun._SERIES_REACH) * np.geomspace(1e-12, 1.0, size + 2)[1:-1]
     with mpmath.workdps(30):
-        reference = np.array([
-            float(mpmath.gammainc(a, 0, v) * v ** -a * mpmath.exp(v))
-            for v in map(mpmath.mpf, x.tolist())
-        ])
-    series = lower_incomplete_gamma(a, x) / np.exp(a * np.log(x) - x)
-    np.testing.assert_allclose(series, reference, rtol=1e-15, atol=0.0)
+        reference = np.array([float(mpmath.gammainc(a, 0, v))
+                              for v in map(mpmath.mpf, x.tolist())])
+    np.testing.assert_allclose(lower_incomplete_gamma(a, x), reference, rtol=2e-15, atol=0.0)
+
+
+def _horner_series_sum(a, x):
+    """1 + sum_{n>=1} c_n x^n by Horner's rule in x, two in-place numpy calls
+    per term: the series sum the block kernel replaced, kept as its oracle."""
+    n_terms = specfun._series_sum(a, float(x.max()))[1]
+    coefficients = [1.0] + np.cumprod(1.0 / (a + np.arange(1.0, n_terms))).tolist()
+    total = np.full(x.shape, coefficients[-1])
+    for c in reversed(coefficients[:-1]):
+        np.multiply(total, x, out=total)
+        np.add(total, c, out=total)
+    return total
+
+
+@pytest.mark.parametrize("a", [0.05, 0.6, 1.7, 3.0])
+@pytest.mark.parametrize("size", [1, 10, 662, 1324])
+def test_block_series_sum_matches_horner(a, size):
+    # Largest elements from 1e-3 of the series range up to its top, so the
+    # term counts run from 7 to 31-37, with zeros among the elements.
+    padded = []
+    for top in (a + specfun._SERIES_REACH) * np.geomspace(1e-3, 0.999, 8):
+        x = top * np.geomspace(1.0, 1e-12, size)
+        x[1::7] = 0.0
+        n_terms = specfun._series_sum(a, float(x.max()))[1]
+        table = specfun._series_table(a, n_terms)
+        padded.append(table.size > n_terms)
+        block = specfun._block_sum(table, x)
+        np.testing.assert_allclose(block, _horner_series_sum(a, x), rtol=1e-15, atol=0.0)
+        assert np.all(block[x == 0.0] == 1.0)
+        gamma = lower_incomplete_gamma(a, x)
+        assert np.all(gamma[x == 0.0] == 0.0) and np.all(gamma[x > 0.0] > 0.0)
+    # Term counts that fill the last block and ones that do not.
+    assert any(padded) and not all(padded)
+
+
+def test_series_table_is_cached_and_read_only():
+    table = specfun._series_table(0.6, 19)
+    assert specfun._series_table(0.6, 19) is table
+    assert table.shape == (4, 5) and table[0, 0] == 1.0 and table[-1, -1] == 0.0
+    assert table[3, 3] == np.prod(1.0 / (0.6 + np.arange(1.0, 19.0)))
+    with pytest.raises(ValueError):
+        table[0, 1] = 0.5
 
 
 @pytest.mark.parametrize("x", [0.5, 5.0])
@@ -524,6 +583,63 @@ def test_gauss_jacobi_is_cached_and_read_only():
     assert gauss_jacobi(-0.2, 16)[0] is nodes
     with pytest.raises(ValueError):
         nodes[0] = 0.5
+
+
+def _polish_through_calls(alpha, n_nodes):
+    """gauss_jacobi's fixed-point Newton polish with one Python call per
+    product, as it was before the products were written inline: the oracle
+    of the inline arithmetic, from the same starting eigenvalues."""
+    bits = specfun._POLISH_BITS
+    one = 1 << bits
+
+    def mul(a, b):
+        return a * b >> bits
+
+    def div(a, b):
+        return (a << bits) // b
+
+    a = specfun._fixed(alpha)
+    steps = []
+    for m in range(2, n_nodes + 1):
+        s = (2 * m << bits) + a
+        c1 = mul(2 * m * ((m << bits) + a), s - 2 * one)
+        c2 = mul(mul(s - one, s), s - 2 * one)
+        c3 = mul(s - one, mul(a, a))
+        c4 = mul(2 * (m - 1) * ((m - 1 << bits) + a), s)
+        steps.append((div(c2, c1), div(c3, c1), div(c4, c1)))
+    k = np.arange(n_nodes, dtype=float)
+    s = 2.0 * k + alpha
+    diag = np.empty(n_nodes)
+    diag[0] = alpha / (alpha + 2.0)
+    diag[1:] = alpha ** 2 / (s[1:] * (s[1:] + 2.0))
+    k1, s1 = k[1:], s[1:]
+    off = np.sqrt(4.0 * k1 ** 2 * (k1 + alpha) ** 2 / (s1 ** 2 * (s1 + 1.0) * (s1 - 1.0)))
+    jacobi = np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1) + np.diag(0.5 * off, -1)
+    nodes, weights = [], []
+    for x in np.linalg.eigvalsh(jacobi):
+        y = 2 * specfun._fixed(float(x)) - one
+        p0, p1 = one, (mul(a + 2 * one, y) - a) // 2
+        d0, d1 = 0, (a + 2 * one) // 2
+        for a_m, b_m, c_m in steps:
+            lin = mul(a_m, y) - b_m
+            p0, p1 = p1, mul(lin, p1) - mul(c_m, p0)
+            d0, d1 = d1, mul(lin, d1) + mul(a_m, p0) - mul(c_m, d0)
+        step = -div(p1, d1)
+        jacobi_eq = mul(a - mul(a + 2 * one, y), d1) + mul(n_nodes * ((n_nodes + 1 << bits) + a), p1)
+        curvature = -div(jacobi_eq, one - mul(y, y))
+        y, slope = y + step, d1 + mul(curvature, step)
+        nodes.append((one + y) / (2 * one))
+        weights.append(one / mul(one - mul(y, y), mul(slope, slope)))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("alpha", [-0.49, -0.4, -0.2, 0.0, 0.3, 1.5])
+@pytest.mark.parametrize("n_nodes", [1, 2, 5, 12, 16, 20])
+def test_gauss_jacobi_polish_is_bit_identical_to_one_call_per_product(alpha, n_nodes):
+    nodes, weights = gauss_jacobi(alpha, n_nodes)
+    ref_nodes, ref_weights = _polish_through_calls(alpha, n_nodes)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
 
 
 @pytest.mark.parametrize("alpha, n_nodes", [(-1.0, 4), (math.nan, 4), (0.0, 0)])
