@@ -15,7 +15,15 @@ from .asymptotics import (
     vix_skew_approx,
     vix_skew_limit,
 )
-from .mc import PathBatch, SimGrid, build_vix_sampler, sample_rv, sample_vix
+from .mc import (
+    PathBatch,
+    SimGrid,
+    build_rv_sampler,
+    build_vix_sampler,
+    sample_common,
+    sample_rv,
+    sample_vix,
+)
 from .model import HestonParams, ModelParams
 from .pricing import atmi, atmi_skew
 
@@ -29,6 +37,7 @@ __all__ = [
     "SimGrid",
     "atmi",
     "atmi_skew",
+    "build_rv_sampler",
     "build_vix_sampler",
     "evaluate",
     "heston_vix_skew_sign",
@@ -36,6 +45,7 @@ __all__ = [
     "rv_atmi_limit",
     "rv_skew_limit",
     "sabr_mixed_vix_skew",
+    "sample_common",
     "sample_rv",
     "sample_vix",
     "vix_atmi_approx",

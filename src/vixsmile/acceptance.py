@@ -27,7 +27,15 @@ import numpy as np
 
 from . import asymptotics as asy
 from .bs import BsQuote, bs_price, implied_vol
-from .mc import SimGrid, build_vix_sampler, estimate_mean, sample_rv, sample_vix
+from .mc import (
+    SimGrid,
+    build_rv_sampler,
+    build_vix_sampler,
+    estimate_mean,
+    sample_common,
+    sample_rv,
+    sample_vix,
+)
 from .model import HestonParams, ModelParams
 from .pricing import atmi, atmi_skew
 from .specfun import QuadratureError, gauss_2f1, gauss_jacobi, lower_incomplete_gamma
@@ -77,6 +85,12 @@ def _grid(maturity: float, quick: bool) -> SimGrid:
                    n_paths=FULL_PATHS // 10 if quick else FULL_PATHS, seed=SEED)
 
 
+def _sample_maturities(params: ModelParams, maturities, quick: bool):
+    """One VIX batch per maturity on ``_grid``, from one shared draw."""
+    return sample_common([build_vix_sampler(params, _grid(maturity, quick))
+                          for maturity in maturities])
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -90,10 +104,12 @@ def _c1_sabr_vix_atmi(quick: bool):
 
 def _c2_rv_power_law(quick: bool):
     worst, parts = 0.0, []
-    for hurst in (0.1, 0.3):
-        params = ModelParams(H=hurst, beta=0.0, gamma=1.0, nu=2.0)
-        grid = _grid(1e-4, quick)
-        vol, _ = atmi(sample_rv(params, grid), grid.T)
+    hursts = (0.1, 0.3)
+    grid = _grid(1e-4, quick)
+    samplers = [build_rv_sampler(ModelParams(H=hurst, beta=0.0, gamma=1.0, nu=2.0), grid)
+                for hurst in hursts]
+    for hurst, batch in zip(hursts, sample_common(samplers)):
+        vol, _ = atmi(batch, grid.T)
         rescaled = grid.T ** (0.5 - hurst) * vol
         target = math.sqrt(2.0 * hurst) * 2.0 / (
             (hurst + 0.5) * math.sqrt(2.0 * hurst + 2.0)
@@ -118,10 +134,10 @@ def _c4_mixed_sabr_skew(quick: bool):
     if abs(closed - 0.25) > 1e-12:
         return math.inf, f"closed form {closed!r} != 0.25"
     params = ModelParams(H=0.5, beta=0.0, gamma=0.5, nu=3.0, eta=1.0)
+    maturities = (1.0 / 12.0, 0.25)
     worst, parts = 0.0, []
-    for maturity in (1.0 / 12.0, 0.25):
-        grid = _grid(maturity, quick)
-        value, _ = atmi_skew(sample_vix(build_vix_sampler(params, grid)), maturity)
+    for maturity, batch in zip(maturities, _sample_maturities(params, maturities, quick)):
+        value, _ = atmi_skew(batch, maturity)
         gap = abs(value / 0.25 - 1.0)
         worst = max(worst, gap)
         parts.append(f"T={maturity:.3f}: {value:.4f}")
@@ -130,10 +146,10 @@ def _c4_mixed_sabr_skew(quick: bool):
 
 def _c5_vix_atmi_approx_vs_mc(quick: bool):
     params = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+    maturities = (0.1, 0.25, 0.5)
     worst, parts = 0.0, []
-    for maturity in (0.1, 0.25, 0.5):
-        grid = _grid(maturity, quick)
-        mc_vol, _ = atmi(sample_vix(build_vix_sampler(params, grid)), maturity)
+    for maturity, batch in zip(maturities, _sample_maturities(params, maturities, quick)):
+        mc_vol, _ = atmi(batch, maturity)
         approx = asy.vix_atmi_approx(params, DELTA, maturity)
         gap = abs(approx - mc_vol) / mc_vol
         worst = max(worst, gap)

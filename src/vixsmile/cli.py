@@ -24,7 +24,8 @@ command-line flags of the same names; ``VIXSMILE_SEED`` is the seed
 fallback of the subcommands that take ``--seed``. CSV goes to ``--out`` or
 stdout with a schema/parameter header line; floats are printed with 17
 significant digits so outputs are byte-stable. ``atmi`` and ``skew`` share
-one row loop over the maturities. Logs go to stderr.
+one row loop over the maturities, whose draws share one normal block per
+chunk (``mc.sample_common``). Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Any, Callable, NamedTuple
 from . import asymptotics as asy
 from .acceptance import CRITERIA, run_criterion
 from .asymptotics import DegenerateModelError, FormulaId, evaluate
-from .mc import SimGrid, build_vix_sampler, sample_rv, sample_vix
+from .mc import SimGrid, build_rv_sampler, build_vix_sampler, sample_common
 from .model import HestonParams, ModelParams
 from .pricing import DEFAULT_SKEW_STEP, atmi, atmi_skew
 
@@ -212,25 +213,39 @@ def _log(message: str) -> None:
 def _simulated_rows(config: RunConfig, stream, schema: str,
                     row_values: Callable[..., list[float]]) -> None:
     """Header, then one row per maturity: ``row_values(params, batch, T)`` on
-    a fresh draw of the underlying, or zeros marked degenerate when the
-    vol-of-vol mean is zero. A failing maturity writes an error row and a
-    comment line, then re-raises."""
+    the maturity's draw of the underlying, or zeros marked degenerate when
+    the vol-of-vol mean is zero. Every maturity's sampler is built first,
+    and one ``sample_common`` call draws them all from shared normals, each
+    batch bit-identical to the maturity's lone draw. A failing maturity
+    writes an error row and a comment line, then re-raises: a sampler build
+    fails at its own maturity, after the rows of the maturities before it,
+    and the shared draw at the first maturity."""
     params = config.model_params()
     _write_header(config, schema, stream)
     width = _COLUMNS[schema].count(",") - 1  # the values between T and status
-    for maturity in config.maturities:
+    batches, failure = [], None
+    if params.volvol_mean != 0.0:
+        build = build_vix_sampler if config.underlying == "vix" else build_rv_sampler
+        samplers = []
+        try:
+            for maturity in config.maturities:
+                _log(f"{schema}: simulating {config.underlying} at T={maturity:g}")
+                samplers.append(build(params, config.sim_grid(maturity)))
+        except Exception as exc:
+            failure = exc
+        if samplers:
+            try:
+                batches = sample_common(samplers, workers=config.effective_workers)
+            except Exception as exc:
+                failure = exc
+    for index, maturity in enumerate(config.maturities):
         try:
             if params.volvol_mean == 0.0:
                 values, status = [0.0] * width, "degenerate"
+            elif index < len(batches):
+                values, status = row_values(params, batches[index], maturity), "ok"
             else:
-                _log(f"{schema}: simulating {config.underlying} at T={maturity:g}")
-                grid = config.sim_grid(maturity)
-                if config.underlying == "vix":
-                    batch = sample_vix(build_vix_sampler(params, grid),
-                                       workers=config.effective_workers)
-                else:
-                    batch = sample_rv(params, grid, workers=config.effective_workers)
-                values, status = row_values(params, batch, maturity), "ok"
+                raise failure
             stream.write(",".join(_fmt(v) for v in [maturity, *values]) + f",{status}\n")
         except Exception as exc:
             stream.write(f"{_fmt(maturity)},{',' * width}error\n")

@@ -15,18 +15,26 @@ the only discretisation is the quadrature rule in time: for the VIX,
 Sampling is deterministic: paths are generated in fixed-size chunks, and
 chunk c of seed s draws from an SFC64 generator seeded by the c-th child of
 ``SeedSequence(s)`` (spawn key (c,)), numpy's scheme for independent
-parallel streams. A draw allocates its sample vector once; chunk c writes
-its samples straight into its own slice of it, and each worker draws its
-chunks through one reused workspace for the normals and Wick exponents.
-Results are therefore bit-identical for any worker count, and different
-(seed, chunk) pairs seed their generators differently, so batches drawn at
-nearby seeds share no chunk.
+parallel streams. A draw allocates one sample vector per sampler; chunk c
+writes its samples straight into its own slice of each, and each worker
+draws its chunks through one reused workspace for the normals and Wick
+exponents. Results are therefore bit-identical for any worker count, and
+different (seed, chunk) pairs seed their generators differently, so batches
+drawn at nearby seeds share no chunk.
+
+``sample_common`` draws several samplers that share a path count and a
+seed (common random numbers): each chunk's normals are drawn once, at the
+largest rank R, and a sampler of rank r reads their first r rows. Those are
+the first r * chunk-size normals of the chunk's stream, exactly what its
+lone draw reads, so every batch is bit-identical to drawing its sampler
+alone. ``sample_vix`` and ``sample_rv`` are its one-sampler calls.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +52,8 @@ __all__ = [
     "CovarianceNotPSDError",
     "FactorSampler",
     "build_vix_sampler",
+    "build_rv_sampler",
+    "sample_common",
     "sample_vix",
     "sample_rv",
     "estimate_mean",
@@ -151,31 +161,73 @@ def _trapezoid_weights(n_points: int, dx: float) -> np.ndarray:
     return w
 
 
-def _run_chunks(sampler: FactorSampler, n_paths: int, seed: int, workers: int) -> np.ndarray:
-    """n_paths samples of seed's chunk streams, drawn (possibly in parallel).
+def _run_chunks(samplers: Sequence[FactorSampler], n_paths: int, seed: int,
+                workers: int) -> list[np.ndarray]:
+    """n_paths samples per sampler from seed's chunk streams, drawn (possibly
+    in parallel).
 
-    Chunk c fills samples[c * _CHUNK_SIZE : (c + 1) * _CHUNK_SIZE] whichever
-    worker draws it, so the sample vector (and anything reduced from it) is
-    independent of ``workers``. Worker w draws chunks w, w + workers, ...
-    through its own workspace.
+    Chunk c fills samples[c * _CHUNK_SIZE : (c + 1) * _CHUNK_SIZE] of every
+    sampler's vector whichever worker draws it, so the sample vectors (and
+    anything reduced from them) are independent of ``workers``. Worker w
+    draws chunks w, w + workers, ... through its own workspace; the calling
+    thread is worker 0, and workers 1, 2, ... run on their own threads. The
+    first error, in worker order, is raised once every thread has ended.
     """
-    samples = np.empty(n_paths)
+    outs = [np.empty(n_paths) for _ in samplers]
     n_chunks = -(-n_paths // _CHUNK_SIZE)
     workers = min(max(workers, 1), n_chunks)
+    errors: list[BaseException | None] = [None] * workers
 
     def draw_chunks(first: int) -> None:
-        work = sampler.workspace(min(_CHUNK_SIZE, n_paths))
+        work = _workspace(samplers, min(_CHUNK_SIZE, n_paths))
         for idx in range(first, n_chunks, workers):
-            start = idx * _CHUNK_SIZE
-            sampler.draw_chunk(idx, samples[start:start + _CHUNK_SIZE], seed, work)
+            chunk = slice(idx * _CHUNK_SIZE, (idx + 1) * _CHUNK_SIZE)
+            _draw_chunk(samplers, idx, [out[chunk] for out in outs], seed, work)
 
-    if workers == 1:
+    def worker(first: int) -> None:
+        try:
+            draw_chunks(first)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors[first] = exc
+
+    threads: list[threading.Thread] = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=worker, args=(first,))
+            thread.start()
+            threads.append(thread)
         draw_chunks(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(draw_chunks, w) for w in range(workers)]:
-                future.result()
-    return samples
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return outs
+
+
+def _workspace(samplers: Sequence[FactorSampler], size: int) -> np.ndarray:
+    """Scratch buffer for _draw_chunk: the normals of chunks of up to ``size``
+    paths at the samplers' largest rank, then the Wick exponents of the
+    sampler with the most of them."""
+    rank = max(sampler.factor.shape[1] for sampler in samplers)
+    rows = max(sampler._scaled.shape[0] for sampler in samplers)
+    return np.empty((rank + rows) * size)
+
+
+def _draw_chunk(samplers: Sequence[FactorSampler], chunk_index: int,
+                outs: Sequence[np.ndarray], seed: int, work: np.ndarray) -> None:
+    """Write chunk ``chunk_index`` of ``seed`` of each sampler into its
+    ``outs`` entry from one draw of the chunk's normals, using ``work`` from
+    _workspace() as scratch. The chunk size is the outputs' last axis."""
+    size = outs[0].shape[-1]
+    rank = max(sampler.factor.shape[1] for sampler in samplers)
+    # C-contiguous prefixes of the flat buffer, as out= needs: z's first r
+    # rows are the first r * size normals of the stream.
+    z = work[:rank * size].reshape(rank, size)
+    _chunk_rng(seed, chunk_index).standard_normal(out=z)
+    for sampler, out in zip(samplers, outs):
+        sampler.transform(z[:sampler.factor.shape[1]], out, work[rank * size:])
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -232,20 +284,22 @@ class FactorSampler:
     def workspace(self, size: int) -> np.ndarray:
         """Scratch buffer for draw_chunk: the normals and Wick exponents of
         chunks of up to ``size`` paths."""
-        return np.empty((self.factor.shape[1] + self._scaled.shape[0]) * size)
+        return _workspace([self], size)
 
     def draw_chunk(self, chunk_index: int, out: np.ndarray, seed: int,
                    work: np.ndarray) -> None:
         """Write chunk ``chunk_index`` of ``seed`` into ``out``, one sample
         per column (its last axis sets the chunk size), using ``work`` from
         workspace() as scratch."""
-        size = out.shape[-1]
-        rank, rows = self.factor.shape[1], self._scaled.shape[0]
-        # C-contiguous prefixes of the flat buffer, as out= needs.
-        z = work[:rank * size].reshape(rank, size)
-        y = work[rank * size:(rank + rows) * size].reshape(rows, size)
-        _chunk_rng(seed, chunk_index).standard_normal(out=z)
-        if rank == 1:
+        _draw_chunk([self], chunk_index, [out], seed, work)
+
+    def transform(self, z: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """Write the samples of the normals ``z`` (rank x chunk size,
+        C-contiguous) into ``out``, with ``work`` as scratch for the Wick
+        exponents."""
+        rows, size = self._scaled.shape[0], out.shape[-1]
+        y = work[:rows * size].reshape(rows, size)
+        if z.shape[0] == 1:
             # An outer product: the same bits as the matmul, which is slow
             # with an inner dimension of one.
             np.multiply(self._scaled, z, out=y)
@@ -278,10 +332,49 @@ def build_vix_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
     return FactorSampler("vix", params, grid, cov, weights / weights.sum(), 0.0)
 
 
-def _draw(sampler: FactorSampler, grid: SimGrid, workers: int) -> PathBatch:
-    """grid.n_paths samples from grid.seed's chunk streams."""
-    samples = _run_chunks(sampler, grid.n_paths, grid.seed, workers)
-    return PathBatch(sampler.kind, samples, grid, sampler.params)
+def build_rv_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
+    """Precompute the Gaussian layer for RV_T = (1/T) int_0^T v_s ds samples.
+
+    The variance path starts at the analytic value v(0) = v0 and is
+    averaged by the trapezoid rule over ``grid.n_inner`` uniform steps; each
+    node in (0, T] is its own conditioning window.
+    """
+    cov = grid_covariance_matrix(params, grid.T, grid.n_inner)
+    weights = _trapezoid_weights(grid.n_inner + 1, 1.0 / grid.n_inner)
+    return FactorSampler("rv", params, grid, cov, weights[1:], weights[0])
+
+
+def _shared(samplers: Sequence[FactorSampler], name: str, override: int | None) -> int:
+    """``override``, else the grid field ``name`` that all samplers share."""
+    if override is not None:
+        return override
+    values = {getattr(sampler.grid, name) for sampler in samplers}
+    if len(values) != 1:
+        raise ValueError(f"samplers must share {name}, got {sorted(values)}")
+    return values.pop()
+
+
+def sample_common(
+    samplers: Sequence[FactorSampler],
+    n_paths: int | None = None,
+    seed: int | None = None,
+    workers: int = 1,
+) -> list[PathBatch]:
+    """One batch per sampler, all drawn from one seed's chunk streams.
+
+    Each chunk's normals are drawn once, at the samplers' largest rank, and
+    serve every sampler, so each batch is bit-identical to its sampler's
+    lone draw. ``n_paths`` and ``seed`` override the samplers' grids', which
+    must otherwise share them; a ValueError says when they do not.
+    """
+    if not samplers:
+        raise ValueError("need at least one sampler")
+    n_paths = _shared(samplers, "n_paths", n_paths)
+    seed = _shared(samplers, "seed", seed)
+    grids = [replace(sampler.grid, n_paths=n_paths, seed=seed) for sampler in samplers]
+    samples = _run_chunks(samplers, n_paths, seed, workers)
+    return [PathBatch(sampler.kind, values, grid, sampler.params)
+            for sampler, values, grid in zip(samplers, samples, grids)]
 
 
 def sample_vix(
@@ -292,23 +385,13 @@ def sample_vix(
 ) -> PathBatch:
     """Draw VIX_T samples: sqrt of the window-averaged conditional variance.
     ``n_paths`` and ``seed`` override the sampler grid's."""
-    grid = sampler.grid
-    grid = replace(grid, n_paths=grid.n_paths if n_paths is None else n_paths,
-                   seed=grid.seed if seed is None else seed)
-    return _draw(sampler, grid, workers)
+    return sample_common([sampler], n_paths, seed, workers)[0]
 
 
 def sample_rv(params: ModelParams, grid: SimGrid, workers: int = 1) -> PathBatch:
-    """Draw RV_T = (1/T) int_0^T v_s ds samples by exact Gaussian simulation.
-
-    The variance path starts at the analytic value v(0) = v0 and is
-    averaged by the trapezoid rule over n_inner uniform steps; each node in
-    (0, T] is its own conditioning window.
-    """
-    cov = grid_covariance_matrix(params, grid.T, grid.n_inner)
-    weights = _trapezoid_weights(grid.n_inner + 1, 1.0 / grid.n_inner)
-    sampler = FactorSampler("rv", params, grid, cov, weights[1:], weights[0])
-    return _draw(sampler, grid, workers)
+    """Draw RV_T = (1/T) int_0^T v_s ds samples by exact Gaussian simulation
+    (see :func:`build_rv_sampler`)."""
+    return sample_common([build_rv_sampler(params, grid)], workers=workers)[0]
 
 
 def estimate_mean(batch: PathBatch) -> tuple[float, float]:

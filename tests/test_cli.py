@@ -368,6 +368,34 @@ def test_atmi_csv_worker_count_invariance(capsys):
     assert out1 == out4
 
 
+@pytest.mark.parametrize("underlying, builder", [("vix", "build_vix_sampler"),
+                                                  ("rv", "build_rv_sampler")])
+def test_failing_sampler_build_stops_at_its_maturity(underlying, builder, monkeypatch):
+    # The maturities share one draw, built first: a sampler that fails to
+    # build still leaves the rows before it, then its own error row and
+    # comment, then the error itself.
+    config = RunConfig(underlying=underlying, maturities=[0.1, 0.25, 0.5], n_paths=5000,
+                       n_inner=8, seed=11, workers=2)
+    lone = io.StringIO()
+    cmd_atmi(RunConfig(**{**vars(config), "maturities": [0.1]}), lone)
+    build = getattr(cli, builder)
+
+    def failing_build(params, grid):
+        if grid.T == 0.25:
+            raise RuntimeError("no sampler at T=0.25")
+        return build(params, grid)
+
+    monkeypatch.setattr(cli, builder, failing_build)
+    stream = io.StringIO()
+    with pytest.raises(RuntimeError, match="no sampler at T=0.25"):
+        cmd_atmi(config, stream)
+    assert stream.getvalue().splitlines()[2:] == [
+        lone.getvalue().splitlines()[2],
+        "0.25,,,,,,error",
+        "# error at T=0.25: RuntimeError('no sampler at T=0.25')",
+    ]
+
+
 def test_atmi_sabr_tiny_maturity_row(capsys):
     # The SABR short-maturity level: the limit column is exactly half the
     # vol-of-vol and the MC column sits on it.

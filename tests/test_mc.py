@@ -3,11 +3,14 @@ sampling, determinism under parallelism, and the simulation invariants."""
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import vixsmile.mc as mc
 from vixsmile.mc import (
     CovarianceNotPSDError,
     FactorSampler,
@@ -19,8 +22,10 @@ from vixsmile.mc import (
     _factor,
     _trapezoid_weights,
     _vix_rule,
+    build_rv_sampler,
     build_vix_sampler,
     estimate_mean,
+    sample_common,
     sample_rv,
     sample_vix,
 )
@@ -347,6 +352,94 @@ def test_rank_one_draw_matches_the_matmul_form(beta, T, mix):
     assert sampler.factor.shape[1] == 1
     reference = _per_chunk_reference(sampler, grid.n_paths, grid.seed)
     assert sample_vix(sampler).samples.tobytes() == reference.tobytes()
+
+
+# An n_paths that is not a whole number of chunks: the last chunk is short.
+_COMMON_PATHS = 3 * _CHUNK_SIZE + 5
+
+
+def _common_samplers(case):
+    """Samplers of mixed ranks on one grid, each with its expected rank."""
+    grid = SimGrid(T=0.25, n_inner=16, n_paths=_COMMON_PATHS, seed=29)
+    if case == "vix-ranks":
+        return [(build_vix_sampler(mk(H=0.5, nu=2.0), grid), 1),
+                (build_vix_sampler(mk(H=0.3, nu=2.0), grid), _VIX_NODES)]
+    params = mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
+    return [(build_vix_sampler(params, grid), _VIX_NODES),
+            (build_rv_sampler(params, grid), grid.n_inner)]
+
+
+@pytest.mark.parametrize("case", ["vix-ranks", "vix-and-rv"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_common_draw_matches_lone_draws(case, workers):
+    # One normal block per chunk serves samplers of ranks 1 and 8, or a VIX
+    # and an RV sampler: each reads the stream prefix its lone draw reads,
+    # so every batch keeps its lone draw's bytes, at every worker count.
+    samplers, ranks = zip(*_common_samplers(case))
+    assert [s.factor.shape[1] for s in samplers] == list(ranks)
+    batches = sample_common(samplers, workers=workers)
+    for sampler, batch in zip(samplers, batches):
+        assert batch.kind == sampler.kind and batch.grid == sampler.grid
+        lone = _per_chunk_reference(sampler, _COMMON_PATHS, sampler.grid.seed)
+        assert batch.samples.tobytes() == lone.tobytes(), sampler.kind
+        if sampler.kind == "vix":
+            lone = sample_vix(sampler, workers=workers).samples
+        else:
+            lone = sample_rv(sampler.params, sampler.grid, workers=workers).samples
+        assert batch.samples.tobytes() == lone.tobytes(), sampler.kind
+
+
+def test_common_draw_with_more_workers_than_cores_under_fast_switching():
+    # Workers write disjoint slices of shared sample vectors; frequent
+    # thread switches must not move a byte.
+    samplers = [s for s, _ in _common_samplers("vix-and-rv")]
+    reference = [b.samples for b in sample_common(samplers, workers=1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batches = sample_common(samplers, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(b.samples, r) for b, r in zip(batches, reference))
+
+
+def test_common_draw_takes_the_overrides():
+    samplers = [s for s, _ in _common_samplers("vix-and-rv")]
+    batches = sample_common(samplers, n_paths=5000, seed=3)
+    for sampler, batch in zip(samplers, batches):
+        assert (batch.grid.n_paths, batch.grid.seed) == (5000, 3)
+        assert batch.samples.tobytes() == _per_chunk_reference(sampler, 5000, 3).tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("n_paths", _COMMON_PATHS + 1), ("seed", 30)])
+def test_common_draw_rejects_samplers_on_different_grids(field, value):
+    vix, rv = (s for s, _ in _common_samplers("vix-and-rv"))
+    other = build_vix_sampler(vix.params, dataclasses.replace(vix.grid, **{field: value}))
+    with pytest.raises(ValueError, match=field):
+        sample_common([vix, rv, other])
+    assert len(sample_common([vix, other], **{field: 64})) == 2
+    with pytest.raises(ValueError):
+        sample_common([])
+
+
+@pytest.mark.parametrize("workers, failing_chunk", [(2, 1), (3, 2), (3, 1)])
+def test_worker_error_reaches_the_caller_and_no_thread_outlives_the_draw(
+        monkeypatch, workers, failing_chunk):
+    # Worker w draws chunks w, w + workers, ...; the calling thread is
+    # worker 0, so these chunks fail on a thread of their own.
+    real_rng = mc._chunk_rng
+
+    def chunk_rng(seed, chunk_index):
+        if chunk_index == failing_chunk:
+            raise RuntimeError(f"chunk {chunk_index} failed")
+        return real_rng(seed, chunk_index)
+
+    monkeypatch.setattr(mc, "_chunk_rng", chunk_rng)
+    sampler = build_vix_sampler(mk(H=0.3, nu=2.0), SimGrid(T=0.1, n_paths=_COMMON_PATHS))
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=f"chunk {failing_chunk} failed"):
+        sample_vix(sampler, workers=workers)
+    assert set(threading.enumerate()) == before
 
 
 def test_draw_makes_no_concatenate_copy():

@@ -158,14 +158,19 @@ def test_vix_skew_approx_tracks_mc_decay_for_rough_model():
 
 
 def test_rv_skew_sign_matches_limit_at_tiny_maturity():
+    # The sign and the size: the MC skew sits within 3 stderr of the power
+    # law rv_skew_limit * T^(H - 1/2). Both H come from one shared draw.
     from vixsmile.asymptotics import rv_skew_limit
-    from vixsmile.mc import sample_rv
+    from vixsmile.mc import build_rv_sampler, sample_common
 
-    for hurst in (0.1, 0.3):
-        params = mk(H=hurst, nu=2.0)
-        grid = SimGrid(T=1e-4, n_inner=32, n_paths=60_000, seed=42)
-        value, _ = atmi_skew(sample_rv(params, grid), 1e-4)
-        assert math.copysign(1.0, value) == math.copysign(1.0, rv_skew_limit(params))
+    hursts, T = (0.1, 0.3), 1e-4
+    grid = SimGrid(T=T, n_inner=32, n_paths=60_000, seed=42)
+    samplers = [build_rv_sampler(mk(H=hurst, nu=2.0), grid) for hurst in hursts]
+    for sampler, batch in zip(samplers, sample_common(samplers)):
+        value, stderr = atmi_skew(batch, T)
+        limit = rv_skew_limit(sampler.params)
+        assert math.copysign(1.0, value) == math.copysign(1.0, limit)
+        assert abs(value - limit * T ** (sampler.params.H - 0.5)) <= 3.0 * stderr
 
 
 def test_skew_rejects_bad_step():
