@@ -10,7 +10,8 @@ criterion's pinned tolerance. Quick mode cuts the Monte Carlo path counts
 tolerances of C1, C2, C4, C5 and C6 (``QUICK_DOUBLED``); C10 and C11 keep
 theirs.
 
-No criterion runs an adaptive quadrature. C9 checks the incomplete gamma,
+Only C8 runs an adaptive quadrature: ``vix_skew_approx`` takes its outer
+integral through ``specfun.integrate_err``. C9 checks the incomplete gamma,
 scalar and array paths, against one Gauss-Jacobi rule per shape whose
 remainder is bounded in closed form, and reports it as
 "gamma vs Gauss-Jacobi: err (bound b, cap 1e-10)".
@@ -28,6 +29,7 @@ import numpy as np
 from . import asymptotics as asy
 from .bs import BsQuote, bs_price, implied_vol
 from .mc import (
+    _CHUNK_SIZE,
     SimGrid,
     build_rv_sampler,
     build_vix_sampler,
@@ -319,9 +321,12 @@ def _c10_simulation_invariants(quick: bool):
     )
     violations.append(("stderr halving", 2.0 if ratio_violation > 0 else 0.0))
 
-    ref = sample_vix(sampler, workers=1).samples
+    # Three chunks, so that workers 2 and 4 each draw on more than one thread.
+    n_paths = 2 * _CHUNK_SIZE + 1
+    ref = sample_vix(sampler, n_paths=n_paths, workers=1).samples
     same = all(
-        np.array_equal(sample_vix(sampler, workers=w).samples, ref) for w in (2, 4)
+        np.array_equal(sample_vix(sampler, n_paths=n_paths, workers=w).samples, ref)
+        for w in (2, 4)
     )
     violations.append(("worker determinism", 0.0 if same else 2.0))
 

@@ -12,7 +12,9 @@ only through f'(0) = (gamma nu + (1-gamma) eta) sqrt(2H) and
 f''(0) = (gamma nu^2 + (1-gamma) eta^2) (2H).
 Each quadrature-backed formula has one ``_<name>_err(params, ...)`` function
 returning (value, error bound), called by both its public function and
-:func:`evaluate`.
+:func:`evaluate`. It returns through :func:`_checked`, so every caller gets
+a :class:`~vixsmile.specfun.QuadratureError` when the bound exceeds
+``QUAD_BOUND_TOL`` times max(1, |value|).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 from .model import HestonParams, ModelParams, kernel_variance
 from .specfun import (
+    QuadratureError,
     QuadSpec,
     gauss_jacobi,
     gauss_kronrod_15,
@@ -83,18 +86,16 @@ class FormulaId(enum.Enum):
 class AsymptoteResult:
     """A closed-form (or quadrature-backed) value and its quadrature bound."""
 
-    formula_id: FormulaId
     value: float
-    quad_error_bound: float = 0.0
+    quad_error_bound: float
 
-    def __post_init__(self) -> None:
-        if self.quad_error_bound < 0.0:
-            raise ValueError("quad_error_bound must be nonnegative")
-        if self.quad_error_bound > QUAD_BOUND_TOL * max(1.0, abs(self.value)):
-            raise ValueError(
-                f"quadrature bound {self.quad_error_bound!r} exceeds the "
-                f"module tolerance for value {self.value!r}"
-            )
+
+def _checked(value: float, bound: float) -> tuple[float, float]:
+    """(value, bound), or a QuadratureError carrying both when the bound
+    exceeds QUAD_BOUND_TOL times max(1, |value|)."""
+    if bound > QUAD_BOUND_TOL * max(1.0, abs(value)):
+        raise QuadratureError("quadrature bound exceeds the module tolerance", value, bound)
+    return value, bound
 
 
 def _kernel_integral(params: ModelParams, bot, top):
@@ -205,7 +206,7 @@ def _vix_atmi_approx_err(params: ModelParams, delta: float,
     fprime, _ = _volvol_derivatives(params)
     w_int, w_err = _window_kernel_sq_integral(params, delta, maturity)
     value = fprime * math.sqrt(w_int) / (2.0 * delta * math.sqrt(maturity))
-    return value, abs(value) * w_err / (2.0 * w_int)
+    return _checked(value, abs(value) * w_err / (2.0 * w_int))
 
 
 def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float:
@@ -345,7 +346,7 @@ def _vix_skew_approx_err(params: ModelParams, delta: float,
     # Partial derivatives of the value in Q_A and in W.
     d_cross = curvature / denominator
     d_w = -2.0 * level / (w_int * denominator) - 1.5 * value / w_int
-    return value, abs(d_cross) * cross_err + abs(d_w) * w_err
+    return _checked(value, abs(d_cross) * cross_err + abs(d_w) * w_err)
 
 
 def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float:
@@ -382,7 +383,7 @@ def _rv_atmi_approx_err(params: ModelParams, maturity: float) -> tuple[float, fl
     fprime, _ = _volvol_derivatives(params)
     integral, err = _rv_level_integral(params, maturity)
     value = fprime * math.sqrt(integral) / maturity ** 1.5
-    return value, abs(value) * err / (2.0 * integral)
+    return _checked(value, abs(value) * err / (2.0 * integral))
 
 
 def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
@@ -496,7 +497,7 @@ def _rv_skew_limit_err(params: ModelParams) -> tuple[float, float]:
     )
     level_term = fprime / ((2.0 * hurst + 1.0) * math.sqrt(2.0 * hurst + 2.0))
     _, overlap_err = _rv_skew_constant_err(hurst)
-    return curvature_term - level_term, abs(curvature_term) * overlap_err / overlap
+    return _checked(curvature_term - level_term, abs(curvature_term) * overlap_err / overlap)
 
 
 def rv_skew_limit(params: ModelParams) -> float:
@@ -564,7 +565,8 @@ def evaluate(
     for the Heston one, ``maturity`` for the finite-maturity
     approximations. Closed forms report a zero quadrature bound;
     quadrature-backed values report the achieved error bounds of their
-    quadratures, propagated to first order.
+    quadratures, propagated to first order, and raise QuadratureError when
+    that bound is above the module tolerance.
     """
     fid = FormulaId(formula_id)
     func, needs_delta, needs_maturity = _FORMULAS[fid]
@@ -575,5 +577,4 @@ def evaluate(
     required = HestonParams if fid is FormulaId.HESTON_VIX_SKEW_SIGN else ModelParams
     if not isinstance(params, required):
         raise ValueError(f"{fid.value} requires {required.__name__}")
-    value, bound = func(params, delta, maturity)
-    return AsymptoteResult(fid, value, bound)
+    return AsymptoteResult(*func(params, delta, maturity))

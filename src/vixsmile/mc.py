@@ -117,19 +117,15 @@ class SimGrid:
 
 @dataclass(frozen=True, eq=False)
 class PathBatch:
-    """A batch of simulated underlying samples with full seed provenance."""
+    """A nonempty vector of simulated underlying samples, each finite and
+    strictly positive."""
 
-    kind: str  # "vix" or "rv"
     samples: np.ndarray
-    grid: SimGrid
-    params: ModelParams
 
     def __post_init__(self) -> None:
-        if self.kind not in ("vix", "rv"):
-            raise ValueError(f"kind must be 'vix' or 'rv', got {self.kind!r}")
         samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size != self.grid.n_paths:
-            raise ValueError("samples must be a vector of length n_paths")
+        if samples.ndim != 1 or samples.size == 0:
+            raise ValueError("samples must be a nonempty vector")
         if not np.all(np.isfinite(samples)):
             raise ValueError("all samples must be finite")
         if not np.all(samples > 0.0):
@@ -257,16 +253,15 @@ class FactorSampler:
     sampler, and the terms' scaled factors a_k F are stacked, so a chunk is
     the normals, one matmul (a broadcast multiply when F has rank one, as at
     H = 1/2), one in-place exp, one reduction and the offset, all written
-    into preallocated arrays.
+    into preallocated arrays. Neither ``cov`` nor ``params`` is kept: a
+    sampler holds its factor, those folded arrays, ``kind`` and ``grid``.
     """
 
     def __init__(self, kind: str, params: ModelParams, grid: SimGrid,
                  cov: np.ndarray, weights: np.ndarray, offset: float):
         self.kind = kind
-        self.params = params
         self.grid = grid
-        self.cov = cov
-        self.factor = _factor(self.cov)
+        self.factor = _factor(cov)
         wick = np.sum(self.factor ** 2, axis=1)
         sqrt_2h = math.sqrt(2.0 * params.H)
         terms = [
@@ -371,10 +366,8 @@ def sample_common(
         raise ValueError("need at least one sampler")
     n_paths = _shared(samplers, "n_paths", n_paths)
     seed = _shared(samplers, "seed", seed)
-    grids = [replace(sampler.grid, n_paths=n_paths, seed=seed) for sampler in samplers]
-    samples = _run_chunks(samplers, n_paths, seed, workers)
-    return [PathBatch(sampler.kind, values, grid, sampler.params)
-            for sampler, values, grid in zip(samplers, samples, grids)]
+    replace(samplers[0].grid, n_paths=n_paths, seed=seed)  # SimGrid checks the overrides
+    return [PathBatch(values) for values in _run_chunks(samplers, n_paths, seed, workers)]
 
 
 def sample_vix(

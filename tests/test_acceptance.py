@@ -6,11 +6,13 @@ criteria back ``vixsmile validate``.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import vixsmile.acceptance as acceptance
+import vixsmile.mc as mc
 import vixsmile.specfun as specfun
 from vixsmile.acceptance import CRITERIA, run_criterion
 from vixsmile.specfun import QuadratureError
@@ -37,13 +39,20 @@ def test_acceptance_criterion(criterion):
 
 def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch):
     # Equal VIX stderrs at 4000 and 16000 paths give a ratio of 1, outside
-    # [0.4, 0.6]: the stderr-halving check must fail C10 on its own.
-    real = acceptance.estimate_mean
+    # [0.4, 0.6]: the stderr-halving check must fail C10 on its own. The
+    # martingale check's RV batch keeps its stderr.
+    real_mean, real_rv = acceptance.estimate_mean, acceptance.sample_rv
+    rv_batches = []
+
+    def recorded_rv(*args, **kwargs):
+        rv_batches.append(real_rv(*args, **kwargs))
+        return rv_batches[-1]
 
     def flat_vix_stderr(batch):
-        mean, stderr = real(batch)
-        return (mean, 1.0) if batch.kind == "vix" else (mean, stderr)
+        mean, stderr = real_mean(batch)
+        return (mean, stderr) if batch in rv_batches else (mean, 1.0)
 
+    monkeypatch.setattr(acceptance, "sample_rv", recorded_rv)
     monkeypatch.setattr(acceptance, "estimate_mean", flat_vix_stderr)
     c10 = next(c for c in CRITERIA if c.key == "C10")
     result = run_criterion(c10, quick=True)
@@ -51,13 +60,40 @@ def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch):
     assert "worst: stderr halving" in result.detail
 
 
-def test_c9_runs_no_adaptive_quadrature(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("C9 ran an adaptive quadrature")
+def test_c10_fails_when_chunks_drawn_on_worker_threads_differ(monkeypatch):
+    # Chunks drawn off the calling thread come out doubled. The determinism
+    # draws span several chunks, so workers 2 and 4 start threads and C10
+    # must fail on that check alone.
+    real = mc._draw_chunk
 
-    monkeypatch.setattr(specfun, "_adaptive", refuse)
-    result = run_criterion(C9, quick=True)
-    assert result.passed, result.detail
+    def perturbed(samplers, chunk_index, outs, seed, work):
+        real(samplers, chunk_index, outs, seed, work)
+        if threading.current_thread() is not threading.main_thread():
+            for out in outs:
+                out *= 2.0
+
+    monkeypatch.setattr(mc, "_draw_chunk", perturbed)
+    c10 = next(c for c in CRITERIA if c.key == "C10")
+    result = run_criterion(c10, quick=True)
+    assert not result.passed
+    assert "worst: worker determinism" in result.detail
+
+
+def test_c9_runs_no_adaptive_quadrature(monkeypatch):
+    # Of the eleven criteria only C8 reaches the adaptive quadrature, through
+    # vix_skew_approx's outer integral; C9's oracles are all fixed rules.
+    real, reached, running = specfun._adaptive, set(), []
+
+    def spy(*args, **kwargs):
+        reached.add(running[-1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_adaptive", spy)
+    for criterion in CRITERIA:
+        running.append(criterion.key)
+        result = run_criterion(criterion, quick=True)
+        assert result.passed, (criterion.key, result.detail)
+    assert reached == {"C8"}
 
 
 def test_incomplete_gamma_oracle_bound_is_honest():

@@ -8,6 +8,7 @@ skew's inner kernel mass replaced, and mpmath for the level integrals, the
 kernel mass and the kernel-overlap constant.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 from unittest import mock
@@ -35,6 +36,7 @@ from vixsmile.asymptotics import (
 )
 from vixsmile.model import HestonParams, ModelParams, kernel, kernel_variance
 from vixsmile.specfun import (
+    QuadratureError,
     QuadSpec,
     gauss_kronrod_15,
     geometric_rule,
@@ -842,8 +844,32 @@ def test_evaluate_heston_requires_heston_params():
     assert res.value < 0.0
 
 
-def test_asymptote_result_validates_bound():
-    with pytest.raises(ValueError):
-        AsymptoteResult(FormulaId.VIX_ATMI_LIMIT, 1.0, quad_error_bound=-1.0)
-    with pytest.raises(ValueError):
-        AsymptoteResult(FormulaId.VIX_ATMI_LIMIT, 1.0, quad_error_bound=1e-3)
+def test_inflated_quadrature_bound_raises_in_every_form(monkeypatch):
+    # The bound check sits in the forms' _<name>_err functions: once every
+    # fixed-rule panel reports a unit error, each public form raises, not
+    # only evaluate, and the error carries the estimate and its bound.
+    params = mk(H=0.217, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
+    forms = [
+        (FormulaId.VIX_ATMI_APPROX, lambda: vix_atmi_approx(params, DELTA, 0.5)),
+        (FormulaId.VIX_SKEW_APPROX, lambda: vix_skew_approx(params, DELTA, 0.5)),
+        (FormulaId.RV_ATMI_APPROX, lambda: rv_atmi_approx(params, 0.5)),
+        (FormulaId.RV_SKEW_LIMIT, lambda: rv_skew_limit(params)),
+    ]
+    expected = {fid: evaluate(fid, params, delta=DELTA, maturity=0.5) for fid, _ in forms}
+    monkeypatch.setattr(asy, "kronrod_bound", lambda kronrod, gap: np.ones_like(kronrod))
+    rv_skew_constant.cache_clear()
+    asy._rv_skew_constant_err.cache_clear()
+    try:
+        for fid, form in forms:
+            with pytest.raises(QuadratureError, match="module tolerance") as excinfo:
+                form()
+            assert excinfo.value.estimate == pytest.approx(expected[fid].value, rel=1e-12)
+            assert excinfo.value.error_bound > asy.QUAD_BOUND_TOL * max(
+                1.0, abs(excinfo.value.estimate))
+            with pytest.raises(QuadratureError):
+                evaluate(fid, params, delta=DELTA, maturity=0.5)
+    finally:
+        rv_skew_constant.cache_clear()
+        asy._rv_skew_constant_err.cache_clear()
+    assert [f.name for f in dataclasses.fields(AsymptoteResult)] == [
+        "value", "quad_error_bound"]

@@ -68,36 +68,58 @@ def test_simgrid_validation(kwargs):
 
 
 def test_pathbatch_rejects_nonpositive_samples():
-    grid = SimGrid(T=0.1, n_paths=3)
     with pytest.raises(ValueError):
-        PathBatch("vix", np.array([1.0, 0.0, 2.0]), grid, mk())
+        PathBatch(np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
-        PathBatch("spot", np.array([1.0, 1.0, 1.0]), grid, mk())
+        PathBatch(np.array([1.0, -1.0, 2.0]))
+
+
+def test_pathbatch_rejects_empty_or_nonvector_samples():
+    with pytest.raises(ValueError):
+        PathBatch(np.array([]))
+    with pytest.raises(ValueError):
+        PathBatch(np.ones((2, 3)))
+    assert [field.name for field in dataclasses.fields(PathBatch)] == ["samples"]
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_pathbatch_rejects_nonfinite_samples(bad):
-    grid = SimGrid(T=0.1, n_paths=3)
     with pytest.raises(ValueError):
-        PathBatch("rv", np.array([1.0, bad, 2.0]), grid, mk())
+        PathBatch(np.array([1.0, bad, 2.0]))
 
 
 # ---------------------------------------------------------------------------
 # VIX sampler construction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("params", [mk(H=0.3), mk(H=0.1, beta=1.0, gamma=0.5, eta=1.0)],
+                         ids=["single", "mixed"])
+def test_samplers_factor_their_builders_matrices(params):
+    # The samplers keep only the factor of their covariance matrix: the VIX
+    # one of kernel_covariance_matrix at the window rule's nodes, the RV one
+    # of grid_covariance_matrix. The matrix tests below read the builders.
+    grid = SimGrid(T=0.25, n_inner=16, n_paths=10)
+    vix = build_vix_sampler(params, grid)
+    cov = kernel_covariance_matrix(params, _vix_rule(grid.T, grid.delta)[0], grid.T)
+    assert vix.factor.tobytes() == _factor(cov).tobytes()
+    rv = build_rv_sampler(params, grid)
+    cov = grid_covariance_matrix(params, grid.T, grid.n_inner)
+    assert rv.factor.tobytes() == _factor(cov).tobytes()
+    for sampler in (vix, rv):
+        assert not hasattr(sampler, "cov") and not hasattr(sampler, "params")
+
+
 def test_vix_sampler_brownian_closed_form():
     # H = 1/2, beta = 0: all covariance entries equal T.
-    grid = SimGrid(T=0.3, n_inner=2, n_paths=10)
-    sampler = build_vix_sampler(mk(H=0.5), grid)
-    np.testing.assert_allclose(sampler.cov, 0.3, rtol=1e-10)
+    sampler = build_vix_sampler(mk(H=0.5), SimGrid(T=0.3, n_inner=2, n_paths=10))
+    np.testing.assert_allclose(sampler.factor @ sampler.factor.T, 0.3, rtol=1e-10)
 
 
 def test_vix_sampler_covariance_matches_brute_force():
     params = mk(H=0.3, beta=0.0)
     grid = SimGrid(T=0.1, delta=30 / 365, n_paths=10)
-    sampler = build_vix_sampler(params, grid)
     nodes, _ = _vix_rule(grid.T, grid.delta)
+    cov = kernel_covariance_matrix(params, nodes, grid.T)
     assert nodes.size == _VIX_NODES and np.all(nodes > grid.T)
     for i in range(_VIX_NODES):
         for j in range(i, _VIX_NODES):
@@ -109,29 +131,29 @@ def test_vix_sampler_covariance_matches_brute_force():
             h = params.H - 0.5
             vals = (t1 - grid.T + tau) ** h * (t2 - grid.T + tau) ** h
             oracle = float(np.sum(vals)) * (grid.T / n)
-            assert sampler.cov[i, j] == pytest.approx(oracle, abs=1e-7), (i, j)
+            assert cov[i, j] == pytest.approx(oracle, abs=1e-7), (i, j)
 
 
 @pytest.mark.parametrize("T", [1e-4, 1e-3, 0.1, 2.0])
 @pytest.mark.parametrize("H, beta", [(0.05, 0.0), (0.1, 5.0), (0.3, 1.0), (0.5, 5.0)])
 def test_vix_sampler_covariance_matches_scalar_oracle(T, H, beta):
-    # The sampler's covariance is kernel_covariance_matrix at its graded
-    # nodes; every entry, down to the smallest offset (2.6e-7 at T = 1e-4),
-    # matches the adaptive scalar integral.
+    # kernel_covariance_matrix at the VIX sampler's graded nodes: every
+    # entry, down to the smallest offset (2.6e-7 at T = 1e-4), matches the
+    # adaptive scalar integral.
     params = mk(H=H, beta=beta)
-    sampler = build_vix_sampler(params, SimGrid(T=T, n_paths=10))
     times, _ = _vix_rule(T, 30 / 365)
     if T == 1e-4:
         assert 2e-7 < times[0] - T < 3e-7
     oracle = np.array([[kernel_covariance(params, float(t1), float(t2), T) for t2 in times]
                        for t1 in times])
-    np.testing.assert_allclose(sampler.cov, oracle, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(kernel_covariance_matrix(params, times, T), oracle,
+                               rtol=1e-12, atol=0.0)
 
 
 def test_vix_sampler_degenerates_at_tiny_maturity():
     grid = SimGrid(T=1e-8, n_inner=8, n_paths=4000, seed=3)
     sampler = build_vix_sampler(mk(H=0.3, nu=2.0), grid)
-    assert np.max(np.abs(sampler.cov)) < 1e-3
+    assert np.max(np.abs(sampler.factor @ sampler.factor.T)) < 1e-3
     batch = sample_vix(sampler)
     assert float(np.std(batch.samples)) < 1e-3
     assert float(np.mean(batch.samples)) == pytest.approx(0.2, abs=1e-3)
@@ -259,12 +281,12 @@ def test_determinism_across_worker_counts_and_runs():
     assert np.array_equal(sample_rv(mk(H=0.3, nu=2.0), grid, workers=3).samples, rv_ref)
 
 
-def _term_by_term_draw_chunk(sampler, weights, offset, chunk_index, size, seed):
-    """The Wick reduction written term by term: exp(a X - a^2 Var X / 2)."""
+def _term_by_term_draw_chunk(sampler, p, weights, offset, chunk_index, size, seed):
+    """The Wick reduction of the sampler built from params ``p`` written term
+    by term: exp(a X - a^2 Var X / 2)."""
     factors = sampler.factor @ _chunk_rng(seed, chunk_index).standard_normal(
         (sampler.factor.shape[1], size))
     wick = np.sum(sampler.factor ** 2, axis=1)[:, None]
-    p = sampler.params
     sqrt_2h = math.sqrt(2.0 * p.H)
     mixed = sum(
         g * (weights @ np.exp(a * factors - 0.5 * a ** 2 * wick))
@@ -297,7 +319,8 @@ def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
     for chunk_index in (0, 3):
         drawn = np.empty(1000)
         sampler.draw_chunk(chunk_index, drawn, 77, work)
-        reference = _term_by_term_draw_chunk(sampler, weights, offset, chunk_index, 1000, 77)
+        reference = _term_by_term_draw_chunk(sampler, params, weights, offset, chunk_index,
+                                             1000, 77)
         np.testing.assert_allclose(drawn, reference, rtol=1e-13, atol=0.0)
 
 
@@ -359,14 +382,16 @@ _COMMON_PATHS = 3 * _CHUNK_SIZE + 5
 
 
 def _common_samplers(case):
-    """Samplers of mixed ranks on one grid, each with its expected rank."""
+    """Samplers of mixed ranks on one grid, each with its params and its
+    expected rank."""
     grid = SimGrid(T=0.25, n_inner=16, n_paths=_COMMON_PATHS, seed=29)
     if case == "vix-ranks":
-        return [(build_vix_sampler(mk(H=0.5, nu=2.0), grid), 1),
-                (build_vix_sampler(mk(H=0.3, nu=2.0), grid), _VIX_NODES)]
+        brownian, rough = mk(H=0.5, nu=2.0), mk(H=0.3, nu=2.0)
+        return [(build_vix_sampler(brownian, grid), brownian, 1),
+                (build_vix_sampler(rough, grid), rough, _VIX_NODES)]
     params = mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
-    return [(build_vix_sampler(params, grid), _VIX_NODES),
-            (build_rv_sampler(params, grid), grid.n_inner)]
+    return [(build_vix_sampler(params, grid), params, _VIX_NODES),
+            (build_rv_sampler(params, grid), params, grid.n_inner)]
 
 
 @pytest.mark.parametrize("case", ["vix-ranks", "vix-and-rv"])
@@ -375,24 +400,23 @@ def test_common_draw_matches_lone_draws(case, workers):
     # One normal block per chunk serves samplers of ranks 1 and 8, or a VIX
     # and an RV sampler: each reads the stream prefix its lone draw reads,
     # so every batch keeps its lone draw's bytes, at every worker count.
-    samplers, ranks = zip(*_common_samplers(case))
+    samplers, params, ranks = zip(*_common_samplers(case))
     assert [s.factor.shape[1] for s in samplers] == list(ranks)
     batches = sample_common(samplers, workers=workers)
-    for sampler, batch in zip(samplers, batches):
-        assert batch.kind == sampler.kind and batch.grid == sampler.grid
+    for sampler, p, batch in zip(samplers, params, batches):
         lone = _per_chunk_reference(sampler, _COMMON_PATHS, sampler.grid.seed)
         assert batch.samples.tobytes() == lone.tobytes(), sampler.kind
         if sampler.kind == "vix":
             lone = sample_vix(sampler, workers=workers).samples
         else:
-            lone = sample_rv(sampler.params, sampler.grid, workers=workers).samples
+            lone = sample_rv(p, sampler.grid, workers=workers).samples
         assert batch.samples.tobytes() == lone.tobytes(), sampler.kind
 
 
 def test_common_draw_with_more_workers_than_cores_under_fast_switching():
     # Workers write disjoint slices of shared sample vectors; frequent
     # thread switches must not move a byte.
-    samplers = [s for s, _ in _common_samplers("vix-and-rv")]
+    samplers = [s for s, _, _ in _common_samplers("vix-and-rv")]
     reference = [b.samples for b in sample_common(samplers, workers=1)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -404,17 +428,20 @@ def test_common_draw_with_more_workers_than_cores_under_fast_switching():
 
 
 def test_common_draw_takes_the_overrides():
-    samplers = [s for s, _ in _common_samplers("vix-and-rv")]
+    samplers = [s for s, _, _ in _common_samplers("vix-and-rv")]
     batches = sample_common(samplers, n_paths=5000, seed=3)
     for sampler, batch in zip(samplers, batches):
-        assert (batch.grid.n_paths, batch.grid.seed) == (5000, 3)
         assert batch.samples.tobytes() == _per_chunk_reference(sampler, 5000, 3).tobytes()
+    # Overrides are held to the grid's own checks.
+    for field, value in (("n_paths", 0), ("seed", -1), ("seed", 2 ** 64)):
+        with pytest.raises(ValueError, match=field):
+            sample_common(samplers, **{field: value})
 
 
 @pytest.mark.parametrize("field, value", [("n_paths", _COMMON_PATHS + 1), ("seed", 30)])
 def test_common_draw_rejects_samplers_on_different_grids(field, value):
-    vix, rv = (s for s, _ in _common_samplers("vix-and-rv"))
-    other = build_vix_sampler(vix.params, dataclasses.replace(vix.grid, **{field: value}))
+    (vix, params, _), (rv, _, _) = _common_samplers("vix-and-rv")
+    other = build_vix_sampler(params, dataclasses.replace(vix.grid, **{field: value}))
     with pytest.raises(ValueError, match=field):
         sample_common([vix, rv, other])
     assert len(sample_common([vix, other], **{field: 64})) == 2
@@ -496,7 +523,7 @@ def _rule_and_reference(params, T, n_paths=50_000, seed=7, delta=30 / 365):
         samples[:, start:start + chunk.shape[1]] = chunk
     results = []
     for row in samples:
-        batch = PathBatch("vix", row, grid, params)
+        batch = PathBatch(row)
         results.append((*atmi(batch, T), *atmi_skew(batch, T)))
     return results
 
@@ -710,16 +737,14 @@ def test_variance_derivative_pathwise_bump():
 # ---------------------------------------------------------------------------
 
 def test_estimate_mean_constant_batch():
-    grid = SimGrid(T=0.1, n_paths=5)
-    batch = PathBatch("vix", np.full(5, 1.7), grid, mk())
+    batch = PathBatch(np.full(5, 1.7))
     mean, stderr = estimate_mean(batch)
     assert mean == 1.7
     assert stderr == 0.0
 
 
 def test_estimate_mean_rejects_single_path():
-    grid = SimGrid(T=0.1, n_paths=1)
-    batch = PathBatch("vix", np.array([1.0]), grid, mk())
+    batch = PathBatch(np.array([1.0]))
     with pytest.raises(ValueError):
         estimate_mean(batch)
 

@@ -16,12 +16,6 @@ def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
     return ModelParams(v0=v0, H=H, beta=beta, gamma=gamma, nu=nu, eta=eta)
 
 
-def manual_batch(values, kind="vix"):
-    values = np.asarray(values, dtype=float)
-    grid = SimGrid(T=1.0, n_paths=values.size)
-    return PathBatch(kind, values, grid, mk())
-
-
 # ---------------------------------------------------------------------------
 # atmi
 # ---------------------------------------------------------------------------
@@ -37,7 +31,7 @@ def test_atmi_scale_invariance():
     batch = sample_vix(build_vix_sampler(mk(H=0.4, nu=1.5), grid))
     vol, _ = atmi(batch, 0.25)
     for c in (0.1, 10.0):
-        scaled = PathBatch("vix", c * batch.samples, batch.grid, batch.params)
+        scaled = PathBatch(c * batch.samples)
         vol_scaled, _ = atmi(scaled, 0.25)
         assert vol_scaled == pytest.approx(vol, abs=1e-10)
 
@@ -165,12 +159,13 @@ def test_rv_skew_sign_matches_limit_at_tiny_maturity():
 
     hursts, T = (0.1, 0.3), 1e-4
     grid = SimGrid(T=T, n_inner=32, n_paths=60_000, seed=42)
-    samplers = [build_rv_sampler(mk(H=hurst, nu=2.0), grid) for hurst in hursts]
-    for sampler, batch in zip(samplers, sample_common(samplers)):
+    params = [mk(H=hurst, nu=2.0) for hurst in hursts]
+    batches = sample_common([build_rv_sampler(p, grid) for p in params])
+    for p, batch in zip(params, batches):
         value, stderr = atmi_skew(batch, T)
-        limit = rv_skew_limit(sampler.params)
+        limit = rv_skew_limit(p)
         assert math.copysign(1.0, value) == math.copysign(1.0, limit)
-        assert abs(value - limit * T ** (sampler.params.H - 0.5)) <= 3.0 * stderr
+        assert abs(value - limit * T ** (p.H - 0.5)) <= 3.0 * stderr
 
 
 def test_skew_rejects_bad_step():
@@ -212,7 +207,7 @@ def _oracle_atmi_skew(samples, maturity, step=1e-2):
 
 
 def _assert_matches_oracle(samples, maturity):
-    value, stderr = atmi_skew(manual_batch(samples), maturity)
+    value, stderr = atmi_skew(PathBatch(samples), maturity)
     o_value, o_stderr, o_estimates = _oracle_atmi_skew(samples, maturity)
     assert value == o_value
     np.testing.assert_allclose(_block_estimates(samples, maturity, 1e-2), o_estimates,
@@ -275,13 +270,13 @@ def test_skew_constant_batch_raises_like_oracle():
     with pytest.raises(Exception) as oracle_error:
         _oracle_atmi_skew(samples, 0.1)
     with pytest.raises(oracle_error.type):
-        atmi_skew(manual_batch(samples), 0.1)
+        atmi_skew(PathBatch(samples), 0.1)
 
 
 def test_skew_rejects_too_few_paths():
     for n_paths in (1, 2):
         with pytest.raises(ValueError):
-            atmi_skew(manual_batch(np.linspace(1.0, 2.0, n_paths)), 0.1)
+            atmi_skew(PathBatch(np.linspace(1.0, 2.0, n_paths)), 0.1)
 
 
 @pytest.mark.parametrize("n_paths", [2, 7, 20_000])
@@ -296,7 +291,7 @@ def test_atmi_equals_the_allocating_numpy_form(n_paths):
     vol = atm_implied_vol(price, forward, 0.1)
     vega = bs_vega(BsQuote(math.log(forward), math.log(forward), 0.1, vol))
     stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_paths)) / vega
-    assert repr(atmi(manual_batch(samples), 0.1)) == repr((vol, stderr))
+    assert repr(atmi(PathBatch(samples), 0.1)) == repr((vol, stderr))
 
 
 def test_pricing_a_batch_needs_one_scratch_vector():
