@@ -3,8 +3,6 @@ options under mixed rough lognormal volatility models, with an exact-Gaussian
 Monte Carlo pricer for validation."""
 
 from .asymptotics import (
-    FormulaId,
-    evaluate,
     heston_vix_skew_sign,
     rv_atmi_approx,
     rv_atmi_limit,
@@ -30,7 +28,6 @@ from .pricing import atmi, atmi_skew
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormulaId",
     "HestonParams",
     "ModelParams",
     "PathBatch",
@@ -39,7 +36,6 @@ __all__ = [
     "atmi_skew",
     "build_rv_sampler",
     "build_vix_sampler",
-    "evaluate",
     "heston_vix_skew_sign",
     "rv_atmi_approx",
     "rv_atmi_limit",

@@ -10,20 +10,19 @@ through f'(0) and f''(0). Every implied vol here is scale-free in the
 variance level, so f is the mixture's unit-mean map, and the model enters
 only through f'(0) = (gamma nu + (1-gamma) eta) sqrt(2H) and
 f''(0) = (gamma nu^2 + (1-gamma) eta^2) (2H).
-Each quadrature-backed formula has one ``_<name>_err(params, ...)`` function
-returning (value, error bound), called by both its public function and
-:func:`evaluate`. It returns through :func:`_checked`, so every caller gets
-a :class:`~vixsmile.specfun.QuadratureError` when the bound exceeds
+Each of the four quadrature-backed formulas has a public
+``<name>_err(params, ...)`` function returning (value, error bound): its
+plain public function returns the value alone, and ``vixsmile asymptote``
+writes each row's bound from it. Every ``_err`` function returns through
+:func:`_checked`, so every caller gets a
+:class:`~vixsmile.specfun.QuadratureError` when the bound exceeds
 ``QUAD_BOUND_TOL`` times max(1, |value|).
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -40,20 +39,21 @@ from .specfun import (
 )
 
 __all__ = [
-    "FormulaId",
-    "AsymptoteResult",
     "DegenerateModelError",
     "vix_atmi_limit",
     "vix_atmi_approx",
+    "vix_atmi_approx_err",
     "vix_skew_limit",
     "sabr_mixed_vix_skew",
     "vix_skew_approx",
+    "vix_skew_approx_err",
     "rv_atmi_limit",
     "rv_atmi_approx",
+    "rv_atmi_approx_err",
     "rv_skew_limit",
+    "rv_skew_limit_err",
     "rv_skew_constant",
     "heston_vix_skew_sign",
-    "evaluate",
 ]
 
 # Relative quadrature-error ceiling for any result produced here.
@@ -68,26 +68,6 @@ _PANELS = 44
 
 class DegenerateModelError(ValueError):
     """Mixture with zero first vol-of-vol moment: skew ratios are undefined."""
-
-
-class FormulaId(enum.Enum):
-    VIX_ATMI_LIMIT = "VIX_ATMI_LIMIT"
-    VIX_ATMI_APPROX = "VIX_ATMI_APPROX"
-    VIX_SKEW_LIMIT = "VIX_SKEW_LIMIT"
-    VIX_SKEW_APPROX = "VIX_SKEW_APPROX"
-    SABR_VIX_SKEW = "SABR_VIX_SKEW"
-    RV_ATMI_LIMIT = "RV_ATMI_LIMIT"
-    RV_ATMI_APPROX = "RV_ATMI_APPROX"
-    RV_SKEW_LIMIT = "RV_SKEW_LIMIT"
-    HESTON_VIX_SKEW_SIGN = "HESTON_VIX_SKEW_SIGN"
-
-
-@dataclass(frozen=True)
-class AsymptoteResult:
-    """A closed-form (or quadrature-backed) value and its quadrature bound."""
-
-    value: float
-    quad_error_bound: float
 
 
 def _checked(value: float, bound: float) -> tuple[float, float]:
@@ -198,7 +178,7 @@ def _rv_level_integral(params: ModelParams, maturity: float) -> tuple[float, flo
     return _integral_of_square(nodes, inner, weights)
 
 
-def _vix_atmi_approx_err(params: ModelParams, delta: float,
+def vix_atmi_approx_err(params: ModelParams, delta: float,
                          maturity: float) -> tuple[float, float]:
     """:func:`vix_atmi_approx` and its first-order quadrature bound."""
     _check_positive("delta", delta)
@@ -217,7 +197,7 @@ def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float
     First order in the vol-of-vol: sharpest for single-factor configurations
     (gamma in {0, 1}); genuine mixtures pick up curvature terms it omits.
     """
-    return _vix_atmi_approx_err(params, delta, maturity)[0]
+    return vix_atmi_approx_err(params, delta, maturity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +312,7 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     return cross, cross_err, w_int, w_err
 
 
-def _vix_skew_approx_err(params: ModelParams, delta: float,
+def vix_skew_approx_err(params: ModelParams, delta: float,
                          maturity: float) -> tuple[float, float]:
     """:func:`vix_skew_approx` and its first-order quadrature bound."""
     fprime, fsecond = _skew_derivatives(params)
@@ -359,7 +339,7 @@ def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float
     integral of :func:`_skew_numerators`. Flat in maturity for the mixed
     SABR configuration.
     """
-    return _vix_skew_approx_err(params, delta, maturity)[0]
+    return vix_skew_approx_err(params, delta, maturity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +355,7 @@ def rv_atmi_limit(params: ModelParams) -> float:
     return fprime / ((hurst + 0.5) * math.sqrt(2.0 * hurst + 2.0))
 
 
-def _rv_atmi_approx_err(params: ModelParams, maturity: float) -> tuple[float, float]:
+def rv_atmi_approx_err(params: ModelParams, maturity: float) -> tuple[float, float]:
     """:func:`rv_atmi_approx` and its first-order quadrature bound."""
     _check_positive("maturity", maturity)
     if params.beta == 0.0:
@@ -393,7 +373,7 @@ def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
     For beta = 0 the double integral collapses analytically and the value is
     exactly the limit coefficient times T^(H-1/2).
     """
-    return _rv_atmi_approx_err(params, maturity)[0]
+    return rv_atmi_approx_err(params, maturity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +466,7 @@ def _rv_skew_constant_err(hurst: float) -> tuple[float, float]:
     return 0.5 * float(kronrod.sum()), 0.5 * float(kronrod_bound(kronrod, gap).sum())
 
 
-def _rv_skew_limit_err(params: ModelParams) -> tuple[float, float]:
+def rv_skew_limit_err(params: ModelParams) -> tuple[float, float]:
     """:func:`rv_skew_limit` and its first-order quadrature bound."""
     fprime, fsecond = _skew_derivatives(params)
     hurst = params.H
@@ -505,7 +485,7 @@ def rv_skew_limit(params: ModelParams) -> float:
     T^(1/2-H) times it:
     f''/f' I(H) (2H+2)^(3/2) (H+1/2) - f'/((2H+1) sqrt(2H+2)).
     Scales linearly under joint scaling of (nu, eta)."""
-    return _rv_skew_limit_err(params)[0]
+    return rv_skew_limit_err(params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,56 +505,3 @@ def heston_vix_skew_sign(params: HestonParams, delta: float) -> float:
     k_delta = params.k * delta
     decay = -math.expm1(-k_delta)  # 1 - e^(-k delta)
     return (params.nu ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)
-
-
-# ---------------------------------------------------------------------------
-# Formula registry
-# ---------------------------------------------------------------------------
-
-# formula -> (function of (params, delta, maturity) returning (value, quadrature
-# bound), needs delta, needs maturity). Closed forms report a zero bound.
-_FORMULAS: dict[FormulaId, tuple[Callable[..., tuple[float, float]], bool, bool]] = {
-    FormulaId.VIX_ATMI_LIMIT: (
-        lambda p, d, t: (vix_atmi_limit(p, d), 0.0), True, False),
-    FormulaId.VIX_ATMI_APPROX: (_vix_atmi_approx_err, True, True),
-    FormulaId.VIX_SKEW_LIMIT: (
-        lambda p, d, t: (vix_skew_limit(p, d), 0.0), True, False),
-    FormulaId.VIX_SKEW_APPROX: (_vix_skew_approx_err, True, True),
-    FormulaId.SABR_VIX_SKEW: (
-        lambda p, d, t: (sabr_mixed_vix_skew(p.gamma, p.nu, p.eta), 0.0), False, False),
-    FormulaId.RV_ATMI_LIMIT: (
-        lambda p, d, t: (rv_atmi_limit(p), 0.0), False, False),
-    FormulaId.RV_ATMI_APPROX: (
-        lambda p, d, t: _rv_atmi_approx_err(p, t), False, True),
-    FormulaId.RV_SKEW_LIMIT: (
-        lambda p, d, t: _rv_skew_limit_err(p), False, False),
-    FormulaId.HESTON_VIX_SKEW_SIGN: (
-        lambda p, d, t: (heston_vix_skew_sign(p, d), 0.0), True, False),
-}
-
-
-def evaluate(
-    formula_id: FormulaId,
-    params: ModelParams | HestonParams,
-    delta: float | None = None,
-    maturity: float | None = None,
-) -> AsymptoteResult:
-    """Evaluate one registered formula.
-
-    ``delta`` is required for the VIX formulas other than the SABR skew and
-    for the Heston one, ``maturity`` for the finite-maturity
-    approximations. Closed forms report a zero quadrature bound;
-    quadrature-backed values report the achieved error bounds of their
-    quadratures, propagated to first order, and raise QuadratureError when
-    that bound is above the module tolerance.
-    """
-    fid = FormulaId(formula_id)
-    func, needs_delta, needs_maturity = _FORMULAS[fid]
-    if needs_delta and delta is None:
-        raise ValueError(f"{fid.value} requires delta")
-    if needs_maturity and maturity is None:
-        raise ValueError(f"{fid.value} requires maturity")
-    required = HestonParams if fid is FormulaId.HESTON_VIX_SKEW_SIGN else ModelParams
-    if not isinstance(params, required):
-        raise ValueError(f"{fid.value} requires {required.__name__}")
-    return AsymptoteResult(*func(params, delta, maturity))

@@ -19,13 +19,14 @@ the vix or the rv underlying does not read exit 2 when given, and are not
 echoed.
 The first three subcommands also take ``--config`` and ``validate`` takes
 ``--quick``.
-Configuration is flat ``key = value`` text (``#`` comments) overridden by
-command-line flags of the same names; ``VIXSMILE_SEED`` is the seed
-fallback of the subcommands that take ``--seed``. CSV goes to ``--out`` or
-stdout with a schema/parameter header line; floats are printed with 17
-significant digits so outputs are byte-stable. ``atmi`` and ``skew`` share
-one row loop over the maturities, whose draws share one normal block per
-chunk (``mc.sample_common``). Logs go to stderr.
+Configuration is flat ``key = value`` text (``#`` comments, each key
+once) overridden by command-line flags of the same names;
+``VIXSMILE_SEED`` is the seed fallback of the subcommands that take
+``--seed``. CSV goes to ``--out`` or stdout with a schema/parameter header
+line; floats are printed with 17 significant digits so outputs are
+byte-stable. ``atmi`` and ``skew`` share one row loop over the maturities,
+whose draws share one normal block per chunk (``mc.sample_common``). Logs
+go to stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import asymptotics as asy
 from .acceptance import CRITERIA, run_criterion
-from .asymptotics import DegenerateModelError, FormulaId, evaluate
+from .asymptotics import DegenerateModelError
 from .mc import SimGrid, build_rv_sampler, build_vix_sampler, sample_common
 from .model import HestonParams, ModelParams
 from .pricing import DEFAULT_SKEW_STEP, atmi, atmi_skew
@@ -288,37 +289,48 @@ def cmd_skew(config: RunConfig, stream) -> None:
     _simulated_rows(config, stream, "skew", row_values)
 
 
+# The mixed model's asymptote rows, in order: each formula_id and its
+# (value, quadrature bound) function, first the limits, of (params, delta),
+# then the finite-maturity approximations, of (params, delta, T), once per
+# maturity. Closed forms report a zero bound; the four quadrature-backed
+# forms read theirs from their asymptotics ``_err`` functions.
+_LIMIT_ROWS: tuple[tuple[str, Callable[..., tuple[float, float]]], ...] = (
+    ("VIX_ATMI_LIMIT", lambda p, d: (asy.vix_atmi_limit(p, d), 0.0)),
+    ("VIX_SKEW_LIMIT", lambda p, d: (asy.vix_skew_limit(p, d), 0.0)),
+    ("SABR_VIX_SKEW", lambda p, d: (asy.sabr_mixed_vix_skew(p.gamma, p.nu, p.eta), 0.0)),
+    ("RV_ATMI_LIMIT", lambda p, d: (asy.rv_atmi_limit(p), 0.0)),
+    ("RV_SKEW_LIMIT", lambda p, d: asy.rv_skew_limit_err(p)),
+)
+_APPROX_ROWS: tuple[tuple[str, Callable[..., tuple[float, float]]], ...] = (
+    ("VIX_ATMI_APPROX", asy.vix_atmi_approx_err),
+    ("VIX_SKEW_APPROX", asy.vix_skew_approx_err),
+    ("RV_ATMI_APPROX", lambda p, d, t: asy.rv_atmi_approx_err(p, t)),
+)
+
+
 def cmd_asymptote(config: RunConfig, stream) -> None:
-    """Closed forms only: every formula applicable to the configuration."""
+    """Closed forms only: the Heston skew sign alone, or every mixed-model
+    row of ``_LIMIT_ROWS`` and ``_APPROX_ROWS``; a skew of a zero vol-of-vol
+    mean writes an empty row marked degenerate."""
     _write_header(config, "asymptote", stream)
-
-    def write_row(fid: FormulaId, maturity: float | None) -> None:
-        params = (config.heston_params() if fid is FormulaId.HESTON_VIX_SKEW_SIGN
-                  else config.model_params())
-        head = f"{fid.value},{'' if maturity is None else _fmt(maturity)}"
-        try:
-            res = evaluate(fid, params, delta=config.delta, maturity=maturity)
-        except DegenerateModelError:
-            stream.write(f"{head},,,degenerate\n")
-            return
-        status = "ok"
-        if fid is FormulaId.HESTON_VIX_SKEW_SIGN:
-            status = f"sign={(res.value > 0.0) - (res.value < 0.0):+d}"
-        stream.write(f"{head},{_fmt(res.value)},{_fmt(res.quad_error_bound)},{status}\n")
-
     if config.model == "heston":
-        write_row(FormulaId.HESTON_VIX_SKEW_SIGN, None)
+        value = asy.heston_vix_skew_sign(config.heston_params(), config.delta)
+        sign = (value > 0.0) - (value < 0.0)
+        stream.write(f"HESTON_VIX_SKEW_SIGN,,{_fmt(value)},0,sign={sign:+d}\n")
         stream.flush()
         return
 
-    for fid in (FormulaId.VIX_ATMI_LIMIT, FormulaId.VIX_SKEW_LIMIT,
-                FormulaId.SABR_VIX_SKEW, FormulaId.RV_ATMI_LIMIT,
-                FormulaId.RV_SKEW_LIMIT):
-        write_row(fid, None)
-    for maturity in config.maturities:
-        for fid in (FormulaId.VIX_ATMI_APPROX, FormulaId.VIX_SKEW_APPROX,
-                    FormulaId.RV_ATMI_APPROX):
-            write_row(fid, maturity)
+    params, delta = config.model_params(), config.delta
+    rows = [(formula_id, "", form, (params, delta)) for formula_id, form in _LIMIT_ROWS]
+    rows += [(formula_id, _fmt(maturity), form, (params, delta, maturity))
+             for maturity in config.maturities for formula_id, form in _APPROX_ROWS]
+    for formula_id, maturity, form, args in rows:
+        try:
+            value, bound = form(*args)
+        except DegenerateModelError:
+            stream.write(f"{formula_id},{maturity},,,degenerate\n")
+            continue
+        stream.write(f"{formula_id},{maturity},{_fmt(value)},{_fmt(bound)},ok\n")
     stream.flush()
 
 
@@ -350,8 +362,10 @@ def cmd_validate(config: RunConfig, stream) -> int:
 # ---------------------------------------------------------------------------
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` pairs; ``#`` starts a comment."""
+    """Flat ``key = value`` pairs; ``#`` starts a comment. An unknown or
+    repeated key raises ValueError."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -362,7 +376,10 @@ def load_config_file(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+            if key in lines:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            out[key], lines[key] = value, lineno
     return out
 
 

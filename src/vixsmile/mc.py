@@ -276,18 +276,6 @@ class FactorSampler:
         )
         self._offset = params.v0 * offset
 
-    def workspace(self, size: int) -> np.ndarray:
-        """Scratch buffer for draw_chunk: the normals and Wick exponents of
-        chunks of up to ``size`` paths."""
-        return _workspace([self], size)
-
-    def draw_chunk(self, chunk_index: int, out: np.ndarray, seed: int,
-                   work: np.ndarray) -> None:
-        """Write chunk ``chunk_index`` of ``seed`` into ``out``, one sample
-        per column (its last axis sets the chunk size), using ``work`` from
-        workspace() as scratch."""
-        _draw_chunk([self], chunk_index, [out], seed, work)
-
     def transform(self, z: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         """Write the samples of the normals ``z`` (rank x chunk size,
         C-contiguous) into ``out``, with ``work`` as scratch for the Wick

@@ -95,16 +95,14 @@ def _leave_block_out_payoffs(samples: np.ndarray, boundaries: np.ndarray,
 
 
 def _block_estimates(samples: np.ndarray, maturity: float, step: float,
-                     work: np.ndarray | None = None) -> np.ndarray:
+                     work: np.ndarray) -> np.ndarray:
     """Skew of each delete-block subsample, re-centred on its own mean.
 
     Forwards come from block sums and leg prices from
     _leave_block_out_payoffs, so no subsample is ever copied. ``work`` is
-    scratch the size of ``samples``, allocated when not given.
+    scratch the size of ``samples``.
     """
     n = samples.size
-    if work is None:
-        work = np.empty(n)
     n_blocks = min(JACKKNIFE_BLOCKS, n)
     boundaries = np.linspace(0, n, n_blocks + 1).astype(int)
     kept = n - np.diff(boundaries)

@@ -8,7 +8,6 @@ skew's inner kernel mass replaced, and mpmath for the level integrals, the
 kernel mass and the kernel-overlap constant.
 """
 
-import dataclasses
 import math
 from functools import lru_cache
 from unittest import mock
@@ -19,10 +18,7 @@ import scipy.special
 
 from vixsmile import asymptotics as asy
 from vixsmile.asymptotics import (
-    AsymptoteResult,
     DegenerateModelError,
-    FormulaId,
-    evaluate,
     heston_vix_skew_sign,
     rv_atmi_approx,
     rv_atmi_limit,
@@ -34,6 +30,7 @@ from vixsmile.asymptotics import (
     vix_skew_approx,
     vix_skew_limit,
 )
+from vixsmile.cli import main
 from vixsmile.model import HestonParams, ModelParams, kernel, kernel_variance
 from vixsmile.specfun import (
     QuadratureError,
@@ -425,9 +422,9 @@ def test_vix_skew_approx_matches_nested_adaptive_oracle(hurst, beta, maturity):
 @pytest.mark.parametrize("hurst, beta, maturity", SKEW_ORACLE_POINTS)
 def test_vix_skew_approx_bound_covers_oracle_gap(hurst, beta, maturity):
     params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
-    res = evaluate(FormulaId.VIX_SKEW_APPROX, params, delta=DELTA, maturity=maturity)
+    value, bound = asy.vix_skew_approx_err(params, DELTA, maturity)
     _, oracle_value = _skew_oracle(hurst, beta, maturity)
-    assert abs(res.value - oracle_value) <= res.quad_error_bound
+    assert abs(value - oracle_value) <= bound
 
 
 def _kernel_mass_mpmath(hurst, maturity, gap):
@@ -702,63 +699,15 @@ def test_heston_sign_flip_at_large_reversion():
 
 
 # ---------------------------------------------------------------------------
-# formula registry
+# quadrature bounds and scale
 # ---------------------------------------------------------------------------
 
-# Each formula's public function, of (params, maturity), and for the four
-# quadrature-backed ones the (value, bound) function evaluate() shares.
-_PUBLIC = {
-    FormulaId.VIX_ATMI_LIMIT: lambda p, t: vix_atmi_limit(p, DELTA),
-    FormulaId.VIX_ATMI_APPROX: lambda p, t: vix_atmi_approx(p, DELTA, t),
-    FormulaId.VIX_SKEW_LIMIT: lambda p, t: vix_skew_limit(p, DELTA),
-    FormulaId.VIX_SKEW_APPROX: lambda p, t: vix_skew_approx(p, DELTA, t),
-    FormulaId.SABR_VIX_SKEW: lambda p, t: sabr_mixed_vix_skew(p.gamma, p.nu, p.eta),
-    FormulaId.RV_ATMI_LIMIT: lambda p, t: rv_atmi_limit(p),
-    FormulaId.RV_ATMI_APPROX: lambda p, t: rv_atmi_approx(p, t),
-    FormulaId.RV_SKEW_LIMIT: lambda p, t: rv_skew_limit(p),
-    FormulaId.HESTON_VIX_SKEW_SIGN: lambda p, t: heston_vix_skew_sign(p, DELTA),
-}
-_ERR = {
-    FormulaId.VIX_ATMI_APPROX: lambda p, t: asy._vix_atmi_approx_err(p, DELTA, t),
-    FormulaId.VIX_SKEW_APPROX: lambda p, t: asy._vix_skew_approx_err(p, DELTA, t),
-    FormulaId.RV_ATMI_APPROX: lambda p, t: asy._rv_atmi_approx_err(p, t),
-    FormulaId.RV_SKEW_LIMIT: lambda p, t: asy._rv_skew_limit_err(p),
-}
-_WITH_MATURITY = {FormulaId.VIX_ATMI_APPROX, FormulaId.VIX_SKEW_APPROX,
-                  FormulaId.RV_ATMI_APPROX}
-
-
-@pytest.mark.parametrize("fid", [f for f in FormulaId if f is not FormulaId.HESTON_VIX_SKEW_SIGN])
-@pytest.mark.parametrize("hurst", [0.1, 0.5])
-@pytest.mark.parametrize("beta", [0.0, 1.0])
-@pytest.mark.parametrize("mixed", [False, True])
-def test_evaluate_equals_the_public_function(fid, hurst, beta, mixed):
-    params = (mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0) if mixed
-              else mk(H=hurst, beta=beta))
-    for maturity in (1e-3, 0.5) if fid in _WITH_MATURITY else (None,):
-        res = evaluate(fid, params, delta=DELTA, maturity=maturity)
-        assert res.value == _PUBLIC[fid](params, maturity)
-        if fid in _ERR:
-            assert (res.value, res.quad_error_bound) == _ERR[fid](params, maturity)
-        else:
-            assert res.quad_error_bound == 0.0
-
-
-@pytest.mark.parametrize("k", [1.0, 100.0])
-def test_evaluate_equals_the_public_heston_sign(k):
-    params = HestonParams(k=k, nu=0.3, v0=0.09)
-    res = evaluate(FormulaId.HESTON_VIX_SKEW_SIGN, params, delta=DELTA)
-    assert res.value == _PUBLIC[FormulaId.HESTON_VIX_SKEW_SIGN](params, None)
-    assert res.quad_error_bound == 0.0
-
-
 def test_evaluate_closed_forms():
+    # The mixed SABR skew reads neither the Hurst exponent nor a window.
     params = mk(H=0.5, gamma=0.5, nu=3.0, eta=1.0)
-    res = evaluate(FormulaId.SABR_VIX_SKEW, params, delta=DELTA)
-    assert res.value == pytest.approx(0.25, abs=1e-12)
-    assert res.quad_error_bound == 0.0
-    # The SABR skew reads no averaging window.
-    assert evaluate(FormulaId.SABR_VIX_SKEW, params).value == res.value
+    value = sabr_mixed_vix_skew(params.gamma, params.nu, params.eta)
+    assert value == pytest.approx(0.25, abs=1e-12)
+    assert vix_skew_limit(params, DELTA) == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("hurst,beta", [(0.1, 0.0), (0.25, 0.0), (0.3, 0.0), (0.3, 1.0),
@@ -770,9 +719,13 @@ def test_mixed_model_formulas_are_scale_free_in_v0(hurst, beta, mixed):
     def values(v0):
         params = (mk(v0=v0, H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0) if mixed
                   else mk(v0=v0, H=hurst, beta=beta))
-        return [evaluate(fid, params, delta=DELTA, maturity=maturity).value
-                for fid in FormulaId if fid is not FormulaId.HESTON_VIX_SKEW_SIGN
-                for maturity in ((1e-3, 0.1, 1.0) if fid in _WITH_MATURITY else (None,))]
+        limits = [vix_atmi_limit(params, DELTA), vix_skew_limit(params, DELTA),
+                  sabr_mixed_vix_skew(params.gamma, params.nu, params.eta),
+                  rv_atmi_limit(params), rv_skew_limit(params)]
+        return limits + [value for maturity in (1e-3, 0.1, 1.0)
+                         for value in (vix_atmi_approx(params, DELTA, maturity),
+                                       vix_skew_approx(params, DELTA, maturity),
+                                       rv_atmi_approx(params, maturity))]
 
     base = values(0.04)
     for v0 in (0.01, 0.09, 0.25, 1.0):
@@ -794,82 +747,67 @@ def _vix_atmi_approx_mpmath(hurst, maturity):
 
 @pytest.mark.parametrize("maturity", [1e-3, 0.1, 0.5])
 def test_evaluate_bound_covers_the_quadrature_error(maturity):
-    res = evaluate(FormulaId.VIX_ATMI_APPROX, mk(H=0.3), delta=DELTA, maturity=maturity)
+    value, bound = asy.vix_atmi_approx_err(mk(H=0.3), DELTA, maturity)
     reference = _vix_atmi_approx_mpmath(0.3, maturity)
-    assert 0.0 < res.quad_error_bound < 1e-9 * abs(res.value)
-    assert abs(res.value - reference) <= res.quad_error_bound
+    assert 0.0 < bound < 1e-9 * abs(value)
+    assert abs(value - reference) <= bound
 
 
 @pytest.mark.parametrize(
-    "fid, params, maturity",
+    "form, params, args",
     [
-        (FormulaId.VIX_ATMI_APPROX, mk(H=0.1, beta=1.0), 0.2),
-        (FormulaId.VIX_SKEW_APPROX, mk(H=0.3, gamma=0.5, nu=3.0, eta=1.0), 0.05),
-        (FormulaId.RV_ATMI_APPROX, mk(H=0.1, beta=1.0), 0.2),
-        (FormulaId.RV_SKEW_LIMIT, mk(H=0.2, gamma=0.5, nu=3.0, eta=1.0), None),
+        ("vix_atmi_approx_err", mk(H=0.1, beta=1.0), (DELTA, 0.2)),
+        ("vix_skew_approx_err", mk(H=0.3, gamma=0.5, nu=3.0, eta=1.0), (DELTA, 0.05)),
+        ("rv_atmi_approx_err", mk(H=0.1, beta=1.0), (0.2,)),
+        ("rv_skew_limit_err", mk(H=0.2, gamma=0.5, nu=3.0, eta=1.0), ()),
     ],
 )
-def test_evaluate_reports_achieved_bounds(fid, params, maturity):
+def test_evaluate_reports_achieved_bounds(form, params, args):
     # Achieved bounds, not a fixed 1e-8: positive and far below it here.
-    res = evaluate(fid, params, delta=DELTA, maturity=maturity)
-    assert 0.0 < res.quad_error_bound < 5e-9 * max(1.0, abs(res.value))
+    value, bound = getattr(asy, form)(params, *args)
+    assert 0.0 < bound < 5e-9 * max(1.0, abs(value))
 
 
 def test_evaluate_rv_atmi_approx_closed_form_has_zero_bound():
-    res = evaluate(FormulaId.RV_ATMI_APPROX, mk(H=0.3, beta=0.0), maturity=0.2)
-    assert res.quad_error_bound == 0.0
-    assert res.value == rv_atmi_approx(mk(H=0.3, beta=0.0), 0.2)
+    params = mk(H=0.3, beta=0.0)
+    assert asy.rv_atmi_approx_err(params, 0.2) == (rv_atmi_approx(params, 0.2), 0.0)
 
 
 def test_evaluate_skew_rejects_degenerate_mixture():
     with pytest.raises(DegenerateModelError):
-        evaluate(FormulaId.RV_SKEW_LIMIT, mk(nu=0.0))
+        asy.rv_skew_limit_err(mk(nu=0.0))
 
 
-def test_evaluate_requires_delta_and_maturity():
-    with pytest.raises(ValueError):
-        evaluate(FormulaId.VIX_ATMI_LIMIT, mk())
-    with pytest.raises(ValueError):
-        evaluate(FormulaId.VIX_ATMI_APPROX, mk(), delta=DELTA)
-
-
-def test_evaluate_heston_requires_heston_params():
-    with pytest.raises(ValueError):
-        evaluate(FormulaId.HESTON_VIX_SKEW_SIGN, mk(), delta=DELTA)
-    res = evaluate(
-        FormulaId.HESTON_VIX_SKEW_SIGN,
-        HestonParams(k=1.0, nu=0.3, v0=0.09),
-        delta=DELTA,
-    )
-    assert res.value < 0.0
-
-
-def test_inflated_quadrature_bound_raises_in_every_form(monkeypatch):
-    # The bound check sits in the forms' _<name>_err functions: once every
-    # fixed-rule panel reports a unit error, each public form raises, not
-    # only evaluate, and the error carries the estimate and its bound.
+def test_inflated_quadrature_bound_raises_in_every_form(monkeypatch, capsys):
+    # The bound check sits in the forms' _err functions: once every
+    # fixed-rule panel reports a unit error, each public form and its _err
+    # function raise, the error carries the estimate and its bound, and an
+    # asymptote run of the same parameters exits 1.
     params = mk(H=0.217, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
     forms = [
-        (FormulaId.VIX_ATMI_APPROX, lambda: vix_atmi_approx(params, DELTA, 0.5)),
-        (FormulaId.VIX_SKEW_APPROX, lambda: vix_skew_approx(params, DELTA, 0.5)),
-        (FormulaId.RV_ATMI_APPROX, lambda: rv_atmi_approx(params, 0.5)),
-        (FormulaId.RV_SKEW_LIMIT, lambda: rv_skew_limit(params)),
+        (lambda: asy.vix_atmi_approx_err(params, DELTA, 0.5),
+         lambda: vix_atmi_approx(params, DELTA, 0.5)),
+        (lambda: asy.vix_skew_approx_err(params, DELTA, 0.5),
+         lambda: vix_skew_approx(params, DELTA, 0.5)),
+        (lambda: asy.rv_atmi_approx_err(params, 0.5), lambda: rv_atmi_approx(params, 0.5)),
+        (lambda: asy.rv_skew_limit_err(params), lambda: rv_skew_limit(params)),
     ]
-    expected = {fid: evaluate(fid, params, delta=DELTA, maturity=0.5) for fid, _ in forms}
+    expected = [err()[0] for err, _ in forms]
     monkeypatch.setattr(asy, "kronrod_bound", lambda kronrod, gap: np.ones_like(kronrod))
     rv_skew_constant.cache_clear()
     asy._rv_skew_constant_err.cache_clear()
     try:
-        for fid, form in forms:
+        for (err, form), estimate in zip(forms, expected):
             with pytest.raises(QuadratureError, match="module tolerance") as excinfo:
                 form()
-            assert excinfo.value.estimate == pytest.approx(expected[fid].value, rel=1e-12)
+            assert excinfo.value.estimate == pytest.approx(estimate, rel=1e-12)
             assert excinfo.value.error_bound > asy.QUAD_BOUND_TOL * max(
                 1.0, abs(excinfo.value.estimate))
             with pytest.raises(QuadratureError):
-                evaluate(fid, params, delta=DELTA, maturity=0.5)
+                err()
+        assert main(["asymptote", "--hurst", "0.217", "--beta", "1", "--gamma", "0.5",
+                     "--nu", "3", "--eta", "1", "--T", "0.5"]) == 1
+        assert "module tolerance" in capsys.readouterr().err
     finally:
         rv_skew_constant.cache_clear()
         asy._rv_skew_constant_err.cache_clear()
-    assert [f.name for f in dataclasses.fields(AsymptoteResult)] == [
-        "value", "quad_error_bound"]

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import vixsmile.acceptance as acceptance
+import vixsmile.asymptotics as asy
 import vixsmile.cli as cli
 from vixsmile.asymptotics import heston_vix_skew_sign
 from vixsmile.cli import RunConfig, cmd_atmi, cmd_skew, cmd_validate, main
@@ -54,6 +55,15 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     code, _, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown key" in err
+
+
+def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("hurst = 0.1\nnu = 2\n# later\nhurst = 0.3\n")
+    code, out, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:4: key 'hurst' repeats line 1" in err
 
 
 def test_config_file_accepts_every_setting_flag(tmp_path):
@@ -459,6 +469,52 @@ def test_asymptote_lists_formulas(capsys):
     assert {"VIX_ATMI_LIMIT", "VIX_SKEW_LIMIT", "RV_ATMI_LIMIT",
             "RV_SKEW_LIMIT", "SABR_VIX_SKEW", "VIX_ATMI_APPROX",
             "VIX_SKEW_APPROX", "RV_ATMI_APPROX"} <= ids
+
+
+# Each mixed-model asymptote row's public function of (params, delta, T),
+# and the _err function of the four quadrature-backed ones.
+_ASYMPTOTE_LIMITS = {
+    "VIX_ATMI_LIMIT": (lambda p, d, t: asy.vix_atmi_limit(p, d), None),
+    "VIX_SKEW_LIMIT": (lambda p, d, t: asy.vix_skew_limit(p, d), None),
+    "SABR_VIX_SKEW": (lambda p, d, t: asy.sabr_mixed_vix_skew(p.gamma, p.nu, p.eta), None),
+    "RV_ATMI_LIMIT": (lambda p, d, t: asy.rv_atmi_limit(p), None),
+    "RV_SKEW_LIMIT": (lambda p, d, t: asy.rv_skew_limit(p),
+                      lambda p, d, t: asy.rv_skew_limit_err(p)),
+}
+_ASYMPTOTE_APPROXIMATIONS = {
+    "VIX_ATMI_APPROX": (asy.vix_atmi_approx, asy.vix_atmi_approx_err),
+    "VIX_SKEW_APPROX": (asy.vix_skew_approx, asy.vix_skew_approx_err),
+    "RV_ATMI_APPROX": (lambda p, d, t: asy.rv_atmi_approx(p, t),
+                       lambda p, d, t: asy.rv_atmi_approx_err(p, t)),
+}
+
+
+@pytest.mark.parametrize("formula_id", [*_ASYMPTOTE_LIMITS, *_ASYMPTOTE_APPROXIMATIONS])
+@pytest.mark.parametrize("hurst", [0.1, 0.5])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_asymptote_rows_equal_the_public_functions(formula_id, hurst, beta, mixed, capsys):
+    model = {"gamma": 0.5, "nu": 3.0, "eta": 1.0} if mixed else {}
+    flags = [text for key, value in model.items() for text in (f"--{key}", str(value))]
+    code, out, _ = run_cli(["asymptote", "--hurst", str(hurst), "--beta", str(beta),
+                            *flags, "--T", "1e-3,0.5"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    # The five limits, then the three approximations at each maturity.
+    assert [(row[0], row[1]) for row in rows] == (
+        [(name, "") for name in _ASYMPTOTE_LIMITS]
+        + [(name, maturity) for maturity in ("0.001", "0.5")
+           for name in _ASYMPTOTE_APPROXIMATIONS])
+    assert all(row[4] == "ok" for row in rows)
+    config = RunConfig(hurst=hurst, beta=beta, **model)
+    params, delta = config.model_params(), config.delta
+    public, err = {**_ASYMPTOTE_LIMITS, **_ASYMPTOTE_APPROXIMATIONS}[formula_id]
+    own = [row for row in rows if row[0] == formula_id]
+    assert len(own) == (1 if formula_id in _ASYMPTOTE_LIMITS else 2)
+    for _, maturity, value, bound, _ in own:
+        maturity = float(maturity) if maturity else None
+        assert float(value) == public(params, delta, maturity)
+        assert float(bound) == (err(params, delta, maturity)[1] if err else 0.0)
 
 
 @pytest.mark.parametrize("k,delta,sign", [("1", "0.082191780821917804", "-1"),

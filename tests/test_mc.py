@@ -256,7 +256,7 @@ def test_instantaneous_variance_martingale_at_nodes():
     sampler = FactorSampler("rv", params, grid, _covariance(params, "rv", grid.T, grid.n_inner),
                             np.eye(grid.n_inner), 0.0)
     v = np.empty((grid.n_inner, grid.n_paths))
-    sampler.draw_chunk(0, v, 17, sampler.workspace(grid.n_paths))
+    mc._draw_chunk([sampler], 0, [v], 17, mc._workspace([sampler], grid.n_paths))
     means = v.mean(axis=1)
     stderrs = v.std(axis=1, ddof=1) / math.sqrt(grid.n_paths)
     assert np.all(np.abs(means - params.v0) <= 4.0 * stderrs)
@@ -315,10 +315,10 @@ def test_draw_chunk_matches_term_by_term_wick_formula(kind, params, T):
     offset = 0.0 if kind == "vix" else 0.001 / T
     sampler = FactorSampler(kind, params, grid, _covariance(params, kind, T, grid.n_inner),
                             weights, offset)
-    work = sampler.workspace(1000)
+    work = mc._workspace([sampler], 1000)
     for chunk_index in (0, 3):
         drawn = np.empty(1000)
-        sampler.draw_chunk(chunk_index, drawn, 77, work)
+        mc._draw_chunk([sampler], chunk_index, [drawn], 77, work)
         reference = _term_by_term_draw_chunk(sampler, params, weights, offset, chunk_index,
                                              1000, 77)
         np.testing.assert_allclose(drawn, reference, rtol=1e-13, atol=0.0)
@@ -516,10 +516,10 @@ def _rule_and_reference(params, T, n_paths=50_000, seed=7, delta=30 / 365):
     grid = SimGrid(T=T, delta=delta, n_paths=n_paths, seed=seed)
     sampler = FactorSampler("vix", params, grid, kernel_covariance_matrix(params, union, T),
                             rows, 0.0)
-    work, samples = sampler.workspace(_CHUNK_SIZE), np.empty((2, n_paths))
+    work, samples = mc._workspace([sampler], _CHUNK_SIZE), np.empty((2, n_paths))
     for idx, start in enumerate(range(0, n_paths, _CHUNK_SIZE)):
         chunk = np.empty((2, min(_CHUNK_SIZE, n_paths - start)))
-        sampler.draw_chunk(idx, chunk, seed, work)
+        mc._draw_chunk([sampler], idx, [chunk], seed, work)
         samples[:, start:start + chunk.shape[1]] = chunk
     results = []
     for row in samples:
