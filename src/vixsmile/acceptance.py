@@ -10,6 +10,17 @@ criterion's pinned tolerance. Quick mode cuts the Monte Carlo path counts
 tolerances of C1, C2, C4, C5 and C6 (``QUICK_DOUBLED``); C10 and C11 keep
 theirs.
 
+A Monte Carlo criterion lists its batches as ``Draw`` keys (kind, params,
+grid) in ``Criterion.draws``, and its runner reads them from ``_batches``,
+a memo of one mode's batches. The first runner that reads the memo fills
+it, inside its own ``run_criterion`` call: one sampler per distinct key
+(C1 and C11 share theirs), and one ``sample_common`` call per (seed,
+n_paths) group of them. Quick mode has one group, the full suite two, as
+C10's RV batch takes a quarter of the full path count. Each batch is
+bit-identical to its sampler's lone draw, so sharing moves no value, and
+the first criterion's seconds include the whole draw. C10's stderr-halving
+and determinism draws stay its own.
+
 Only C8 runs an adaptive quadrature: ``vix_skew_approx`` takes its outer
 integral through ``specfun.integrate_err``. C9 checks the incomplete gamma,
 scalar and array paths, against one Gauss-Jacobi rule per shape whose
@@ -19,10 +30,11 @@ remainder is bounded in closed form, and reports it as
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,12 +42,13 @@ from . import asymptotics as asy
 from .bs import BsQuote, bs_price, implied_vol
 from .mc import (
     _CHUNK_SIZE,
+    FactorSampler,
+    PathBatch,
     SimGrid,
     build_rv_sampler,
     build_vix_sampler,
     estimate_mean,
     sample_common,
-    sample_rv,
     sample_vix,
 )
 from .model import HestonParams, ModelParams
@@ -80,39 +93,84 @@ class CriterionResult:
 
 
 def _grid(maturity: float, quick: bool) -> SimGrid:
-    """The grid of the Monte Carlo criteria, 10x fewer paths in quick mode. Its
-    64 inner nodes serve only the RV criteria, C2 and C6: the VIX draws take
-    their fixed window rule."""
+    """The grid of every Monte Carlo criterion but C10, with 10x fewer paths
+    in quick mode. Its 64 inner nodes serve only the RV criteria, C2 and C6:
+    the VIX draws take their fixed window rule. All its batches fall in one
+    (seed, n_paths) group of ``_batches``; C10's RV batch joins that group
+    in quick mode only."""
     return SimGrid(T=maturity, delta=DELTA, n_inner=64,
                    n_paths=FULL_PATHS // 10 if quick else FULL_PATHS, seed=SEED)
 
 
-def _sample_maturities(params: ModelParams, maturities, quick: bool):
-    """One VIX batch per maturity on ``_grid``, from one shared draw."""
-    return sample_common([build_vix_sampler(params, _grid(maturity, quick))
-                          for maturity in maturities])
+class Draw(NamedTuple):
+    """One Monte Carlo batch a criterion reads: ``kind`` "vix" or "rv", the
+    model and the grid; the key of the batch in ``_batches``."""
+
+    kind: str
+    params: ModelParams
+    grid: SimGrid
+
+    def sampler(self) -> FactorSampler:
+        build = build_vix_sampler if self.kind == "vix" else build_rv_sampler
+        return build(self.params, self.grid)
+
+
+@functools.lru_cache(maxsize=1)
+def _batches(quick: bool) -> dict[Draw, PathBatch]:
+    """The batch of every distinct draw of ``CRITERIA`` in this mode, one
+    ``sample_common`` call per (seed, n_paths) group. The samples are read-only:
+    every reader of a draw, in any run, gets the same array."""
+    groups: dict[tuple[int, int], dict[Draw, None]] = {}
+    for criterion in CRITERIA:
+        for draw in criterion.draws(quick):
+            groups.setdefault((draw.grid.seed, draw.grid.n_paths), {})[draw] = None
+    batches: dict[Draw, PathBatch] = {}
+    for group in groups.values():
+        batches.update(zip(group, sample_common([draw.sampler() for draw in group])))
+    for batch in batches.values():
+        batch.samples.flags.writeable = False
+    return batches
+
+
+def _read(draws: Callable[[bool], tuple[Draw, ...]], quick: bool) -> list[PathBatch]:
+    """The batches of a criterion's ``draws`` in this mode, from ``_batches``."""
+    memo = _batches(quick)
+    return [memo[draw] for draw in draws(quick)]
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def _c1_sabr_vix_atmi(quick: bool):
+# The short maturity of C1, C2 and C11.
+_SHORT_T = 1e-4
+
+
+def _sabr_draws(quick: bool) -> tuple[Draw, ...]:
+    """The one batch of C1 and C11: the SABR VIX at the short maturity."""
     params = ModelParams(H=0.5, beta=0.0, gamma=1.0, nu=2.0)
-    grid = _grid(1e-4, quick)
-    vol, _ = atmi(sample_vix(build_vix_sampler(params, grid)), grid.T)
+    return (Draw("vix", params, _grid(_SHORT_T, quick)),)
+
+
+def _c1_sabr_vix_atmi(quick: bool):
+    (batch,) = _read(_sabr_draws, quick)
+    vol, _ = atmi(batch, _SHORT_T)
     return abs(vol - 1.0), f"mc_atmi={vol:.5f} vs limit=1.0"
+
+
+_C2_HURSTS = (0.1, 0.3)
+
+
+def _c2_draws(quick: bool) -> tuple[Draw, ...]:
+    return tuple(Draw("rv", ModelParams(H=hurst, beta=0.0, gamma=1.0, nu=2.0),
+                      _grid(_SHORT_T, quick)) for hurst in _C2_HURSTS)
 
 
 def _c2_rv_power_law(quick: bool):
     worst, parts = 0.0, []
-    hursts = (0.1, 0.3)
-    grid = _grid(1e-4, quick)
-    samplers = [build_rv_sampler(ModelParams(H=hurst, beta=0.0, gamma=1.0, nu=2.0), grid)
-                for hurst in hursts]
-    for hurst, batch in zip(hursts, sample_common(samplers)):
-        vol, _ = atmi(batch, grid.T)
-        rescaled = grid.T ** (0.5 - hurst) * vol
+    for hurst, batch in zip(_C2_HURSTS, _read(_c2_draws, quick)):
+        vol, _ = atmi(batch, _SHORT_T)
+        rescaled = _SHORT_T ** (0.5 - hurst) * vol
         target = math.sqrt(2.0 * hurst) * 2.0 / (
             (hurst + 0.5) * math.sqrt(2.0 * hurst + 2.0)
         )
@@ -131,14 +189,20 @@ def _c3_heston_sign(quick: bool):
     return achieved, f"values={['%.4f' % v for v in values]}"
 
 
+_C4_MATURITIES = (1.0 / 12.0, 0.25)
+
+
+def _c4_draws(quick: bool) -> tuple[Draw, ...]:
+    params = ModelParams(H=0.5, beta=0.0, gamma=0.5, nu=3.0, eta=1.0)
+    return tuple(Draw("vix", params, _grid(maturity, quick)) for maturity in _C4_MATURITIES)
+
+
 def _c4_mixed_sabr_skew(quick: bool):
     closed = asy.sabr_mixed_vix_skew(0.5, 3.0, 1.0)
     if abs(closed - 0.25) > 1e-12:
         return math.inf, f"closed form {closed!r} != 0.25"
-    params = ModelParams(H=0.5, beta=0.0, gamma=0.5, nu=3.0, eta=1.0)
-    maturities = (1.0 / 12.0, 0.25)
     worst, parts = 0.0, []
-    for maturity, batch in zip(maturities, _sample_maturities(params, maturities, quick)):
+    for maturity, batch in zip(_C4_MATURITIES, _read(_c4_draws, quick)):
         value, _ = atmi_skew(batch, maturity)
         gap = abs(value / 0.25 - 1.0)
         worst = max(worst, gap)
@@ -146,17 +210,32 @@ def _c4_mixed_sabr_skew(quick: bool):
     return worst, "closed=0.25 exact; " + "; ".join(parts)
 
 
+_C5_PARAMS = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+_C5_MATURITIES = (0.1, 0.25, 0.5)
+
+
+def _c5_draws(quick: bool) -> tuple[Draw, ...]:
+    return tuple(Draw("vix", _C5_PARAMS, _grid(maturity, quick))
+                 for maturity in _C5_MATURITIES)
+
+
 def _c5_vix_atmi_approx_vs_mc(quick: bool):
-    params = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
-    maturities = (0.1, 0.25, 0.5)
     worst, parts = 0.0, []
-    for maturity, batch in zip(maturities, _sample_maturities(params, maturities, quick)):
+    for maturity, batch in zip(_C5_MATURITIES, _read(_c5_draws, quick)):
         mc_vol, _ = atmi(batch, maturity)
-        approx = asy.vix_atmi_approx(params, DELTA, maturity)
+        approx = asy.vix_atmi_approx(_C5_PARAMS, DELTA, maturity)
         gap = abs(approx - mc_vol) / mc_vol
         worst = max(worst, gap)
         parts.append(f"T={maturity}: mc={mc_vol:.4f} approx={approx:.4f}")
     return worst, "; ".join(parts)
+
+
+_C6_PARAMS = ModelParams(H=0.3, beta=1.0, gamma=1.0, nu=2.0)
+_C6_T = 0.25
+
+
+def _c6_draws(quick: bool) -> tuple[Draw, ...]:
+    return (Draw("rv", _C6_PARAMS, _grid(_C6_T, quick)),)
 
 
 def _c6_rv_atmi_approx(quick: bool):
@@ -166,10 +245,9 @@ def _c6_rv_atmi_approx(quick: bool):
         got = asy.rv_atmi_approx(params0, maturity)
         if abs(got / expected - 1.0) > 1e-12:
             return math.inf, f"beta=0 reduction broken at T={maturity}: {got!r} vs {expected!r}"
-    params = ModelParams(H=0.3, beta=1.0, gamma=1.0, nu=2.0)
-    grid = _grid(0.25, quick)
-    mc_vol, _ = atmi(sample_rv(params, grid), grid.T)
-    approx = asy.rv_atmi_approx(params, grid.T)
+    (batch,) = _read(_c6_draws, quick)
+    mc_vol, _ = atmi(batch, _C6_T)
+    approx = asy.rv_atmi_approx(_C6_PARAMS, _C6_T)
     gap = abs(approx - mc_vol) / mc_vol
     detail = f"beta=0 exact; beta=1: mc={mc_vol:.4f} approx={approx:.4f}"
     return gap, detail
@@ -298,19 +376,27 @@ def _c9_special_function_oracles(quick: bool):
     return worst, detail
 
 
-def _c10_simulation_invariants(quick: bool):
-    params = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+_C10_PARAMS = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
+
+
+def _c10_draws(quick: bool) -> tuple[Draw, ...]:
+    """C10's martingale batch: the RV on 32 inner nodes, at 20k paths in
+    quick mode (``_grid``'s group) and a quarter of the full count else."""
     grid = SimGrid(T=0.25, delta=DELTA, n_inner=32,
                    n_paths=20_000 if quick else FULL_PATHS // 4, seed=SEED)
+    return (Draw("rv", _C10_PARAMS, grid),)
+
+
+def _c10_simulation_invariants(quick: bool):
     violations: list[tuple[str, float]] = []
 
-    batch = sample_rv(params, grid)
+    (batch,) = _read(_c10_draws, quick)
     mean, stderr = estimate_mean(batch)
-    violations.append(("martingale sigmas/4", abs(mean - params.v0) / (4.0 * stderr)))
+    violations.append(("martingale sigmas/4", abs(mean - _C10_PARAMS.v0) / (4.0 * stderr)))
     violations.append(("positivity", 0.0 if float(np.min(batch.samples)) > 0.0 else 2.0))
 
-    sampler = build_vix_sampler(params, SimGrid(T=0.25, delta=DELTA, n_paths=4000,
-                                                seed=SEED))
+    sampler = build_vix_sampler(_C10_PARAMS, SimGrid(T=0.25, delta=DELTA, n_paths=4000,
+                                                     seed=SEED))
     ratios = []
     for rep in range(10):
         _, se_small = estimate_mean(sample_vix(sampler, n_paths=4000, seed=100 + rep))
@@ -336,11 +422,14 @@ def _c10_simulation_invariants(quick: bool):
 
 
 def _c11_sabr_flat_skew(quick: bool):
-    params = ModelParams(H=0.5, beta=0.0, gamma=1.0, nu=2.0)
-    grid = _grid(1e-4, quick)
-    value, stderr = atmi_skew(sample_vix(build_vix_sampler(params, grid)), grid.T)
+    (batch,) = _read(_sabr_draws, quick)
+    value, stderr = atmi_skew(batch, _SHORT_T)
     achieved = abs(value) / stderr if stderr > 0.0 else math.inf
     return achieved, f"skew={value:.5f} stderr={stderr:.5f}"
+
+
+def _no_draws(quick: bool) -> tuple[Draw, ...]:
+    return ()
 
 
 @dataclass(frozen=True)
@@ -348,20 +437,22 @@ class Criterion:
     key: str
     name: str
     runner: Callable[[bool], tuple[float, str]]  # quick -> (achieved, detail)
+    draws: Callable[[bool], tuple[Draw, ...]] = _no_draws  # quick -> batches it reads
 
 
 CRITERIA: list[Criterion] = [
-    Criterion("C1", "SABR VIX ATMI limit (MC vs nu/2)", _c1_sabr_vix_atmi),
-    Criterion("C2", "RV ATMI short-maturity power law", _c2_rv_power_law),
+    Criterion("C1", "SABR VIX ATMI limit (MC vs nu/2)", _c1_sabr_vix_atmi, _sabr_draws),
+    Criterion("C2", "RV ATMI short-maturity power law", _c2_rv_power_law, _c2_draws),
     Criterion("C3", "Heston VIX skew sign negative", _c3_heston_sign),
-    Criterion("C4", "Mixed SABR skew 0.25 (closed form + MC)", _c4_mixed_sabr_skew),
-    Criterion("C5", "Semi-closed VIX ATMI vs MC", _c5_vix_atmi_approx_vs_mc),
-    Criterion("C6", "Semi-closed RV ATMI (exact beta=0, MC beta=1)", _c6_rv_atmi_approx),
+    Criterion("C4", "Mixed SABR skew 0.25 (closed form + MC)", _c4_mixed_sabr_skew, _c4_draws),
+    Criterion("C5", "Semi-closed VIX ATMI vs MC", _c5_vix_atmi_approx_vs_mc, _c5_draws),
+    Criterion("C6", "Semi-closed RV ATMI (exact beta=0, MC beta=1)", _c6_rv_atmi_approx,
+              _c6_draws),
     Criterion("C7", "Kernel-overlap constant vs brute force", _c7_overlap_constant),
     Criterion("C8", "Limit/approximation consistency", _c8_limit_approx_consistency),
     Criterion("C9", "Special-function and implied-vol oracles", _c9_special_function_oracles),
-    Criterion("C10", "Simulation invariants", _c10_simulation_invariants),
-    Criterion("C11", "SABR flat skew within noise", _c11_sabr_flat_skew),
+    Criterion("C10", "Simulation invariants", _c10_simulation_invariants, _c10_draws),
+    Criterion("C11", "SABR flat skew within noise", _c11_sabr_flat_skew, _sabr_draws),
 ]
 
 

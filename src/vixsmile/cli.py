@@ -311,7 +311,9 @@ _APPROX_ROWS: tuple[tuple[str, Callable[..., tuple[float, float]]], ...] = (
 def cmd_asymptote(config: RunConfig, stream) -> None:
     """Closed forms only: the Heston skew sign alone, or every mixed-model
     row of ``_LIMIT_ROWS`` and ``_APPROX_ROWS``; a skew of a zero vol-of-vol
-    mean writes an empty row marked degenerate."""
+    mean writes an empty row marked degenerate. Any other failure writes an
+    error row and a ``# error`` comment line after the rows before it, then
+    re-raises."""
     _write_header(config, "asymptote", stream)
     if config.model == "heston":
         value = asy.heston_vix_skew_sign(config.heston_params(), config.delta)
@@ -330,6 +332,12 @@ def cmd_asymptote(config: RunConfig, stream) -> None:
         except DegenerateModelError:
             stream.write(f"{formula_id},{maturity},,,degenerate\n")
             continue
+        except Exception as exc:
+            where = f"{formula_id} T={maturity}" if maturity else formula_id
+            stream.write(f"{formula_id},{maturity},,,error\n")
+            stream.write(f"# error at {where}: {exc!r}\n")
+            stream.flush()
+            raise
         stream.write(f"{formula_id},{maturity},{_fmt(value)},{_fmt(bound)},ok\n")
     stream.flush()
 

@@ -18,6 +18,7 @@ from vixsmile.acceptance import CRITERIA, run_criterion
 from vixsmile.specfun import QuadratureError
 
 C9 = next(c for c in CRITERIA if c.key == "C9")
+C10 = next(c for c in CRITERIA if c.key == "C10")
 # C9's incomplete-gamma grid.
 SHAPES = np.linspace(0.1, 3.0, 10).tolist()
 POINTS = np.linspace(0.05, 8.0, 10)
@@ -37,30 +38,41 @@ def test_acceptance_criterion(criterion):
     )
 
 
-def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch):
+@pytest.fixture
+def fresh_memo():
+    """An empty batch memo before and after the test, so a batch drawn
+    through a patched draw function cannot reach a later test."""
+    acceptance._batches.cache_clear()
+    yield
+    acceptance._batches.cache_clear()
+
+
+def _martingale(detail):
+    return next(part for part in detail.split("; ") if part.startswith("martingale"))
+
+
+def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch, fresh_memo):
     # Equal VIX stderrs at 4000 and 16000 paths give a ratio of 1, outside
     # [0.4, 0.6]: the stderr-halving check must fail C10 on its own. The
-    # martingale check's RV batch keeps its stderr.
-    real_mean, real_rv = acceptance.estimate_mean, acceptance.sample_rv
-    rv_batches = []
-
-    def recorded_rv(*args, **kwargs):
-        rv_batches.append(real_rv(*args, **kwargs))
-        return rv_batches[-1]
+    # martingale check's RV batch, the one the memo hands C10, keeps its
+    # stderr, so that check reads as in the unpatched run.
+    plain = run_criterion(C10, quick=True)
+    (martingale,) = [acceptance._batches(True)[draw] for draw in C10.draws(True)]
+    real_mean = acceptance.estimate_mean
 
     def flat_vix_stderr(batch):
         mean, stderr = real_mean(batch)
-        return (mean, stderr) if batch in rv_batches else (mean, 1.0)
+        return (mean, stderr) if batch is martingale else (mean, 1.0)
 
-    monkeypatch.setattr(acceptance, "sample_rv", recorded_rv)
     monkeypatch.setattr(acceptance, "estimate_mean", flat_vix_stderr)
-    c10 = next(c for c in CRITERIA if c.key == "C10")
-    result = run_criterion(c10, quick=True)
+    result = run_criterion(C10, quick=True)
     assert not result.passed
     assert "worst: stderr halving" in result.detail
+    assert _martingale(result.detail) == _martingale(plain.detail)
+    assert _martingale(plain.detail) != "martingale sigmas/4=0.000"
 
 
-def test_c10_fails_when_chunks_drawn_on_worker_threads_differ(monkeypatch):
+def test_c10_fails_when_chunks_drawn_on_worker_threads_differ(monkeypatch, fresh_memo):
     # Chunks drawn off the calling thread come out doubled. The determinism
     # draws span several chunks, so workers 2 and 4 start threads and C10
     # must fail on that check alone.
@@ -73,10 +85,52 @@ def test_c10_fails_when_chunks_drawn_on_worker_threads_differ(monkeypatch):
                 out *= 2.0
 
     monkeypatch.setattr(mc, "_draw_chunk", perturbed)
-    c10 = next(c for c in CRITERIA if c.key == "C10")
-    result = run_criterion(c10, quick=True)
+    result = run_criterion(C10, quick=True)
     assert not result.passed
     assert "worst: worker determinism" in result.detail
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_memo_batches_are_each_samplers_lone_draw(quick):
+    # Ten distinct draws, C1 and C11 sharing theirs; each criterion's batch
+    # from the memo is its own sampler's lone draw, bit for bit, and
+    # read-only, as every reader gets the same array.
+    memo = acceptance._batches(quick)
+    assert set(memo) == {draw for c in CRITERIA for draw in c.draws(quick)}
+    assert len(memo) == 10
+    by_key = {c.key: c for c in CRITERIA}
+    assert by_key["C1"].draws(quick) == by_key["C11"].draws(quick)
+    for criterion in CRITERIA:
+        for draw in criterion.draws(quick):
+            lone = mc.sample_common([draw.sampler()])[0]
+            assert memo[draw].samples.tobytes() == lone.samples.tobytes(), criterion.key
+            assert not memo[draw].samples.flags.writeable
+
+
+@pytest.mark.parametrize("quick, groups", [(True, [(20_000, 10)]),
+                                           (False, [(200_000, 9), (50_000, 1)])],
+                         ids=["quick", "full"])
+def test_each_seed_and_path_count_is_drawn_once(quick, groups, monkeypatch, fresh_memo):
+    # The loop over CRITERIA draws each (seed, n_paths) group once, at the
+    # first criterion, and then only C10's own draws: ten stderr-halving
+    # pairs and three determinism draws.
+    real, calls = mc._run_chunks, []
+
+    def counted(samplers, n_paths, seed, workers):
+        calls.append((len(samplers), n_paths, seed))
+        return real(samplers, n_paths, seed, workers)
+
+    monkeypatch.setattr(mc, "_run_chunks", counted)
+    drawn_at = {}
+    for criterion in CRITERIA:
+        before = len(calls)
+        assert run_criterion(criterion, quick).passed, criterion.key
+        drawn_at[criterion.key] = len(calls) - before
+    shared = [(n_paths, count) for count, n_paths, seed in calls[:len(groups)]
+              if seed == acceptance.SEED]
+    assert shared == groups
+    assert drawn_at == {key: 0 for key in drawn_at} | {"C1": len(groups), "C10": 23}
+    assert all(count == 1 for count, _, _ in calls[len(groups):])
 
 
 def test_c9_runs_no_adaptive_quadrature(monkeypatch):

@@ -11,6 +11,7 @@ import vixsmile.cli as cli
 from vixsmile.asymptotics import heston_vix_skew_sign
 from vixsmile.cli import RunConfig, cmd_atmi, cmd_skew, cmd_validate, main
 from vixsmile.model import HestonParams
+from vixsmile.specfun import QuadratureError
 
 
 def run_cli(argv, capsys):
@@ -528,6 +529,29 @@ def test_asymptote_heston_row_signs_its_value(k, delta, sign, capsys):
     assert (value > 0.0) - (value < 0.0) == int(sign)
     assert out.splitlines()[2:] == [
         f"HESTON_VIX_SKEW_SIGN,,{format(value, '.17g')},0,sign={sign}"]
+
+
+def test_asymptote_failing_row_writes_its_error_then_exits_1(monkeypatch, capsys):
+    # A form that fails other than degenerately leaves the rows before it,
+    # then its own error row and comment, and the run exits 1.
+    def failing(p, d, t):
+        raise QuadratureError("no skew", 0.5, 1e-3)
+
+    rows = tuple((formula_id, failing if formula_id == "VIX_SKEW_APPROX" else form)
+                 for formula_id, form in cli._APPROX_ROWS)
+    monkeypatch.setattr(cli, "_APPROX_ROWS", rows)
+    code, out, err = run_cli(["asymptote", "--T", "0.25"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(",")[0] for line in lines[2:-2]] == [
+        "VIX_ATMI_LIMIT", "VIX_SKEW_LIMIT", "SABR_VIX_SKEW", "RV_ATMI_LIMIT",
+        "RV_SKEW_LIMIT", "VIX_ATMI_APPROX"]
+    assert lines[-2:] == [
+        "VIX_SKEW_APPROX,0.25,,,error",
+        "# error at VIX_SKEW_APPROX T=0.25: QuadratureError('no skew "
+        "(estimate=0.5, error_bound=0.001)')",
+    ]
+    assert "QuadratureError" in err
 
 
 def test_asymptote_degenerate_rows(capsys):
