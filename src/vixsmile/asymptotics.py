@@ -297,13 +297,16 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
 
     # Largest relative error estimate of the inner rule, rel: the outer
     # integrand m^2 then carries a first-order error of at most 2 rel m^2.
+    # Where the mass underflows to 0 (beta above about 9000 at delta = 30
+    # days) so does its error, and m^2 carries none.
     worst_inner = 0.0
 
     def m_squared(w):
         nonlocal worst_inner
         w = np.atleast_1d(np.asarray(w, dtype=float))
         mass, err = kernel_mass(delta * w ** 3)
-        worst_inner = max(worst_inner, float(np.max(err / mass)))
+        rel = np.divide(err, mass, out=np.zeros_like(err), where=mass > 0.0)
+        worst_inner = max(worst_inner, float(np.max(rel)))
         return mass * mass * (3.0 * delta) * (w * w)
 
     cross, cross_err = integrate_err(m_squared, 0.0, 1.0, outer_spec)

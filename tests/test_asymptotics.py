@@ -9,6 +9,7 @@ kernel mass and the kernel-overlap constant.
 """
 
 import math
+import warnings
 from functools import lru_cache
 from unittest import mock
 
@@ -460,6 +461,22 @@ def test_kernel_mass_rule_rejects_a_negative_gap():
     rule = asy._kernel_mass_rule(mk(H=0.1, beta=1.0), DELTA, 0.25)[0]
     with pytest.raises(ValueError, match="nonnegative"):
         rule(np.array([0.01, -1e-9]))
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e5, 1e6])
+def test_vix_skew_approx_where_the_kernel_mass_underflows(beta):
+    # Above beta ~ 9000 at delta = 30 days the kernel mass and its error
+    # estimate both underflow to 0 towards g = delta: the inner rule's
+    # relative error must skip those nodes, with no 0/0 and a finite bound.
+    params = mk(H=0.1, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
+    for maturity in (0.1, 0.5):
+        rule = asy._kernel_mass_rule(params, DELTA, maturity)[0]
+        mass, err = rule(np.array([0.0, DELTA]))
+        assert mass[0] > 0.0 and mass[1] == err[1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, bound = asy.vix_skew_approx_err(params, DELTA, maturity)
+        assert 0.0 < value < 1.0 and 0.0 < bound < 1e-9
 
 
 def test_vix_skew_approx_runs_one_adaptive_quadrature(monkeypatch):

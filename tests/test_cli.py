@@ -1,5 +1,6 @@
 """CLI tests: configuration plumbing, CSV schema, determinism, validate."""
 
+import dataclasses
 import io
 import math
 
@@ -580,9 +581,10 @@ def test_validate_passes_on_fast_subset(monkeypatch):
 
 
 def test_validate_corrupted_tolerance_fails(monkeypatch):
-    # Test hook: corrupting a pinned tolerance must flip the exit status.
-    monkeypatch.setattr(cli, "CRITERIA", _fast_criteria())
-    monkeypatch.setitem(acceptance.TOLERANCES, "C9", -1.0)
+    # A row whose pinned tolerance is corrupted must flip the exit status.
+    c3, c9 = _fast_criteria()
+    corrupted = dataclasses.replace(c9, tolerance=-1.0, quick_tolerance=-1.0)
+    monkeypatch.setattr(cli, "CRITERIA", [c3, corrupted])
     buffer = io.StringIO()
     failures = cmd_validate(RunConfig(quick=True), buffer)
     assert failures == 1
@@ -591,7 +593,8 @@ def test_validate_corrupted_tolerance_fails(monkeypatch):
 
 def test_validate_records_criterion_exceptions(monkeypatch):
     bad = acceptance.Criterion(
-        "CX", "always broken", lambda quick: (_ for _ in ()).throw(RuntimeError("boom"))
+        "CX", "always broken", 1.0, 1.0,
+        lambda quick, pairs: (_ for _ in ()).throw(RuntimeError("boom")),
     )
     monkeypatch.setattr(cli, "CRITERIA", [bad])
     buffer = io.StringIO()
