@@ -4,7 +4,7 @@ Subcommands
 -----------
 atmi       simulate each maturity, emit MC ATM implied vol vs the
            closed-form approximation and limit (mixed model only)
-skew       same for the central-difference ATM skew (mixed model only)
+skew       same for the ATM skew, from the digital identity (mixed model only)
 asymptote  closed forms only, no simulation
 validate   run the acceptance criteria end to end at their fixed seeds and
            path counts; nonzero exit on failure
@@ -43,7 +43,7 @@ from .acceptance import CRITERIA, run_criterion
 from .asymptotics import DegenerateModelError
 from .mc import SimGrid, build_rv_sampler, build_vix_sampler, sample_common
 from .model import HestonParams, ModelParams
-from .pricing import DEFAULT_SKEW_STEP, atmi, atmi_skew
+from .pricing import atmi, atmi_skew
 
 __all__ = ["RunConfig", "cmd_atmi", "cmd_skew", "cmd_asymptote", "cmd_validate", "main"]
 
@@ -69,7 +69,6 @@ class RunConfig:
     n_paths: int = 200_000
     n_inner: int = 64
     seed: int = 42
-    skew_step: float = DEFAULT_SKEW_STEP
     out_path: str = "-"
     workers: int = 0  # 0: all cores
     quick: bool = False
@@ -84,8 +83,6 @@ class RunConfig:
             raise ValueError("maturities must be nonempty and positive")
         if self.n_paths < 3:  # the fewest the skew's delete-block jackknife takes
             raise ValueError(f"paths must be >= 3, got {self.n_paths!r}")
-        if not (self.skew_step > 0.0 and math.isfinite(self.skew_step)):
-            raise ValueError(f"skew_step must be positive and finite, got {self.skew_step!r}")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative")
 
@@ -125,7 +122,7 @@ class _Setting(NamedTuple):
 
 
 # Every setting, keyed by its config-file key, which is also its flag's dest
-# ("--skew-step" -> "skew_step") and its header name. The defaults live only
+# ("--heston-k" -> "heston_k") and its header name. The defaults live only
 # in RunConfig. Out and workers are not echoed: they do not affect the
 # numbers, and the byte-identity contract must hold across worker counts.
 _SETTINGS: dict[str, _Setting] = {
@@ -143,7 +140,6 @@ _SETTINGS: dict[str, _Setting] = {
     "paths": _Setting("n_paths", int, "Monte Carlo paths", str),
     "inner": _Setting("n_inner", int, "RV trapezoid steps (rv underlying only)", str),
     "seed": _Setting("seed", int, "RNG seed (VIXSMILE_SEED fallback)", str),
-    "skew_step": _Setting("skew_step", float, "central-difference log-strike step"),
     "out": _Setting("out_path", str, "output path ('-' for stdout)", None),
     "workers": _Setting("workers", int, "parallel workers (0: all cores)", None),
     "heston_k": _Setting("heston_k", float, "Heston reversion speed (heston model only)"),
@@ -157,7 +153,7 @@ _CLOSED_FORM = ("hurst", "beta", "gamma", "nu", "eta", "delta", "T")
 _MC = ("paths", "inner", "seed")
 _TAKES: dict[str, tuple[str, ...]] = {
     "atmi": ("underlying", *_CLOSED_FORM, *_MC, "out", "workers"),
-    "skew": ("underlying", *_CLOSED_FORM, *_MC, "skew_step", "out", "workers"),
+    "skew": ("underlying", *_CLOSED_FORM, *_MC, "out", "workers"),
     "asymptote": ("model", "v0", *_CLOSED_FORM, "out", "heston_k"),
     "validate": ("out",),
 }
@@ -274,7 +270,7 @@ def cmd_atmi(config: RunConfig, stream) -> None:
 
 
 def cmd_skew(config: RunConfig, stream) -> None:
-    """One row per maturity: MC central-difference skew vs approximation/limit."""
+    """One row per maturity: MC ATM skew vs approximation and limit."""
 
     def row_values(params: ModelParams, batch, maturity: float) -> list[float]:
         if config.underlying == "vix":
@@ -283,7 +279,7 @@ def cmd_skew(config: RunConfig, stream) -> None:
         else:
             limit = asy.rv_skew_limit(params)
             approx = limit * maturity ** (params.H - 0.5)
-        value, stderr = atmi_skew(batch, maturity, step=config.skew_step)
+        value, stderr = atmi_skew(batch, maturity)
         return [value, stderr, approx, limit]
 
     _simulated_rows(config, stream, "skew", row_values)

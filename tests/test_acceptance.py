@@ -18,6 +18,7 @@ import vixsmile.specfun as specfun
 from vixsmile.acceptance import CRITERIA, run_criterion
 from vixsmile.specfun import QuadratureError
 
+C6 = next(c for c in CRITERIA if c.key == "C6")
 C9 = next(c for c in CRITERIA if c.key == "C9")
 C10 = next(c for c in CRITERIA if c.key == "C10")
 # C9's incomplete-gamma grid.
@@ -50,6 +51,22 @@ def fresh_memo():
 
 def _martingale(detail):
     return next(part for part in detail.split("; ") if part.startswith("martingale"))
+
+
+def test_c6_fails_when_the_fixed_rule_leaves_the_beta_0_closed_form(monkeypatch):
+    # A level integral off by 1e-9 relative moves the fixed-rule value by
+    # 5e-10, far past the 1e-12 the beta = 0 closed form must match it to.
+    real = acceptance.asy._rv_level_integral
+
+    def perturbed(params, maturity):
+        value, err = real(params, maturity)
+        return value * (1.0 + 1e-9), err
+
+    assert run_criterion(C6, quick=True).passed
+    monkeypatch.setattr(acceptance.asy, "_rv_level_integral", perturbed)
+    result = run_criterion(C6, quick=True)
+    assert not result.passed
+    assert result.detail.startswith("beta=0 reduction broken at T=0.05")
 
 
 def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch, fresh_memo):

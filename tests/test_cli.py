@@ -73,7 +73,7 @@ def test_config_file_accepts_every_setting_flag(tmp_path):
         "model": "mixed", "underlying": "rv", "v0": "0.04", "hurst": "0.3",
         "beta": "0", "gamma": "1", "nu": "2", "eta": "0", "delta": "0.08",
         "T": "0.25", "paths": "4000", "inner": "8", "seed": "5",
-        "skew_step": "0.01", "out": "-", "workers": "1", "heston_k": "1",
+        "out": "-", "workers": "1", "heston_k": "1",
     }
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
@@ -85,7 +85,8 @@ def test_offsets_flag_and_key_are_rejected(tmp_path, capsys):
         main(["asymptote", "--offsets", "-0.1,0.1"])
     assert exc.value.code == 2
     cfg = tmp_path / "old.cfg"
-    for line in ("offsets = -0.1,0.1\n", "config = other.cfg\n", "quick = 1\n"):
+    for line in ("offsets = -0.1,0.1\n", "config = other.cfg\n", "quick = 1\n",
+                 "skew_step = 0.01\n"):
         cfg.write_text(line)
         code, _, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
         assert code == 2
@@ -122,8 +123,7 @@ def test_env_seed_read_only_by_subcommands_with_a_seed(capsys, monkeypatch):
 _MODEL = ["hurst", "beta", "gamma", "nu", "eta", "delta", "T"]
 _TAKES = {
     "atmi": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
-    "skew": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "skew_step",
-             "out", "workers"],
+    "skew": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
     "asymptote": ["config", "model", "v0", *_MODEL, "out", "heston_k"],
     "validate": ["quick", "out"],
 }
@@ -162,6 +162,7 @@ _REJECTED_TAIL = ["--paths", "4000", "--inner", "8", "--T", "0.25", "--seed", "1
      ["asymptote", "--inner", "8"], ["asymptote", "--seed", "3"],
      ["asymptote", "--skew-step", "0.02"], ["asymptote", "--workers", "2"],
      ["atmi", "--skew-step", "0.02"] + _REJECTED_TAIL,
+     ["skew", "--skew-step", "0.02"] + _REJECTED_TAIL,
      ["atmi", "--heston-k", "2"] + _REJECTED_TAIL,
      ["atmi", "--model", "mixed"] + _REJECTED_TAIL,
      ["skew", "--heston-k", "2"] + _REJECTED_TAIL,
@@ -250,8 +251,6 @@ def _bad_flags(command, flag_lists):
 
 _BAD_MODEL = [["--T", "nan"], ["--T", "inf"], ["--T", "0.1,inf"],
               ["--delta", "nan"], ["--delta", "0"]]
-_BAD_STEP = [["--skew-step", "-1"], ["--skew-step", "0"], ["--skew-step", "nan"],
-             ["--skew-step", "inf"]]
 _BAD_MC = [["--paths", "1"], ["--paths", "2"]]
 
 
@@ -259,7 +258,7 @@ _BAD_MC = [["--paths", "1"], ["--paths", "2"]]
 @pytest.mark.parametrize(
     "command,flags",
     _bad_flags("atmi", _BAD_MODEL + _BAD_MC)
-    + _bad_flags("skew", _BAD_MODEL + _BAD_STEP + _BAD_MC)
+    + _bad_flags("skew", _BAD_MODEL + _BAD_MC)
     + _bad_flags("asymptote", _BAD_MODEL),
 )
 def test_non_finite_maturity_or_window_fails_before_any_output(command, flags, capsys):
@@ -306,9 +305,6 @@ def test_run_config_validation():
         RunConfig(maturities=[])
     with pytest.raises(ValueError):
         RunConfig(maturities=[-0.1])
-    for step in (0.0, -0.01, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            RunConfig(skew_step=step)
     for n_paths in (0, 1, 2):  # below the skew jackknife's three paths
         with pytest.raises(ValueError):
             RunConfig(n_paths=n_paths)
@@ -349,8 +345,7 @@ _HEAD = ("hurst=0.29999999999999999 beta=0 gamma=1 nu=2 "
         (["skew", "--gamma", "0.5", "--eta", "1"] + BASE,
          "# vixsmile-csv schema=skew.v1 underlying=vix "
          "hurst=0.29999999999999999 beta=0 gamma=0.5 "
-         "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 seed=11 "
-         "skew_step=0.01",
+         "nu=2 eta=1 delta=0.082191780821917804 T=0.25 paths=4000 seed=11",
          "T,mc_skew,mc_stderr,approx_skew,limit_value,status"),
         (["asymptote", "--gamma", "0.5", "--eta", "1", "--beta", "2",
           "--T", "0.1,0.5"],

@@ -6,14 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vixsmile.bs import BsQuote, atm_implied_vol, bs_vega, implied_vol
+from vixsmile.bs import BracketError, BsQuote, atm_implied_vol, bs_vega, implied_vol
 from vixsmile.mc import PathBatch, SimGrid, build_vix_sampler, sample_rv, sample_vix
 from vixsmile.model import ModelParams
 from vixsmile.pricing import JACKKNIFE_BLOCKS, _block_estimates, atmi, atmi_skew
+from vixsmile.specfun import normal_cdf, normal_pdf
 
 
 def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
     return ModelParams(v0=v0, H=H, beta=beta, gamma=gamma, nu=nu, eta=eta)
+
+
+SINGLE = dict(gamma=1.0, nu=2.0, eta=0.0)
+MIXED = dict(gamma=0.5, nu=3.0, eta=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +97,7 @@ def test_skew_zero_for_symmetric_lognormal_sabr():
 
 
 def test_skew_mixed_sabr_quarter():
-    # The mixed SABR skew sits at 0.25 across short maturities; the finite
-    # difference needs the smile width sigma*sqrt(T) to dominate the step.
+    # The mixed SABR skew sits at 0.25 across short maturities.
     grid = SimGrid(T=1.0 / 12.0, n_inner=16, n_paths=100_000, seed=15)
     params = mk(H=0.5, gamma=0.5, nu=3.0, eta=1.0)
     batch = sample_vix(build_vix_sampler(params, grid))
@@ -101,13 +105,35 @@ def test_skew_mixed_sabr_quarter():
     assert value == pytest.approx(0.25, rel=0.15)
 
 
-def test_skew_step_halving_within_noise():
-    grid = SimGrid(T=1.0 / 12.0, n_inner=16, n_paths=50_000, seed=16)
-    params = mk(H=0.5, gamma=0.5, nu=3.0, eta=1.0)
-    batch = sample_vix(build_vix_sampler(params, grid))
-    wide, err_wide = atmi_skew(batch, 1.0 / 12.0, step=1e-2)
-    narrow, err_narrow = atmi_skew(batch, 1.0 / 12.0, step=5e-3)
-    assert abs(wide - narrow) <= err_wide + err_narrow
+def test_skew_is_the_central_difference_where_no_sample_is_near_the_money():
+    # With no sample in [F e^-h, F e^h] the Monte Carlo call price is linear
+    # in the strike there, so the implied-vol central difference at step h
+    # differs from the exact derivative only by its O(h^2) smile curvature.
+    maturity, h = 0.1, 1e-5
+    grid = SimGrid(T=maturity, n_inner=8, n_paths=20_000, seed=7)
+    samples = sample_vix(build_vix_sampler(mk(H=0.1, **MIXED), grid)).samples
+    forward = float(np.mean(samples))
+    log_f = math.log(forward)
+    strikes = forward * math.exp(-h), forward * math.exp(h)
+    assert not np.any((samples >= strikes[0]) & (samples <= strikes[1]))
+    down, up = (implied_vol(float(np.mean(np.maximum(samples - strike, 0.0))),
+                            log_f, math.log(strike), maturity) for strike in strikes)
+    value, _ = atmi_skew(PathBatch(samples), maturity)
+    assert value == pytest.approx((up - down) / (2.0 * h), rel=0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("params, maturity", [(mk(H=0.5, nu=2.0), 1e-4),
+                                              (mk(H=0.1, **MIXED), 1e-3)],
+                         ids=["sabr-1e-4", "rough-mixed-1e-3"])
+def test_skew_jackknife_stderr_matches_the_spread_over_seeds(params, maturity):
+    # 60 independent 20k-path batches: the median jackknife stderr tracks
+    # the observed spread of the skew (0.549 vs 0.499 and 0.178 vs 0.170).
+    # The spread itself is known to about 9 %.
+    sampler = build_vix_sampler(params, SimGrid(T=maturity, n_paths=20_000, seed=0))
+    skews = [atmi_skew(sample_vix(sampler, seed=seed), maturity) for seed in range(60)]
+    spread = np.std([value for value, _ in skews], ddof=1)
+    typical_err = np.median([stderr for _, stderr in skews])
+    assert 0.8 <= typical_err / spread <= 1.5
 
 
 def test_skew_sign_matches_limit_on_mixed_grid():
@@ -168,37 +194,32 @@ def test_rv_skew_sign_matches_limit_at_tiny_maturity():
         assert abs(value - limit * T ** (p.H - 0.5)) <= 3.0 * stderr
 
 
-def test_skew_rejects_bad_step():
-    grid = SimGrid(T=0.25, n_inner=8, n_paths=1000, seed=19)
-    batch = sample_vix(build_vix_sampler(mk(H=0.4, nu=1.0), grid))
-    with pytest.raises(ValueError):
-        atmi_skew(batch, 0.25, step=0.0)
-
-
 # ---------------------------------------------------------------------------
 # atmi_skew jackknife against the masked-copy oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_skew(samples, maturity, step):
+def _oracle_skew(samples, maturity):
+    """The digital identity on a copy: dI/dk = (N(-s) - D) / (phi(s) sqrt(T)),
+    s = I sqrt(T)/2, D the share of samples above the mean."""
     forward = float(np.mean(samples))
-    log_f = math.log(forward)
-    vols = []
-    for sign in (+1.0, -1.0):
-        price = float(np.mean(np.maximum(samples - forward * math.exp(sign * step), 0.0)))
-        vols.append(implied_vol(price, log_f, log_f + sign * step, maturity))
-    return (vols[0] - vols[1]) / (2.0 * step)
+    price = float(np.mean(np.maximum(samples - forward, 0.0)))
+    digital = float(np.mean(samples > forward))
+    if not 0.0 < digital < 1.0:  # no sample on one side: a constant batch
+        raise BracketError(f"digital {digital!r}")
+    half = 0.5 * atm_implied_vol(price, forward, maturity) * math.sqrt(maturity)
+    return (normal_cdf(-half) - digital) / (normal_pdf(half) * math.sqrt(maturity))
 
 
-def _oracle_atmi_skew(samples, maturity, step=1e-2):
+def _oracle_atmi_skew(samples, maturity):
     """Delete-block jackknife that recomputes each estimate on a masked copy."""
-    value = _oracle_skew(samples, maturity, step)
+    value = _oracle_skew(samples, maturity)
     n_blocks = min(JACKKNIFE_BLOCKS, samples.size)
     boundaries = np.linspace(0, samples.size, n_blocks + 1).astype(int)
     estimates = np.empty(n_blocks)
     for b in range(n_blocks):
         mask = np.ones(samples.size, dtype=bool)
         mask[boundaries[b]:boundaries[b + 1]] = False
-        estimates[b] = _oracle_skew(samples[mask], maturity, step)
+        estimates[b] = _oracle_skew(samples[mask], maturity)
     center = float(np.mean(estimates))
     stderr = math.sqrt(
         (n_blocks - 1) / n_blocks * float(np.sum((estimates - center) ** 2))
@@ -210,13 +231,9 @@ def _assert_matches_oracle(samples, maturity):
     value, stderr = atmi_skew(PathBatch(samples), maturity)
     o_value, o_stderr, o_estimates = _oracle_atmi_skew(samples, maturity)
     assert value == o_value
-    estimates = _block_estimates(samples, maturity, 1e-2, np.empty(samples.size))
+    estimates = _block_estimates(samples, maturity, np.empty(samples.size))
     np.testing.assert_allclose(estimates, o_estimates, rtol=0.0, atol=1e-11)
     assert stderr == pytest.approx(o_stderr, rel=1e-8)
-
-
-SINGLE = dict(gamma=1.0, nu=2.0, eta=0.0)
-MIXED = dict(gamma=0.5, nu=3.0, eta=1.0)
 
 
 @pytest.mark.parametrize("kind", ["vix", "rv"])
@@ -241,11 +258,11 @@ def test_skew_jackknife_uneven_and_single_path_blocks(n_paths):
 
 
 def test_skew_jackknife_samples_tied_at_strikes():
-    # Block b's forward ignores block b's own samples, so a sample placed in
-    # block b can sit exactly on that block's strike. The down-leg tie goes
-    # in the block with the lowest forward (the lowest strike of its leg),
-    # the up-leg tie in the block with the highest (the top of the band).
-    step, maturity = 1e-2, 0.1
+    # Block b's strike is its forward, the mean of the samples outside it. A
+    # sample tied with the lowest strike sits in that block's own slice, one
+    # tied with the highest (the top of the band) in another block, so it
+    # stays in the subsample: neither is counted above its strike.
+    maturity = 0.1
     grid = SimGrid(T=maturity, n_inner=8, n_paths=1001, seed=44)
     samples = sample_vix(build_vix_sampler(mk(H=0.3, **MIXED), grid)).samples.copy()
     boundaries = np.linspace(0, samples.size, JACKKNIFE_BLOCKS + 1).astype(int)
@@ -256,21 +273,24 @@ def test_skew_jackknife_samples_tied_at_strikes():
         return (float(np.sum(samples)) - sums) / kept
 
     lowest, highest = int(np.argmin(forwards())), int(np.argmax(forwards()))
-    ties = [(lowest, -1.0), (highest, +1.0)]
+    ties = [(lowest, boundaries[lowest]), (highest, boundaries[lowest] + 1)]
     for _ in range(10):
-        for block, sign in ties:
-            samples[boundaries[block]] = forwards()[block] * math.exp(sign * step)
-    for block, sign in ties:
-        assert samples[boundaries[block]] == forwards()[block] * math.exp(sign * step)
+        for block, index in ties:
+            samples[index] = forwards()[block]
+    for block, index in ties:
+        assert samples[index] == forwards()[block]
     _assert_matches_oracle(samples, maturity)
 
 
 def test_skew_constant_batch_raises_like_oracle():
-    samples = np.full(100, 0.2)
-    with pytest.raises(Exception) as oracle_error:
-        _oracle_atmi_skew(samples, 0.1)
-    with pytest.raises(oracle_error.type):
-        atmi_skew(PathBatch(samples), 0.1)
+    # The mean of 100 copies of 0.2 rounds below 0.2, so every sample lies
+    # above the forward (a digital of 1); that of 64 copies of 0.25 is exact,
+    # so none does, and the ATM price is 0.
+    for samples in (np.full(100, 0.2), np.full(64, 0.25)):
+        with pytest.raises(Exception) as oracle_error:
+            _oracle_atmi_skew(samples, 0.1)
+        with pytest.raises(oracle_error.type):
+            atmi_skew(PathBatch(samples), 0.1)
 
 
 def test_skew_rejects_too_few_paths():
