@@ -24,11 +24,11 @@ sampler's lone draw, so sharing moves no value, and the first criterion's
 seconds include the whole draw. C10's stderr-halving and determinism draws
 stay its own.
 
-Only C8 runs an adaptive quadrature: ``vix_skew_approx`` takes its outer
-integral through ``specfun.integrate_err``. C9 checks the incomplete gamma,
-scalar and array paths, against one Gauss-Jacobi rule per shape whose
-remainder is bounded in closed form, and reports it as
-"gamma vs Gauss-Jacobi: err (bound b, cap 1e-10)".
+No criterion runs an adaptive quadrature: C8's ``vix_skew_approx`` takes
+fixed rules only. C9 checks the incomplete gamma, scalar and array paths,
+against one Gauss-Jacobi rule per shape whose remainder is bounded in
+closed form, and reports it as "gamma vs Gauss-Jacobi: err (bound b,
+cap 1e-10)".
 """
 
 from __future__ import annotations

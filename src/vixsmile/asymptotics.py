@@ -29,14 +29,17 @@ import numpy as np
 from .model import HestonParams, ModelParams, kernel_variance
 from .specfun import (
     QuadratureError,
-    QuadSpec,
+    _doubling_edges,
     gauss_jacobi,
     gauss_kronrod_15,
     geometric_rule,
-    integrate_err,
     kronrod_bound,
     lower_incomplete_gamma,
 )
+
+# integrate_err, the adaptive reference of the skew's outer rule, is imported
+# but not called: perfbench/tracer.py binds it as asymptotics.integrate_err.
+from .specfun import integrate_err  # noqa: F401
 
 __all__ = [
     "DegenerateModelError",
@@ -59,11 +62,15 @@ __all__ = [
 # Relative quadrature-error ceiling for any result produced here.
 QUAD_BOUND_TOL = 1e-7
 
-_TINY_ABS = 1e-280  # quadrature abs_tol floor; values scale like powers of T
-
 # Geometric Gauss-Kronrod panels of the fixed rule over [0, T] behind the
 # level integrals and the skew's inner kernel mass, from T 2^-panels up to T.
 _PANELS = 44
+
+# Decay-scale edges of the VIX skew's outer rule, as multiples of
+# w_beta = (beta delta)^(-1/3): there e^(-2 beta delta w^3) reaches e^-2,
+# e^-5.7, e^-16 and e^-45. One doubling panel from w_beta to 2 w_beta sees
+# e^-14 of it, and its Kronrod-Gauss gap can exceed the tolerance.
+_DECAY_EDGES = 2.0 ** (np.arange(4) / 2.0)
 
 
 class DegenerateModelError(ValueError):
@@ -285,33 +292,44 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
           = 1/2 (int_0^T K-bar(s)^2 ds)^2
 
     where I(s,u) = int_T^(T+delta) k(r-s) k(r-u) dr. The outer integral in r
-    is adaptive, in w over [0, 1] with r - T = delta w^3. The kernel mass
-    behaves like m(0) + c g^(H+1/2) + ... in g = r - T, whose derivative is
+    runs in w over [0, 1] with r - T = delta w^3. The kernel mass behaves
+    like m(0) + c g^(H+1/2) + ... in g = r - T, whose derivative is
     unbounded at g = 0; in w the integrand m(delta w^3)^2 3 delta w^2 has
-    w^(3.5+3H) as its lowest non-smooth power, so few panels reach the
-    tolerance. The inner kernel mass uses :func:`_kernel_mass_rule` for all
-    nodes of an outer panel at once, and W comes from the same rule.
+    w^(3.5+3H) as its lowest non-smooth power. The integrand bends where g
+    reaches the scale s = T, or s = min(T, 1/beta) for beta > 0, that is at
+    w_s = min(1, (s/delta)^(1/3)), and it falls like e^(-2 beta delta w^3)
+    past w_beta = (beta delta)^(-1/3). So the outer rule is fixed: the
+    15-point Gauss-Kronrod rule on a head panel [0, w_s/8] and on panels
+    that double in w from w_s/8 up to 1, split further at the edges
+    w_beta 2^(k/2), k = 0..3, that lie below 1 (beta delta > 1). One
+    :func:`_kernel_mass_rule` call takes every outer node, and W comes from
+    the same rule. The bound adds each panel's
+    :func:`~vixsmile.specfun.kronrod_bound` and the inner error carried
+    through m^2, |m^2 - (m + e)^2| <= (2m + |e|) |e|, under the Kronrod
+    weights.
     """
     kernel_mass, w_int, w_err = _kernel_mass_rule(params, delta, maturity)
-    outer_spec = QuadSpec(abs_tol=_TINY_ABS, rel_tol=1e-9)
+    beta = params.beta
+    scale = min(maturity, 1.0 / beta) if beta > 0.0 else maturity
+    w_scale = min(1.0, (scale / delta) ** (1.0 / 3.0))
+    edges = _doubling_edges(w_scale / 8.0, 1.0)
+    if beta > 0.0:
+        decay = (beta * delta) ** (-1.0 / 3.0) * _DECAY_EDGES
+        edges = np.sort(np.concatenate([edges, decay[decay < 1.0]]))
+    edges = np.concatenate([[0.0], edges])
 
-    # Largest relative error estimate of the inner rule, rel: the outer
-    # integrand m^2 then carries a first-order error of at most 2 rel m^2.
-    # Where the mass underflows to 0 (beta above about 9000 at delta = 30
-    # days) so does its error, and m^2 carries none.
-    worst_inner = 0.0
-
-    def m_squared(w):
-        nonlocal worst_inner
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        mass, err = kernel_mass(delta * w ** 3)
-        rel = np.divide(err, mass, out=np.zeros_like(err), where=mass > 0.0)
-        worst_inner = max(worst_inner, float(np.max(rel)))
-        return mass * mass * (3.0 * delta) * (w * w)
-
-    cross, cross_err = integrate_err(m_squared, 0.0, 1.0, outer_spec)
-    cross *= 0.5
-    cross_err = 0.5 * cross_err + 2.0 * worst_inner * cross
+    gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
+    half = 0.5 * np.diff(edges)[:, None]
+    w = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * gk_x
+    mass, err = kernel_mass(delta * w.ravel() ** 3)
+    jacobian = (3.0 * delta) * (w * w)
+    m_squared = (mass * mass).reshape(w.shape) * jacobian
+    inner_err = (err * (2.0 * mass + err)).reshape(w.shape) * jacobian
+    kronrod = half * gk_kronrod
+    panels = (m_squared * kronrod).sum(axis=1)
+    gaps = (m_squared * (half * (gk_kronrod - gk_gauss))).sum(axis=1)
+    cross = 0.5 * float(panels.sum())
+    cross_err = 0.5 * float(kronrod_bound(panels, gaps).sum() + (inner_err * kronrod).sum())
     return cross, cross_err, w_int, w_err
 
 

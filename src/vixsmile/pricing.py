@@ -36,8 +36,9 @@ def _call_payoffs(samples: np.ndarray, strike: float, out: np.ndarray) -> np.nda
 def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
     """ATM implied vol with strike at the batch mean, plus its standard error.
 
-    A numerically constant batch (zero vol-of-vol) has zero ATM price and is
-    reported as the degenerate result (0.0, 0.0).
+    A numerically constant batch (zero vol-of-vol) is reported as the
+    degenerate result (0.0, 0.0): its ATM price is zero, or of rounding size
+    when its mean rounds below every sample.
     """
     samples = batch.samples
     n = samples.size
@@ -46,7 +47,7 @@ def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
     forward = float(np.mean(samples))
     payoff = _call_payoffs(samples, forward, np.empty(n))
     price = float(np.mean(payoff))
-    if price <= 0.0:
+    if price <= 0.0 or float(np.min(samples)) > forward:
         return 0.0, 0.0
     # np.std(payoff, ddof=1) in place: centre, square, sum.
     np.subtract(payoff, price, out=payoff)

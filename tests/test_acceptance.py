@@ -152,8 +152,9 @@ def test_each_seed_and_path_count_is_drawn_once(quick, groups, monkeypatch, fres
 
 
 def test_c9_runs_no_adaptive_quadrature(monkeypatch):
-    # Of the eleven criteria only C8 reaches the adaptive quadrature, through
-    # vix_skew_approx's outer integral; C9's oracles are all fixed rules.
+    # None of the eleven criteria reaches the adaptive quadrature: C9's
+    # oracles are all fixed rules, and so is vix_skew_approx's outer
+    # integral, which C8 runs.
     real, reached, running = specfun._adaptive, set(), []
 
     def spy(*args, **kwargs):
@@ -165,7 +166,7 @@ def test_c9_runs_no_adaptive_quadrature(monkeypatch):
         running.append(criterion.key)
         result = run_criterion(criterion, quick=True)
         assert result.passed, (criterion.key, result.detail)
-    assert reached == {"C8"}
+    assert reached == set()
 
 
 def test_incomplete_gamma_oracle_bound_is_honest():
@@ -204,6 +205,58 @@ def test_c9_fails_when_the_incomplete_gamma_is_off(monkeypatch, path):
     result = run_criterion(C9, quick=True)
     assert not result.passed
     assert result.detail.startswith("gamma vs Gauss-Jacobi: 1.00e-09")
+
+
+def _scaled(factor):
+    return lambda real: lambda *args: factor * real(*args)
+
+
+def _biased_skew(real):
+    # Ten stderrs off: C11 reads |skew| / stderr, 1.6 unpatched in quick mode.
+    def biased(batch, maturity):
+        value, stderr = real(batch, maturity)
+        return value + 10.0 * stderr, stderr
+
+    return biased
+
+
+# The mutant table (ROADMAP item 5), started: (criterion, the sub-check of
+# its detail that must fail or None for a one-check criterion, the name under
+# check, the patch that wraps it). Names are looked up where the runners read
+# them, "asy.<name>" in asymptotics, the others in acceptance.
+MUTANTS = [
+    ("C3", None, "asy.heston_vix_skew_sign", _scaled(-1.0)),
+    ("C5", None, "asy.vix_atmi_approx", _scaled(1.15)),
+    ("C8", "vix_atmi@1e-6", "asy.vix_atmi_approx", _scaled(1.15)),
+    ("C8", "vix_skew@1e-5", "asy.vix_skew_approx", _scaled(1.02)),
+    ("C11", None, "atmi_skew", _biased_skew),
+]
+
+
+def _over_cap(detail):
+    """Names of the sub-checks of a "name: gap (cap c); ..." detail whose gap
+    is over its cap."""
+    over = set()
+    for part in detail.split("; "):
+        name, measured = part.split(": ")
+        if float(measured.split()[0]) > float(measured.split("cap ")[1].rstrip(")")):
+            over.add(name)
+    return over
+
+
+@pytest.mark.parametrize("key, sub_check, target, mutate", MUTANTS,
+                         ids=[f"{key}-{target}" for key, _, target, _ in MUTANTS])
+def test_each_mutant_fails_its_criterion(key, sub_check, target, mutate, monkeypatch):
+    criterion = next(c for c in CRITERIA if c.key == key)
+    assert run_criterion(criterion, quick=True).passed
+    owner, name = ((acceptance.asy, target[4:]) if target.startswith("asy.")
+                   else (acceptance, target))
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    result = run_criterion(criterion, quick=True)
+    # It fails on its measure, not through an error.
+    assert not result.passed and math.isfinite(result.achieved), result.detail
+    if sub_check is not None:
+        assert _over_cap(result.detail) == {sub_check}
 
 
 # (tolerance, quick_tolerance) of each row: fixed inputs, so that any

@@ -18,6 +18,7 @@ import pytest
 import scipy.special
 
 from vixsmile import asymptotics as asy
+from vixsmile import specfun
 from vixsmile.asymptotics import (
     DegenerateModelError,
     heston_vix_skew_sign,
@@ -479,48 +480,120 @@ def test_vix_skew_approx_where_the_kernel_mass_underflows(beta):
         assert 0.0 < value < 1.0 and 0.0 < bound < 1e-9
 
 
-def test_vix_skew_approx_runs_one_adaptive_quadrature(monkeypatch):
-    # Only the outer integral of Q_A is adaptive, in w over [0, 1] with
-    # r - T = delta w^3: the inner kernel mass and W come from one fixed
-    # rule, and the level formulas run none at all.
-    calls = []
+def test_closed_forms_run_no_adaptive_quadrature(monkeypatch):
+    # Every public closed form returns with the adaptive integrator made to
+    # raise: the VIX skew's outer integral, the last one it served, now takes
+    # a fixed rule too. The kernel-overlap constant's caches are cleared so
+    # that its fixed rules run here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature reached")
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return integrate_err(*args, **kwargs)
-
-    monkeypatch.setattr(asy, "integrate_err", counting)
+    monkeypatch.setattr(specfun, "_adaptive", refuse)
+    asy.rv_skew_constant.cache_clear()
+    asy._rv_skew_constant_err.cache_clear()
     params = mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
-    vix_skew_approx(params, DELTA, 0.25)
-    assert calls == [(0.0, 1.0)]
-    vix_atmi_approx(params, DELTA, 0.25)
-    rv_atmi_approx(params, 0.25)
-    assert len(calls) == 1
+    for name in ("vix_atmi_limit", "vix_skew_limit"):
+        assert math.isfinite(getattr(asy, name)(params, DELTA))
+    for name in ("vix_atmi_approx", "vix_atmi_approx_err", "vix_skew_approx",
+                 "vix_skew_approx_err"):
+        assert np.all(np.isfinite(getattr(asy, name)(params, DELTA, 0.25)))
+    for name in ("rv_atmi_approx", "rv_atmi_approx_err"):
+        assert np.all(np.isfinite(getattr(asy, name)(params, 0.25)))
+    for name in ("rv_atmi_limit", "rv_skew_limit", "rv_skew_limit_err"):
+        assert np.all(np.isfinite(getattr(asy, name)(params)))
+    assert rv_skew_constant(0.1) > 0.0
+    assert sabr_mixed_vix_skew(0.5, 3.0, 1.0) == 0.25
+    assert heston_vix_skew_sign(HestonParams(k=1.0, nu=0.25, v0=0.09), DELTA) < 0.0
     assert not any(isinstance(value, np.vectorize) for value in vars(asy).values())
+
+
+def _outer_node_counts(monkeypatch):
+    """A list that gets the number of outer nodes of each skew evaluation:
+    one kernel-mass call takes them all."""
+    counts, real = [], asy._kernel_mass_rule
+
+    def counting(params, delta, maturity):
+        kernel_mass, *rest = real(params, delta, maturity)
+
+        def counted(gaps):
+            counts.append(gaps.size)
+            return kernel_mass(gaps)
+
+        return counted, *rest
+
+    monkeypatch.setattr(asy, "_kernel_mass_rule", counting)
+    return counts
 
 
 def test_vix_skew_approx_outer_integral_takes_few_points(monkeypatch):
     # In r the g^(H+1/2) term of the kernel mass at g = r - T = 0 drove
-    # GK15 to 315-765 integrand points over this grid; in w = (g/delta)^(1/3)
-    # it takes at most 135. The cap is that plus one 15-point panel.
-    points = []
-
-    def counting(f, lo, hi, spec):
-        def tallied(x):
-            points[-1] += np.size(x)
-            return f(x)
-
-        points.append(0)
-        return integrate_err(tallied, lo, hi, spec)
-
-    monkeypatch.setattr(asy, "integrate_err", counting)
+    # adaptive GK15 to 315-765 integrand points over this grid; in
+    # w = (g/delta)^(1/3) the fixed rule takes at most 8 panels here, 120
+    # nodes. The cap is 135.
+    counts = _outer_node_counts(monkeypatch)
     for hurst in (0.05, 0.1, 0.3, 0.45):
         for beta in (0.0, 1.0, 5.0):
             params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
             for maturity in (1e-4, 0.02, 0.5, 2.0):
                 vix_skew_approx(params, DELTA, maturity)
-    assert len(points) == 48
-    assert max(points) <= 150
+    assert len(counts) == 48
+    assert max(counts) <= 135
+
+
+@pytest.mark.parametrize("maturity", [1e-4, 1e-2])
+def test_vix_skew_outer_rule_needs_its_decay_edges(maturity, monkeypatch):
+    # At beta delta = 20 the squared kernel mass falls by e^-14 between
+    # w_beta and 2 w_beta. Without the decay-scale edges one doubling panel
+    # spans that fall, and its Kronrod-Gauss gap exceeds the tolerance.
+    params = mk(H=0.5, beta=20.0, gamma=0.3, nu=1.0, eta=4.0)
+    value, bound = asy.vix_skew_approx_err(params, 1.0, maturity)
+    assert bound < 1e-3 * asy.QUAD_BOUND_TOL * max(1.0, abs(value))
+    monkeypatch.setattr(asy, "_DECAY_EDGES", np.array([]))
+    with pytest.raises(QuadratureError):
+        asy.vix_skew_approx_err(params, 1.0, maturity)
+
+
+def test_vix_skew_bound_carries_the_inner_error(monkeypatch):
+    # The kernel mass off by 1e-6 relative puts Q_A = 1/2 int m^2 off by
+    # about 2e-6 relative: its bound must take that from the inner rule's
+    # error estimate, as the outer rule alone cannot see it.
+    params = mk(H=0.1, beta=1.0, gamma=0.5, nu=3.0, eta=1.0)
+    cross, cross_err, _, _ = asy._skew_numerators(params, DELTA, 0.25)
+    assert cross_err < 1e-8 * cross
+    real = asy._kernel_mass_rule
+
+    def inflated(params, delta, maturity):
+        kernel_mass, *rest = real(params, delta, maturity)
+
+        def off(gaps):
+            mass, err = kernel_mass(gaps)
+            return mass, err + 1e-6 * mass
+
+        return off, *rest
+
+    monkeypatch.setattr(asy, "_kernel_mass_rule", inflated)
+    cross, cross_err, _, _ = asy._skew_numerators(params, DELTA, 0.25)
+    assert cross_err >= 2e-6 * cross
+
+
+def test_vix_skew_outer_rule_holds_its_tolerance_over_a_wide_grid(monkeypatch):
+    # 2,835 configurations from H = 0.02 to 1/2, beta = 0 to 1e6 and T from
+    # 1e-10 to 10, at three windows and three mixtures: no QuadratureError
+    # and no numpy warning; 60 to 300 outer nodes each.
+    counts = _outer_node_counts(monkeypatch)
+    mixtures = [(1.0, 2.0, 0.0), (0.5, 3.0, 1.0), (0.3, 1.0, 4.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hurst in (0.02, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5):
+            for beta in (0.0, 1.0, 5.0, 20.0, 1e6):
+                for gamma, nu, eta in mixtures:
+                    params = mk(H=hurst, beta=beta, gamma=gamma, nu=nu, eta=eta)
+                    for delta in (1.0 / 365.0, DELTA, 1.0):
+                        for maturity in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 2.0, 10.0):
+                            value, bound = asy.vix_skew_approx_err(params, delta, maturity)
+                            assert bound <= asy.QUAD_BOUND_TOL * max(1.0, abs(value))
+    assert len(counts) == 2835
+    assert 60 <= min(counts) and max(counts) <= 300
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ def test_atmi_degenerate_constant_batch():
     grid = SimGrid(T=0.2, n_inner=8, n_paths=200, seed=2)
     batch = sample_vix(build_vix_sampler(mk(nu=0.0, eta=0.0), grid))
     assert atmi(batch, 0.2) == (0.0, 0.0)
+    # The mean of 100 copies of 0.2 rounds below every sample, which leaves
+    # an ATM price of rounding size: still degenerate, not a vol of 2e-15.
+    constant = PathBatch(np.full(100, 0.2))
+    assert float(np.mean(constant.samples)) < 0.2
+    assert atmi(constant, 0.1) == (0.0, 0.0)
 
 
 def test_atmi_scale_invariance():
