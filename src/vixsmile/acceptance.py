@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import asymptotics as asy
-from .bs import BsQuote, bs_price, implied_vol
+from .bs import atm_price, implied_vol
 from .mc import (
     _CHUNK_SIZE,
     FactorSampler,
@@ -336,8 +336,7 @@ def _c9_special_function_oracles(quick: bool, pairs: Pairs):
     roundtrip_err = 0.0
     for sigma in (1e-4, 1e-2, 0.2, 1.0, 5.0):
         for maturity in (1e-4, 0.05, 0.5, 2.0):
-            price = bs_price(BsQuote(0.0, 0.0, maturity, sigma))
-            recovered = implied_vol(price, 0.0, 0.0, maturity)
+            recovered = implied_vol(atm_price(sigma, maturity), maturity)
             roundtrip_err = max(roundtrip_err, abs(recovered - sigma))
     checks = [
         ("gamma vs Gauss-Jacobi", gamma_err, f"bound {gamma_bound:.2e}, ", _GAMMA_CAP),

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .bs import BracketError, BsQuote, atm_implied_vol, bs_vega
+from .bs import BracketError, atm_implied_vol, bs_vega
 from .mc import PathBatch
 from .specfun import normal_cdf, normal_pdf
 
@@ -54,8 +54,7 @@ def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
     np.multiply(payoff, payoff, out=payoff)
     price_stderr = math.sqrt(float(np.sum(payoff)) / (n - 1)) / math.sqrt(n)
     vol = atm_implied_vol(price, forward, maturity)
-    vega = bs_vega(BsQuote(math.log(forward), math.log(forward), maturity, vol))
-    return vol, price_stderr / vega
+    return vol, price_stderr / (forward * bs_vega(vol, maturity))
 
 
 def _skew_from_digital(price: float, digital: float, forward: float,

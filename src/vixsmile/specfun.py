@@ -451,15 +451,9 @@ _GAMMA_MAX_ITER = 600
 # Series below x = a + _SERIES_REACH, where it is cheaper than the continued
 # fraction (measured, scalar and array) and, all terms positive, accurate.
 _SERIES_REACH = 4.0
-# The series prefactor is x^a e^-x, which rounds to a few ulps at any x,
-# unless x^a itself overflows (a log x above log(DBL_MAX) = 709.78, which
-# needs a above about 117 in the series range). There it is
-# exp(a log x - x), finite but off by about eps (a |log x| + x) relative.
-_POWER_LOG_MAX = 700.0
-
-
-def _prefactor_overflows(a: float, x_max: float) -> bool:
-    return x_max > 1.0 and a * math.log(x_max) > _POWER_LOG_MAX
+# The largest shape taken. The series prefactor x^a e^-x rounds to a few
+# ulps at any x, and below x = a + 4 its x^a stays finite (104^100 < 1e202).
+_SHAPE_MAX = 100.0
 
 
 def _series_sum(a: float, x: float) -> tuple[float, int]:
@@ -476,8 +470,6 @@ def _series_sum(a: float, x: float) -> tuple[float, int]:
 
 def _lig_series(a: float, x: float) -> float:
     # gamma(a,x) = x^a e^-x sum_{n>=0} x^n / (a (a+1) ... (a+n))
-    if _prefactor_overflows(a, x):
-        return _series_sum(a, x)[0] * math.exp(a * math.log(x) - x)
     return _series_sum(a, x)[0] * (x ** a * math.exp(-x))
 
 
@@ -561,16 +553,12 @@ def _lig_series_array(a: float, x: np.ndarray, x_max: float) -> np.ndarray:
     Relative to its partial sum, the n-th term shrinks as x does (every
     term scales by (x/x_max)^k, k <= n), so the number of terms the series
     takes at x_max serves every element. The prefactor is the scalar
-    path's, x^a e^-x (0 at x = 0) unless x_max^a overflows.
+    path's, x^a e^-x (0 at x = 0).
     """
     flat = x.reshape(-1)
     total = _block_sum(_series_table(a, _series_sum(a, x_max)[1]), flat)
-    if _prefactor_overflows(a, x_max):
-        with np.errstate(divide="ignore"):  # log(0) = -inf gives e^-inf = 0
-            prefactor = np.exp(a * np.log(flat) - flat)
-    else:
-        prefactor = np.power(flat, a)
-        prefactor *= np.exp(-flat)
+    prefactor = np.power(flat, a)
+    prefactor *= np.exp(-flat)
     total *= prefactor
     total /= a
     return total.reshape(x.shape)
@@ -590,15 +578,12 @@ def lower_incomplete_gamma(a: float, x):
     each such element takes the scalar continued fraction, so it equals the
     scalar result exactly. Both series paths form the prefactor as
     x^a e^-x, which rounds to a few ulps at any x, where exp(a log x - x)
-    would carry a relative error growing like eps (a |log x| + x); only
-    where x^a overflows, at shapes above about 117, do they take the
-    latter. Raises :class:`QuadratureError` if any element fails to
-    converge.
+    would carry a relative error growing like eps (a |log x| + x). The
+    shape must lie in (0, 100], where x^a stays finite below a + 4.
+    Raises :class:`QuadratureError` if any element fails to converge.
     """
-    if not math.isfinite(a):
-        raise ValueError("lower_incomplete_gamma requires finite arguments")
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a!r}")
+    if not 0.0 < a <= _SHAPE_MAX:
+        raise ValueError(f"shape parameter must lie in (0, {_SHAPE_MAX:g}], got {a!r}")
     if np.ndim(x) == 0:
         x = float(x)
         if not math.isfinite(x):

@@ -230,6 +230,10 @@ MUTANTS = [
     ("C8", "vix_atmi@1e-6", "asy.vix_atmi_approx", _scaled(1.15)),
     ("C8", "vix_skew@1e-5", "asy.vix_skew_approx", _scaled(1.02)),
     ("C11", None, "atmi_skew", _biased_skew),
+    ("C9", "gamma vs Gauss-Jacobi", "lower_incomplete_gamma", _scaled(1.0 + 1e-9)),
+    ("C9", "2F1 identities", "gauss_2f1", _scaled(1.0 + 1e-8)),
+    ("C9", "implied-vol round trip", "implied_vol", _scaled(1.0 + 1e-9)),
+    ("C7", None, "asy.rv_skew_constant", _scaled(1.01)),
 ]
 
 

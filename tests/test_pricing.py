@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from vixsmile.bs import BracketError, BsQuote, atm_implied_vol, bs_vega, implied_vol
+from vixsmile.bs import BracketError, atm_implied_vol, bs_vega
 from vixsmile.mc import PathBatch, SimGrid, build_vix_sampler, sample_rv, sample_vix
 from vixsmile.model import ModelParams
 from vixsmile.pricing import JACKKNIFE_BLOCKS, _block_estimates, atmi, atmi_skew
@@ -110,6 +111,19 @@ def test_skew_mixed_sabr_quarter():
     assert value == pytest.approx(0.25, rel=0.15)
 
 
+def _off_atm_implied_vol(price, forward, log_moneyness, maturity):
+    """Implied vol at log-strike log(forward) + log_moneyness, by brentq on
+    the Black-Scholes call price over the forward in the total vol
+    sigma sqrt(T): an oracle the package, at the money only, does not have."""
+    def excess(total_vol):
+        d_plus = -log_moneyness / total_vol + 0.5 * total_vol
+        return (normal_cdf(d_plus) - math.exp(log_moneyness) * normal_cdf(d_plus - total_vol)
+                - price / forward)
+
+    return brentq(excess, 1e-8, 10.0, xtol=1e-300, rtol=4.0 * 2.0 ** -52,
+                  maxiter=500) / math.sqrt(maturity)
+
+
 def test_skew_is_the_central_difference_where_no_sample_is_near_the_money():
     # With no sample in [F e^-h, F e^h] the Monte Carlo call price is linear
     # in the strike there, so the implied-vol central difference at step h
@@ -118,11 +132,10 @@ def test_skew_is_the_central_difference_where_no_sample_is_near_the_money():
     grid = SimGrid(T=maturity, n_inner=8, n_paths=20_000, seed=7)
     samples = sample_vix(build_vix_sampler(mk(H=0.1, **MIXED), grid)).samples
     forward = float(np.mean(samples))
-    log_f = math.log(forward)
-    strikes = forward * math.exp(-h), forward * math.exp(h)
-    assert not np.any((samples >= strikes[0]) & (samples <= strikes[1]))
-    down, up = (implied_vol(float(np.mean(np.maximum(samples - strike, 0.0))),
-                            log_f, math.log(strike), maturity) for strike in strikes)
+    assert not np.any((samples >= forward * math.exp(-h)) & (samples <= forward * math.exp(h)))
+    down, up = (_off_atm_implied_vol(
+        float(np.mean(np.maximum(samples - forward * math.exp(k), 0.0))), forward, k, maturity)
+        for k in (-h, h))
     value, _ = atmi_skew(PathBatch(samples), maturity)
     assert value == pytest.approx((up - down) / (2.0 * h), rel=0.0, abs=1e-8)
 
@@ -314,7 +327,7 @@ def test_atmi_equals_the_allocating_numpy_form(n_paths):
     payoff = np.maximum(samples - forward, 0.0)
     price = float(np.mean(payoff))
     vol = atm_implied_vol(price, forward, 0.1)
-    vega = bs_vega(BsQuote(math.log(forward), math.log(forward), 0.1, vol))
+    vega = forward * bs_vega(vol, 0.1)
     stderr = float(np.std(payoff, ddof=1) / math.sqrt(n_paths)) / vega
     assert repr(atmi(PathBatch(samples), 0.1)) == repr((vol, stderr))
 

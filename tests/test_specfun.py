@@ -189,18 +189,22 @@ def test_gamma_array_zero_in_series_range_is_exactly_zero():
     assert np.array_equal(lower_incomplete_gamma(0.6, np.zeros(3)), np.zeros(3))
 
 
-@pytest.mark.parametrize("a", [150.0, 165.0])
-def test_gamma_series_prefactor_past_the_power_overflow(a):
-    # x^a overflows near the top of the series range at these shapes, where
-    # both paths form the prefactor as exp(a log x - x) instead; its rounding
-    # grows like eps a log x (about 1e-13 here). Zeros still give 0.
-    x = np.array([0.0, 1.0, 0.5 * a, a - 30.0, a, a + 3.9])
-    assert a * math.log(x[-1]) > math.log(np.finfo(float).max)
+def test_gamma_shape_up_to_100_and_no_further():
+    # At a = 100, x^a stays finite over the series range (104^100 < 1e202),
+    # so both paths keep the prefactor x^a e^-x; past 100 the shape is
+    # rejected rather than sent to an overflowing power.
+    a = 100.0
+    x = np.array([0.0, 1.0, 0.5 * a, a - 30.0, a, a + 3.9, a + 10.0])
     with mpmath.workdps(30):
         reference = np.array([float(mpmath.gammainc(a, 0, mpmath.mpf(v))) for v in x])
     scalar = np.array([lower_incomplete_gamma(a, float(v)) for v in x])
     for values in (scalar, lower_incomplete_gamma(a, x)):
-        np.testing.assert_allclose(values, reference, rtol=3e-13, atol=0.0)
+        np.testing.assert_allclose(values, reference, rtol=2e-14, atol=0.0)
+    for shape in (np.nextafter(a, math.inf), 150.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="shape"):
+            lower_incomplete_gamma(shape, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            lower_incomplete_gamma(shape, x)
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
