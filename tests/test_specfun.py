@@ -200,11 +200,25 @@ def test_gamma_shape_up_to_100_and_no_further():
     scalar = np.array([lower_incomplete_gamma(a, float(v)) for v in x])
     for values in (scalar, lower_incomplete_gamma(a, x)):
         np.testing.assert_allclose(values, reference, rtol=2e-14, atol=0.0)
-    for shape in (np.nextafter(a, math.inf), 150.0, math.inf, math.nan):
+    for shape in (np.nextafter(a, math.inf), math.inf, math.nan):
         with pytest.raises(ValueError, match="shape"):
             lower_incomplete_gamma(shape, 1.0)
         with pytest.raises(ValueError, match="shape"):
             lower_incomplete_gamma(shape, x)
+
+
+@pytest.mark.parametrize("a", [150.0, 165.0])
+def test_gamma_series_prefactor_past_the_power_overflow(a):
+    # x^a overflows near the top of the series range at these shapes. The
+    # series prefactor is x^a e^-x with no fallback, so both paths reject
+    # the shape instead of returning inf or raising OverflowError.
+    x = np.array([0.0, 1.0, 0.5 * a, a - 30.0, a, a + 3.9])
+    assert a * math.log(x[-1]) > math.log(np.finfo(float).max)
+    for v in x:
+        with pytest.raises(ValueError, match="shape"):
+            lower_incomplete_gamma(a, float(v))
+    with pytest.raises(ValueError, match="shape"):
+        lower_incomplete_gamma(a, x)
 
 
 @pytest.mark.parametrize("shape", [(0,), (2, 0)])
