@@ -22,13 +22,12 @@ from .mc import (
     sample_rv,
     sample_vix,
 )
-from .model import HestonParams, ModelParams
+from .model import ModelParams
 from .pricing import atmi, atmi_skew
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HestonParams",
     "ModelParams",
     "PathBatch",
     "SimGrid",

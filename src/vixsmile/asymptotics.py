@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import HestonParams, ModelParams, kernel_variance
+from .model import ModelParams, kernel_variance
 from .specfun import (
     QuadratureError,
     _doubling_edges,
@@ -513,16 +513,19 @@ def rv_skew_limit(params: ModelParams) -> float:
 # Heston skew sign
 # ---------------------------------------------------------------------------
 
-def heston_vix_skew_sign(params: HestonParams, delta: float) -> float:
-    """Closed-form short-maturity VIX skew driver for Heston, with the
-    long-run variance equal to v0:
+def heston_vix_skew_sign(k: float, nu: float, delta: float) -> float:
+    """Closed-form short-maturity VIX skew driver for Heston, with reversion
+    speed k, vol-of-vol nu and window delta:
 
         (nu^2 (1-e^(-k delta))/(4 k delta)) (1 - 2(1-e^(-k delta))/(k delta))
 
-    Its sign is the VIX skew's: negative under typical reversion speeds,
-    positive for very large k*delta.
+    No variance level enters it: the paper's example takes the long-run
+    variance equal to v0, and the driver is then free of both. Its sign is
+    the VIX skew's: negative under typical reversion speeds, positive for
+    very large k*delta. Each argument must be positive and finite.
     """
-    _check_positive("delta", delta)
-    k_delta = params.k * delta
+    for name, value in (("k", k), ("nu", nu), ("delta", delta)):
+        _check_positive(name, value)
+    k_delta = k * delta
     decay = -math.expm1(-k_delta)  # 1 - e^(-k delta)
-    return (params.nu ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)
+    return (nu ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)

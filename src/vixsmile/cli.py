@@ -9,24 +9,18 @@ asymptote  closed forms only, no simulation
 validate   run the acceptance criteria end to end at their fixed seeds and
            path counts; nonzero exit on failure
 
-Every setting is declared once, in ``_SETTINGS``: its flag, config-file key,
-caster, help text and header echo. ``_TAKES`` declares which settings each
-subcommand reads; its flags, the config-file keys it accepts and its header
-echo all come from that one row, so a flag or a known config-file key that
-the subcommand does not read exits 2 before any output. ``_UNREAD`` does
-the same per run mode: the settings that the heston model, the mixed model,
-the vix or the rv underlying does not read exit 2 when given, and are not
-echoed.
-The first three subcommands also take ``--config`` and ``validate`` takes
-``--quick``.
-Configuration is flat ``key = value`` text (``#`` comments, each key
-once) overridden by command-line flags of the same names;
-``VIXSMILE_SEED`` is the seed fallback of the subcommands that take
-``--seed``. CSV goes to ``--out`` or stdout with a schema/parameter header
-line; floats are printed with 17 significant digits so outputs are
-byte-stable. ``atmi`` and ``skew`` share one row loop over the maturities,
-whose draws share one normal block per chunk (``mc.sample_common``). Logs
-go to stderr.
+Settings come from flags alone: a setting no flag gives keeps its
+``RunConfig`` default. Every setting is declared once, in ``_SETTINGS``: its
+flag, caster, help text and header echo. ``_TAKES`` declares which settings
+each subcommand reads; its flags and its header echo both come from that one
+row, so a flag that the subcommand does not read exits 2 before any output.
+``_UNREAD`` does the same per run mode: the settings that the heston model,
+the mixed model, the vix or the rv underlying does not read exit 2 when
+given, and are not echoed. ``validate`` also takes ``--quick``.
+CSV goes to ``--out`` or stdout with a schema/parameter header line; floats
+are printed with 17 significant digits so outputs are byte-stable. ``atmi``
+and ``skew`` share one row loop over the maturities, whose draws share one
+normal block per chunk (``mc.sample_common``). Logs go to stderr.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from . import asymptotics as asy
 from .acceptance import CRITERIA, run_criterion
 from .asymptotics import DegenerateModelError
 from .mc import SimGrid, build_rv_sampler, build_vix_sampler, sample_common
-from .model import HestonParams, ModelParams
+from .model import ModelParams
 from .pricing import atmi, atmi_skew
 
 __all__ = ["RunConfig", "cmd_atmi", "cmd_skew", "cmd_asymptote", "cmd_validate", "main"]
@@ -53,12 +47,10 @@ SCHEMA_VERSION = "v1"
 @dataclass
 class RunConfig:
     """Resolved run configuration. Each setting comes from its flag, else the
-    config file, else the field default below; the seed alone falls back to
-    ``VIXSMILE_SEED`` before its default (see :func:`resolve_config`)."""
+    field default below (see :func:`resolve_config`)."""
 
     model: str = "mixed"
     underlying: str = "vix"
-    v0: float = 0.04  # heston model only
     hurst: float = 0.3
     beta: float = 0.0
     gamma: float = 1.0
@@ -94,9 +86,6 @@ class RunConfig:
         return ModelParams(H=self.hurst, beta=self.beta,
                            gamma=self.gamma, nu=self.nu, eta=self.eta)
 
-    def heston_params(self) -> HestonParams:
-        return HestonParams(k=self.heston_k, nu=self.nu, v0=self.v0)
-
     def sim_grid(self, maturity: float) -> SimGrid:
         return SimGrid(T=maturity, delta=self.delta, n_inner=self.n_inner,
                        n_paths=self.n_paths, seed=self.seed)
@@ -115,20 +104,19 @@ def _parse_float_list(text: str) -> list[float]:
 
 class _Setting(NamedTuple):
     field: str  # RunConfig field
-    cast: Callable[[str], Any]  # of the flag or config-file text
+    cast: Callable[[str], Any]  # of the flag text
     help: str | None = None
     echo: Callable[[Any], str] | None = _fmt  # header text; None: not echoed
     choices: tuple[str, ...] | None = None
 
 
-# Every setting, keyed by its config-file key, which is also its flag's dest
-# ("--heston-k" -> "heston_k") and its header name. The defaults live only
-# in RunConfig. Out and workers are not echoed: they do not affect the
-# numbers, and the byte-identity contract must hold across worker counts.
+# Every setting, keyed by its flag's dest ("--heston-k" -> "heston_k"), which
+# is also its header name. The defaults live only in RunConfig. Out and
+# workers are not echoed: they do not affect the numbers, and the
+# byte-identity contract must hold across worker counts.
 _SETTINGS: dict[str, _Setting] = {
     "model": _Setting("model", str, None, str, ("mixed", "heston")),
     "underlying": _Setting("underlying", str, None, str, ("vix", "rv")),
-    "v0": _Setting("v0", float, "Heston initial and long-run variance (heston model only)"),
     "hurst": _Setting("hurst", float, "Hurst parameter in (0, 1/2]"),
     "beta": _Setting("beta", float, "kernel mean-reversion rate"),
     "gamma": _Setting("gamma", float, "mixing weight in [0, 1]"),
@@ -139,31 +127,31 @@ _SETTINGS: dict[str, _Setting] = {
                   lambda ts: ",".join(_fmt(t) for t in ts)),
     "paths": _Setting("n_paths", int, "Monte Carlo paths", str),
     "inner": _Setting("n_inner", int, "RV trapezoid steps (rv underlying only)", str),
-    "seed": _Setting("seed", int, "RNG seed (VIXSMILE_SEED fallback)", str),
+    "seed": _Setting("seed", int, "RNG seed", str),
     "out": _Setting("out_path", str, "output path ('-' for stdout)", None),
     "workers": _Setting("workers", int, "parallel workers (0: all cores)", None),
     "heston_k": _Setting("heston_k", float, "Heston reversion speed (heston model only)"),
 }
 
-# The settings each subcommand reads, in _SETTINGS order: its flags, the
-# config-file keys it accepts and its header echo. atmi and skew simulate
-# only the mixed model, at unit mean; asymptote writes the VIX and RV closed
-# forms whatever the underlying, and no Monte Carlo setting reaches them.
+# The settings each subcommand reads, in _SETTINGS order: its flags and its
+# header echo. atmi and skew simulate only the mixed model, at unit mean;
+# asymptote writes the VIX and RV closed forms whatever the underlying, and
+# no Monte Carlo setting reaches them.
 _CLOSED_FORM = ("hurst", "beta", "gamma", "nu", "eta", "delta", "T")
 _MC = ("paths", "inner", "seed")
 _TAKES: dict[str, tuple[str, ...]] = {
     "atmi": ("underlying", *_CLOSED_FORM, *_MC, "out", "workers"),
     "skew": ("underlying", *_CLOSED_FORM, *_MC, "out", "workers"),
-    "asymptote": ("model", "v0", *_CLOSED_FORM, "out", "heston_k"),
+    "asymptote": ("model", *_CLOSED_FORM, "out", "heston_k"),
     "validate": ("out",),
 }
 
 # The settings a run mode does not read, keyed by the setting and the value
-# that select the mode. Only the heston model's skew sign reads v0 (the mixed
-# closed forms are scale-free), the RV formulas and draws have no window, and
-# the VIX draws take a fixed window rule, so only the RV reads inner.
+# that select the mode. Only the heston model's skew sign reads heston_k, the
+# RV formulas and draws have no window, and the VIX draws take a fixed window
+# rule, so only the RV reads inner.
 _UNREAD: dict[tuple[str, str], tuple[str, ...]] = {
-    ("model", "mixed"): ("heston_k", "v0"),
+    ("model", "mixed"): ("heston_k",),
     ("model", "heston"): ("hurst", "beta", "gamma", "eta", "T"),
     ("underlying", "vix"): ("inner",),
     ("underlying", "rv"): ("delta",),
@@ -312,7 +300,7 @@ def cmd_asymptote(config: RunConfig, stream) -> None:
     re-raises."""
     _write_header(config, "asymptote", stream)
     if config.model == "heston":
-        value = asy.heston_vix_skew_sign(config.heston_params(), config.delta)
+        value = asy.heston_vix_skew_sign(config.heston_k, config.nu, config.delta)
         sign = (value > 0.0) - (value < 0.0)
         stream.write(f"HESTON_VIX_SKEW_SIGN,,{_fmt(value)},0,sign={sign:+d}\n")
         stream.flush()
@@ -365,28 +353,6 @@ def cmd_validate(config: RunConfig, stream) -> int:
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` pairs; ``#`` starts a comment. An unknown or
-    repeated key raises ValueError."""
-    out: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in lines:
-                raise ValueError(
-                    f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
-            out[key], lines[key] = value, lineno
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vixsmile",
@@ -415,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "validate":
             p.add_argument("--quick", action="store_true",
                            help="10x fewer paths, doubled tolerances for C1, C2, C4-C6")
-        else:
-            p.add_argument("--config", help="flat key=value config file")
         for key in _TAKES[name]:
             setting = _SETTINGS[key]
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.cast,
@@ -425,29 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags, else the config file, else (seed only, and
-    only for a subcommand with ``--seed``) ``VIXSMILE_SEED``; a setting none
-    of them gives keeps its field default. A config-file key that the
-    subcommand does not read raises ValueError, as its flag would exit 2, and
-    so does a flag or key that the run mode does not read (``_UNREAD``)."""
-    takes = _TAKES[args.command]
-    config_path = getattr(args, "config", None)
-    settings = load_config_file(config_path) if config_path else {}
-    for key in settings:
-        if key not in takes:
-            raise ValueError(f"{config_path}: {args.command} does not take {key!r}")
-    values = {}
-    for key in takes:
-        setting = _SETTINGS[key]
-        value = getattr(args, key)
-        if value is None and key in settings:
-            value = setting.cast(settings[key])
-        if value is not None:
-            values[setting.field] = value
-    given = [key for key in takes if _SETTINGS[key].field in values]
-    if "seed" in takes and "seed" not in values and "VIXSMILE_SEED" in os.environ:
-        values["seed"] = int(os.environ["VIXSMILE_SEED"])
-    config = RunConfig(quick=getattr(args, "quick", False), **values)
+    """RunConfig from the flags given; a setting no flag gives keeps its
+    field default. A flag that the run mode does not read (``_UNREAD``)
+    raises ValueError."""
+    given = [key for key in _TAKES[args.command] if getattr(args, key) is not None]
+    config = RunConfig(quick=getattr(args, "quick", False),
+                       **{_SETTINGS[key].field: getattr(args, key) for key in given})
     unread = _unread(config, args.command)
     for key in given:
         if key in unread:
@@ -464,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         if config.model == "mixed":
             config.model_params()
         else:
-            config.heston_params()
+            asy.heston_vix_skew_sign(config.heston_k, config.nu, config.delta)
         for maturity in config.maturities:
             config.sim_grid(maturity)
         own_stream = config.out_path not in ("-", "")

@@ -13,7 +13,6 @@ H = 1/2 with beta = 0 recovers the SABR (plain lognormal) case.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .specfun import QuadSpec, gauss_jacobi, geometric_rule, integrate, lower_in
 
 __all__ = [
     "ModelParams",
-    "HestonParams",
     "kernel",
     "kernel_variance",
     "kernel_covariance",
@@ -89,28 +87,6 @@ class ModelParams:
     def volvol_sq_mean(self) -> float:
         """Second mixture moment, gamma*nu^2 + (1-gamma)*eta^2."""
         return self.gamma * self.nu ** 2 + (1.0 - self.gamma) * self.eta ** 2
-
-
-@dataclass(frozen=True)
-class HestonParams:
-    """Heston parameters for the VIX skew-sign formula, which takes the
-    long-run variance equal to v0."""
-
-    k: float
-    nu: float
-    v0: float
-
-    def __post_init__(self) -> None:
-        for name in ("k", "nu", "v0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"HestonParams.{name} must be positive and finite")
-        if 2.0 * self.k * self.v0 <= self.nu ** 2:
-            warnings.warn(
-                "Feller condition 2*k*v0 > nu^2 violated: the variance "
-                "process can touch zero",
-                stacklevel=2,
-            )
 
 
 def kernel(params: ModelParams, lag) -> float | np.ndarray:

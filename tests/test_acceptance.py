@@ -211,56 +211,95 @@ def _scaled(factor):
     return lambda real: lambda *args: factor * real(*args)
 
 
-def _biased_skew(real):
-    # Ten stderrs off: C11 reads |skew| / stderr, 1.6 unpatched in quick mode.
-    def biased(batch, maturity):
-        value, stderr = real(batch, maturity)
+def _scaled_head(factor):
+    """Scales the first of a returned tuple: atmi's vol, atmi_skew's value
+    or a level integral, and keeps the rest."""
+    def wrap(real):
+        def scaled(*args):
+            head, *rest = real(*args)
+            return (factor * head, *rest)
+        return scaled
+    return wrap
+
+
+def _ten_stderrs_off(real):
+    # Of a (value, stderr) pair: C11 reads |skew| / stderr, 1.6 unpatched in
+    # quick mode, and C10's martingale check |mean - v0| / (4 stderr).
+    def biased(*args):
+        value, stderr = real(*args)
         return value + 10.0 * stderr, stderr
 
     return biased
 
 
-# The mutant table (ROADMAP item 5), started: (criterion, the sub-check of
-# its detail that must fail or None for a one-check criterion, the name under
-# check, the patch that wraps it). Names are looked up where the runners read
-# them, "asy.<name>" in asymptotics, the others in acceptance.
+# The criteria whose detail lists "name: gap (cap c)" sub-checks.
+_CAPPED = ("C8", "C9")
+
+# The mutant table (ROADMAP item 5): (criterion, what its failure must show,
+# the name under check, the patch that wraps it). For C8 and C9 the second
+# field is the one sub-check that must go over its cap; otherwise it is the
+# start of the failing detail, or None for any finite failure. Names are
+# looked up where the runners read them, "asy.<name>" in asymptotics, the
+# others in acceptance.
 MUTANTS = [
+    ("C1", None, "atmi", _scaled_head(1.1)),
+    ("C2", None, "asy.rv_atmi_limit", _scaled(1.2)),
     ("C3", None, "asy.heston_vix_skew_sign", _scaled(-1.0)),
+    ("C4", "closed form", "asy.sabr_mixed_vix_skew", _scaled(1.0 + 1e-9)),
+    ("C4", None, "atmi_skew", _scaled_head(1.5)),
     ("C5", None, "asy.vix_atmi_approx", _scaled(1.15)),
+    ("C6", "beta=0 reduction broken", "asy._rv_level_integral", _scaled_head(1.0 + 1e-9)),
+    ("C6", None, "atmi", _scaled_head(1.2)),
+    ("C7", None, "asy.rv_skew_constant", _scaled(1.01)),
     ("C8", "vix_atmi@1e-6", "asy.vix_atmi_approx", _scaled(1.15)),
     ("C8", "vix_skew@1e-5", "asy.vix_skew_approx", _scaled(1.02)),
-    ("C11", None, "atmi_skew", _biased_skew),
+    ("C8", "rv_atmi@1e-6", "asy.rv_atmi_approx", _scaled(1.01)),
     ("C9", "gamma vs Gauss-Jacobi", "lower_incomplete_gamma", _scaled(1.0 + 1e-9)),
     ("C9", "2F1 identities", "gauss_2f1", _scaled(1.0 + 1e-8)),
     ("C9", "implied-vol round trip", "implied_vol", _scaled(1.0 + 1e-9)),
-    ("C7", None, "asy.rv_skew_constant", _scaled(1.01)),
+    ("C10", "worst: martingale sigmas/4;", "estimate_mean", _ten_stderrs_off),
+    ("C11", None, "atmi_skew", _ten_stderrs_off),
 ]
 
 
-def _over_cap(detail):
-    """Names of the sub-checks of a "name: gap (cap c); ..." detail whose gap
-    is over its cap."""
-    over = set()
+def _sub_checks(detail):
+    """Each sub-check of a "name: gap (cap c); ..." detail, mapped to
+    whether its gap is over its cap."""
+    over = {}
     for part in detail.split("; "):
         name, measured = part.split(": ")
-        if float(measured.split()[0]) > float(measured.split("cap ")[1].rstrip(")")):
-            over.add(name)
+        over[name] = float(measured.split()[0]) > float(measured.split("cap ")[1].rstrip(")"))
     return over
 
 
-@pytest.mark.parametrize("key, sub_check, target, mutate", MUTANTS,
+@pytest.mark.parametrize("key, shows, target, mutate", MUTANTS,
                          ids=[f"{key}-{target}" for key, _, target, _ in MUTANTS])
-def test_each_mutant_fails_its_criterion(key, sub_check, target, mutate, monkeypatch):
+def test_each_mutant_fails_its_criterion(key, shows, target, mutate, monkeypatch):
     criterion = next(c for c in CRITERIA if c.key == key)
     assert run_criterion(criterion, quick=True).passed
     owner, name = ((acceptance.asy, target[4:]) if target.startswith("asy.")
                    else (acceptance, target))
     monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     result = run_criterion(criterion, quick=True)
-    # It fails on its measure, not through an error.
-    assert not result.passed and math.isfinite(result.achieved), result.detail
-    if sub_check is not None:
-        assert _over_cap(result.detail) == {sub_check}
+    # It fails on its measure, not through an error, whose detail starts
+    # "error: ". A runner's own early return reads inf and names its check.
+    assert not result.passed, result.detail
+    if key in _CAPPED:
+        assert math.isfinite(result.achieved), result.detail
+        assert {name for name, over in _sub_checks(result.detail).items() if over} == {shows}
+    elif shows is not None:
+        assert result.detail.startswith(shows), result.detail
+    else:
+        assert math.isfinite(result.achieved), result.detail
+
+
+def test_every_criterion_and_capped_sub_check_has_a_mutant():
+    assert sorted({key for key, *_ in MUTANTS}) == sorted(c.key for c in CRITERIA)
+    for criterion in CRITERIA:
+        if criterion.key in _CAPPED:
+            checks = _sub_checks(run_criterion(criterion, quick=True).detail)
+            rows = [shows for key, shows, *_ in MUTANTS if key == criterion.key]
+            assert sorted(rows) == sorted(checks), criterion.key
 
 
 # (tolerance, quick_tolerance) of each row: fixed inputs, so that any

@@ -33,7 +33,7 @@ from vixsmile.asymptotics import (
     vix_skew_limit,
 )
 from vixsmile.cli import main
-from vixsmile.model import HestonParams, ModelParams, kernel, kernel_variance
+from vixsmile.model import ModelParams, kernel, kernel_variance
 from vixsmile.specfun import (
     QuadratureError,
     QuadSpec,
@@ -503,7 +503,7 @@ def test_closed_forms_run_no_adaptive_quadrature(monkeypatch):
         assert np.all(np.isfinite(getattr(asy, name)(params)))
     assert rv_skew_constant(0.1) > 0.0
     assert sabr_mixed_vix_skew(0.5, 3.0, 1.0) == 0.25
-    assert heston_vix_skew_sign(HestonParams(k=1.0, nu=0.25, v0=0.09), DELTA) < 0.0
+    assert heston_vix_skew_sign(1.0, 0.25, DELTA) < 0.0
     assert not any(isinstance(value, np.vectorize) for value in vars(asy).values())
 
 
@@ -766,16 +766,13 @@ def test_rv_skew_constant_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_heston_small_reversion_limit():
-    with pytest.warns(UserWarning, match="Feller"):
-        params = HestonParams(k=1e-6, nu=0.5, v0=0.04)
-    value = heston_vix_skew_sign(params, DELTA)
+    value = heston_vix_skew_sign(1e-6, 0.5, DELTA)
     assert value == pytest.approx(-(0.5 ** 2) / 4.0, rel=1e-4)
     assert value < 0.0
 
 
 def test_heston_market_conditions_negative():
-    params = HestonParams(k=1.0, nu=0.3, v0=0.09)
-    value = heston_vix_skew_sign(params, DELTA)
+    value = heston_vix_skew_sign(1.0, 0.3, DELTA)
     k_delta = 1.0 * DELTA
     decay = 1.0 - math.exp(-k_delta)
     expected = (0.3 ** 2 * decay / (4.0 * k_delta)) * (1.0 - 2.0 * decay / k_delta)
@@ -784,8 +781,21 @@ def test_heston_market_conditions_negative():
 
 
 def test_heston_sign_flip_at_large_reversion():
-    params = HestonParams(k=100.0, nu=0.3, v0=0.09)
-    assert heston_vix_skew_sign(params, 1.0) > 0.0
+    assert heston_vix_skew_sign(100.0, 0.3, 1.0) > 0.0
+
+
+def test_heston_skew_sign_keeps_its_bits():
+    # C3's k = 1 value and the README command's row: no variance level
+    # enters the driver.
+    assert heston_vix_skew_sign(1.0, 0.25, DELTA) == -0.013800322355636829
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["k", "nu", "delta"])
+def test_heston_skew_sign_rejects_nonpositive_or_nonfinite_inputs(name, bad):
+    args = {"k": 1.0, "nu": 0.25, "delta": DELTA, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        heston_vix_skew_sign(**args)
 
 
 # ---------------------------------------------------------------------------

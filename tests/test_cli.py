@@ -11,7 +11,6 @@ import vixsmile.asymptotics as asy
 import vixsmile.cli as cli
 from vixsmile.asymptotics import heston_vix_skew_sign
 from vixsmile.cli import RunConfig, cmd_atmi, cmd_skew, cmd_validate, main
-from vixsmile.model import HestonParams
 from vixsmile.specfun import QuadratureError
 
 
@@ -33,104 +32,39 @@ RV = ["--underlying", "rv", "--inner", "8"]
 # configuration resolution
 # ---------------------------------------------------------------------------
 
-def test_config_file_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# experiment configuration\n"
-        "hurst = 0.4\n"
-        "nu = 1.5\n"
-        "paths = 4000\n"
-        "T = 0.25\n"
-        "seed = 5\n"
-    )
-    code, out, _ = run_cli(["atmi", "--config", str(cfg), "--nu", "2.5"], capsys)
-    assert code == 0
-    header = out.splitlines()[0]
-    assert "hurst=0.40000000000000002" in header  # from the file
-    assert "nu=2.5" in header                      # flag wins
-    assert "seed=5" in header
-
-
-def test_config_file_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("volatility = 2\n")
-    code, _, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "unknown key" in err
-
-
-def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
-    cfg = tmp_path / "twice.cfg"
-    cfg.write_text("hurst = 0.1\nnu = 2\n# later\nhurst = 0.3\n")
-    code, out, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert out == ""
-    assert f"{cfg}:4: key 'hurst' repeats line 1" in err
-
-
-def test_config_file_accepts_every_setting_flag(tmp_path):
-    keys = {
-        "model": "mixed", "underlying": "rv", "v0": "0.04", "hurst": "0.3",
-        "beta": "0", "gamma": "1", "nu": "2", "eta": "0", "delta": "0.08",
-        "T": "0.25", "paths": "4000", "inner": "8", "seed": "5",
-        "out": "-", "workers": "1", "heston_k": "1",
-    }
-    cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
-    assert cli.load_config_file(str(cfg)) == keys
-
-
 def test_offsets_flag_and_key_are_rejected(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["asymptote", "--offsets", "-0.1,0.1"])
-    assert exc.value.code == 2
+    # Settings come from flags alone, so a config file holding the key is
+    # no route to it either.
     cfg = tmp_path / "old.cfg"
-    for line in ("offsets = -0.1,0.1\n", "config = other.cfg\n", "quick = 1\n",
-                 "skew_step = 0.01\n"):
-        cfg.write_text(line)
-        code, _, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
+    cfg.write_text("offsets = -0.1,0.1\n")
+    for extra in (["--offsets", "-0.1,0.1"], ["--config", str(cfg)]):
+        code, out, err = run_cli(["asymptote", *extra], capsys)
         assert code == 2
-        assert "unknown key" in err
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
 
 
-def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VIXSMILE_SEED", "777")
+def test_seed_variable_in_the_environment_is_not_read(capsys, monkeypatch):
+    # Settings come from flags alone: with no --seed, the variable moves no
+    # byte.
     argv = ["atmi", "--paths", "4000", "--T", "0.25"]
-    code, out, _ = run_cli(argv, capsys)
+    code, without, _ = run_cli(argv, capsys)
     assert code == 0
-    assert "seed=777" in out.splitlines()[0]
-    # explicit flag still wins
-    code, out, _ = run_cli(argv + ["--seed", "3"], capsys)
-    assert "seed=3" in out.splitlines()[0]
-
-
-def test_env_seed_read_only_by_subcommands_with_a_seed(capsys, monkeypatch):
-    monkeypatch.setenv("VIXSMILE_SEED", "abc")
-    monkeypatch.setattr(cli, "CRITERIA", _fast_criteria())
-    code, out, _ = run_cli(["validate", "--quick"], capsys)
-    assert code == 0
-    assert "2/2 criteria passed" in out
-    code, out, err = run_cli(["atmi", "--paths", "4000", "--T", "0.25"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "configuration error" in err
-    # asymptote has no --seed: the variable is not read.
-    code, out, _ = run_cli(["asymptote"], capsys)
-    assert code == 0
-    assert "seed" not in out.splitlines()[0]
+    for value in ("777", "abc"):
+        monkeypatch.setenv("VIXSMILE_SEED", value)
+        assert run_cli(argv, capsys)[:2] == (0, without)
 
 
 _MODEL = ["hurst", "beta", "gamma", "nu", "eta", "delta", "T"]
 _TAKES = {
-    "atmi": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
-    "skew": ["config", "underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
-    "asymptote": ["config", "model", "v0", *_MODEL, "out", "heston_k"],
+    "atmi": ["underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
+    "skew": ["underlying", *_MODEL, "paths", "inner", "seed", "out", "workers"],
+    "asymptote": ["model", *_MODEL, "out", "heston_k"],
     "validate": ["quick", "out"],
 }
 
 
-def test_unset_settings_keep_the_run_config_defaults(monkeypatch):
-    monkeypatch.delenv("VIXSMILE_SEED", raising=False)
+def test_unset_settings_keep_the_run_config_defaults():
     for command, takes in _TAKES.items():
         args = cli.build_parser().parse_args([command])
         # Each subcommand has exactly the flags of the settings it reads.
@@ -138,8 +72,7 @@ def test_unset_settings_keep_the_run_config_defaults(monkeypatch):
         assert cli.resolve_config(args) == RunConfig()
 
 
-def test_validate_takes_only_quick_and_out(monkeypatch, tmp_path):
-    monkeypatch.delenv("VIXSMILE_SEED", raising=False)
+def test_validate_takes_only_quick_and_out(tmp_path):
     out = str(tmp_path / "rows.txt")
     args = cli.build_parser().parse_args(["validate", "--quick", "--out", out])
     assert set(vars(args)) == {"command", "quick", "out"}
@@ -167,7 +100,12 @@ _REJECTED_TAIL = ["--paths", "4000", "--inner", "8", "--T", "0.25", "--seed", "1
      ["atmi", "--model", "mixed"] + _REJECTED_TAIL,
      ["skew", "--heston-k", "2"] + _REJECTED_TAIL,
      ["skew", "--model", "mixed"] + _REJECTED_TAIL,
-     ["atmi", "--v0", "0.09"], ["skew", "--v0", "0.09"]],
+     ["atmi", "--v0", "0.09"], ["skew", "--v0", "0.09"],
+     ["asymptote", "--model", "heston", "--v0", "0.09"],
+     ["asymptote", "--model", "mixed", "--v0", "0.09"], ["asymptote", "--v0", "0.09"],
+     ["atmi", "--config", "run.cfg"] + _REJECTED_TAIL,
+     ["skew", "--config", "run.cfg"] + _REJECTED_TAIL,
+     ["asymptote", "--config", "run.cfg"], ["validate", "--config", "run.cfg"]],
     ids=" ".join,
 )
 def test_dropped_inputs_exit_2_before_any_output(argv, capsys):
@@ -178,70 +116,46 @@ def test_dropped_inputs_exit_2_before_any_output(argv, capsys):
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("command,line,key", [("asymptote", "paths = 10", "paths"),
-                                              ("atmi", "model = heston", "model"),
-                                              ("atmi", "v0 = 0.09", "v0"),
-                                              ("skew", "v0 = 0.09", "v0")])
-def test_config_key_the_subcommand_does_not_take_exits_2(command, line, key,
-                                                          tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
-    assert code == 2
-    assert out == ""
-    assert "configuration error" in err and repr(key) in err and str(cfg) in err
-
-
 _MODE_UNREAD = (
     [("asymptote", ["--model", "heston"], key) for key in ("hurst", "beta", "gamma", "eta", "T")]
-    + [("asymptote", mode, key) for mode in (["--model", "mixed"], [])
-       for key in ("heston_k", "v0")]
+    + [("asymptote", mode, "heston_k") for mode in (["--model", "mixed"], [])]
     + [(command, ["--underlying", "rv"] + BASE, "delta") for command in ("atmi", "skew")]
     + [(command, mode + BASE, "inner") for command in ("atmi", "skew")
        for mode in (["--underlying", "vix"], [])]
 )
 _MODE_VALUES = {"hurst": "0.1", "beta": "2", "gamma": "0.5", "eta": "1", "T": "0.5",
-                "heston_k": "2", "v0": "0.09", "delta": "0.5", "inner": "16"}
+                "heston_k": "2", "delta": "0.5", "inner": "16"}
 
 
+# Each id starts "flag-", the route of the setting and the only one.
 @pytest.mark.parametrize("command,mode,key", _MODE_UNREAD,
-                         ids=[" ".join([c, *m[:2], k]) for c, m, k in _MODE_UNREAD])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_setting_the_run_mode_does_not_read_exits_2(command, mode, key, source,
-                                                     tmp_path, capsys):
+                         ids=[" ".join(["flag-" + c, *m[:2], k]) for c, m, k in _MODE_UNREAD])
+def test_setting_the_run_mode_does_not_read_exits_2(command, mode, key, capsys):
     # The heston model writes only the VIX skew sign, the mixed model's
-    # closed forms read neither the Heston reversion speed nor the variance
-    # level, the RV formulas and draws have no window, and the VIX draws
-    # take a fixed window rule: such a setting would change no row.
-    if source == "flag":
-        extra = ["--" + key.replace("_", "-"), _MODE_VALUES[key]]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {_MODE_VALUES[key]}\n")
-        extra = ["--config", str(cfg)]
+    # closed forms do not read the Heston reversion speed, the RV formulas
+    # and draws have no window, and the VIX draws take a fixed window rule:
+    # such a setting would change no row.
+    extra = ["--" + key.replace("_", "-"), _MODE_VALUES[key]]
     code, out, err = run_cli([command] + mode + extra, capsys)
     assert code == 2
     assert out == ""
     assert "configuration error" in err and f"does not read {key!r}" in err
 
 
-def test_model_and_underlying_from_the_config_file_select_the_mode(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("model = heston\nhurst = 0.1\n")
-    code, out, err = run_cli(["asymptote", "--config", str(cfg)], capsys)
-    assert code == 2 and out == "" and "model=heston does not read 'hurst'" in err
-    cfg.write_text("underlying = rv\n")
-    code, out, err = run_cli(["atmi", "--config", str(cfg), "--delta", "0.5"] + BASE, capsys)
-    assert code == 2 and out == "" and "underlying=rv does not read 'delta'" in err
-    cfg.write_text("underlying = vix\n")
-    code, out, err = run_cli(["atmi", "--config", str(cfg), "--inner", "16"] + BASE, capsys)
-    assert code == 2 and out == "" and "underlying=vix does not read 'inner'" in err
-
-
 def test_invalid_model_parameters_exit_nonzero(capsys):
     code, _, err = run_cli(["atmi", "--hurst", "0.9"] + BASE, capsys)
     assert code == 2
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("flags", [["--heston-k", "0"], ["--heston-k", "inf"],
+                                   ["--nu", "0"], ["--nu", "nan"], ["--delta", "-1"]],
+                         ids=" ".join)
+def test_invalid_heston_inputs_exit_2_before_any_output(flags, capsys):
+    code, out, err = run_cli(["asymptote", "--model", "heston", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err and "must be positive and finite" in err
 
 
 def _bad_flags(command, flag_lists):
@@ -355,14 +269,13 @@ _HEAD = ("hurst=0.29999999999999999 beta=0 gamma=1 nu=2 "
          "formula_id,maturity,value,quad_error_bound,status"),
         (["asymptote", "--model", "heston", "--heston-k", "1.5", "--nu", "0.3"],
          "# vixsmile-csv schema=asymptote.v1 model=heston "
-         "v0=0.040000000000000001 nu=0.29999999999999999 "
+         "nu=0.29999999999999999 "
          "delta=0.082191780821917804 heston_k=1.5",
          "formula_id,maturity,value,quad_error_bound,status"),
     ],
     ids=["atmi-vix", "atmi-rv", "skew-mixed", "asymptote-mixed", "asymptote-heston"],
 )
-def test_header_and_column_lines_are_pinned(argv, header, columns, capsys, monkeypatch):
-    monkeypatch.delenv("VIXSMILE_SEED", raising=False)
+def test_header_and_column_lines_are_pinned(argv, header, columns, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out.splitlines()[:2] == [header, columns]
@@ -518,10 +431,9 @@ def test_asymptote_rows_equal_the_public_functions(formula_id, hurst, beta, mixe
                                           ("100", "1", "+1")])
 def test_asymptote_heston_row_signs_its_value(k, delta, sign, capsys):
     code, out, _ = run_cli(["asymptote", "--model", "heston", "--heston-k", k,
-                            "--nu", "0.3", "--v0", "0.09", "--delta", delta], capsys)
+                            "--nu", "0.3", "--delta", delta], capsys)
     assert code == 0
-    params = HestonParams(k=float(k), nu=0.3, v0=0.09)
-    value = heston_vix_skew_sign(params, float(delta))
+    value = heston_vix_skew_sign(float(k), 0.3, float(delta))
     assert (value > 0.0) - (value < 0.0) == int(sign)
     assert out.splitlines()[2:] == [
         f"HESTON_VIX_SKEW_SIGN,,{format(value, '.17g')},0,sign={sign}"]

@@ -1,13 +1,11 @@
 """Model kernel and covariance tests."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from vixsmile.model import (
-    HestonParams,
     ModelParams,
     grid_covariance_matrix,
     kernel,
@@ -51,14 +49,6 @@ def test_mixture_moments():
     p = mk(gamma=0.5, nu=3.0, eta=1.0)
     assert p.volvol_mean == pytest.approx(2.0)
     assert p.volvol_sq_mean == pytest.approx(5.0)
-
-
-def test_heston_feller_warning():
-    with pytest.warns(UserWarning, match="Feller"):
-        HestonParams(k=0.5, nu=1.0, v0=0.04)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        HestonParams(k=2.0, nu=0.3, v0=0.09)
 
 
 # ---------------------------------------------------------------------------
