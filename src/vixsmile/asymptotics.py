@@ -16,12 +16,16 @@ plain public function returns the value alone, and ``vixsmile asymptote``
 writes each row's bound from it. Every ``_err`` function returns through
 :func:`_checked`, so every caller gets a
 :class:`~vixsmile.specfun.QuadratureError` when the bound exceeds
-``QUAD_BOUND_TOL`` times max(1, |value|).
+``QUAD_BOUND_TOL`` times max(1, |value|). At a maturity so short that
+one of their sums or products leaves the normal float range, the
+quadrature-backed forms raise :class:`UnderflowError` instead of answering
+from intermediates that keep only a few bits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +47,7 @@ from .specfun import integrate_err  # noqa: F401
 
 __all__ = [
     "DegenerateModelError",
+    "UnderflowError",
     "vix_atmi_limit",
     "vix_atmi_approx",
     "vix_atmi_approx_err",
@@ -75,6 +80,22 @@ _DECAY_EDGES = 2.0 ** (np.arange(4) / 2.0)
 
 class DegenerateModelError(ValueError):
     """Mixture with zero first vol-of-vol moment: skew ratios are undefined."""
+
+
+class UnderflowError(ArithmeticError):
+    """A maturity so short that an intermediate of a closed form falls
+    below its floor in the normal float range."""
+
+
+def _require_normal(n_terms: int, **values: float) -> None:
+    """UnderflowError unless every value, a sum of ``n_terms`` terms (1 for a
+    product), is at least 2 n_terms times the smallest normal float. A term
+    that underflows is off by at most 2^-1075, so n_terms of them then move
+    the value by at most half an ulp."""
+    floor = 2 * n_terms * sys.float_info.min
+    for name, value in values.items():
+        if not abs(value) >= floor:
+            raise UnderflowError(f"{name}={value!r} is below {floor:.4g}: maturity too short")
 
 
 def _checked(value: float, bound: float) -> tuple[float, float]:
@@ -124,12 +145,15 @@ def _integral_of_square(nodes, values, weights) -> tuple[float, float]:
     """int_0^T G^2 and its bound from G at the nodes of :func:`_panel_rule`. G^2
     must be monotone on the head, which takes the mean of its end values and
     half their gap as its bound; each panel adds its
-    :func:`~vixsmile.specfun.kronrod_bound`."""
+    :func:`~vixsmile.specfun.kronrod_bound`. An integral too close to the
+    subnormal range raises UnderflowError."""
     square = values * values
     half_eps = 0.5 * nodes[1]
     panels, gaps = (square[2:] * weights).reshape(2, _PANELS, -1).sum(axis=2)
-    return (float(half_eps * (square[0] + square[1]) + panels.sum()),
-            float(half_eps * abs(square[1] - square[0]) + kronrod_bound(panels, gaps).sum()))
+    integral = float(half_eps * (square[0] + square[1]) + panels.sum())
+    _require_normal(square.size, integral_of_square=integral)
+    return integral, float(half_eps * abs(square[1] - square[0])
+                           + kronrod_bound(panels, gaps).sum())
 
 
 def _volvol_derivatives(params: ModelParams) -> tuple[float, float]:
@@ -329,6 +353,7 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     panels = (m_squared * kronrod).sum(axis=1)
     gaps = (m_squared * (half * (gk_kronrod - gk_gauss))).sum(axis=1)
     cross = 0.5 * float(panels.sum())
+    _require_normal(m_squared.size, cross=cross)
     cross_err = 0.5 * float(kronrod_bound(panels, gaps).sum() + (inner_err * kronrod).sum())
     return cross, cross_err, w_int, w_err
 
@@ -343,6 +368,8 @@ def vix_skew_approx_err(params: ModelParams, delta: float,
     curvature = fsecond / fprime
     level = fprime * w_int ** 2 / (2.0 * delta)
     denominator = w_int ** 1.5 * math.sqrt(maturity)
+    _require_normal(1, level=level, denominator=denominator,
+                    w_int_times_denominator=w_int * denominator)
     value = (curvature * cross - level) / denominator
     # Partial derivatives of the value in Q_A and in W.
     d_cross = curvature / denominator

@@ -22,8 +22,9 @@ exponents. Results are therefore bit-identical for any worker count, and
 different (seed, chunk) pairs seed their generators differently, so batches
 drawn at nearby seeds share no chunk.
 
-``sample_common`` draws several samplers that share a path count and a
-seed (common random numbers): each chunk's normals are drawn once, at the
+A batch is drawn at its sampler grid's path count and seed, and at no
+other. ``sample_common`` draws several samplers whose grids share both
+(common random numbers): each chunk's normals are drawn once, at the
 largest rank R, and a sampler of rank r reads their first r rows. Those are
 the first r * chunk-size normals of the chunk's stream, exactly what its
 lone draw reads, so every batch is bit-identical to drawing its sampler
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -327,46 +328,32 @@ def build_rv_sampler(params: ModelParams, grid: SimGrid) -> FactorSampler:
     return FactorSampler("rv", params, grid, cov, weights[1:], weights[0])
 
 
-def _shared(samplers: Sequence[FactorSampler], name: str, override: int | None) -> int:
-    """``override``, else the grid field ``name`` that all samplers share."""
-    if override is not None:
-        return override
+def _shared(samplers: Sequence[FactorSampler], name: str) -> int:
+    """The grid field ``name`` that all samplers share."""
     values = {getattr(sampler.grid, name) for sampler in samplers}
     if len(values) != 1:
         raise ValueError(f"samplers must share {name}, got {sorted(values)}")
     return values.pop()
 
 
-def sample_common(
-    samplers: Sequence[FactorSampler],
-    n_paths: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-) -> list[PathBatch]:
-    """One batch per sampler, all drawn from one seed's chunk streams.
+def sample_common(samplers: Sequence[FactorSampler], *, workers: int = 1) -> list[PathBatch]:
+    """One batch per sampler, all drawn at the path count and seed that
+    their grids share; a ValueError says when they do not.
 
     Each chunk's normals are drawn once, at the samplers' largest rank, and
     serve every sampler, so each batch is bit-identical to its sampler's
-    lone draw. ``n_paths`` and ``seed`` override the samplers' grids', which
-    must otherwise share them; a ValueError says when they do not.
+    lone draw.
     """
     if not samplers:
         raise ValueError("need at least one sampler")
-    n_paths = _shared(samplers, "n_paths", n_paths)
-    seed = _shared(samplers, "seed", seed)
-    replace(samplers[0].grid, n_paths=n_paths, seed=seed)  # SimGrid checks the overrides
+    n_paths, seed = _shared(samplers, "n_paths"), _shared(samplers, "seed")
     return [PathBatch(values) for values in _run_chunks(samplers, n_paths, seed, workers)]
 
 
-def sample_vix(
-    sampler: FactorSampler,
-    n_paths: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-) -> PathBatch:
-    """Draw VIX_T samples: sqrt of the window-averaged conditional variance.
-    ``n_paths`` and ``seed`` override the sampler grid's."""
-    return sample_common([sampler], n_paths, seed, workers)[0]
+def sample_vix(sampler: FactorSampler, *, workers: int = 1) -> PathBatch:
+    """Draw VIX_T samples, sqrt of the window-averaged conditional variance,
+    at the sampler grid's path count and seed."""
+    return sample_common([sampler], workers=workers)[0]
 
 
 def sample_rv(params: ModelParams, grid: SimGrid, workers: int = 1) -> PathBatch:

@@ -7,6 +7,7 @@ criteria back ``vixsmile validate``.
 
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -70,10 +71,10 @@ def test_c6_fails_when_the_fixed_rule_leaves_the_beta_0_closed_form(monkeypatch)
 
 
 def test_c10_fails_when_vix_stderr_does_not_halve(monkeypatch, fresh_memo):
-    # Equal VIX stderrs at 4000 and 16000 paths give a ratio of 1, outside
-    # [0.4, 0.6]: the stderr-halving check must fail C10 on its own. The
-    # martingale check's RV batch, the one the memo hands C10, keeps its
-    # stderr, so that check reads as in the unpatched run.
+    # Equal stderrs of the VIX draw and of its first quarter give a ratio
+    # of 1, outside [0.4, 0.6]: the stderr-halving check must fail C10 on
+    # its own. The martingale check's RV batch, the one the memo hands C10,
+    # keeps its stderr, so that check reads as in the unpatched run.
     plain = run_criterion(C10, quick=True)
     (martingale,) = [acceptance._batches(True)[draw] for draw in C10.draws(True)]
     real_mean = acceptance.estimate_mean
@@ -130,8 +131,8 @@ def test_memo_batches_are_each_samplers_lone_draw(quick):
                          ids=["quick", "full"])
 def test_each_seed_and_path_count_is_drawn_once(quick, groups, monkeypatch, fresh_memo):
     # The loop over CRITERIA draws each (seed, n_paths) group once, at the
-    # first criterion, and then only C10's own draws: ten stderr-halving
-    # pairs and three determinism draws.
+    # first criterion, and then only C10's own draws: one VIX sampler at
+    # workers 1, 2 and 4.
     real, calls = mc._run_chunks, []
 
     def counted(samplers, n_paths, seed, workers):
@@ -147,7 +148,7 @@ def test_each_seed_and_path_count_is_drawn_once(quick, groups, monkeypatch, fres
     shared = [(n_paths, count) for count, n_paths, seed in calls[:len(groups)]
               if seed == acceptance.SEED]
     assert shared == groups
-    assert drawn_at == {key: 0 for key in drawn_at} | {"C1": len(groups), "C10": 23}
+    assert drawn_at == {key: 0 for key in drawn_at} | {"C1": len(groups), "C10": 3}
     assert all(count == 1 for count, _, _ in calls[len(groups):])
 
 
@@ -222,6 +223,26 @@ def _scaled_head(factor):
     return wrap
 
 
+def _stderr_times_root_size(real):
+    # C10's stderr-halving check: the VIX draw and its first quarter then
+    # read the same stderr up to noise, a ratio near 1.
+    def scaled(batch):
+        mean, stderr = real(batch)
+        return mean, stderr * math.sqrt(batch.samples.size)
+
+    return scaled
+
+
+def _doubled_off_one_worker(real):
+    # C10's worker-determinism check: the draws at workers 2 and 4 come out
+    # doubled, the one at workers 1 does not.
+    def drawn(sampler, *, workers=1):
+        batch = real(sampler, workers=workers)
+        return mc.PathBatch(2.0 * batch.samples) if workers > 1 else batch
+
+    return drawn
+
+
 def _ten_stderrs_off(real):
     # Of a (value, stderr) pair: C11 reads |skew| / stderr, 1.6 unpatched in
     # quick mode, and C10's martingale check |mean - v0| / (4 stderr).
@@ -251,6 +272,7 @@ MUTANTS = [
     ("C6", "beta=0 reduction broken", "asy._rv_level_integral", _scaled_head(1.0 + 1e-9)),
     ("C6", None, "atmi", _scaled_head(1.2)),
     ("C7", None, "asy.rv_skew_constant", _scaled(1.01)),
+    ("C7", "nonpositive value at H=0.1", "asy.rv_skew_constant", _scaled(-1.0)),
     ("C8", "vix_atmi@1e-6", "asy.vix_atmi_approx", _scaled(1.15)),
     ("C8", "vix_skew@1e-5", "asy.vix_skew_approx", _scaled(1.02)),
     ("C8", "rv_atmi@1e-6", "asy.rv_atmi_approx", _scaled(1.01)),
@@ -258,6 +280,8 @@ MUTANTS = [
     ("C9", "2F1 identities", "gauss_2f1", _scaled(1.0 + 1e-8)),
     ("C9", "implied-vol round trip", "implied_vol", _scaled(1.0 + 1e-9)),
     ("C10", "worst: martingale sigmas/4;", "estimate_mean", _ten_stderrs_off),
+    ("C10", "worst: stderr halving;", "estimate_mean", _stderr_times_root_size),
+    ("C10", "worst: worker determinism;", "sample_vix", _doubled_off_one_worker),
     ("C11", None, "atmi_skew", _ten_stderrs_off),
 ]
 
@@ -272,8 +296,19 @@ def _sub_checks(detail):
     return over
 
 
-@pytest.mark.parametrize("key, shows, target, mutate", MUTANTS,
-                         ids=[f"{key}-{target}" for key, _, target, _ in MUTANTS])
+def _mutant_ids():
+    """"key-target" per row; a row that repeats an earlier row's pair adds
+    the words of what its failure shows."""
+    ids = []
+    for key, shows, target, _ in MUTANTS:
+        row_id = f"{key}-{target}"
+        if row_id in ids:
+            row_id += "-" + "-".join(re.findall(r"[\w.]+", shows))
+        ids.append(row_id)
+    return ids
+
+
+@pytest.mark.parametrize("key, shows, target, mutate", MUTANTS, ids=_mutant_ids())
 def test_each_mutant_fails_its_criterion(key, shows, target, mutate, monkeypatch):
     criterion = next(c for c in CRITERIA if c.key == key)
     assert run_criterion(criterion, quick=True).passed
@@ -296,10 +331,15 @@ def test_each_mutant_fails_its_criterion(key, shows, target, mutate, monkeypatch
 def test_every_criterion_and_capped_sub_check_has_a_mutant():
     assert sorted({key for key, *_ in MUTANTS}) == sorted(c.key for c in CRITERIA)
     for criterion in CRITERIA:
+        rows = [shows for key, shows, *_ in MUTANTS if key == criterion.key]
+        detail = run_criterion(criterion, quick=True).detail
         if criterion.key in _CAPPED:
-            checks = _sub_checks(run_criterion(criterion, quick=True).detail)
-            rows = [shows for key, shows, *_ in MUTANTS if key == criterion.key]
-            assert sorted(rows) == sorted(checks), criterion.key
+            assert sorted(rows) == sorted(_sub_checks(detail)), criterion.key
+        elif criterion.key == "C10":
+            # "worst: name; name=value; ...": one row per name=value sub-check.
+            names = [part.split("=")[0] for part in detail.split("; ") if "=" in part]
+            assert len(names) == 3
+            assert sorted(rows) == sorted(f"worst: {name};" for name in names)
 
 
 # (tolerance, quick_tolerance) of each row: fixed inputs, so that any

@@ -878,6 +878,65 @@ def test_evaluate_skew_rejects_degenerate_mixture():
         asy.rv_skew_limit_err(mk(nu=0.0))
 
 
+def _rv_power_law(params, maturity):
+    """rv_atmi_approx where beta T is negligible, f'(0) T^(a-1) / (a sqrt(2a+1)),
+    at 30 digits. a is the exponent the form computes with: H + 1/2 as a
+    float for beta > 0, where G = int_0^sigma k, and H + 1/2 exactly for
+    the closed form at beta = 0. At T = 1e-300 an ulp of a moves T^(a-1) by
+    8e-14."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        a = mpmath.mpf(params.H + 0.5) if params.beta > 0.0 else mpmath.mpf(params.H) + 0.5
+        fprime = mpmath.mpf(params.volvol_mean) * mpmath.sqrt(2 * mpmath.mpf(params.H))
+        return float(fprime * mpmath.mpf(maturity) ** (a - 1) / (a * mpmath.sqrt(2 * a + 1)))
+
+
+@pytest.mark.parametrize("beta", [0.0, 5.0])
+@pytest.mark.parametrize("maturity", [1e-104, 1e-110, 1e-200, 1e-300, 5e-324])
+def test_approximations_at_tiny_maturities_hold_their_bounds_or_raise(maturity, beta):
+    # Far below every scale of the model each approximation is its limit.
+    # A form answers within its bound of it, or raises UnderflowError where
+    # one of its sums or products would come too close to the subnormal
+    # range; no numpy warning is raised on the way. The VIX skew stops first
+    # (W^(5/2) sqrt(T) underflows below T ~ 1e-101), the RV level integral
+    # at beta > 0 next (about T^2.6), and W itself last.
+    params = mk(H=0.3, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
+    forms = {
+        "vix_atmi": (lambda: asy.vix_atmi_approx_err(params, DELTA, maturity),
+                     vix_atmi_limit(params, DELTA)),
+        "vix_skew": (lambda: asy.vix_skew_approx_err(params, DELTA, maturity),
+                     vix_skew_limit(params, DELTA)),
+        "rv_atmi": (lambda: asy.rv_atmi_approx_err(params, maturity),
+                    _rv_power_law(params, maturity)),
+    }
+    answered = set()
+    for name, (form, reference) in forms.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value, bound = form()
+            except asy.UnderflowError:
+                continue
+        assert abs(value - reference) <= bound + 4.0 * math.ulp(reference), name
+        answered.add(name)
+    expected = {"vix_atmi"} if maturity >= 1e-300 else set()
+    if beta == 0.0 or maturity >= 1e-110:
+        expected.add("rv_atmi")
+    assert answered == expected
+
+
+def test_asymptote_run_names_the_underflow(capsys):
+    # The VIX level still answers at T = 1e-300; the skew's row after it is
+    # an error row, and its comment names the underflow.
+    assert main(["asymptote", "--hurst", "0.3", "--beta", "5", "--gamma", "0.5",
+                 "--nu", "3", "--eta", "1", "--T", "1e-300"]) == 1
+    rows = capsys.readouterr().out.splitlines()[-3:]
+    assert rows[0].startswith("VIX_ATMI_APPROX,1e-300,") and rows[0].endswith(",ok")
+    assert rows[1] == "VIX_SKEW_APPROX,1e-300,,,error"
+    assert rows[2].startswith("# error at VIX_SKEW_APPROX T=1e-300: UnderflowError(")
+
+
 def test_inflated_quadrature_bound_raises_in_every_form(monkeypatch, capsys):
     # The bound check sits in the forms' _err functions: once every
     # fixed-rule panel reports a unit error, each public form and its _err

@@ -1,5 +1,6 @@
 """Pricing-layer tests: ATM implied vols and skews."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -48,11 +49,11 @@ def test_atmi_scale_invariance():
 
 
 def test_atmi_error_bar_is_sane():
-    grid = SimGrid(T=0.25, n_inner=16, n_paths=20_000, seed=4)
-    sampler = build_vix_sampler(mk(H=0.4, nu=1.5), grid)
+    grid = SimGrid(T=0.25, n_inner=16, n_paths=4000)
     vols = []
     for seed in range(40):
-        vol, stderr = atmi(sample_vix(sampler, n_paths=4000, seed=seed), 0.25)
+        sampler = build_vix_sampler(mk(H=0.4, nu=1.5), dataclasses.replace(grid, seed=seed))
+        vol, stderr = atmi(sample_vix(sampler), 0.25)
         vols.append((vol, stderr))
     spread = np.std([v for v, _ in vols], ddof=1)
     typical_err = np.median([e for _, e in vols])
@@ -147,8 +148,10 @@ def test_skew_jackknife_stderr_matches_the_spread_over_seeds(params, maturity):
     # 60 independent 20k-path batches: the median jackknife stderr tracks
     # the observed spread of the skew (0.549 vs 0.499 and 0.178 vs 0.170).
     # The spread itself is known to about 9 %.
-    sampler = build_vix_sampler(params, SimGrid(T=maturity, n_paths=20_000, seed=0))
-    skews = [atmi_skew(sample_vix(sampler, seed=seed), maturity) for seed in range(60)]
+    grid = SimGrid(T=maturity, n_paths=20_000)
+    skews = [atmi_skew(sample_vix(build_vix_sampler(params, dataclasses.replace(grid, seed=seed))),
+                       maturity)
+             for seed in range(60)]
     spread = np.std([value for value, _ in skews], ddof=1)
     typical_err = np.median([stderr for _, stderr in skews])
     assert 0.8 <= typical_err / spread <= 1.5
