@@ -208,12 +208,12 @@ def _c6_draws(quick: bool) -> tuple[Draw, ...]:
 
 def _c6_rv_atmi_approx(quick: bool, pairs: Pairs):
     # At beta = 0 the closed form must equal the fixed rule that every
-    # beta > 0 takes: f'(0) sqrt(int_0^T G^2) / T^(3/2).
+    # beta > 0 takes: f'(0) T^(H-1/2) sqrt(I_1), with I_1 = T^(-2H-2) int_0^T G^2.
     params0 = ModelParams(H=0.3, beta=0.0, gamma=1.0, nu=2.0)
     fprime, _ = asy._volvol_derivatives(params0)
     for maturity in (0.05, 0.25, 1.0):
         integral, _ = asy._rv_level_integral(params0, maturity)
-        expected = fprime * math.sqrt(integral) / maturity ** 1.5
+        expected = fprime * maturity ** (params0.H - 0.5) * math.sqrt(integral)
         got = asy.rv_atmi_approx(params0, maturity)
         if abs(got / expected - 1.0) > 1e-12:
             return math.inf, f"beta=0 reduction broken at T={maturity}: {got!r} vs {expected!r}"

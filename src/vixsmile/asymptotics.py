@@ -16,10 +16,11 @@ plain public function returns the value alone, and ``vixsmile asymptote``
 writes each row's bound from it. Every ``_err`` function returns through
 :func:`_checked`, so every caller gets a
 :class:`~vixsmile.specfun.QuadratureError` when the bound exceeds
-``QUAD_BOUND_TOL`` times max(1, |value|). At a maturity so short that
-one of their sums or products leaves the normal float range, the
-quadrature-backed forms raise :class:`UnderflowError` instead of answering
-from intermediates that keep only a few bits.
+``QUAD_BOUND_TOL`` times max(1, |value|). Their fixed rule runs in u = tau/T
+on [0, 1], so T enters only the integrands' arguments. Below the smallest
+normal maturity, or where a sum or product leaves the normal float range
+(extreme beta), they raise :class:`UnderflowError`; the beta = 0 RV closed
+form answers at any positive maturity.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ __all__ = [
 # Relative quadrature-error ceiling for any result produced here.
 QUAD_BOUND_TOL = 1e-7
 
-# Geometric Gauss-Kronrod panels of the fixed rule over [0, T] behind the
-# level integrals and the skew's inner kernel mass, from T 2^-panels up to T.
+# Geometric Gauss-Kronrod panels of the fixed rule on [0, 1] in u = tau/T behind
+# the level integrals and the skew's inner kernel mass, from 2^-panels up to 1.
 _PANELS = 44
 
 # Decay-scale edges of the VIX skew's outer rule, as multiples of
@@ -83,8 +84,8 @@ class DegenerateModelError(ValueError):
 
 
 class UnderflowError(ArithmeticError):
-    """A maturity so short that an intermediate of a closed form falls
-    below its floor in the normal float range."""
+    """A maturity below the smallest normal float, or an intermediate of a
+    closed form below its floor in the normal float range."""
 
 
 def _require_normal(n_terms: int, **values: float) -> None:
@@ -118,7 +119,9 @@ def _kernel_integral(params: ModelParams, bot, top):
 
 
 def _unit_panel_rule():
-    """:func:`_panel_rule` at T = 1, built once and read-only."""
+    """The fixed rule on [0, 1], read-only: head ends 0 and eps = 2^-44, then
+    GK15 on the :func:`~vixsmile.specfun.geometric_rule` panels from eps to 1,
+    weighted by Kronrod and by Kronrod minus its embedded Gauss rule."""
     eps = 2.0 ** -_PANELS
     gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
     nodes, weights = geometric_rule(gk_x, [gk_kronrod, gk_kronrod - gk_gauss], eps, 1.0)
@@ -131,25 +134,15 @@ def _unit_panel_rule():
 _UNIT_NODES, _UNIT_WEIGHTS = _unit_panel_rule()
 
 
-def _panel_rule(maturity: float):
-    """Nodes and weights of the fixed rule on [0, T]: the head ends 0 and
-    eps = T 2^-44, then the 15-point Gauss-Kronrod rule on the 44
-    :func:`~vixsmile.specfun.geometric_rule` panels from eps to T, weighted
-    by Kronrod and by Kronrod minus its embedded Gauss rule. The panels
-    double in width from eps, so the rule is the one on [0, 1] scaled by T:
-    new arrays, T times the read-only unit rule's nodes and weights."""
-    return maturity * _UNIT_NODES, maturity * _UNIT_WEIGHTS
-
-
-def _integral_of_square(nodes, values, weights) -> tuple[float, float]:
-    """int_0^T G^2 and its bound from G at the nodes of :func:`_panel_rule`. G^2
-    must be monotone on the head, which takes the mean of its end values and
-    half their gap as its bound; each panel adds its
+def _integral_of_square(values) -> tuple[float, float]:
+    """int_0^1 G^2 du and its bound from G at :data:`_UNIT_NODES`. G^2 must be
+    monotone on the head, which takes the mean of its end values and half
+    their gap as its bound; each panel adds its
     :func:`~vixsmile.specfun.kronrod_bound`. An integral too close to the
     subnormal range raises UnderflowError."""
     square = values * values
-    half_eps = 0.5 * nodes[1]
-    panels, gaps = (square[2:] * weights).reshape(2, _PANELS, -1).sum(axis=2)
+    half_eps = 0.5 * _UNIT_NODES[1]
+    panels, gaps = (square[2:] * _UNIT_WEIGHTS).reshape(2, _PANELS, -1).sum(axis=2)
     integral = float(half_eps * (square[0] + square[1]) + panels.sum())
     _require_normal(square.size, integral_of_square=integral)
     return integral, float(half_eps * abs(square[1] - square[0])
@@ -180,6 +173,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_maturity(maturity: float) -> None:
+    """ValueError unless positive and finite, UnderflowError unless normal."""
+    _check_positive("maturity", maturity)
+    if maturity < sys.float_info.min:
+        raise UnderflowError(f"maturity={maturity!r} is below the smallest normal float")
+
+
 # ---------------------------------------------------------------------------
 # VIX ATM implied-vol level
 # ---------------------------------------------------------------------------
@@ -194,36 +194,35 @@ def vix_atmi_limit(params: ModelParams, delta: float) -> float:
 
 def _window_kernel_sq_integral(params: ModelParams, delta: float,
                                maturity: float) -> tuple[float, float]:
-    """W = int_0^T K-bar(s)^2 ds with error bound, by the fixed rule in
-    tau = T - s, where K-bar(T - tau) = int_tau^(tau+delta) k falls."""
-    nodes, weights = _panel_rule(maturity)
-    kbar = _kernel_integral(params, nodes, nodes + delta)
-    return _integral_of_square(nodes, kbar, weights)
+    """W_1 = int_0^1 K-bar(T u)^2 du = W/T with error bound, by the fixed rule
+    in u = (T - s)/T, where K-bar(T u) = int_(T u)^(T u + delta) k falls."""
+    tau = maturity * _UNIT_NODES
+    return _integral_of_square(_kernel_integral(params, tau, tau + delta))
 
 
 def _rv_level_integral(params: ModelParams, maturity: float) -> tuple[float, float]:
-    """int_0^T G(sigma)^2 dsigma with error bound, G(sigma) = int_0^sigma k,
-    by the same fixed rule."""
-    nodes, weights = _panel_rule(maturity)
-    inner = _kernel_integral(params, 0.0, nodes)
-    return _integral_of_square(nodes, inner, weights)
+    """I_1 = int_0^1 (G(T u)/T^(H+1/2))^2 du = T^(-2H-2) int_0^T G^2 with error
+    bound, G(sigma) = int_0^sigma k; G and T^(H+1/2) take one rounded H + 1/2,
+    whose rounding then cancels in their ratio."""
+    inner = _kernel_integral(params, 0.0, maturity * _UNIT_NODES)
+    return _integral_of_square(inner / maturity ** (params.H + 0.5))
 
 
 def vix_atmi_approx_err(params: ModelParams, delta: float,
                          maturity: float) -> tuple[float, float]:
     """:func:`vix_atmi_approx` and its first-order quadrature bound."""
     _check_positive("delta", delta)
-    _check_positive("maturity", maturity)
+    _check_maturity(maturity)
     fprime, _ = _volvol_derivatives(params)
     w_int, w_err = _window_kernel_sq_integral(params, delta, maturity)
-    value = fprime * math.sqrt(w_int) / (2.0 * delta * math.sqrt(maturity))
+    value = fprime * math.sqrt(w_int) / (2.0 * delta)
     return _checked(value, abs(value) * w_err / (2.0 * w_int))
 
 
 def vix_atmi_approx(params: ModelParams, delta: float, maturity: float) -> float:
     """Finite-maturity VIX ATM implied-vol approximation,
-    f'(0)/(2 delta sqrt(T)) * sqrt(int_0^T K-bar(s)^2 ds); tends to
-    :func:`vix_atmi_limit` as maturity goes to zero.
+    f'(0)/(2 delta sqrt(T)) * sqrt(int_0^T K-bar(s)^2 ds) = f'(0) sqrt(W_1)/(2 delta);
+    tends to :func:`vix_atmi_limit` as maturity goes to zero.
 
     First order in the vol-of-vol: sharpest for single-factor configurations
     (gamma in {0, 1}); genuine mixtures pick up curvature terms it omits.
@@ -258,41 +257,43 @@ def sabr_mixed_vix_skew(gamma: float, nu: float, eta: float) -> float:
 
 
 def _kernel_mass_rule(params: ModelParams, delta: float, maturity: float):
-    """Fixed rule for m(g) = int_0^T K-bar(T - tau) k(g + tau) dtau, any g >= 0.
+    """Fixed rule for m_1(g) = int_0^1 K-bar(T - T u) k(g + T u) du, any g >= 0.
 
-    Returns ``kernel_mass(gaps) -> (m, err)``, vectorised over the gaps with
-    ``err`` an estimate of each m's absolute error, then W and its bound from
-    the same K-bar values. The lag tau runs over :func:`_panel_rule`, whose
-    panels widen away from the kernel singularity at tau = -g <= 0. On the
+    Returns ``kernel_mass(gaps) -> (m_1, err)``, vectorised over the gaps with
+    ``err`` an estimate of each m_1's absolute error, then W_1 and its bound
+    from the same K-bar values. The lag runs over :data:`_UNIT_NODES`, whose
+    panels widen away from the kernel singularity at u = -g/T <= 0. On the
     head, K-bar(T - tau) e^(-beta tau) falls, so the head integral lies between
-    its two end values times the exact int_0^eps (g + tau)^(H-1/2) dtau: it
+    its two end values times the exact int_0^eps (g + T u)^(H-1/2) du: it
     takes the midpoint and reports half the bracket. Each panel's error is its
     gap to the embedded Gauss rule. The kernel k(g + tau) splits into
     (g + tau)^(H-1/2) e^(-beta tau) e^(-beta g): K-bar(T - tau) e^(-beta tau)
     is folded into the weights once, and e^(-beta g) scales each gap's row.
     """
     a, beta = params.H + 0.5, params.beta
-    nodes, weights = _panel_rule(maturity)
-    kbar = _kernel_integral(params, nodes, nodes + delta)
-    eps, tau = nodes[1], nodes[2:]
-    # K-bar(T - tau) e^(-beta tau) at tau = 0 and tau = eps, then on the panels.
-    hi, lo = kbar[:2] * np.exp(-beta * nodes[:2])
-    kronrod, diff = kbar[2:] * np.exp(-beta * tau) * weights
+    tau = maturity * _UNIT_NODES
+    kbar = _kernel_integral(params, tau, tau + delta)
+    # K-bar(T - tau) e^(-beta tau) at the head's ends, then on the panels.
+    folded = kbar * np.exp(-beta * tau)
+    hi, lo = folded[:2]
+    kronrod, diff = folded[2:] * _UNIT_WEIGHTS
     diff = diff.reshape(_PANELS, -1)
+    eps, tau = tau[1], tau[2:]
 
     def kernel_mass(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if np.any(gaps < 0.0):
             raise ValueError("kernel-mass gaps must be nonnegative")
         decay = np.exp(-beta * gaps)
-        # int_0^eps (g + tau)^(H-1/2) e^(-beta g) dtau, with
-        # (g + eps)^a - g^a through log1p where g > eps would cancel it away.
+        # int_0^(2^-44) (g + T u)^(H-1/2) e^(-beta g) du: in tau = T u over
+        # [0, eps], over T, with (g + eps)^a - g^a through log1p where g > eps
+        # would cancel it away.
         top = gaps + eps
         ratio = np.minimum(eps / top, 0.5)
         power = np.where(
             gaps > eps,
             -top ** a * np.expm1(a * np.log1p(-ratio)),
             top ** a - gaps ** a,
-        ) * decay / a
+        ) / maturity * decay / a
 
         powers = np.add.outer(gaps, tau)
         np.power(powers, params.H - 0.5, out=powers)
@@ -301,7 +302,7 @@ def _kernel_mass_rule(params: ModelParams, delta: float, maturity: float):
         err = 0.5 * (hi - lo) * power + decay * np.abs(panel_gaps).sum(axis=1)
         return mass, err
 
-    return kernel_mass, *_integral_of_square(nodes, kbar, weights)
+    return kernel_mass, *_integral_of_square(kbar)
 
 
 def _skew_numerators(params: ModelParams, delta: float, maturity: float):
@@ -326,8 +327,9 @@ def _skew_numerators(params: ModelParams, delta: float, maturity: float):
     15-point Gauss-Kronrod rule on a head panel [0, w_s/8] and on panels
     that double in w from w_s/8 up to 1, split further at the edges
     w_beta 2^(k/2), k = 0..3, that lie below 1 (beta delta > 1). One
-    :func:`_kernel_mass_rule` call takes every outer node, and W comes from
-    the same rule. The bound adds each panel's
+    :func:`_kernel_mass_rule` call takes every outer node, per unit u, so this
+    returns Q_1 = Q_A/T^2 and W_1 = W/T with their bounds. The bound adds each
+    panel's
     :func:`~vixsmile.specfun.kronrod_bound` and the inner error carried
     through m^2, |m^2 - (m + e)^2| <= (2m + |e|) |e|, under the Kronrod
     weights.
@@ -363,15 +365,15 @@ def vix_skew_approx_err(params: ModelParams, delta: float,
     """:func:`vix_skew_approx` and its first-order quadrature bound."""
     fprime, fsecond = _skew_derivatives(params)
     _check_positive("delta", delta)
-    _check_positive("maturity", maturity)
+    _check_maturity(maturity)
     cross, cross_err, w_int, w_err = _skew_numerators(params, delta, maturity)
     curvature = fsecond / fprime
     level = fprime * w_int ** 2 / (2.0 * delta)
-    denominator = w_int ** 1.5 * math.sqrt(maturity)
+    denominator = w_int ** 1.5
     _require_normal(1, level=level, denominator=denominator,
                     w_int_times_denominator=w_int * denominator)
     value = (curvature * cross - level) / denominator
-    # Partial derivatives of the value in Q_A and in W.
+    # Partial derivatives of the value in Q_1 and in W_1.
     d_cross = curvature / denominator
     d_w = -2.0 * level / (w_int * denominator) - 1.5 * value / w_int
     return _checked(value, abs(d_cross) * cross_err + abs(d_w) * w_err)
@@ -382,10 +384,10 @@ def vix_skew_approx(params: ModelParams, delta: float, maturity: float) -> float
     limit reproduces :func:`vix_skew_limit` exactly:
 
         [f''/f' Q_A - f' Q_B/delta] / (W^(3/2) sqrt(T))
+            = [f''/f' Q_1 - f' W_1^2/(2 delta)] / W_1^(3/2)
 
-    with W = int K-bar^2, Q_B = W^2/2, and Q_A the cross-kernel double
-    integral of :func:`_skew_numerators`. Flat in maturity for the mixed
-    SABR configuration.
+    with W = int K-bar^2 = T W_1, Q_B = W^2/2, and Q_A = T^2 Q_1 the cross-kernel
+    double integral of :func:`_skew_numerators`. Flat in maturity for mixed SABR.
     """
     return vix_skew_approx_err(params, delta, maturity)[0]
 
@@ -405,18 +407,19 @@ def rv_atmi_limit(params: ModelParams) -> float:
 
 def rv_atmi_approx_err(params: ModelParams, maturity: float) -> tuple[float, float]:
     """:func:`rv_atmi_approx` and its first-order quadrature bound."""
-    _check_positive("maturity", maturity)
     if params.beta == 0.0:
+        _check_positive("maturity", maturity)
         return rv_atmi_limit(params) * maturity ** (params.H - 0.5), 0.0
+    _check_maturity(maturity)
     fprime, _ = _volvol_derivatives(params)
     integral, err = _rv_level_integral(params, maturity)
-    value = fprime * math.sqrt(integral) / maturity ** 1.5
+    value = fprime * maturity ** (params.H - 0.5) * math.sqrt(integral)
     return _checked(value, abs(value) * err / (2.0 * integral))
 
 
 def rv_atmi_approx(params: ModelParams, maturity: float) -> float:
     """Finite-maturity RV ATM implied vol:
-    f'(0)/T^(3/2) sqrt(int_0^T (int_s^T k(u-s) du)^2 ds).
+    f'(0)/T^(3/2) sqrt(int_0^T (int_s^T k(u-s) du)^2 ds) = f'(0) T^(H-1/2) sqrt(I_1).
 
     For beta = 0 the double integral collapses analytically and the value is
     exactly the limit coefficient times T^(H-1/2).

@@ -26,7 +26,6 @@ normal block per chunk (``mc.sample_common``). Logs go to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -62,7 +61,7 @@ class RunConfig:
     n_inner: int = 64
     seed: int = 42
     out_path: str = "-"
-    workers: int = 0  # 0: all cores
+    workers: int = 0  # 0: all cores; capped at the core count
     quick: bool = False
     heston_k: float = 1.0
 
@@ -80,7 +79,8 @@ class RunConfig:
 
     @property
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        cores = os.cpu_count() or 1
+        return min(self.workers, cores) if self.workers > 0 else cores
 
     def model_params(self) -> ModelParams:
         return ModelParams(H=self.hurst, beta=self.beta,
@@ -129,7 +129,8 @@ _SETTINGS: dict[str, _Setting] = {
     "inner": _Setting("n_inner", int, "RV trapezoid steps (rv underlying only)", str),
     "seed": _Setting("seed", int, "RNG seed", str),
     "out": _Setting("out_path", str, "output path ('-' for stdout)", None),
-    "workers": _Setting("workers", int, "parallel workers (0: all cores)", None),
+    "workers": _Setting("workers", int, "parallel workers, at most one per core (0: all)",
+                        None),
     "heston_k": _Setting("heston_k", float, "Heston reversion speed (heston model only)"),
 }
 
@@ -251,7 +252,7 @@ def cmd_atmi(config: RunConfig, stream) -> None:
             approx = asy.rv_atmi_approx(params, maturity)
             limit = asy.rv_atmi_limit(params)
         vol, stderr = atmi(batch, maturity)
-        rel_gap = abs(approx - vol) / vol if vol > 0.0 else math.inf
+        rel_gap = abs(approx - vol) / vol
         return [vol, stderr, approx, limit, rel_gap]
 
     _simulated_rows(config, stream, "atmi", row_values)

@@ -31,12 +31,7 @@ __all__ = [
 # Fixed rules of kernel_covariance_matrix: nodes per rule and panel.
 _COV_NODES = 16
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_COV_NODES)
-# Kernel evaluations (rows x quadrature points) per Gram block of whole
-# panels: up to 512 rows this bounds the temporaries at 64 KiB each. On a
-# 2-core box with glibc malloc, blocks twice as large left about 0.2 MiB more
-# of the process resident.
-_COV_EVALS = 1 << 13
-# Rows per Gram block are a multiple of this: OpenBLAS splits a threaded
+# Rows of the Gram product are a multiple of this: OpenBLAS splits a threaded
 # product between threads on 8-row register tiles, and a partial tile's sums
 # then depend on the thread count; whole tiles keep the bits the same.
 _ROW_TILE = 8
@@ -168,7 +163,7 @@ def kernel_covariance_matrix(params: ModelParams, times, upto: float) -> np.ndar
     singularity tau = -c <= 0 is a panel width away. Pairs of zero offsets
     are ``kernel_variance(upto)``. Each node's kernel is evaluated once per
     Gauss-Legendre node, weighted by the root of its weight (zero on a zero
-    offset's head), and Gram products A A^T of column blocks sum all pairs.
+    offset's head), and one Gram product A A^T sums all pairs.
     The test reference is kernel_covariance.
     """
     times = np.asarray(times, dtype=float)
@@ -188,13 +183,9 @@ def kernel_covariance_matrix(params: ModelParams, times, upto: float) -> np.ndar
     far_tau, far_weight = geometric_rule(_GL_X, _GL_W, near, upto)
     tau = np.concatenate([0.5 * near * (1.0 + _GL_X), far_tau.ravel()])
     root_w = np.sqrt(np.concatenate([0.5 * near * _GL_W, far_weight.ravel()]))
-    step = _COV_NODES * max(1, _COV_EVALS // (_COV_NODES * c.size))
-    cov = np.zeros((c.size, c.size))
-    for j in range(0, tau.size, step):
-        a = kernel(params, c[:, None] + tau[j:j + step]) * root_w[j:j + step]
-        if j == 0:
-            a[zero, :_COV_NODES] = 0.0
-        cov += a @ a.T
+    a = kernel(params, c[:, None] + tau) * root_w
+    a[zero, :_COV_NODES] = 0.0
+    cov = a @ a.T
 
     # The zero offsets' head: Gauss-Jacobi cross terms with the nonzero
     # offsets, and each zero-zero pair is kernel_variance(upto).

@@ -36,9 +36,9 @@ def _call_payoffs(samples: np.ndarray, strike: float, out: np.ndarray) -> np.nda
 def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
     """ATM implied vol with strike at the batch mean, plus its standard error.
 
-    A numerically constant batch (zero vol-of-vol) is reported as the
-    degenerate result (0.0, 0.0): its ATM price is zero, or of rounding size
-    when its mean rounds below every sample.
+    A numerically constant batch (zero vol-of-vol) has no smile: every
+    sample lies on one side of its mean, and :class:`~vixsmile.bs.BracketError`
+    is raised, as :func:`atmi_skew` raises on its digital.
     """
     samples = batch.samples
     n = samples.size
@@ -46,9 +46,9 @@ def atmi(batch: PathBatch, maturity: float) -> tuple[float, float]:
         raise ValueError("need at least two paths")
     forward = float(np.mean(samples))
     payoff = _call_payoffs(samples, forward, np.empty(n))
+    if not 0 < np.count_nonzero(payoff) < n:
+        raise BracketError("every sample on one side of the forward: a constant batch")
     price = float(np.mean(payoff))
-    if price <= 0.0 or float(np.min(samples)) > forward:
-        return 0.0, 0.0
     # np.std(payoff, ddof=1) in place: centre, square, sum.
     np.subtract(payoff, price, out=payoff)
     np.multiply(payoff, payoff, out=payoff)

@@ -9,6 +9,7 @@ kernel mass and the kernel-overlap constant.
 """
 
 import math
+import sys
 import warnings
 from functools import lru_cache
 from unittest import mock
@@ -57,17 +58,18 @@ def mk(v0=0.04, H=0.3, beta=0.0, gamma=1.0, nu=2.0, eta=0.0):
 
 @pytest.mark.parametrize("maturity", [1e-8, 1e-4, 0.3, 2.0, 50.0])
 def test_panel_rule_is_the_rule_built_at_its_maturity(maturity):
-    # The rule geometric_rule builds directly from eps = T 2^-44 to T.
+    # The forms evaluate their integrands at T u over the unit rule: those
+    # are the nodes geometric_rule builds directly from eps = T 2^-44 to T,
+    # and its weights are T times the unit weights.
     eps = maturity * 2.0 ** -asy._PANELS
     gk_x, gk_kronrod, gk_gauss = gauss_kronrod_15()
     nodes, weights = geometric_rule(gk_x, [gk_kronrod, gk_kronrod - gk_gauss], eps, maturity)
     direct_nodes = np.concatenate([[0.0, eps], nodes.ravel()])
-    scaled_nodes, scaled_weights = asy._panel_rule(maturity)
-    assert scaled_nodes.shape == direct_nodes.shape
-    assert scaled_weights.shape == (2, direct_nodes.size - 2)
-    np.testing.assert_array_max_ulp(scaled_nodes, direct_nodes, maxulp=4)
-    np.testing.assert_array_max_ulp(scaled_weights, weights.reshape(2, -1), maxulp=4)
-    assert scaled_nodes.flags.writeable and scaled_weights.flags.writeable
+    assert asy._UNIT_NODES.shape == direct_nodes.shape
+    assert asy._UNIT_WEIGHTS.shape == (2, direct_nodes.size - 2)
+    np.testing.assert_array_max_ulp(maturity * asy._UNIT_NODES, direct_nodes, maxulp=4)
+    np.testing.assert_array_max_ulp(maturity * asy._UNIT_WEIGHTS, weights.reshape(2, -1),
+                                    maxulp=4)
 
 
 def test_panel_rule_unit_arrays_are_read_only():
@@ -112,9 +114,19 @@ def _rv_level_integral_oracle(hurst, beta, maturity):
     return integrate_err(f, 0.0, maturity, spec)
 
 
+def _window_kernel_sq_integral(params, delta, maturity):
+    """W and its bound as vix_atmi_approx evaluates them: T times the
+    per-unit W_1 and its bound."""
+    value, bound = asy._window_kernel_sq_integral(params, delta, maturity)
+    return maturity * value, maturity * bound
+
+
 def _rv_level_integral(hurst, beta, maturity):
-    """The same integral and its bound as rv_atmi_approx evaluates it."""
-    return asy._rv_level_integral(mk(H=hurst, beta=beta), maturity)
+    """The RV level integral and its bound as rv_atmi_approx evaluates them:
+    T^(2H+2) times the per-unit I_1 and its bound."""
+    value, bound = asy._rv_level_integral(mk(H=hurst, beta=beta), maturity)
+    scale = maturity ** (2.0 * hurst + 2.0)
+    return scale * value, scale * bound
 
 
 def _level_integral_mpmath(hurst, beta, maturity, window):
@@ -149,7 +161,7 @@ LEVEL_GRID = [
 @pytest.mark.parametrize("hurst, beta, maturity", LEVEL_GRID)
 def test_level_integrals_match_adaptive_oracles(hurst, beta, maturity):
     params = mk(H=hurst, beta=beta)
-    w_int, _ = asy._window_kernel_sq_integral(params, DELTA, maturity)
+    w_int, _ = _window_kernel_sq_integral(params, DELTA, maturity)
     w_oracle, _ = _window_kernel_sq_integral_oracle(params, DELTA, maturity)
     assert w_int == pytest.approx(w_oracle, rel=1e-12, abs=0.0)
     rv_int, _ = _rv_level_integral(hurst, beta, maturity)
@@ -174,7 +186,7 @@ def test_level_integrals_match_adaptive_oracles(hurst, beta, maturity):
 def test_level_integrals_within_their_bounds_of_mpmath(hurst, beta, maturity, window):
     if window:
         params = mk(H=hurst, beta=beta)
-        value, bound = asy._window_kernel_sq_integral(params, DELTA, maturity)
+        value, bound = _window_kernel_sq_integral(params, DELTA, maturity)
     else:
         value, bound = _rv_level_integral(hurst, beta, maturity)
     reference = _level_integral_mpmath(hurst, beta, maturity, window)
@@ -332,7 +344,7 @@ def test_vix_skew_approx_brute_force_oracle_rough_case():
     params = mk(H=0.35, beta=0.7)
     maturity = 0.05
     n = 90
-    cross, _, w_int, _ = _skew_numerators(params, DELTA, maturity)
+    cross = maturity ** 2 * _skew_numerators(params, DELTA, maturity)[0]
     s_nodes = (np.arange(n) + 0.5) * maturity / n
     total = 0.0
     for s in s_nodes:
@@ -354,7 +366,8 @@ def test_vix_skew_approx_brute_force_oracle_rough_case():
 def _skew_numerators_oracle(params, delta, maturity, rel_tol=1e-12):
     """Nested adaptive evaluation of the skew numerators: one adaptive
     quadrature of the kernel mass m(r) = int_0^T K-bar(T - tau) k(r - T + tau)
-    dtau per outer node, with the return tuple of ``_skew_numerators``."""
+    dtau per outer node. Returns Q_A, W and their bounds, the values of
+    ``_skew_numerators`` times T^2, T^2, T and T."""
     inner_spec = QuadSpec(abs_tol=1e-280, rel_tol=rel_tol, singular_exponent=params.H - 0.5)
     outer_spec = QuadSpec(abs_tol=1e-280, rel_tol=rel_tol)
     worst_inner = 0.0
@@ -387,14 +400,16 @@ def _skew_oracle(hurst, beta, maturity):
     """(Q_A, vix_skew_approx) of the mixed model through the nested oracle."""
     numerators = []
 
-    def recording(*args):
-        numerators.append(_skew_numerators_oracle(*args))
-        return numerators[-1]
+    def recording(params, delta, maturity):
+        cross, cross_err, w_int, w_err = _skew_numerators_oracle(params, delta, maturity)
+        numerators.append(cross)
+        return (cross / maturity ** 2, cross_err / maturity ** 2,
+                w_int / maturity, w_err / maturity)
 
     params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
     with mock.patch.object(asy, "_skew_numerators", recording):
         value = vix_skew_approx(params, DELTA, maturity)
-    return numerators[0][0], value
+    return numerators[0], value
 
 
 # Together they span H in {0.05, 0.3, 0.5}, beta in {0, 1, 5} and
@@ -414,7 +429,7 @@ SKEW_ORACLE_POINTS = [
 def test_vix_skew_approx_matches_nested_adaptive_oracle(hurst, beta, maturity):
     params = mk(H=hurst, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
     oracle_cross, oracle_value = _skew_oracle(hurst, beta, maturity)
-    cross = asy._skew_numerators(params, DELTA, maturity)[0]
+    cross = maturity ** 2 * asy._skew_numerators(params, DELTA, maturity)[0]
     assert cross == pytest.approx(oracle_cross, rel=1e-10, abs=0.0)
     assert vix_skew_approx(params, DELTA, maturity) == pytest.approx(
         oracle_value, rel=1e-10, abs=0.0
@@ -453,9 +468,9 @@ def test_kernel_mass_rule_error_estimate_covers_its_error(gap_over_eps):
     hurst, maturity = 0.05, 2.0
     gap = maturity * 2.0 ** -44 * gap_over_eps
     rule = asy._kernel_mass_rule(mk(H=hurst), DELTA, maturity)[0]
-    mass, err = rule(np.array([gap]))
+    mass, err = maturity * np.array(rule(np.array([gap])))[:, 0]
     reference = _kernel_mass_mpmath(hurst, maturity, gap)
-    assert abs(mass[0] - reference) <= err[0] < 1e-10 * reference
+    assert abs(mass - reference) <= err < 1e-10 * reference
 
 
 def test_kernel_mass_rule_rejects_a_negative_gap():
@@ -879,15 +894,12 @@ def test_evaluate_skew_rejects_degenerate_mixture():
 
 
 def _rv_power_law(params, maturity):
-    """rv_atmi_approx where beta T is negligible, f'(0) T^(a-1) / (a sqrt(2a+1)),
-    at 30 digits. a is the exponent the form computes with: H + 1/2 as a
-    float for beta > 0, where G = int_0^sigma k, and H + 1/2 exactly for
-    the closed form at beta = 0. At T = 1e-300 an ulp of a moves T^(a-1) by
-    8e-14."""
+    """rv_atmi_approx where beta T is negligible, f'(0) T^(a-1) / (a sqrt(2a+1))
+    with a = H + 1/2 exactly, at 30 digits."""
     import mpmath
 
     with mpmath.workdps(30):
-        a = mpmath.mpf(params.H + 0.5) if params.beta > 0.0 else mpmath.mpf(params.H) + 0.5
+        a = mpmath.mpf(params.H) + 0.5
         fprime = mpmath.mpf(params.volvol_mean) * mpmath.sqrt(2 * mpmath.mpf(params.H))
         return float(fprime * mpmath.mpf(maturity) ** (a - 1) / (a * mpmath.sqrt(2 * a + 1)))
 
@@ -896,11 +908,11 @@ def _rv_power_law(params, maturity):
 @pytest.mark.parametrize("maturity", [1e-104, 1e-110, 1e-200, 1e-300, 5e-324])
 def test_approximations_at_tiny_maturities_hold_their_bounds_or_raise(maturity, beta):
     # Far below every scale of the model each approximation is its limit.
-    # A form answers within its bound of it, or raises UnderflowError where
-    # one of its sums or products would come too close to the subnormal
-    # range; no numpy warning is raised on the way. The VIX skew stops first
-    # (W^(5/2) sqrt(T) underflows below T ~ 1e-101), the RV level integral
-    # at beta > 0 next (about T^2.6), and W itself last.
+    # At every normal maturity each form answers within its bound of it; the
+    # fixed rule runs in u = tau/T, so no intermediate carries a power of T.
+    # Below the smallest normal float the quadrature-backed forms raise
+    # UnderflowError, and only the beta = 0 RV closed form answers. No numpy
+    # warning is raised on the way.
     params = mk(H=0.3, beta=beta, gamma=0.5, nu=3.0, eta=1.0)
     forms = {
         "vix_atmi": (lambda: asy.vix_atmi_approx_err(params, DELTA, maturity),
@@ -920,21 +932,35 @@ def test_approximations_at_tiny_maturities_hold_their_bounds_or_raise(maturity, 
                 continue
         assert abs(value - reference) <= bound + 4.0 * math.ulp(reference), name
         answered.add(name)
-    expected = {"vix_atmi"} if maturity >= 1e-300 else set()
-    if beta == 0.0 or maturity >= 1e-110:
-        expected.add("rv_atmi")
-    assert answered == expected
+    if maturity >= sys.float_info.min:
+        assert answered == set(forms)
+    else:
+        assert answered == ({"rv_atmi"} if beta == 0.0 else set())
+
+
+@pytest.mark.parametrize("maturity", [1e-20, 1e-80, 1e-104, 1e-200])
+def test_rv_atmi_approx_holds_its_bound_of_the_exact_power_law(maturity):
+    # At beta T <= 5e-20 the beta > 0 form is its limit times T^(H-1/2) to
+    # far below its bound, with H - 1/2 exact as in the beta = 0 closed form:
+    # a rounded H + 1/2 left in the value, amplified by |ln T|, would exceed
+    # the bound from T ~ 1e-80.
+    params = mk(H=0.3, beta=5.0, gamma=0.5, nu=3.0, eta=1.0)
+    value, bound = asy.rv_atmi_approx_err(params, maturity)
+    power_law = rv_atmi_limit(params) * maturity ** (params.H - 0.5)
+    assert abs(value / power_law - 1.0) <= bound / value
 
 
 def test_asymptote_run_names_the_underflow(capsys):
-    # The VIX level still answers at T = 1e-300; the skew's row after it is
-    # an error row, and its comment names the underflow.
+    # Below the smallest normal float the limits still answer; the first
+    # approximation's row is an error row, and its comment names the
+    # underflow.
     assert main(["asymptote", "--hurst", "0.3", "--beta", "5", "--gamma", "0.5",
-                 "--nu", "3", "--eta", "1", "--T", "1e-300"]) == 1
-    rows = capsys.readouterr().out.splitlines()[-3:]
-    assert rows[0].startswith("VIX_ATMI_APPROX,1e-300,") and rows[0].endswith(",ok")
-    assert rows[1] == "VIX_SKEW_APPROX,1e-300,,,error"
-    assert rows[2].startswith("# error at VIX_SKEW_APPROX T=1e-300: UnderflowError(")
+                 "--nu", "3", "--eta", "1", "--T", "5e-324"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert all(row.endswith(",ok") for row in rows[2:-2])
+    maturity = format(5e-324, ".17g")
+    assert rows[-2] == f"VIX_ATMI_APPROX,{maturity},,,error"
+    assert rows[-1].startswith(f"# error at VIX_ATMI_APPROX T={maturity}: UnderflowError(")
 
 
 def test_inflated_quadrature_bound_raises_in_every_form(monkeypatch, capsys):

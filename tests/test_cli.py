@@ -330,6 +330,39 @@ def test_atmi_sabr_tiny_maturity_row(capsys):
     assert float(fields[1]) == pytest.approx(1.0, rel=0.05)
 
 
+def test_atmi_constant_batch_writes_an_error_row(capsys):
+    # At T = 1e-40 the VIX batch is constant to the last bit: atmi writes the
+    # error row that skew writes, and the run exits 1.
+    flags = ["--hurst", "0.3", "--nu", "2", "--T", "1e-40", "--paths", "20000",
+             "--workers", "1"]
+    for command, width in (("atmi", 5), ("skew", 4)):
+        code, out, err = run_cli([command, *flags], capsys)
+        assert code == 1
+        rows = out.splitlines()[2:]
+        assert rows[0] == "9.9999999999999993e-41," + "," * width + "error"
+        assert rows[1].startswith("# error at T=1e-40: BracketError(")
+        assert "BracketError" in err
+
+
+def test_workers_are_capped_at_the_core_count(capsys, monkeypatch):
+    # Output bytes do not depend on the worker count, so --workers asks for
+    # at most one per core. The draw records the count it is given and runs
+    # on one worker: no thread starts.
+    received, real = [], cli.sample_common
+
+    def recording(samplers, *, workers):
+        received.append(workers)
+        return real(samplers, workers=1)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "sample_common", recording)
+    outputs = [run_cli(["atmi", *BASE, "--workers", str(workers)], capsys)
+               for workers in (100_000, 2, 0)]
+    assert received == [3, 2, 3]
+    assert all(output == outputs[0] for output in outputs)
+    assert RunConfig(workers=100_000).effective_workers == 3
+
+
 def test_atmi_degenerate_marker(capsys):
     code, out, _ = run_cli(["atmi", "--nu", "0", "--eta", "0"] + BASE, capsys)
     assert code == 0
